@@ -11,30 +11,22 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from tetrasym import extragrp, families, graphalg
 from tetrasym.cosetgraph import (edge_list_text, sphere, to_dot, to_json_obj,
                                  validate_corefree, validate_sabidussi)
 from tetrasym.extragrp import MINUS, PLUS, SIGNS, EVec, extension_group
 from tetrasym.families import FamilySpec, build_family
-from tetrasym.permgrp import PermGroup
+from tetrasym.permgrp import PermGroup, Permutation
 
 SCHEMA_VERSION = 1
-
-CHECK_NAMES = (
-    "counts", "stabiliser", "girth", "bipartite", "local-group",
-    "sabidussi", "corefree", "cover", "blocks", "spheres", "double-coset",
-    "aut", "bound-equality", "arc-transitive", "group-order",
-    "primitive", "word-identities",
-)
 
 _AUT_CAP = 100
 _CHAIN_CAP = 4000  # vertex-count cap for stabiliser-chain based checks
 
 
-def _check(name, source, expected, actual, t0, family=None):
-    row = {
+def _check(name, source, expected, actual, t0):
+    return {
         "name": name,
         "expected": expected,
         "actual": actual,
@@ -42,9 +34,6 @@ def _check(name, source, expected, actual, t0, family=None):
         "pass": bool(expected is None or expected == actual),
         "millis": int((time.perf_counter() - t0) * 1000),
     }
-    if family is not None:
-        row["family"] = family
-    return row
 
 
 def _skip(name, reason):
@@ -55,178 +44,205 @@ def _skip(name, reason):
 # per-family checks (cmd_verify)
 # ---------------------------------------------------------------------------
 
-def _gamma_param(build):
-    return build.spec.get("t"), build.spec.get("sign")
+class _Skip(Exception):
+    """Raised by a check that does not apply to this member; the message is
+    the reason reported in the skip row."""
+
+
+def _paper_or_derived(expected):
+    return "paper" if expected is not None else "derived"
+
+
+def _with_chain(build):
+    if build.action is None or build.graph.n > _CHAIN_CAP:
+        raise _Skip("no action or above stabiliser-chain cap")
+    return PermGroup(build.action.gen_perms)
+
+
+def _with_coset(build):
+    if build.coset is None:
+        raise _Skip("not built as a coset graph")
+    return build.coset
+
+
+def _counts(build):
+    return "paper", build.expected.vertex_count, build.graph.n
+
+
+def _girth(build):
+    exp = build.expected.girth
+    return _paper_or_derived(exp), exp, graphalg.girth(build.graph)
+
+
+def _bipartite(build):
+    exp = build.expected.bipartite
+    return _paper_or_derived(exp), exp, graphalg.is_bipartite(build.graph)
+
+
+def _stabiliser(build):
+    group = _with_chain(build)
+    via_index = group.order() // build.graph.n
+    via_chain = group.point_stabiliser(0).order()
+    actual = via_index if via_index == via_chain else (via_index, via_chain)
+    return "paper", build.expected.stabiliser_order, actual
+
+
+def _group_order(build):
+    group = _with_chain(build)
+    if build.expected.group_order is None:
+        raise _Skip("no action or above stabiliser-chain cap")
+    return "paper", build.expected.group_order, group.order()
+
+
+def _local_group(build):
+    _with_chain(build)
+    lg = graphalg.local_group(build.action, 0)
+    spec = build.spec
+    paper = spec.family == "gamma" or (spec.family == "crs"
+                                       and spec.get("r") == 2 * spec.get("s"))
+    return ("paper" if paper else "derived",
+            (8, True) if build.expected.locally_d4 else None,
+            (lg.order(), lg.is_transitive()))
+
+
+def _arc_transitive(build):
+    if build.action is None:
+        raise _Skip("built without an action")
+    return "paper", True, graphalg.verify_arc_transitive(build.graph, build.action)
+
+
+def _sabidussi(build):
+    coset = _with_coset(build)
+    rep = validate_sabidussi(coset.iface, coset.a_elt)
+    return "paper", (True, True, 4), (rep.connected, rep.symmetric, rep.valency)
+
+
+def _corefree(build):
+    return "paper", True, validate_corefree(_with_coset(build))
+
+
+def _aut(build):
+    exp = build.expected.aut_order
+    if exp is None or build.graph.n > _AUT_CAP:
+        raise _Skip("no expected order or above the %d-vertex cap" % _AUT_CAP)
+    return "paper", exp, graphalg.automorphism_group_order(build.graph)
+
+
+def _bound_equality(build):
+    gv = build.expected.stabiliser_order
+    return "paper", build.graph.n, 2 * gv * ((gv // 2).bit_length() - 1)
+
+
+def _cover(build):
+    zperm = build.coset.perm_of(build.group.z)
+    _, rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action, [zperm])
+    t = build.spec.get("t")
+    base = families.praeger_xu_coset(2 * t, t)
+    iso = graphalg.isomorphic(rep.quotient, base.graph) is not None
+    return "paper", (2, True, True), (rep.fibre_size, rep.is_local_bijection, iso)
+
+
+def _double_coset(build):
+    if build.spec.get("t") > 4:
+        raise _Skip("checked for t <= 4")
+    grp = build.group
+    return ("paper", False,
+            extragrp.double_coset_contains(grp.subgroup_h(), grp.a, grp.z))
+
+
+def _blocks(build):
+    if build.spec.get("t") < 4:
+        raise _Skip("block facts proved for t >= 4")
+    graph = build.graph
+    block = {build.coset.vertex_of(w)
+             for w in families.central_block_words(build.group)}
+    inter = None
+    for u in graph.adj[0]:
+        s3 = sphere(graph, u, 3)
+        inter = s3 if inter is None else inter & s3
+    return ("paper", (True, True),
+            (graphalg.is_block(build.action, block), block == (inter | {0})))
+
+
+def _spheres(build):
+    t, sign = build.spec.get("t"), build.spec.get("sign")
+    if t < 3 and sign != MINUS:
+        raise _Skip("transversal facts hold for t >= 3 or minus sign")
+    s2 = sphere(build.graph, 0, 2)
+    w2 = families.second_sphere_words(build.group)
+    v2 = {build.coset.vertex_of(w) for w in w2}
+    got = [len(s2), len(w2), v2 == s2]
+    expect = [12, 12, True]
+    if (t, sign) in ((3, MINUS), (4, PLUS), (4, MINUS), (5, PLUS), (5, MINUS)):
+        w3 = families.third_sphere_words(build.group)
+        v3 = {build.coset.vertex_of(w) for w in w3}
+        got += [len(w3), len(v3)]
+        expect += [36, 36]
+    return "paper", tuple(expect), tuple(got)
+
+
+def _primitive(build):
+    perms = families.delta_permutations(build.spec.get("m"))
+    natural = PermGroup(perms["xs"] + [perms["h"], perms["a"]])
+    return "paper", True, natural.is_primitive()
+
+
+def _word_identities(build):
+    m = build.spec.get("m")
+    perms = families.delta_permutations(m)
+    xs, h, a, g = perms["xs"], perms["h"], perms["a"], perms["g"]
+    ok = g == a * h
+    ok &= all(xs[i - 1].conjugate(h) == xs[2 * m - i - 1] for i in range(1, 2 * m))
+    ok &= all(xs[i - 1].conjugate(g) == xs[i] for i in range(1, 2 * m - 1))
+    ok &= xs[2 * m - 2].conjugate(g) == Permutation.from_cycles(4 * m, [(0, 4 * m - 2)])
+    return "paper", True, ok
+
+
+# name -> (the one family the check applies to, or None for all; check).
+# A check returns (source, expected, actual) or raises _Skip; reports list
+# the rows in this order.
+_CHECKS = {
+    "counts": (None, _counts),
+    "girth": (None, _girth),
+    "bipartite": (None, _bipartite),
+    "stabiliser": (None, _stabiliser),
+    "group-order": (None, _group_order),
+    "local-group": (None, _local_group),
+    "arc-transitive": (None, _arc_transitive),
+    "sabidussi": (None, _sabidussi),
+    "corefree": (None, _corefree),
+    "aut": (None, _aut),
+    "bound-equality": ("gamma", _bound_equality),
+    "cover": ("gamma", _cover),
+    "double-coset": ("gamma", _double_coset),
+    "blocks": ("gamma", _blocks),
+    "spheres": ("gamma", _spheres),
+    "primitive": ("delta", _primitive),
+    "word-identities": ("delta", _word_identities),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def family_checks(build: families.FamilyBuild, names=None) -> list:
-    """Run the requested named checks against one family member."""
+    """Run the requested named checks (all when names is empty) against one
+    family member.  Skip rows appear only for checks asked for by name."""
     fam = build.spec.family
-    exp = build.expected
-    rows = []
     wanted = list(names) if names else None
-
-    def want(name):
-        return wanted is None or name in wanted
-
-    def note_skip(name, reason):
-        if wanted is not None and name in wanted:
-            rows.append(_skip(name, reason))
-
-    if want("counts"):
+    rows = []
+    for name, (only, check) in _CHECKS.items():
+        if (wanted is not None and name not in wanted) or only not in (None, fam):
+            continue
         t0 = time.perf_counter()
-        rows.append(_check("counts", "paper", exp.vertex_count, build.graph.n, t0))
-    if want("girth"):
-        t0 = time.perf_counter()
-        rows.append(_check("girth", "paper" if exp.girth is not None else "derived",
-                           exp.girth, graphalg.girth(build.graph), t0))
-    if want("bipartite"):
-        t0 = time.perf_counter()
-        rows.append(_check("bipartite",
-                           "paper" if exp.bipartite is not None else "derived",
-                           exp.bipartite, graphalg.is_bipartite(build.graph), t0))
-
-    chain_ok = build.action is not None and build.graph.n <= _CHAIN_CAP
-    if want("stabiliser"):
-        if chain_ok:
-            t0 = time.perf_counter()
-            group = PermGroup(build.action.gen_perms)
-            via_index = group.order() // build.graph.n
-            via_chain = group.point_stabiliser(0).order()
-            actual = via_index if via_index == via_chain else (via_index, via_chain)
-            rows.append(_check("stabiliser", "paper", exp.stabiliser_order, actual, t0))
-        else:
-            note_skip("stabiliser", "no action or above stabiliser-chain cap")
-    if want("group-order"):
-        if chain_ok and exp.group_order is not None:
-            t0 = time.perf_counter()
-            rows.append(_check("group-order", "paper", exp.group_order,
-                               PermGroup(build.action.gen_perms).order(), t0))
-        else:
-            note_skip("group-order", "no action or above stabiliser-chain cap")
-    if want("local-group"):
-        if chain_ok:
-            t0 = time.perf_counter()
-            lg = graphalg.local_group(build.action, 0)
-            actual = (lg.order(), lg.is_transitive())
-            expected = (8, True) if exp.locally_d4 else None
-            src = "paper" if fam == "gamma" or (fam == "crs" and
-                                                build.spec.get("r") == 2 * build.spec.get("s")) else "derived"
-            rows.append(_check("local-group", src, expected, actual, t0))
-        else:
-            note_skip("local-group", "no action or above stabiliser-chain cap")
-    if want("arc-transitive"):
-        if build.action is not None:
-            t0 = time.perf_counter()
-            rows.append(_check("arc-transitive", "paper", True,
-                               graphalg.verify_arc_transitive(build.graph, build.action), t0))
-        else:
-            note_skip("arc-transitive", "built without an action")
-
-    if want("sabidussi"):
-        if build.coset is not None:
-            t0 = time.perf_counter()
-            rep = validate_sabidussi(build.coset.iface, build.coset.a_elt)
-            rows.append(_check("sabidussi", "paper", (True, True, 4),
-                               (rep.connected, rep.symmetric, rep.valency), t0))
-        else:
-            note_skip("sabidussi", "not built as a coset graph")
-    if want("corefree"):
-        if build.coset is not None:
-            t0 = time.perf_counter()
-            rows.append(_check("corefree", "paper", True,
-                               validate_corefree(build.coset), t0))
-        else:
-            note_skip("corefree", "not built as a coset graph")
-
-    if want("aut"):
-        if exp.aut_order is not None and build.graph.n <= _AUT_CAP:
-            t0 = time.perf_counter()
-            rows.append(_check("aut", "paper", exp.aut_order,
-                               graphalg.automorphism_group_order(build.graph), t0))
-        else:
-            note_skip("aut", "no expected order or above the %d-vertex cap" % _AUT_CAP)
-
-    if fam == "gamma":
-        t, sign = _gamma_param(build)
-        if want("bound-equality"):
-            t0 = time.perf_counter()
-            gv = exp.stabiliser_order
-            rhs = 2 * gv * ((gv // 2).bit_length() - 1)
-            rows.append(_check("bound-equality", "paper", build.graph.n, rhs, t0))
-        if want("cover"):
-            t0 = time.perf_counter()
-            zperm = build.coset.perm_of(build.group.z)
-            _, rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action,
-                                                          [zperm])
-            base = families.praeger_xu_coset(2 * t, t)
-            iso = graphalg.isomorphic(rep.quotient, base.graph) is not None
-            rows.append(_check("cover", "paper", (2, True, True),
-                               (rep.fibre_size, rep.is_local_bijection, iso), t0))
-        if want("double-coset"):
-            if t <= 4:
-                t0 = time.perf_counter()
-                H = build.group.subgroup_h()
-                rows.append(_check("double-coset", "paper", False,
-                                   extragrp.double_coset_contains(H, build.group.a,
-                                                                  build.group.z), t0))
-            else:
-                note_skip("double-coset", "checked for t <= 4")
-        if want("blocks"):
-            if t >= 4:
-                t0 = time.perf_counter()
-                words = families.central_block_words(build.group)
-                block = {build.coset.vertex_of(w) for w in words}
-                ok_block = graphalg.is_block(build.action, block)
-                inter = None
-                for u in build.graph.adj[0]:
-                    s3 = sphere(build.graph, u, 3)
-                    inter = s3 if inter is None else inter & s3
-                ok_char = block == (inter | {0})
-                rows.append(_check("blocks", "paper", (True, True),
-                                   (ok_block, ok_char), t0))
-            else:
-                note_skip("blocks", "block facts proved for t >= 4")
-        if want("spheres"):
-            if t >= 3 or sign == MINUS:
-                t0 = time.perf_counter()
-                s2 = sphere(build.graph, 0, 2)
-                w2 = families.second_sphere_words(build.group)
-                v2 = {build.coset.vertex_of(w) for w in w2}
-                got = [len(s2), len(w2), v2 == s2]
-                expect = [12, 12, True]
-                if (t, sign) in ((3, MINUS), (4, PLUS), (4, MINUS),
-                                 (5, PLUS), (5, MINUS)):
-                    w3 = families.third_sphere_words(build.group)
-                    v3 = {build.coset.vertex_of(w) for w in w3}
-                    got += [len(w3), len(v3)]
-                    expect += [36, 36]
-                rows.append(_check("spheres", "paper", tuple(expect), tuple(got), t0))
-            else:
-                note_skip("spheres", "transversal facts hold for t >= 3 or minus sign")
-
-    if fam == "delta":
-        m = build.spec.get("m")
-        perms = families.delta_permutations(m)
-        if want("primitive"):
-            t0 = time.perf_counter()
-            natural = PermGroup(perms["xs"] + [perms["h"], perms["a"]])
-            rows.append(_check("primitive", "paper", True, natural.is_primitive(), t0))
-        if want("word-identities"):
-            t0 = time.perf_counter()
-            xs, h, a, g = perms["xs"], perms["h"], perms["a"], perms["g"]
-            ok = g == a * h
-            ok &= all(xs[i - 1].conjugate(h) == xs[2 * m - i - 1]
-                      for i in range(1, 2 * m))
-            ok &= all(xs[i - 1].conjugate(g) == xs[i] for i in range(1, 2 * m - 1))
-            from tetrasym.permgrp import Permutation
-            ok &= xs[2 * m - 2].conjugate(g) == Permutation.from_cycles(
-                4 * m, [(0, 4 * m - 2)])
-            rows.append(_check("word-identities", "paper", True, ok, t0))
+        try:
+            rows.append(_check(name, *check(build), t0))
+        except _Skip as skip:
+            if wanted is not None:
+                rows.append(_skip(name, str(skip)))
 
     if wanted is not None:
         for name in wanted:
-            if name not in CHECK_NAMES:
+            if name not in _CHECKS:
                 rows.append(_skip(name, "unknown check"))
             elif not any(r["name"] == name for r in rows):
                 rows.append(_skip(name, "not applicable to family %s" % fam))
@@ -306,263 +322,147 @@ def evec_exhaustive_failures(t: int) -> int:
 # the acceptance matrix (cmd_matrix)
 # ---------------------------------------------------------------------------
 
-class _BuildCache:
-    def __init__(self, allow_large=False):
-        self.allow_large = allow_large
-        self._cache: dict = {}
-
-    def get(self, text: str) -> families.FamilyBuild:
-        if text not in self._cache:
-            self._cache[text] = build_family(FamilySpec.parse(text),
-                                             allow_large=self.allow_large)
-        return self._cache[text]
-
-    def prebuild(self, specs, threads: int):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(self.get, specs))
-        else:
-            for s in specs:
-                self.get(s)
-
-
-def _criterion(cid, name, rows):
-    return {"id": cid, "name": name, "checks": rows,
-            "pass": all(r["pass"] for r in rows if not r.get("skipped"))}
-
-
-def matrix_report(allow_large=False, threads: int = 1, families_filter=None,
-                  max_t: int = 6) -> dict:
-    cache = _BuildCache(allow_large)
-    gamma_ts = range(2, max_t + 1)
-
-    specs = []
-    if _fam_on("crs", families_filter):
-        specs += ["crs:r=%d,s=%d" % (r, s)
-                  for r in range(3, 9) for s in range(1, r)]
-    if _fam_on("gamma", families_filter):
-        specs += ["gamma:sign=%s,t=%d" % (sign, t)
-                  for t in gamma_ts for sign in SIGNS]
-    if _fam_on("delta", families_filter):
-        specs += ["delta:m=2"]
-    if _fam_on("wreath", families_filter):
-        specs += ["wreath:r=4"]
-    cache.prebuild(specs, threads)
-
-    criteria = []
-
-    def running(cid, name):
-        print("criterion %2d  %s" % (cid, name), file=sys.stderr, flush=True)
-
-    if families_filter is None:
-        running(1, "extraspecial engine soundness")
-        rows = []
+def _engine_rows():
+    t0 = time.perf_counter()
+    yield _check("evec-assoc-exhaustive-t2", "derived", 0,
+                 evec_exhaustive_failures(2), t0)
+    for sign in SIGNS:
         t0 = time.perf_counter()
-        rows.append(_check("evec-assoc-exhaustive-t2", "derived", 0,
-                           evec_exhaustive_failures(2), t0))
+        yield _check("gelt-assoc-sampled-t2-%s" % sign, "derived", 0,
+                     assoc_sample_failures(2, sign, 500_000), t0)
+    for t in (2, 3, 4):
         for sign in SIGNS:
             t0 = time.perf_counter()
-            rows.append(_check("gelt-assoc-sampled-t2-%s" % sign, "derived", 0,
-                               assoc_sample_failures(2, sign, 500_000), t0))
-        for t in (2, 3, 4):
-            for sign in SIGNS:
-                t0 = time.perf_counter()
-                rows.append(_check("relations-t%d-%s" % (t, sign), "paper", True,
-                                   relation_suite(t, sign), t0))
-                t0 = time.perf_counter()
-                count = sum(1 for _ in extension_group(t, sign).elements())
-                rows.append(_check("enumeration-t%d-%s" % (t, sign), "paper",
-                                   t * 2 ** (2 * t + 3), count, t0))
-        criteria.append(_criterion(1, "extraspecial engine soundness", rows))
-
-    running(2, "vertex counts")
-    rows = []
-    for text in specs:
-        b = cache.get(text)
-        t0 = time.perf_counter()
-        rows.append(_check("counts", "paper", b.expected.vertex_count,
-                           b.graph.n, t0, family=text))
-    if rows:
-        criteria.append(_criterion(2, "vertex counts", rows))
-
-    if _fam_on("gamma", families_filter) or _fam_on("delta", families_filter):
-        running(3, "stabiliser orders")
-        rows = []
-        for text in specs:
-            b = cache.get(text)
-            if b.spec.family == "gamma" and b.spec.get("t") > 5:
-                continue
-            if b.spec.family not in ("gamma", "delta"):
-                continue
-            for row in family_checks(b, ["stabiliser"]):
-                row["family"] = text
-                rows.append(row)
-        criteria.append(_criterion(3, "stabiliser orders", rows))
-
-    if _fam_on("gamma", families_filter):
-        running(4, "bound equality")
-        rows = []
-        for t in gamma_ts:
-            for sign in SIGNS:
-                b = cache.get("gamma:sign=%s,t=%d" % (sign, t))
-                for row in family_checks(b, ["bound-equality"]):
-                    row["family"] = str(b.spec)
-                    rows.append(row)
-        criteria.append(_criterion(4, "bound equality", rows))
-
-    running(5, "girth schedule")
-    rows = []
-    for text in specs:
-        b = cache.get(text)
-        if b.spec.family == "crs" and b.spec.get("r") == 3:
-            continue  # 6- and 12-vertex members contain triangles; not asserted
-        if b.spec.family in ("crs", "gamma"):
-            for row in family_checks(b, ["girth"]):
-                row["family"] = text
-                rows.append(row)
-    if rows:
-        criteria.append(_criterion(5, "girth schedule", rows))
-
-    if _fam_on("gamma", families_filter):
-        running(6, "sphere transversals")
-        rows = []
-        for t in range(2, min(max_t, 5) + 1):
-            for sign in SIGNS:
-                if t == 2 and sign == PLUS:
-                    continue
-                b = cache.get("gamma:sign=%s,t=%d" % (sign, t))
-                for row in family_checks(b, ["spheres"]):
-                    row["family"] = str(b.spec)
-                    rows.append(row)
-        criteria.append(_criterion(6, "sphere transversals", rows))
-
-        running(7, "double coset exclusion")
-        rows = []
-        for t in (2, 3, 4):
-            if t > max_t:
-                continue
-            for sign in SIGNS:
-                b = cache.get("gamma:sign=%s,t=%d" % (sign, t))
-                for row in family_checks(b, ["double-coset"]):
-                    row["family"] = str(b.spec)
-                    rows.append(row)
-        criteria.append(_criterion(7, "double coset exclusion", rows))
-
-        running(8, "central covers")
-        rows = []
-        for t in range(2, min(max_t, 5) + 1):
-            for sign in SIGNS:
-                b = cache.get("gamma:sign=%s,t=%d" % (sign, t))
-                for row in family_checks(b, ["cover"]):
-                    row["family"] = str(b.spec)
-                    rows.append(row)
-        criteria.append(_criterion(8, "central covers", rows))
-
-        running(9, "locally dihedral vertex actions")
-        rows = []
-        for t in (2, 3, 4):
-            if t > max_t:
-                continue
-            for sign in SIGNS:
-                b = cache.get("gamma:sign=%s,t=%d" % (sign, t))
-                for row in family_checks(b, ["local-group"]):
-                    row["family"] = str(b.spec)
-                    rows.append(row)
-            if _fam_on("crs", families_filter):
-                b = cache.get("crs:r=%d,s=%d" % (2 * t, t))
-                for row in family_checks(b, ["local-group"]):
-                    row["family"] = str(b.spec)
-                    rows.append(row)
-        criteria.append(_criterion(9, "locally dihedral vertex actions", rows))
-
-        running(10, "blocks of imprimitivity")
-        rows = []
-        for t in (4, 5):
-            if t > max_t:
-                continue
-            for sign in SIGNS:
-                b = cache.get("gamma:sign=%s,t=%d" % (sign, t))
-                for row in family_checks(b, ["blocks"]):
-                    row["family"] = str(b.spec)
-                    rows.append(row)
-        criteria.append(_criterion(10, "blocks of imprimitivity", rows))
-
-    if _fam_on("gamma", families_filter) or _fam_on("wreath", families_filter):
-        running(11, "automorphism group orders")
-        rows = []
-        targets = []
-        if _fam_on("wreath", families_filter):
-            targets.append("wreath:r=4")
-        if _fam_on("gamma", families_filter):
-            targets += ["gamma:sign=%s,t=%d" % (sign, t)
-                        for t in (2, 3) if t <= max_t for sign in SIGNS]
-        for text in targets:
-            b = cache.get(text)
-            for row in family_checks(b, ["aut"]):
-                row["family"] = text
-                rows.append(row)
-        criteria.append(_criterion(11, "automorphism group orders", rows))
-
-    if _fam_on("gamma", families_filter) and _fam_on("crs", families_filter):
-        running(12, "isomorphism facts")
-        rows = []
-        t0 = time.perf_counter()
-        iso = graphalg.isomorphic(cache.get("gamma:sign=plus,t=2").graph,
-                                  cache.get("crs:r=4,s=3").graph)
-        rows.append(_check("gamma2plus-iso-crs(4,3)", "paper", True,
-                           iso is not None, t0))
-        for t in (2, 3, 4):
-            if t > max_t:
-                continue
+            yield _check("relations-t%d-%s" % (t, sign), "paper", True,
+                         relation_suite(t, sign), t0)
             t0 = time.perf_counter()
-            iso = graphalg.isomorphic(cache.get("gamma:sign=plus,t=%d" % t).graph,
-                                      cache.get("gamma:sign=minus,t=%d" % t).graph)
-            rows.append(_check("gamma%d-plus-vs-minus" % t, "paper", False,
-                               iso is not None, t0))
-        for r in range(4, 9):
-            for s in range(2, r - 1):
-                t0 = time.perf_counter()
-                direct = families.praeger_xu_direct(r, s)
-                iso = graphalg.isomorphic(direct, cache.get(
-                    "crs:r=%d,s=%d" % (r, s)).graph)
-                rows.append(_check("crs(%d,%d)-direct-vs-coset" % (r, s), "paper",
-                                   True, iso is not None, t0))
-        criteria.append(_criterion(12, "isomorphism facts", rows))
+            count = sum(1 for _ in extension_group(t, sign).elements())
+            yield _check("enumeration-t%d-%s" % (t, sign), "paper",
+                         t * 2 ** (2 * t + 3), count, t0)
 
-    if _fam_on("delta", families_filter):
-        running(13, "symmetric-group family suite")
-        b = cache.get("delta:m=2")
-        rows = []
+
+def _member_rows(builds, check, specs):
+    for spec in specs:
+        for row in family_checks(builds[spec], [check]):
+            row["family"] = spec
+            yield row
+
+
+def _iso_rows(builds, max_t):
+    def graph(spec):
+        return builds[spec].graph
+
+    t0 = time.perf_counter()
+    iso = graphalg.isomorphic(graph("gamma:sign=plus,t=2"), graph("crs:r=4,s=3"))
+    yield _check("gamma2plus-iso-crs(4,3)", "paper", True, iso is not None, t0)
+    for t in (2, 3, 4):
+        if t > max_t:
+            continue
         t0 = time.perf_counter()
-        rows.append(_check("connected-tetravalent", "paper", (2520, True),
-                           (b.graph.n, b.graph.is_regular(4)), t0))
-        for row in family_checks(b, ["bipartite", "arc-transitive", "group-order",
-                                     "stabiliser", "primitive", "word-identities",
-                                     "sabidussi", "corefree"]):
-            row["family"] = "delta:m=2"
-            rows.append(row)
-        criteria.append(_criterion(13, "symmetric-group family suite", rows))
-
-    if families_filter is None:
-        running(14, "group non-isomorphism witness")
-        rows = []
-        for t in (2, 3):
+        iso = graphalg.isomorphic(graph("gamma:sign=plus,t=%d" % t),
+                                  graph("gamma:sign=minus,t=%d" % t))
+        yield _check("gamma%d-plus-vs-minus" % t, "paper", False, iso is not None, t0)
+    for r in range(4, 9):
+        for s in range(2, r - 1):
             t0 = time.perf_counter()
-            cp = extension_group(t, PLUS).element_order_census()
-            cm = extension_group(t, MINUS).element_order_census()
-            rows.append(_check("census-differs-t%d" % t, "derived", True,
-                               cp != cm, t0))
-        criteria.append(_criterion(14, "group non-isomorphism witness", rows))
+            iso = graphalg.isomorphic(families.praeger_xu_direct(r, s),
+                                      graph("crs:r=%d,s=%d" % (r, s)))
+            yield _check("crs(%d,%d)-direct-vs-coset" % (r, s), "paper", True,
+                         iso is not None, t0)
 
+
+def _delta_rows(builds):
+    b = builds["delta:m=2"]
+    t0 = time.perf_counter()
+    yield _check("connected-tetravalent", "paper", (2520, True),
+                 (b.graph.n, b.graph.is_regular(4)), t0)
+    for row in family_checks(b, ["bipartite", "arc-transitive", "group-order",
+                                 "stabiliser", "primitive", "word-identities",
+                                 "sabidussi", "corefree"]):
+        row["family"] = "delta:m=2"
+        yield row
+
+
+def _census_rows():
+    for t in (2, 3):
+        t0 = time.perf_counter()
+        cp = extension_group(t, PLUS).element_order_census()
+        cm = extension_group(t, MINUS).element_order_census()
+        yield _check("census-differs-t%d" % t, "derived", True, cp != cm, t0)
+
+
+def matrix_report(allow_large=False, families_filter=None, max_t: int = 6) -> dict:
+    """The acceptance matrix: each criterion's rows over the family members
+    that families_filter (all when None) and max_t select."""
+    if families_filter is not None:
+        unknown = sorted(set(families_filter) - set(families.FAMILIES))
+        if unknown:
+            raise ValueError("unknown families %s (choose from %s)"
+                             % (", ".join(unknown), ", ".join(families.FAMILIES)))
+
+    def on(name):
+        return families_filter is None or name in families_filter
+
+    def crs(rs):
+        return ["crs:r=%d,s=%d" % (r, s) for r in rs
+                for s in range(1, r)] if on("crs") else []
+
+    def gamma(ts):
+        return ["gamma:sign=%s,t=%d" % (sign, t) for t in ts if t <= max_t
+                for sign in SIGNS] if on("gamma") else []
+
+    delta = ["delta:m=2"] if on("delta") else []
+    wreath = ["wreath:r=4"] if on("wreath") else []
+    gamma_all = gamma(range(2, max_t + 1))
+    specs = crs(range(3, 9)) + gamma_all + delta + wreath
+    builds = {s: build_family(FamilySpec.parse(s), allow_large=allow_large)
+              for s in specs}
+    gamma_to_5 = gamma(range(2, 6))
+    locally_d4 = [s for t in (2, 3, 4) if t <= max_t for s in gamma([t])
+                  + (["crs:r=%d,s=%d" % (2 * t, t)] if on("crs") else [])]
+
+    # (id, name, whether it runs, its rows).  The rows are generators, so a
+    # criterion's work starts after its progress line.
+    table = (
+        (1, "extraspecial engine soundness", families_filter is None, _engine_rows()),
+        (2, "vertex counts", bool(specs), _member_rows(builds, "counts", specs)),
+        (3, "stabiliser orders", on("gamma") or on("delta"),
+         _member_rows(builds, "stabiliser", gamma_to_5 + delta)),
+        (4, "bound equality", on("gamma"),
+         _member_rows(builds, "bound-equality", gamma_all)),
+        # crs(3, s) contains triangles, so its girth is not asserted.
+        (5, "girth schedule", on("crs") or on("gamma"),
+         _member_rows(builds, "girth", crs(range(4, 9)) + gamma_all)),
+        (6, "sphere transversals", on("gamma"),
+         _member_rows(builds, "spheres", [s for s in gamma_to_5
+                                          if s != "gamma:sign=%s,t=2" % PLUS])),
+        (7, "double coset exclusion", on("gamma"),
+         _member_rows(builds, "double-coset", gamma((2, 3, 4)))),
+        (8, "central covers", on("gamma"), _member_rows(builds, "cover", gamma_to_5)),
+        (9, "locally dihedral vertex actions", on("gamma"),
+         _member_rows(builds, "local-group", locally_d4)),
+        (10, "blocks of imprimitivity", on("gamma"),
+         _member_rows(builds, "blocks", gamma((4, 5)))),
+        (11, "automorphism group orders", on("gamma") or on("wreath"),
+         _member_rows(builds, "aut", wreath + gamma((2, 3)))),
+        (12, "isomorphism facts", on("gamma") and on("crs"), _iso_rows(builds, max_t)),
+        (13, "symmetric-group family suite", on("delta"), _delta_rows(builds)),
+        (14, "group non-isomorphism witness", families_filter is None, _census_rows()),
+    )
+
+    criteria = []
+    for cid, name, runs, rows in table:
+        if not runs:
+            continue
+        print("criterion %2d  %s" % (cid, name), file=sys.stderr, flush=True)
+        rows = list(rows)
+        criteria.append({"id": cid, "name": name, "checks": rows,
+                         "pass": all(r["pass"] for r in rows if not r.get("skipped"))})
     return {
         "schema": SCHEMA_VERSION,
         "criteria": criteria,
         "overall": all(c["pass"] for c in criteria),
     }
-
-
-def _fam_on(name, families_filter):
-    return families_filter is None or name in families_filter
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +504,8 @@ def cmd_matrix(args) -> int:
     if args.max_t > 6 and not args.allow_large:
         raise ValueError("--max-t beyond 6 needs --allow-large")
     fams = args.families.split(",") if args.families else None
-    report = matrix_report(allow_large=args.allow_large, threads=args.threads,
-                           families_filter=fams, max_t=args.max_t)
+    report = matrix_report(allow_large=args.allow_large, families_filter=fams,
+                           max_t=args.max_t)
     for crit in report["criteria"]:
         print("criterion %2d  %-38s %s" % (crit["id"], crit["name"],
                                            "PASS" if crit["pass"] else "FAIL"),
@@ -642,8 +542,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("matrix", help="run the full verification matrix")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel builds across family members")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--families", default=None,
                    help="comma list restricting to these families")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from tetrasym import extragrp
 from tetrasym.cosetgraph import (CosetGraphBuild, Graph, GroupIface,
                                  VertexAction, build_coset_graph)
-from tetrasym.permgrp import Permutation
+from tetrasym.permgrp import PermGroup, Permutation
 
 __all__ = [
     "FamilySpec", "ExpectedProperties", "FamilyBuild",
@@ -26,7 +26,10 @@ __all__ = [
     "central_block_words",
 ]
 
-FAMILIES = ("wreath", "crs", "gamma", "delta")
+# Each family's parameters and their types.
+_PARAMS = {"wreath": {"r": int}, "crs": {"r": int, "s": int},
+           "gamma": {"t": int, "sign": str}, "delta": {"m": int}}
+FAMILIES = tuple(_PARAMS)
 
 # Construction limits without the explicit large-build opt-in.
 _GAMMA_DEFAULT_MAX_T = 6
@@ -107,6 +110,16 @@ def _wreath_vertex(r: int, v: int, i: int) -> int:
     return 2 * (v % r) + i
 
 
+def _wreath_perm(r: int, fn) -> Permutation:
+    """The permutation of the wreath-graph vertices sending (v, i) to fn(v, i)."""
+    images = [0] * (2 * r)
+    for v in range(r):
+        for i in (0, 1):
+            w, j = fn(v, i)
+            images[_wreath_vertex(r, v, i)] = _wreath_vertex(r, w, j)
+    return Permutation(images)
+
+
 def wreath_graph(r: int) -> FamilyBuild:
     """The 2r-vertex graph on fibres V_0..V_{r-1} (two vertices each) with
     every vertex of V_j joined to all of V_{j-1} and V_{j+1}, together with
@@ -124,18 +137,10 @@ def wreath_graph(r: int) -> FamilyBuild:
     graph = Graph.from_edges(n, edges, labels)
     assert graph.is_regular(4)
 
-    def perm(fn):
-        images = [0] * n
-        for v in range(r):
-            for i in (0, 1):
-                w, j = fn(v, i)
-                images[_wreath_vertex(r, v, i)] = _wreath_vertex(r, w, j)
-        return Permutation(images)
-
-    gens = [perm(lambda v, i, k=k: (v, i ^ 1) if v == k else (v, i))
+    gens = [_wreath_perm(r, lambda v, i, k=k: (v, i ^ 1) if v == k else (v, i))
             for k in range(r)]
-    gens.append(perm(lambda v, i: (v + 1, i)))      # a
-    gens.append(perm(lambda v, i: (-v % r, i)))     # b
+    gens.append(_wreath_perm(r, lambda v, i: (v + 1, i)))      # a
+    gens.append(_wreath_perm(r, lambda v, i: (-v % r, i)))     # b
     action = VertexAction(graph, tuple(gens))
     expected = ExpectedProperties(
         vertex_count=n,
@@ -206,35 +211,14 @@ def praeger_xu_coset(r: int, s: int, max_vertices: int | None = None) -> FamilyB
         raise ValueError("subgroup H of order 2^%d is beyond the closure guard"
                          % (r - s + 1))
     n = 2 * r
-
-    def perm(fn):
-        images = [0] * n
-        for v in range(r):
-            for i in (0, 1):
-                w, j = fn(v, i)
-                images[_wreath_vertex(r, v, i)] = _wreath_vertex(r, w, j)
-        return Permutation(images)
-
-    xs = [perm(lambda v, i, k=k: (v, i ^ 1) if v == k else (v, i))
+    xs = [_wreath_perm(r, lambda v, i, k=k: (v, i ^ 1) if v == k else (v, i))
           for k in range(r)]
-    a = perm(lambda v, i: (v + 1, i))
-    b_s = perm(lambda v, i: ((r - s - 1 - v) % r, i))
+    a = _wreath_perm(r, lambda v, i: (v + 1, i))
+    b_s = _wreath_perm(r, lambda v, i: ((r - s - 1 - v) % r, i))
 
-    h_gens = xs[:r - s] + [b_s]
-    h_elems = {Permutation.identity(n)}
-    frontier = list(h_elems)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in h_gens:
-                pq = p * q
-                if pq not in h_elems:
-                    h_elems.add(pq)
-                    nxt.append(pq)
-        frontier = nxt
     iface = GroupIface(
         generators=tuple(xs) + (a, b_s),
-        subgroup=tuple(sorted(h_elems)),
+        subgroup=tuple(sorted(PermGroup(xs[:r - s] + [b_s], degree=n).elements())),
         identity=Permutation.identity(n),
         order=2 ** r * 2 * r,
         label=lambda p: p.cycle_string(),
@@ -396,20 +380,9 @@ def delta(m: int, allow_large: bool = False,
         max_vertices = math.factorial(n) // 2 ** (2 * m)
     perms = delta_permutations(m)
     h_gens = perms["xs"] + [perms["h"]]
-    h_elems = {Permutation.identity(n)}
-    frontier = list(h_elems)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in h_gens:
-                pq = p * q
-                if pq not in h_elems:
-                    h_elems.add(pq)
-                    nxt.append(pq)
-        frontier = nxt
     iface = GroupIface(
         generators=tuple(h_gens) + (perms["a"],),
-        subgroup=tuple(sorted(h_elems)),
+        subgroup=tuple(sorted(PermGroup(h_gens, degree=n).elements())),
         identity=Permutation.identity(n),
         order=math.factorial(n),
         label=lambda p: p.cycle_string(),
@@ -434,21 +407,34 @@ def delta(m: int, allow_large: bool = False,
 # dispatcher
 # ---------------------------------------------------------------------------
 
+def _check_params(spec: FamilySpec) -> None:
+    """Reject a spec whose parameter names or types differ from its
+    family's _PARAMS entry."""
+    if spec.family not in _PARAMS:
+        raise ValueError("unknown family %r (choose from %s)"
+                         % (spec.family, ", ".join(FAMILIES)))
+    types = _PARAMS[spec.family]
+    given = dict(spec.params)
+    if given.keys() != types.keys():
+        raise ValueError("family %s takes parameters %s, got %s"
+                         % (spec.family, ", ".join(types),
+                            ", ".join(sorted(given)) or "none"))
+    for key, typ in types.items():
+        if not isinstance(given[key], typ):
+            raise ValueError("parameter %s=%s of family %s must be %s"
+                             % (key, given[key], spec.family,
+                                "an integer" if typ is int else "a name"))
+
+
 def build_family(spec: FamilySpec, allow_large: bool = False,
                  max_vertices: int | None = None) -> FamilyBuild:
-    try:
-        if spec.family == "wreath":
-            return wreath_graph(spec.get("r"))
-        if spec.family == "crs":
-            return praeger_xu_coset(spec.get("r"), spec.get("s"),
-                                    max_vertices=max_vertices)
-        if spec.family == "gamma":
-            return gamma(spec.get("t"), spec.get("sign"),
-                         allow_large=allow_large, max_vertices=max_vertices)
-        if spec.family == "delta":
-            return delta(spec.get("m"), allow_large=allow_large,
-                         max_vertices=max_vertices)
-    except KeyError as exc:
-        raise ValueError("missing parameter %s for family %s"
-                         % (exc, spec.family)) from exc
-    raise ValueError("unknown family %r" % spec.family)
+    _check_params(spec)
+    if spec.family == "wreath":
+        return wreath_graph(spec.get("r"))
+    if spec.family == "crs":
+        return praeger_xu_coset(spec.get("r"), spec.get("s"),
+                                max_vertices=max_vertices)
+    if spec.family == "gamma":
+        return gamma(spec.get("t"), spec.get("sign"),
+                     allow_large=allow_large, max_vertices=max_vertices)
+    return delta(spec.get("m"), allow_large=allow_large, max_vertices=max_vertices)

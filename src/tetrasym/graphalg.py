@@ -110,19 +110,7 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction,
     the enumerated N).  Returns (Partition, CoverReport).
     """
     normal_gens = tuple(normal_gens)
-    elements = {Permutation.identity(g.n)}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in normal_gens:
-                r = p * q
-                if r not in elements:
-                    elements.add(r)
-                    nxt.append(r)
-                    if len(elements) > size_cap:
-                        raise ValueError("normal subgroup too large to enumerate")
-        frontier = nxt
+    elements = set(PermGroup(normal_gens, degree=g.n).elements(cap=size_cap))
     for gen in action.gen_perms:
         for q in normal_gens:
             if q.conjugate(gen) not in elements:

@@ -108,9 +108,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
 
-    def moved_points(self):
-        return [i for i, x in enumerate(self.images) if i != x]
-
     def cycles(self):
         """Non-trivial cycles, each starting at its smallest point."""
         seen = bytearray(self.degree)
@@ -324,9 +321,6 @@ class _StabChain:
         residue, _ = self._strip(g, 0)
         return self._is_id(residue)
 
-    def base(self) -> tuple:
-        return tuple(lv.point for lv in self.levels)
-
     def strong_gens_fixing_prefix(self, k: int) -> list[np.ndarray]:
         """Strong generators of the stabiliser of the first k base points."""
         out = []
@@ -401,9 +395,6 @@ class PermGroup:
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
-
-    def base(self) -> tuple:
-        return self.chain.base()
 
     def orbit(self, x: int) -> set:
         """The orbit of point x, by plain closure over the generators."""

@@ -1,12 +1,38 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from tetrasym.cli import main
+
+# Each file pins one CLI run: its arguments, exit code and JSON report with
+# every "millis" field removed.  Reports may change only in their timings.
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def without_millis(obj):
+    if isinstance(obj, dict):
+        return {k: without_millis(v) for k, v in obj.items() if k != "millis"}
+    if isinstance(obj, list):
+        return [without_millis(v) for v in obj]
+    return obj
+
+
+def run_golden(capsys, name):
+    """Run the CLI with the arguments stored in data/NAME.json and check the
+    exit code and the whole report against the stored ones."""
+    golden = json.loads((DATA / (name + ".json")).read_text())
+    code, out, err = run(capsys, *golden["argv"])
+    report = json.loads(out)
+    assert code == golden["exit"]
+    assert without_millis(report) == golden["report"]
+    return code, report, err
 
 
 # -- generate -------------------------------------------------------------------
@@ -57,9 +83,20 @@ def test_generate_to_file(tmp_path, capsys):
 
 def test_generate_bad_spec_usage_error(capsys):
     code, _, err = run(capsys, "generate", "gamma:t=banana")
-    assert code == 2 or "error" in err
+    assert code == 2
     code, _, err = run(capsys, "generate", "noexist:r=3")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("gamma:t=abc,sign=plus", "must be an integer"),
+    ("crs:r=6,s=3,foo=1", "takes parameters r, s"),
+])
+def test_verify_malformed_spec_usage_error(capsys, spec, message):
+    code, out, err = run(capsys, "verify", spec)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_generate_large_guard(capsys):
@@ -71,8 +108,7 @@ def test_generate_large_guard(capsys):
 # -- verify ---------------------------------------------------------------------
 
 def test_verify_passing_family(capsys):
-    code, out, _ = run(capsys, "verify", "crs:r=6,s=3")
-    report = json.loads(out)
+    code, report, _ = run_golden(capsys, "verify_crs_r6_s3")
     assert code == 0
     assert report["schema"] == 1
     assert report["overall"] is True
@@ -87,8 +123,7 @@ def test_verify_known_failing_member(capsys):
     # the 32-vertex minus-type member: its expected-girth table entry (8) is
     # unattainable (a 4-regular girth-8 graph needs >= 53 vertices), so this
     # one check fails by design; everything else passes
-    code, out, _ = run(capsys, "verify", "gamma:t=2,sign=minus")
-    report = json.loads(out)
+    code, report, _ = run_golden(capsys, "verify_gamma_t2_minus")
     assert code == 1
     failing = [c for c in report["checks"]
                if not c.get("skipped") and not c["pass"]]
@@ -98,9 +133,7 @@ def test_verify_known_failing_member(capsys):
 
 
 def test_verify_checks_subset(capsys):
-    code, out, _ = run(capsys, "verify", "gamma:t=3,sign=minus",
-                       "--checks", "counts,girth,cover,nonsense")
-    report = json.loads(out)
+    code, report, _ = run_golden(capsys, "verify_gamma_t3_minus_subset")
     assert code == 0
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["counts"]["pass"] and by_name["girth"]["pass"]
@@ -109,8 +142,7 @@ def test_verify_checks_subset(capsys):
 
 
 def test_verify_not_applicable_check_reported(capsys):
-    code, out, _ = run(capsys, "verify", "wreath:r=5", "--checks", "cover,counts")
-    report = json.loads(out)
+    code, report, _ = run_golden(capsys, "verify_wreath_r5_cover_counts")
     assert code == 0
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["cover"]["skipped"]
@@ -118,20 +150,12 @@ def test_verify_not_applicable_check_reported(capsys):
 
 
 def test_verify_report_stable_modulo_millis(capsys):
-    def strip(report):
-        for c in report["checks"]:
-            c.pop("millis", None)
-        return report
-
-    _, out1, _ = run(capsys, "verify", "crs:r=5,s=2")
-    _, out2, _ = run(capsys, "verify", "crs:r=5,s=2")
-    assert strip(json.loads(out1)) == strip(json.loads(out2))
+    run_golden(capsys, "verify_crs_r5_s2")
+    run_golden(capsys, "verify_crs_r5_s2")
 
 
 def test_verify_delta_quick_checks(capsys):
-    code, out, _ = run(capsys, "verify", "delta:m=2",
-                       "--checks", "counts,primitive,word-identities,bipartite")
-    report = json.loads(out)
+    code, report, _ = run_golden(capsys, "verify_delta_m2_quick")
     assert code == 0
     assert {c["name"] for c in report["checks"] if not c.get("skipped")} == {
         "counts", "primitive", "word-identities", "bipartite"}
@@ -140,8 +164,7 @@ def test_verify_delta_quick_checks(capsys):
 # -- matrix ---------------------------------------------------------------------
 
 def test_matrix_wreath_only(capsys):
-    code, out, err = run(capsys, "matrix", "--families", "wreath")
-    report = json.loads(out)
+    code, report, _ = run_golden(capsys, "matrix_wreath")
     assert code == 0
     assert report["overall"] is True
     ids = [c["id"] for c in report["criteria"]]
@@ -152,9 +175,7 @@ def test_matrix_wreath_only(capsys):
 
 
 def test_matrix_gamma_small(capsys):
-    code, out, err = run(capsys, "matrix", "--families", "gamma,crs",
-                         "--max-t", "2")
-    report = json.loads(out)
+    code, report, err = run_golden(capsys, "matrix_gamma_crs_t2")
     assert code == 1  # the known girth discrepancy at t=2 minus
     girth_rows = [row for c in report["criteria"] if c["id"] == 5
                   for row in c["checks"] if not row["pass"]]
@@ -163,14 +184,18 @@ def test_matrix_gamma_small(capsys):
     assert "PASS" in err and "FAIL" in err
 
 
+def test_matrix_delta_only(capsys):
+    code, report, _ = run_golden(capsys, "matrix_delta")
+    assert code == 0
+    assert [c["id"] for c in report["criteria"]] == [2, 3, 13]
+
+
 def test_matrix_usage_errors(capsys):
     code, _, _ = run(capsys, "matrix", "--max-t", "1")
     assert code == 2
     code, _, _ = run(capsys, "matrix", "--max-t", "7")
     assert code == 2
-
-
-def test_matrix_threads_flag(capsys):
-    code, out, _ = run(capsys, "matrix", "--families", "wreath", "--threads", "4")
-    assert code == 0
-    assert json.loads(out)["overall"] is True
+    code, out, err = run(capsys, "matrix", "--families", "wreth")
+    assert code == 2
+    assert out == ""
+    assert "wreth" in err and "wreath, crs, gamma, delta" in err
