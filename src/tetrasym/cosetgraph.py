@@ -3,8 +3,8 @@
 Vertices are right cosets Hg of a subgroup H, identified by their canonical
 representative (the minimum of {h*g} under the element type's total order);
 Hg and Hag are adjacent.  The builder BFS is deterministic: fresh vertex ids
-are assigned in canonical-representative order, so vertex numbering is
-bit-for-bit reproducible across runs.
+are assigned in (parent id, canonical representative) order, so vertex
+numbering is bit-for-bit reproducible across runs.
 """
 
 from __future__ import annotations
@@ -17,13 +17,23 @@ from tetrasym.permgrp import Permutation
 __all__ = [
     "Graph", "VertexAction", "GroupIface", "CosetGraphBuild",
     "build_coset_graph", "validate_sabidussi", "validate_corefree",
-    "SabidussiReport", "sphere", "max_vertex_guard",
+    "SabidussiReport", "sphere", "max_vertex_guard", "check_vertex_guard",
     "edge_list_text", "to_dot", "to_json_obj",
 ]
 
 def max_vertex_guard() -> int:
     """Global vertex-count guard; override with TETRASYM_MAX_VERTICES."""
     return int(os.environ.get("TETRASYM_MAX_VERTICES", 100_000))
+
+
+def check_vertex_guard(what: str, n: int, max_vertices: int | None = None) -> None:
+    """Raise if a graph of n vertices exceeds max_vertices, or the global
+    guard when max_vertices is None."""
+    guard = max_vertices if max_vertices is not None else max_vertex_guard()
+    if n > guard:
+        raise ValueError(
+            "%s has %d vertices, above the size guard %d "
+            "(raise TETRASYM_MAX_VERTICES or pass max_vertices)" % (what, n, guard))
 
 
 @dataclass(frozen=True)
@@ -166,7 +176,6 @@ class CosetGraphBuild:
         self.iface = iface
         self.a_elt = a_elt
         self._lookup = lookup
-        self.base_vertex = 0
 
     def vertex_of(self, elt) -> int:
         """The vertex holding the coset H*elt."""
@@ -181,141 +190,110 @@ class CosetGraphBuild:
             tuple(self.vertex_of(rep * elt) for rep in self.reps))
 
 
+# Above this many group elements the explorer keeps one representative per
+# coset instead of a map from every element, and the builder makes no vertex
+# action: gamma t=10 (84M elements) stays dense, delta m=3 (12! = 479M) not.
+_ELEMENT_MAP_MAX = 10 ** 8
+
+
+def _canon(subgroup, x):
+    """The canonical representative of the coset H*x."""
+    return min(h * x for h in subgroup)
+
+
+def _arc_transversal(iface: GroupIface, a_elt) -> list:
+    """One h per class of the arc stabiliser in H: the probes a*h*g fall into
+    the same coset for h, h' exactly when h*h'^-1 lies in a^-1 H a, so the
+    split does not depend on g and its length is the valency |HaH|/|H|."""
+    hreps, seen = [], set()
+    for h in iface.subgroup:
+        key = _canon(iface.subgroup, a_elt * h)
+        if key not in seen:
+            seen.add(key)
+            hreps.append(h)
+    return hreps
+
+
 def _explore(iface: GroupIface, a_elt, require_valency: int | None,
              max_vertices: int | None):
     """Deterministic coset BFS shared by the builder and the validator.
 
-    Returns (reps, elt2vid, adjacency lists).  With require_valency=None the
-    exploration tolerates any neighbour count (used for validation reports).
+    Each vertex Hr is probed once per arc-stabiliser class, at a*h*r.  Up to
+    _ELEMENT_MAP_MAX group elements every member of a registered coset is a
+    key of the vertex map, so a probe into a known coset is one lookup;
+    above it only the representatives are, and a probe costs |H|
+    multiplications.  Returns (reps, lookup, adjacency lists), where
+    lookup(elt) is the vertex of H*elt or None.  With require_valency=None
+    the exploration tolerates any neighbour count (used for validation).
     """
     subgroup = iface.subgroup
-    n_expected = iface.order // len(subgroup)
-    guard = max_vertices if max_vertices is not None else max_vertex_guard()
-    if n_expected > guard:
-        raise ValueError(
-            "coset space has %d vertices, above the size guard %d "
-            "(raise TETRASYM_MAX_VERTICES or pass max_vertices)" % (n_expected, guard))
+    check_vertex_guard("coset space", iface.order // len(subgroup), max_vertices)
+    dense = iface.order <= _ELEMENT_MAP_MAX
+    hreps = _arc_transversal(iface, a_elt)
 
-    elt2vid: dict = {}
-    reps: list = []
-    pending: dict = {}
-
-    def register(members: list) -> int:
-        vid = len(reps)
-        reps.append(min(members))
-        for m in members:
-            if m in elt2vid:
-                raise ValueError("canonicalization collision: broken element "
-                                 "equality/hash or non-coset overlap")
-            elt2vid[m] = vid
-        pending[vid] = members
-        return vid
-
-    register(list(subgroup))
-    adj: list = []
-    v = 0
-    while v < len(reps):
-        members = pending.pop(v)
-        probes = [a_elt * c for c in members]
-        staged: dict = {}
-        known: list = []
-        staged_elts: dict = {}
-        for y in probes:
-            if y in elt2vid or y in staged_elts:
-                known.append(y)
-                continue
-            coset = [h * y for h in subgroup]
-            rep = min(coset)
-            staged[rep] = coset
-            for m in coset:
-                staged_elts[m] = rep
-            known.append(y)
-        for rep in sorted(staged):
-            register(staged[rep])
-        nbrs = sorted({elt2vid[y] for y in known})
-        if require_valency is not None and len(nbrs) != require_valency:
-            raise ValueError("neighbour count %d != %d at vertex %d: "
-                             "bad (G, H, a) triple" % (len(nbrs), require_valency, v))
-        adj.append(tuple(nbrs))
-        v += 1
-    return reps, elt2vid, adj
-
-
-def _explore_compact(iface: GroupIface, a_elt, require_valency: int | None,
-                     max_vertices: int | None):
-    """Memory-bounded variant of _explore that stores one canonical
-    representative per coset instead of every group element.  Costs |H|
-    multiplications per canonicalisation; intended for coset spaces whose
-    full element dictionary would not fit in memory."""
-    subgroup = iface.subgroup
-    n_expected = iface.order // len(subgroup)
-    guard = max_vertices if max_vertices is not None else max_vertex_guard()
-    if n_expected > guard:
-        raise ValueError(
-            "coset space has %d vertices, above the size guard %d "
-            "(raise TETRASYM_MAX_VERTICES or pass max_vertices)" % (n_expected, guard))
-
-    def canon(x):
-        return min(h * x for h in subgroup)
-
-    # Transversal of the arc stabiliser in H: the probes a*h*rep fall into
-    # the same cosets for h, h' exactly when h*h'^-1 lies in a^-1 H a, so one
-    # probe per class is enough and the class split is vertex independent.
-    hreps = []
-    seen_keys = set()
-    for h in subgroup:
-        key = canon(a_elt * h)
-        if key not in seen_keys:
-            seen_keys.add(key)
-            hreps.append(h)
-
-    rep2vid: dict = {}
+    vid_of: dict = {}
     reps: list = []
 
-    def register(rep) -> int:
+    def register(rep, coset) -> int:
         vid = len(reps)
         reps.append(rep)
-        rep2vid[rep] = vid
+        keys = coset if dense else (rep,)
+        size = len(vid_of)
+        vid_of.update(dict.fromkeys(keys, vid))
+        if len(vid_of) != size + len(keys):
+            raise ValueError("canonicalization collision: broken element "
+                             "equality/hash or non-coset overlap")
         return vid
 
-    register(canon(iface.identity))
+    register(min(subgroup), subgroup)
     adj: list = []
     v = 0
     while v < len(reps):
         r = reps[v]
-        probe_reps = [canon(a_elt * (h * r)) for h in hreps]
-        staged = sorted(set(p for p in probe_reps if p not in rep2vid))
-        for rep in staged:
-            register(rep)
-        nbrs = sorted({rep2vid[p] for p in probe_reps})
+        hits: list = []
+        staged: dict = {}
+        for h in hreps:
+            y = a_elt * (h * r)
+            vid = vid_of.get(y)
+            if vid is None:
+                coset = [k * y for k in subgroup]
+                rep = min(coset)
+                vid = vid_of.get(rep)
+                if vid is None:
+                    staged[rep] = coset
+                    continue
+            hits.append(vid)
+        hits += [register(rep, staged[rep]) for rep in sorted(staged)]
+        nbrs = sorted(set(hits))
         if require_valency is not None and len(nbrs) != require_valency:
             raise ValueError("neighbour count %d != %d at vertex %d: "
                              "bad (G, H, a) triple" % (len(nbrs), require_valency, v))
         adj.append(tuple(nbrs))
         v += 1
 
-    def lookup(elt):
-        return rep2vid.get(canon(elt))
-
+    if dense:
+        lookup = vid_of.get
+    else:
+        def lookup(elt):
+            return vid_of.get(_canon(subgroup, elt))
     return reps, lookup, adj
 
 
+# bench/spans.py wraps this name on every benchmark run; it stays an alias
+# until the benchmark stops looking it up.
+_explore_compact = _explore
+
+
 def build_coset_graph(iface: GroupIface, a_elt, *,
-                      max_vertices: int | None = None,
-                      compact: bool = False,
-                      with_action: bool = True) -> CosetGraphBuild:
+                      max_vertices: int | None = None) -> CosetGraphBuild:
     """Construct the coset graph of (G, H, a) and the generators' action.
 
     Raises if any vertex ends up with a neighbour count other than 4 or if
     the explored vertex count differs from |G|/|H| (either one signals a bad
-    triple).  ``compact=True`` trades |H| extra multiplications per coset
-    lookup for O(vertices) instead of O(|G|) memory; both modes produce the
-    identical vertex numbering."""
-    if compact:
-        reps, lookup, adj = _explore_compact(iface, a_elt, 4, max_vertices)
-    else:
-        reps, elt2vid, adj = _explore(iface, a_elt, 4, max_vertices)
-        lookup = elt2vid.get
+    triple).  Above _ELEMENT_MAP_MAX group elements the build keeps one
+    representative per coset and has no vertex action (``action`` is None);
+    the vertex numbering is the same in both modes."""
+    reps, lookup, adj = _explore(iface, a_elt, 4, max_vertices)
     n_expected = iface.order // len(iface.subgroup)
     if len(reps) != n_expected:
         raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
@@ -327,12 +305,10 @@ def build_coset_graph(iface: GroupIface, a_elt, *,
     reps_t = tuple(reps)
 
     action = None
-    if with_action:
-        gen_perms = []
-        for g in iface.generators:
-            gen_perms.append(Permutation._unchecked(
-                tuple(lookup(rep * g) for rep in reps_t)))
-        action = VertexAction(graph, tuple(gen_perms))
+    if iface.order <= _ELEMENT_MAP_MAX:
+        action = VertexAction(graph, tuple(
+            Permutation._unchecked(tuple(lookup(rep * g) for rep in reps_t))
+            for g in iface.generators))
     return CosetGraphBuild(graph, action, reps_t, iface, a_elt, lookup)
 
 
@@ -344,12 +320,7 @@ def validate_sabidussi(iface: GroupIface, a_elt,
     a_inv = a_elt.inverse()
     symmetric = any(h1 * a_elt * h2 == a_inv
                     for h1 in subgroup for h2 in subgroup)
-    cosets = {}
-    for h in subgroup:
-        y = a_elt * h
-        rep = min(hh * y for hh in subgroup)
-        cosets[rep] = True
-    valency = len(cosets)
+    valency = len(_arc_transversal(iface, a_elt))
     reps, _, _ = _explore(iface, a_elt, None, max_vertices)
     connected = len(reps) == iface.order // len(subgroup)
     return SabidussiReport(connected=connected, symmetric=symmetric, valency=valency)

@@ -18,6 +18,7 @@ down by the exhaustive test-suite:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 __all__ = [
@@ -359,7 +360,6 @@ class ExtensionGroup:
         return SubgroupH(self, tuple(GElt(self, c) for c in codes))
 
     def element_order_census(self) -> dict[int, int]:
-        from collections import Counter
         census: Counter = Counter()
         for g in self.elements():
             census[g.order()] += 1

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from tetrasym import extragrp
 from tetrasym.cosetgraph import (CosetGraphBuild, Graph, GroupIface,
-                                 VertexAction, build_coset_graph)
+                                 VertexAction, build_coset_graph,
+                                 check_vertex_guard)
 from tetrasym.permgrp import PermGroup, Permutation
 
 __all__ = [
@@ -120,7 +121,7 @@ def _wreath_perm(r: int, fn) -> Permutation:
     return Permutation(images)
 
 
-def wreath_graph(r: int) -> FamilyBuild:
+def wreath_graph(r: int, max_vertices: int | None = None) -> FamilyBuild:
     """The 2r-vertex graph on fibres V_0..V_{r-1} (two vertices each) with
     every vertex of V_j joined to all of V_{j-1} and V_{j+1}, together with
     its arc-transitive action: fibre swaps x_0..x_{r-1}, the fibre rotation
@@ -128,6 +129,7 @@ def wreath_graph(r: int) -> FamilyBuild:
     if r < 3:
         raise ValueError("wreath graph needs r >= 3")
     n = 2 * r
+    check_vertex_guard("wreath graph", n, max_vertices)
     edges = []
     for v in range(r):
         for i in (0, 1):
@@ -367,8 +369,9 @@ def delta(m: int, allow_large: bool = False,
           max_vertices: int | None = None) -> FamilyBuild:
     """The coset graph of (Sym(4m), H, a) with H = <x_1..x_{2m-1}, h> of
     order 2^(2m); (4m)!/2^(2m) vertices.  m=3 (7484400 vertices) requires
-    allow_large=True, uses the compact canonicaliser and skips the vertex
-    action; expect a long build."""
+    allow_large=True; its 12! group elements are above 10^8, so the explorer
+    keeps one representative per coset and builds no vertex action.  Expect
+    a long build."""
     if m < 2:
         raise ValueError("delta needs m >= 2")
     if m > _DELTA_HARD_MAX_M:
@@ -387,9 +390,7 @@ def delta(m: int, allow_large: bool = False,
         order=math.factorial(n),
         label=lambda p: p.cycle_string(),
     )
-    large = m > _DELTA_DEFAULT_MAX_M
-    coset = build_coset_graph(iface, perms["a"], max_vertices=max_vertices,
-                              compact=large, with_action=not large)
+    coset = build_coset_graph(iface, perms["a"], max_vertices=max_vertices)
     expected = ExpectedProperties(
         vertex_count=math.factorial(n) // 2 ** (2 * m),
         stabiliser_order=2 ** (2 * m),
@@ -430,7 +431,7 @@ def build_family(spec: FamilySpec, allow_large: bool = False,
                  max_vertices: int | None = None) -> FamilyBuild:
     _check_params(spec)
     if spec.family == "wreath":
-        return wreath_graph(spec.get("r"))
+        return wreath_graph(spec.get("r"), max_vertices=max_vertices)
     if spec.family == "crs":
         return praeger_xu_coset(spec.get("r"), spec.get("s"),
                                 max_vertices=max_vertices)

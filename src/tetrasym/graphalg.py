@@ -181,7 +181,7 @@ def is_block(action: VertexAction, S) -> bool:
     checked by orbit-closure of S under the action generators."""
     n = action.graph.n
     base = frozenset(S)
-    if not base or not (0 < len(base)):
+    if not base:
         raise ValueError("empty vertex set")
     orbit0 = {0}
     stack = [0]

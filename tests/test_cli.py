@@ -105,6 +105,15 @@ def test_generate_large_guard(capsys):
     assert "allow_large" in err
 
 
+@pytest.mark.parametrize("spec", ["wreath:r=5", "crs:r=5,s=1"])
+def test_generate_vertex_guard_every_family(capsys, monkeypatch, spec):
+    monkeypatch.setenv("TETRASYM_MAX_VERTICES", "8")
+    code, out, err = run(capsys, "generate", spec)
+    assert code == 2
+    assert out == ""
+    assert "has 10 vertices, above the size guard 8" in err
+
+
 # -- verify ---------------------------------------------------------------------
 
 def test_verify_passing_family(capsys):

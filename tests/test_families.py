@@ -319,8 +319,8 @@ def test_build_family_dispatch(fam):
 
 
 def test_delta3_guard_plumbing():
-    # allow_large reaches the compact explorer, whose vertex guard still
-    # applies when explicitly tightened; this exercises the m=3 path without
+    # allow_large lifts the m <= 2 limit, but an explicit max_vertices still
+    # reaches the explorer's vertex guard; this exercises the m=3 path without
     # paying for the 7.5M-vertex build
     with pytest.raises(ValueError, match="7484400"):
         delta(3, allow_large=True, max_vertices=10)
