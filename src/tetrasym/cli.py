@@ -14,14 +14,14 @@ import time
 
 from tetrasym import extragrp, families, graphalg
 from tetrasym.cosetgraph import (edge_list_text, sphere, to_dot, to_json_obj,
-                                 validate_corefree, validate_sabidussi)
+                                 validate_corefree)
 from tetrasym.extragrp import MINUS, PLUS, SIGNS, EVec, extension_group
 from tetrasym.families import FamilySpec, build_family
 from tetrasym.permgrp import PermGroup, Permutation
 
 SCHEMA_VERSION = 1
 
-_AUT_CAP = 100
+_AUT_CAP = 640  # gamma t=5, the largest member with a criterion-11 row
 _CHAIN_CAP = 4000  # vertex-count cap for stabiliser-chain based checks
 
 
@@ -112,8 +112,7 @@ def _arc_transitive(build):
 
 
 def _sabidussi(build):
-    coset = _with_coset(build)
-    rep = validate_sabidussi(coset.iface, coset.a_elt)
+    rep = _with_coset(build).sabidussi()
     return "paper", (True, True, 4), (rep.connected, rep.symmetric, rep.valency)
 
 
@@ -125,7 +124,7 @@ def _aut(build):
     exp = build.expected.aut_order
     if exp is None or build.graph.n > _AUT_CAP:
         raise _Skip("no expected order or above the %d-vertex cap" % _AUT_CAP)
-    return "paper", exp, graphalg.automorphism_group_order(build.graph)
+    return "paper", exp, graphalg.automorphism_group_order(build.graph, cap=_AUT_CAP)
 
 
 def _bound_equality(build):
@@ -444,7 +443,7 @@ def matrix_report(allow_large=False, families_filter=None, max_t: int = 6) -> di
         (10, "blocks of imprimitivity", on("gamma"),
          _member_rows(builds, "blocks", gamma((4, 5)))),
         (11, "automorphism group orders", on("gamma") or on("wreath"),
-         _member_rows(builds, "aut", wreath + gamma((2, 3)))),
+         _member_rows(builds, "aut", wreath + gamma((2, 3, 4, 5)))),
         (12, "isomorphism facts", on("gamma") and on("crs"), _iso_rows(builds, max_t)),
         (13, "symmetric-group family suite", on("delta"), _delta_rows(builds)),
         (14, "group non-isomorphism witness", families_filter is None, _census_rows()),

@@ -33,7 +33,8 @@ def check_vertex_guard(what: str, n: int, max_vertices: int | None = None) -> No
     if n > guard:
         raise ValueError(
             "%s has %d vertices, above the size guard %d "
-            "(raise TETRASYM_MAX_VERTICES or pass max_vertices)" % (what, n, guard))
+            "(raise the TETRASYM_MAX_VERTICES environment variable, or pass "
+            "max_vertices= from Python)" % (what, n, guard))
 
 
 @dataclass(frozen=True)
@@ -184,6 +185,12 @@ class CosetGraphBuild:
             raise ValueError("element does not belong to any registered coset")
         return vid
 
+    def sabidussi(self) -> SabidussiReport:
+        """validate_sabidussi of this build's triple.  The build reached all
+        |G|/|H| cosets (it raises otherwise), so <H, a> = G is known and the
+        coset space is not explored again."""
+        return _sabidussi_report(self.iface, self.a_elt, connected=True)
+
     def perm_of(self, elt) -> Permutation:
         """The vertex permutation induced by right multiplication with elt."""
         return Permutation._unchecked(
@@ -312,18 +319,24 @@ def build_coset_graph(iface: GroupIface, a_elt, *,
     return CosetGraphBuild(graph, action, reps_t, iface, a_elt, lookup)
 
 
-def validate_sabidussi(iface: GroupIface, a_elt,
-                       max_vertices: int | None = None) -> SabidussiReport:
-    """Check the three coset-graph hypotheses: <H,a> = G (via the explored
-    vertex count), a^(-1) in HaH, and |HaH|/|H| = 4."""
+def _sabidussi_report(iface: GroupIface, a_elt, connected: bool) -> SabidussiReport:
     subgroup = iface.subgroup
     a_inv = a_elt.inverse()
     symmetric = any(h1 * a_elt * h2 == a_inv
                     for h1 in subgroup for h2 in subgroup)
     valency = len(_arc_transversal(iface, a_elt))
-    reps, _, _ = _explore(iface, a_elt, None, max_vertices)
-    connected = len(reps) == iface.order // len(subgroup)
     return SabidussiReport(connected=connected, symmetric=symmetric, valency=valency)
+
+
+def validate_sabidussi(iface: GroupIface, a_elt,
+                       max_vertices: int | None = None) -> SabidussiReport:
+    """Check the three coset-graph hypotheses: <H,a> = G (via the explored
+    vertex count), a^(-1) in HaH, and |HaH|/|H| = 4.  For a triple that has
+    been built, CosetGraphBuild.sabidussi gives the same report without
+    exploring again."""
+    reps, _, _ = _explore(iface, a_elt, None, max_vertices)
+    connected = len(reps) == iface.order // len(iface.subgroup)
+    return _sabidussi_report(iface, a_elt, connected)
 
 
 def validate_corefree(build: CosetGraphBuild) -> bool:

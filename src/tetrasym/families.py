@@ -37,6 +37,8 @@ _GAMMA_DEFAULT_MAX_T = 6
 _GAMMA_HARD_MAX_T = 10
 _DELTA_DEFAULT_MAX_M = 2
 _DELTA_HARD_MAX_M = 3
+_LARGE_MEMBER = ("%s is above the default size guard: pass --allow-large on the "
+                 "command line, or allow_large=True from Python")
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,7 @@ def gamma(t: int, sign: str, allow_large: bool = False,
     if not 2 <= t <= _GAMMA_HARD_MAX_T:
         raise ValueError("t out of range: %d" % t)
     if t > _GAMMA_DEFAULT_MAX_T and not allow_large:
-        raise ValueError("t=%d needs allow_large=True (size guard)" % t)
+        raise ValueError(_LARGE_MEMBER % ("gamma t=%d" % t))
     grp = extragrp.extension_group(t, sign)
     H = grp.subgroup_h()
     iface = GroupIface(
@@ -377,7 +379,7 @@ def delta(m: int, allow_large: bool = False,
     if m > _DELTA_HARD_MAX_M:
         raise ValueError("delta is limited to m <= %d" % _DELTA_HARD_MAX_M)
     if m > _DELTA_DEFAULT_MAX_M and not allow_large:
-        raise ValueError("m=%d needs allow_large=True (size guard)" % m)
+        raise ValueError(_LARGE_MEMBER % ("delta m=%d" % m))
     n = 4 * m
     if max_vertices is None and allow_large:
         max_vertices = math.factorial(n) // 2 ** (2 * m)

@@ -2,15 +2,19 @@
 quotients and covers, local groups, blocks of imprimitivity, isomorphism and
 automorphism-group orders at desk scale.
 
-Isomorphism and automorphism searches use equitable-partition refinement with
-individualization and full backtracking, so a negative answer is a proof of
-non-isomorphism, not a heuristic.
+Isomorphism and automorphism searches use equitable-partition refinement
+(cell splitting) with individualization and full backtracking, so a negative
+answer is a proof of non-isomorphism, not a heuristic.  The automorphism
+search skips the orbit searches that the automorphisms it has already found
+decide.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from tetrasym.cosetgraph import Graph, VertexAction
 from tetrasym.permgrp import PermGroup, Permutation
@@ -213,75 +217,136 @@ def is_block(action: VertexAction, S) -> bool:
 # Isomorphism / automorphisms via refinement + backtracking
 # ---------------------------------------------------------------------------
 
-def _refine_pair(adj1, adj2, c1, c2):
-    """Synchronised equitable refinement of two coloured graphs.
+def _refine(adj, cell_of, cells, queue, script=None):
+    """Refine a vertex partition in place until it is equitable.
 
-    New colour ids are ranks of sorted signatures, which is isomorphism
-    invariant; returns None as a certified mismatch when the signature
-    multisets differ.
-    """
-    n = len(c1)
-    ncolours = max(c1) + 1
-    while True:
-        sig1 = [(c1[v], tuple(sorted(Counter(c1[w] for w in adj1[v]).items())))
-                for v in range(n)]
-        sig2 = [(c2[v], tuple(sorted(Counter(c2[w] for w in adj2[v]).items())))
-                for v in range(n)]
-        order = sorted(set(sig1) | set(sig2))
-        rank = {s: i for i, s in enumerate(order)}
-        new1 = [rank[s] for s in sig1]
-        new2 = [rank[s] for s in sig2]
-        if sorted(new1) != sorted(new2):
+    The partition is cell_of (vertex -> cell id) with cells (id -> set of
+    vertices).  Each step takes a cell from the queue and splits every cell
+    by the number of neighbours its vertices have in it.  A split cell keeps
+    its id for the part with the fewest such neighbours, and the other parts
+    get new ids in order of that number, so cell ids are isomorphism
+    invariant.  A cell that splits queues its new parts when it is still
+    queued itself, and all its parts but the largest otherwise (Hopcroft's
+    rule, as in McKay and Piperno's refinement).
+
+    Each step records, for every cell the splitter reaches, its (number of
+    neighbours, part size) pairs.  Returns the records; given the records
+    of a first graph as script, replays them instead and returns None at
+    the first step that differs, which proves that no isomorphism maps the
+    first graph's partition onto this one."""
+    queued = set(queue)
+    records = []
+    while queue:
+        w = queue.popleft()
+        queued.discard(w)
+        hits: dict = {}
+        for x in cells[w]:
+            for y in adj[x]:
+                hits[y] = hits.get(y, 0) + 1
+        parts: dict = {}
+        for y, k in hits.items():
+            key = (cell_of[y], k)
+            if key in parts:
+                parts[key].append(y)
+            else:
+                parts[key] = [y]
+        record, splits = [], []
+        for c, keys in groupby(sorted(parts), itemgetter(0)):
+            counts = [k for _, k in keys]
+            split = [parts[c, k] for k in counts]
+            sizes = [(k, len(part)) for k, part in zip(counts, split)]
+            rest = len(cells[c]) - sum(size for _, size in sizes)
+            if rest:
+                sizes.insert(0, (0, rest))
+            record.append((c, tuple(sizes)))
+            if len(sizes) > 1:
+                splits.append((c, split, rest))
+        if script is not None and (len(records) == len(script)
+                                   or script[len(records)] != record):
             return None
-        new_ncolours = len({*new1})
-        if new_ncolours == ncolours:
-            return new1, new2
-        c1, c2, ncolours = new1, new2, new_ncolours
-
-
-def _colour_cells(c):
-    cells: dict = {}
-    for v, col in enumerate(c):
-        cells.setdefault(col, []).append(v)
-    return cells
-
-
-def _search_iso(adj1, adj2, c1, c2):
-    """Find one colour-respecting isomorphism, or None (search is complete)."""
-    refined = _refine_pair(adj1, adj2, c1, c2)
-    if refined is None:
+        records.append(record)
+        for c, split, rest in splits:
+            if rest:
+                for part in split:
+                    cells[c].difference_update(part)
+            else:
+                cells[c] = set(split.pop(0))
+            ids = [c]
+            for part in split:
+                ids.append(len(cells))
+                for y in part:
+                    cell_of[y] = len(cells)
+                cells.append(set(part))
+            if c in queued:
+                del ids[0]
+            else:
+                lengths = [len(cells[i]) for i in ids]
+                del ids[lengths.index(max(lengths))]
+            queue.extend(ids)
+            queued.update(ids)
+    if script is not None and len(records) != len(script):
         return None
-    c1, c2 = refined
-    cells1 = _colour_cells(c1)
-    cells2 = _colour_cells(c2)
-    target = None
-    for col in sorted(cells1):
-        if len(cells1[col]) != len(cells2[col]):
-            return None
-        if target is None and len(cells1[col]) > 1:
-            target = col
+    return records
+
+
+def _individualise(cell_of, cells, v):
+    """A copy of an equitable partition with v moved to a new singleton
+    cell, and the queue that refines it: just that cell."""
+    cell_of = list(cell_of)
+    cells = [set(vs) for vs in cells]
+    cells[cell_of[v]].discard(v)
+    cell_of[v] = len(cells)
+    cells.append({v})
+    return cell_of, cells, deque([cell_of[v]])
+
+
+def _path(adj, n) -> list:
+    """The first path of the individualisation-refinement tree: level 0 is
+    the refined unit partition, and level k+1 individualises the least
+    vertex of level k's first non-singleton cell and refines.  Each level is
+    (cell_of, cells, the records that refined it, that cell's id), the id
+    None at the discrete last level."""
+    cell_of, cells, queue = [0] * n, [set(range(n))], deque([0])
+    path = []
+    while True:
+        script = _refine(adj, cell_of, cells, queue)
+        target = next((c for c, vs in enumerate(cells) if len(vs) > 1), None)
+        path.append((cell_of, cells, script, target))
+        if target is None:
+            return path
+        cell_of, cells, queue = _individualise(cell_of, cells, min(cells[target]))
+
+
+def _extend(adj1, adj2, path, k, cell_of2, cells2):
+    """An isomorphism from adj1, whose path this is, to adj2 that maps level
+    k's partition onto (cell_of2, cells2), which replayed it, or None.  The
+    search over the branches is complete, and a map found at the discrete
+    level is checked edge by edge."""
+    cell_of1, _, _, target = path[k]
     if target is None:
-        mapping = [0] * len(c1)
-        pos = {col: vs[0] for col, vs in cells2.items()}
-        for v in range(len(c1)):
-            mapping[v] = pos[c1[v]]
-        for u in range(len(adj1)):
-            mu = mapping[u]
-            img = {mapping[w] for w in adj1[u]}
-            if img != set(adj2[mu]):
+        where = [0] * len(cell_of2)
+        for u, c in enumerate(cell_of2):
+            where[c] = u
+        mapping = [where[c] for c in cell_of1]
+        for u, nbrs in enumerate(adj1):
+            if sorted([mapping[w] for w in nbrs]) != list(adj2[mapping[u]]):
                 return None
         return mapping
-    fresh = max(c1) + 1
-    v = cells1[target][0]
-    base1 = list(c1)
-    base1[v] = fresh
-    for u in cells2[target]:
-        trial2 = list(c2)
-        trial2[u] = fresh
-        res = _search_iso(adj1, adj2, base1, trial2)
-        if res is not None:
-            return res
+    for u in sorted(cells2[target]):
+        found = _branch(adj1, adj2, path, k, cell_of2, cells2, u)
+        if found is not None:
+            return found
     return None
+
+
+def _branch(adj1, adj2, path, k, cell_of2, cells2, u):
+    """_extend below level k, along the branch that individualises u in
+    adj2's partition (cell_of2, cells2) where adj1 individualised level k's
+    branch vertex."""
+    cell_of, cells, queue = _individualise(cell_of2, cells2, u)
+    if _refine(adj2, cell_of, cells, queue, path[k + 1][2]) is None:
+        return None
+    return _extend(adj1, adj2, path, k + 1, cell_of, cells)
 
 
 def isomorphic(g1: Graph, g2: Graph, cap: int = 5000):
@@ -293,49 +358,60 @@ def isomorphic(g1: Graph, g2: Graph, cap: int = 5000):
         return None
     if sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
         return None
-    res = _search_iso(g1.adj, g2.adj, [0] * g1.n, [0] * g2.n)
+    path = _path(g1.adj, g1.n)
+    cell_of, cells = [0] * g2.n, [set(range(g2.n))]
+    if _refine(g2.adj, cell_of, cells, deque([0]), path[0][2]) is None:
+        return None
+    res = _extend(g1.adj, g2.adj, path, 0, cell_of, cells)
     if res is None:
         return None
     return Permutation(res)
 
 
 def automorphism_group_order(g: Graph, cap: int = 100) -> int:
-    """Exact |Aut(g)| by orbit-stabiliser recursion over the refinement tree:
-    |Aut_pi| = |orbit of the first branch vertex| * |Aut of its stabiliser
-    partition|, with orbit membership decided by complete find-one searches."""
+    """Exact |Aut(g)| by orbit-stabiliser along the first path of the
+    refinement tree: |Aut at level k| = |orbit of level k's branch vertex v|
+    * |Aut at level k+1|, from the discrete level up.
+
+    The orbit of v is decided by complete find-one searches (v -> u) and
+    pruned with the automorphisms found so far, all of which fix the
+    vertices individualised above level k: a union-find over the vertices
+    holds the orbits of the group they generate, which lie inside the true
+    orbits.  A u already joined to v is counted without a search, and a u
+    joined to an earlier failure fails too."""
     if g.n > cap:
         raise ValueError("automorphism search capped at %d vertices" % cap)
-    refined = _refine_pair(g.adj, g.adj, [0] * g.n, [0] * g.n)
-    assert refined is not None
-    return _aut_order(g.adj, refined[0])
+    adj = g.adj
+    path = _path(adj, g.n)
+    parent = list(range(g.n))
 
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-def _aut_order(adj, colours) -> int:
-    cells = _colour_cells(colours)
-    target = None
-    for col in sorted(cells):
-        if len(cells[col]) > 1:
-            target = col
-            break
-    if target is None:
-        return 1
-    cell = cells[target]
-    v = cell[0]
-    fresh = max(colours) + 1
-    seeded = list(colours)
-    seeded[v] = fresh
-    orbit = 0
-    for u in cell:
-        if u == v:
-            orbit += 1
-            continue
-        trial = list(colours)
-        trial[u] = fresh
-        if _search_iso(adj, adj, seeded, trial) is not None:
-            orbit += 1
-    refined = _refine_pair(adj, adj, seeded, seeded)
-    assert refined is not None
-    return orbit * _aut_order(adj, refined[0])
+    order = 1
+    for k in reversed(range(len(path) - 1)):
+        cell_of, cells, _, target = path[k]
+        cell = sorted(cells[target])
+        v = cell[0]
+        failed = []
+        for u in cell[1:]:
+            root = find(u)
+            if root == find(v) or any(find(f) == root for f in failed):
+                continue
+            found = _branch(adj, adj, path, k, cell_of, cells, u)
+            if found is None:
+                failed.append(u)
+                continue
+            for x, y in enumerate(found):
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[rx] = ry
+        root = find(v)
+        order *= sum(1 for u in cell if find(u) == root)
+    return order
 
 
 def verify_arc_transitive(g: Graph, action: VertexAction) -> bool:

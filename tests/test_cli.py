@@ -91,6 +91,8 @@ def test_generate_bad_spec_usage_error(capsys):
 @pytest.mark.parametrize("spec, message", [
     ("gamma:t=abc,sign=plus", "must be an integer"),
     ("crs:r=6,s=3,foo=1", "takes parameters r, s"),
+    ("gamma:t=7,sign=plus", "pass --allow-large on the command line, or allow_large=True"),
+    ("delta:m=3", "pass --allow-large on the command line, or allow_large=True"),
 ])
 def test_verify_malformed_spec_usage_error(capsys, spec, message):
     code, out, err = run(capsys, "verify", spec)
@@ -103,6 +105,7 @@ def test_generate_large_guard(capsys):
     code, _, err = run(capsys, "generate", "gamma:t=7,sign=plus")
     assert code == 2
     assert "allow_large" in err
+    assert "--allow-large" in err
 
 
 @pytest.mark.parametrize("spec", ["wreath:r=5", "crs:r=5,s=1"])
@@ -112,6 +115,7 @@ def test_generate_vertex_guard_every_family(capsys, monkeypatch, spec):
     assert code == 2
     assert out == ""
     assert "has 10 vertices, above the size guard 8" in err
+    assert "raise the TETRASYM_MAX_VERTICES environment variable" in err
 
 
 # -- verify ---------------------------------------------------------------------

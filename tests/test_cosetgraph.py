@@ -249,6 +249,21 @@ def test_representative_only_mode_matches_element_map(spec, monkeypatch):
     assert validate_sabidussi(iface, a) == full_report
 
 
+@pytest.mark.parametrize("spec", ["gamma:t=2,sign=minus", "crs:r=6,s=3", "delta:m=2"])
+def test_build_sabidussi_matches_validation(spec, monkeypatch):
+    # a build knows <H, a> = G from its coset count, so its report needs no
+    # second exploration and equals the one validate_sabidussi explores for
+    coset = build_family(FamilySpec.parse(spec)).coset
+    explored = validate_sabidussi(coset.iface, coset.a_elt)
+    assert explored.ok
+
+    def no_exploration(*args):
+        raise AssertionError("explored again")
+
+    monkeypatch.setattr(cosetgraph, "_explore", no_exploration)
+    assert coset.sabidussi() == explored
+
+
 # -- exports -----------------------------------------------------------------
 
 def test_edge_list_format():

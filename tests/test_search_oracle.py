@@ -1,0 +1,179 @@
+"""networkx's VF2 as an independent oracle for the isomorphism and
+automorphism searches of ``graphalg``.
+
+VF2 shares no code with the refinement search.  It is slow on large
+vertex-transitive graphs, so two cases are reduced before it runs: the
+gamma plus-vs-minus pairs pin vertex 0 to vertex 0, which loses nothing
+because the minus graph is vertex-transitive (checked here from its
+generators), and crs(8,6) (512 vertices, about 30 s of VF2) has its
+isomorphism checked edge by edge with networkx instead.
+"""
+
+import random
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from tetrasym import families
+from tetrasym.cosetgraph import Graph
+from tetrasym.extragrp import MINUS, PLUS
+from tetrasym.graphalg import automorphism_group_order, isomorphic
+
+
+def nx_graph(g: Graph, pinned=None) -> nx.Graph:
+    """g as a networkx graph; a vertex equal to ``pinned`` gets the only
+    true ``pin`` attribute."""
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n), pin=False)
+    out.add_edges_from(g.edges())
+    if pinned is not None:
+        out.nodes[pinned]["pin"] = True
+    return out
+
+
+def maps_edges_onto(g1: Graph, g2: Graph, mapping) -> bool:
+    """networkx's check that mapping carries g1 onto g2."""
+    image = nx.relabel_nodes(nx_graph(g1), {v: mapping(v) for v in range(g1.n)})
+    return nx.utils.graphs_equal(image, nx_graph(g2))
+
+
+def self_isomorphisms(g: Graph) -> int:
+    graph = nx_graph(g)
+    return sum(1 for _ in GraphMatcher(graph, graph).isomorphisms_iter())
+
+
+def vertex_orbit(n, perms, v=0):
+    orbit, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for p in perms:
+            if p(u) not in orbit:
+                orbit.add(p(u))
+                stack.append(p(u))
+    return orbit
+
+
+CRS_PAIRS = [(r, s) for r in range(4, 9) for s in range(2, r - 1)]
+
+
+@pytest.mark.parametrize("r, s", CRS_PAIRS)
+def test_crs_direct_vs_coset_agrees_with_vf2(fam, r, s):
+    direct, coset = families.praeger_xu_direct(r, s), fam.crs(r, s).graph
+    mapping = isomorphic(direct, coset)
+    assert mapping is not None
+    assert maps_edges_onto(direct, coset, mapping)
+    if (r, s) != (8, 6):
+        assert nx.is_isomorphic(nx_graph(direct), nx_graph(coset))
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_gamma_plus_vs_minus_agrees_with_vf2(fam, t):
+    plus, minus = fam.gamma(t, PLUS), fam.gamma(t, MINUS)
+    assert isomorphic(plus.graph, minus.graph) is None
+    # Any isomorphism composed with an automorphism of the vertex-transitive
+    # minus graph sends vertex 0 to vertex 0, so the pinned search is complete.
+    assert vertex_orbit(minus.graph.n, minus.action.gen_perms) == set(range(minus.graph.n))
+    matcher = GraphMatcher(nx_graph(plus.graph, pinned=0),
+                           nx_graph(minus.graph, pinned=0),
+                           node_match=lambda a, b: a["pin"] == b["pin"])
+    assert not matcher.is_isomorphic()
+
+
+@pytest.mark.parametrize("graph", [
+    nx.hypercube_graph(4), nx.petersen_graph(), nx.dodecahedral_graph(),
+    nx.circulant_graph(10, [1, 3]), nx.circulant_graph(12, [1, 5]),
+    nx.circulant_graph(13, [1, 5]),
+], ids=["Q4", "petersen", "dodecahedron", "C10(1,3)", "C12(1,5)", "C13(1,5)"])
+def test_aut_order_vertex_transitive_agrees_with_vf2(graph):
+    g = from_nx(graph)
+    assert automorphism_group_order(g) == self_isomorphisms(g)
+
+
+def shrikhande():
+    steps = [(0, 1), (1, 0), (1, 1), (0, 3), (3, 0), (3, 3)]
+    return nx.Graph([(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+                     for a in range(4) for b in range(4) for da, db in steps])
+
+
+# Regular graphs whose equitable partitions are coarser than their orbits,
+# so the searches meet branches that fail and must be ruled out.
+REGULAR = {
+    "frucht": nx.frucht_graph(),
+    "C3+C4": nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(4)),
+    "K33+prism": nx.disjoint_union(nx.complete_bipartite_graph(3, 3),
+                                   nx.circular_ladder_graph(3)),
+    "rook4x4": nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4)),
+    "shrikhande": shrikhande(),
+    **{"cubic12-%d" % seed: nx.random_regular_graph(3, 12, seed=seed) for seed in range(4)},
+    **{"quartic14-%d" % seed: nx.random_regular_graph(4, 14, seed=seed) for seed in range(2)},
+}
+
+
+def from_nx(graph) -> Graph:
+    graph = nx.convert_node_labels_to_integers(graph)
+    return Graph.from_edges(graph.number_of_nodes(), graph.edges())
+
+
+def shuffled(g: Graph, seed: int) -> Graph:
+    images = list(range(g.n))
+    random.Random(seed).shuffle(images)
+    return Graph.from_edges(g.n, [(images[u], images[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR))
+def test_search_on_regular_graphs_agrees_with_vf2(name):
+    g = from_nx(REGULAR[name])
+    count = self_isomorphisms(g)
+    for seed in range(3):
+        h = shuffled(g, seed)
+        assert automorphism_group_order(h) == count
+        mapping = isomorphic(g, h)
+        assert mapping is not None and maps_edges_onto(g, h, mapping)
+
+
+def test_rook_and_shrikhande():
+    # Strongly regular with the same parameters, so refinement alone never
+    # tells them apart, not even with one vertex of each individualised: in
+    # their disjoint union, branches into the wrong component pass the first
+    # refinement and fail only deeper down.
+    rook, shri = from_nx(REGULAR["rook4x4"]), from_nx(REGULAR["shrikhande"])
+    assert not nx.is_isomorphic(nx_graph(rook), nx_graph(shri))
+    assert isomorphic(rook, shuffled(shri, 0)) is None
+    union = from_nx(nx.disjoint_union(REGULAR["rook4x4"], REGULAR["shrikhande"]))
+    for seed in range(4):
+        h = shuffled(union, seed)
+        mapping = isomorphic(union, h)
+        assert mapping is not None and maps_edges_onto(union, h, mapping)
+    # the components are not isomorphic, so Aut is the product
+    assert automorphism_group_order(union) == self_isomorphisms(rook) * self_isomorphisms(shri)
+
+
+@st.composite
+def small_graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(9), st.data())
+def test_isomorphic_agrees_with_vf2(g, data):
+    images = data.draw(st.permutations(range(g.n)))
+    relabelled = Graph.from_edges(g.n, [(images[u], images[v]) for u, v in g.edges()])
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    other = Graph.from_edges(g.n, data.draw(st.permutations(pairs))[:g.num_edges])
+    for h in (relabelled, other):
+        mapping = isomorphic(g, h)
+        assert (mapping is not None) == nx.is_isomorphic(nx_graph(g), nx_graph(h))
+        if mapping is not None:
+            assert maps_edges_onto(g, h, mapping)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(8))
+def test_aut_order_counts_vf2_self_isomorphisms(g):
+    assert automorphism_group_order(g) == self_isomorphisms(g)
