@@ -126,6 +126,9 @@ class GroupIface:
 
     Elements must support *, .inverse(), ==, hash and <.  ``subgroup`` is the
     full element list of H (closure is checked here, once); ``order`` is |G|.
+    ``canon`` maps x to the canonical representative of its coset,
+    ``canon(x) == min(h*x for h in H)``, in closed form; None takes that
+    minimum over H.
     """
 
     generators: tuple
@@ -133,6 +136,7 @@ class GroupIface:
     identity: object
     order: int
     label: object = None  # element -> str, used for vertex labels
+    canon: object = None  # element -> min(H*element)
 
     def __post_init__(self):
         hset = set(self.subgroup)
@@ -169,18 +173,19 @@ class CosetGraphBuild:
     """Result of build_coset_graph: the graph, the generators' vertex action,
     canonical coset representatives and coset-lookup helpers."""
 
-    def __init__(self, graph: Graph, action: VertexAction, reps: tuple,
-                 iface: GroupIface, a_elt, lookup):
+    def __init__(self, graph: Graph, reps: tuple, iface: GroupIface, a_elt,
+                 vid_of: dict):
         self.graph = graph
-        self.action = action
         self.reps = reps
         self.iface = iface
         self.a_elt = a_elt
-        self._lookup = lookup
+        self._vid_of = vid_of
+        self._canon = _canon_of(iface)
+        self.action = VertexAction(graph, tuple(map(self.perm_of, iface.generators)))
 
     def vertex_of(self, elt) -> int:
         """The vertex holding the coset H*elt."""
-        vid = self._lookup(elt)
+        vid = self._vid_of.get(self._canon(elt))
         if vid is None:
             raise ValueError("element does not belong to any registered coset")
         return vid
@@ -197,24 +202,20 @@ class CosetGraphBuild:
             tuple(self.vertex_of(rep * elt) for rep in self.reps))
 
 
-# Above this many group elements the explorer keeps one representative per
-# coset instead of a map from every element, and the builder makes no vertex
-# action: gamma t=10 (84M elements) stays dense, delta m=3 (12! = 479M) not.
-_ELEMENT_MAP_MAX = 10 ** 8
-
-
-def _canon(subgroup, x):
-    """The canonical representative of the coset H*x."""
-    return min(h * x for h in subgroup)
+def _canon_of(iface: GroupIface):
+    """x -> min(H*x): the family's closed form, else the minimum over H."""
+    subgroup = iface.subgroup
+    return iface.canon or (lambda x: min(h * x for h in subgroup))
 
 
 def _arc_transversal(iface: GroupIface, a_elt) -> list:
     """One h per class of the arc stabiliser in H: the probes a*h*g fall into
     the same coset for h, h' exactly when h*h'^-1 lies in a^-1 H a, so the
     split does not depend on g and its length is the valency |HaH|/|H|."""
+    canon = _canon_of(iface)
     hreps, seen = [], set()
     for h in iface.subgroup:
-        key = _canon(iface.subgroup, a_elt * h)
+        key = canon(a_elt * h)
         if key not in seen:
             seen.add(key)
             hreps.append(h)
@@ -225,65 +226,41 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None,
              max_vertices: int | None):
     """Deterministic coset BFS shared by the builder and the validator.
 
-    Each vertex Hr is probed once per arc-stabiliser class, at a*h*r.  Up to
-    _ELEMENT_MAP_MAX group elements every member of a registered coset is a
-    key of the vertex map, so a probe into a known coset is one lookup;
-    above it only the representatives are, and a probe costs |H|
-    multiplications.  Returns (reps, lookup, adjacency lists), where
-    lookup(elt) is the vertex of H*elt or None.  With require_valency=None
-    the exploration tolerates any neighbour count (used for validation).
+    Each vertex Hr is probed once per arc-stabiliser class, at a*h*r, and a
+    probe is one canonicalisation plus one lookup in a map from canonical
+    representative to vertex (one entry per coset).  New vertices get ids in
+    (parent id, canonical representative) order.  Returns (reps, vid_of,
+    adjacency lists).  With require_valency=None the exploration tolerates
+    any neighbour count (used for validation).
     """
-    subgroup = iface.subgroup
-    check_vertex_guard("coset space", iface.order // len(subgroup), max_vertices)
-    dense = iface.order <= _ELEMENT_MAP_MAX
+    check_vertex_guard("coset space", iface.order // len(iface.subgroup),
+                       max_vertices)
+    canon = _canon_of(iface)
     hreps = _arc_transversal(iface, a_elt)
 
-    vid_of: dict = {}
-    reps: list = []
-
-    def register(rep, coset) -> int:
-        vid = len(reps)
-        reps.append(rep)
-        keys = coset if dense else (rep,)
-        size = len(vid_of)
-        vid_of.update(dict.fromkeys(keys, vid))
-        if len(vid_of) != size + len(keys):
-            raise ValueError("canonicalization collision: broken element "
-                             "equality/hash or non-coset overlap")
-        return vid
-
-    register(min(subgroup), subgroup)
+    reps: list = [canon(iface.identity)]
+    vid_of: dict = {reps[0]: 0}
     adj: list = []
-    v = 0
-    while v < len(reps):
-        r = reps[v]
+    for v, r in enumerate(reps):
         hits: list = []
-        staged: dict = {}
+        staged: set = set()
         for h in hreps:
-            y = a_elt * (h * r)
-            vid = vid_of.get(y)
+            rep = canon(a_elt * (h * r))
+            vid = vid_of.get(rep)
             if vid is None:
-                coset = [k * y for k in subgroup]
-                rep = min(coset)
-                vid = vid_of.get(rep)
-                if vid is None:
-                    staged[rep] = coset
-                    continue
-            hits.append(vid)
-        hits += [register(rep, staged[rep]) for rep in sorted(staged)]
+                staged.add(rep)
+            else:
+                hits.append(vid)
+        for rep in sorted(staged):
+            vid_of[rep] = len(reps)
+            hits.append(len(reps))
+            reps.append(rep)
         nbrs = sorted(set(hits))
         if require_valency is not None and len(nbrs) != require_valency:
             raise ValueError("neighbour count %d != %d at vertex %d: "
                              "bad (G, H, a) triple" % (len(nbrs), require_valency, v))
         adj.append(tuple(nbrs))
-        v += 1
-
-    if dense:
-        lookup = vid_of.get
-    else:
-        def lookup(elt):
-            return vid_of.get(_canon(subgroup, elt))
-    return reps, lookup, adj
+    return reps, vid_of, adj
 
 
 # bench/spans.py wraps this name on every benchmark run; it stays an alias
@@ -297,26 +274,18 @@ def build_coset_graph(iface: GroupIface, a_elt, *,
 
     Raises if any vertex ends up with a neighbour count other than 4 or if
     the explored vertex count differs from |G|/|H| (either one signals a bad
-    triple).  Above _ELEMENT_MAP_MAX group elements the build keeps one
-    representative per coset and has no vertex action (``action`` is None);
-    the vertex numbering is the same in both modes."""
-    reps, lookup, adj = _explore(iface, a_elt, 4, max_vertices)
+    triple, or an ``iface.canon`` that is not constant on cosets)."""
+    reps, vid_of, adj = _explore(iface, a_elt, 4, max_vertices)
     n_expected = iface.order // len(iface.subgroup)
     if len(reps) != n_expected:
         raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
-                         "proper subgroup" % (len(reps), n_expected))
+                         "proper subgroup, or canon is not constant on cosets"
+                         % (len(reps), n_expected))
     labels = None
     if iface.label is not None:
         labels = tuple(iface.label(r) for r in reps)
     graph = Graph(len(reps), tuple(adj), labels)
-    reps_t = tuple(reps)
-
-    action = None
-    if iface.order <= _ELEMENT_MAP_MAX:
-        action = VertexAction(graph, tuple(
-            Permutation._unchecked(tuple(lookup(rep * g) for rep in reps_t))
-            for g in iface.generators))
-    return CosetGraphBuild(graph, action, reps_t, iface, a_elt, lookup)
+    return CosetGraphBuild(graph, tuple(reps), iface, a_elt, vid_of)
 
 
 def _sabidussi_report(iface: GroupIface, a_elt, connected: bool) -> SabidussiReport:

@@ -99,7 +99,7 @@ class ExpectedProperties:
 class FamilyBuild:
     spec: FamilySpec
     graph: Graph
-    action: VertexAction | None
+    action: VertexAction
     expected: ExpectedProperties
     coset: CosetGraphBuild | None = None
     group: object = None  # the extragrp.ExtensionGroup for gamma members
@@ -205,6 +205,24 @@ def _crs_expected(r: int, s: int) -> ExpectedProperties:
     )
 
 
+def _pair_canon(pairs, beta: Permutation):
+    """min(H*x) for H = E x| <beta>, where E is generated by the commuting
+    transpositions of ``pairs`` and the involution beta normalises E.  Since
+    (h*x)(i) = x(h(i)), E*x runs through every way of swapping the images of
+    each pair, so its minimum sorts each pair; H*x is E*x together with
+    E*(beta*x)."""
+    def normal(x: Permutation) -> tuple:
+        images = list(x.images)
+        for i, j in pairs:
+            if images[i] > images[j]:
+                images[i], images[j] = images[j], images[i]
+        return tuple(images)
+
+    def canon(x: Permutation) -> Permutation:
+        return Permutation._unchecked(min(normal(x), normal(beta * x)))
+    return canon
+
+
 def praeger_xu_coset(r: int, s: int, max_vertices: int | None = None) -> FamilyBuild:
     """crs(r, s) as the coset graph of (G, H, a) with G the group generated
     on the wreath-graph vertices by the fibre swaps x_i, the rotation a and
@@ -226,6 +244,7 @@ def praeger_xu_coset(r: int, s: int, max_vertices: int | None = None) -> FamilyB
         identity=Permutation.identity(n),
         order=2 ** r * 2 * r,
         label=lambda p: p.cycle_string(),
+        canon=_pair_canon([(2 * k, 2 * k + 1) for k in range(r - s)], b_s),
     )
     coset = build_coset_graph(iface, a, max_vertices=max_vertices)
     return FamilyBuild(FamilySpec.make("crs", r=r, s=s), coset.graph,
@@ -251,6 +270,19 @@ def _gamma_aut(t: int, sign: str) -> int:
     return order
 
 
+def _gamma_canon(grp: extragrp.ExtensionGroup):
+    """min(H*g) for H = E x| <b> with E = <x_0..x_{t-1}>: left
+    multiplication by E flips the low t bits of the packed code (the z cross
+    term needs x_{t..2t-1} on the left), so E*g is least with those bits
+    clear, and H*g is E*g together with b*(E*g) = E*(b*g)."""
+    keep, b = ~grp.tmask, grp.b.code
+
+    def canon(g: extragrp.GElt) -> extragrp.GElt:
+        code = g.code & keep
+        return extragrp.GElt(grp, min(code, grp.mul_code(b, code) & keep))
+    return canon
+
+
 def gamma(t: int, sign: str, allow_large: bool = False,
           max_vertices: int | None = None) -> FamilyBuild:
     """The coset graph of (G, H, a) over the plus- or minus-type extension
@@ -268,6 +300,7 @@ def gamma(t: int, sign: str, allow_large: bool = False,
         identity=grp.identity,
         order=grp.order,
         label=lambda g: g.word(),
+        canon=_gamma_canon(grp),
     )
     coset = build_coset_graph(iface, grp.a, max_vertices=max_vertices)
     expected = ExpectedProperties(
@@ -371,9 +404,8 @@ def delta(m: int, allow_large: bool = False,
           max_vertices: int | None = None) -> FamilyBuild:
     """The coset graph of (Sym(4m), H, a) with H = <x_1..x_{2m-1}, h> of
     order 2^(2m); (4m)!/2^(2m) vertices.  m=3 (7484400 vertices) requires
-    allow_large=True; its 12! group elements are above 10^8, so the explorer
-    keeps one representative per coset and builds no vertex action.  Expect
-    a long build."""
+    allow_large=True and is built like m=2, vertex action included, but in
+    pure Python that takes about a quarter of an hour and several GB."""
     if m < 2:
         raise ValueError("delta needs m >= 2")
     if m > _DELTA_HARD_MAX_M:
@@ -391,6 +423,8 @@ def delta(m: int, allow_large: bool = False,
         identity=Permutation.identity(n),
         order=math.factorial(n),
         label=lambda p: p.cycle_string(),
+        canon=_pair_canon([(2 * i, 2 * i + 1) for i in range(2 * m - 1)],
+                          perms["h"]),
     )
     coset = build_coset_graph(iface, perms["a"], max_vertices=max_vertices)
     expected = ExpectedProperties(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,50 +205,51 @@ def test_build_is_deterministic():
     assert b1.graph.labels == b2.graph.labels
 
 
-def test_compact_mode_matches_dense(monkeypatch):
-    # the representative-only mode (taken above _ELEMENT_MAP_MAX elements)
-    # gives the same graph and numbering as the element-map mode
-    for t, sign in ((2, "plus"), (2, "minus")):
-        grp, iface = gamma_iface(t, sign)
-        dense = build_coset_graph(iface, grp.a)
-        with monkeypatch.context() as m:
-            m.setattr(cosetgraph, "_ELEMENT_MAP_MAX", 0)
-            compact = build_coset_graph(iface, grp.a)
+def _family_and_generic(spec):
+    """The family's coset build and the build of the same triple with the
+    generic minimum over H in place of the family's closed-form canon."""
+    family = build_family(FamilySpec.parse(spec)).coset
+    assert family.iface.canon is not None
+    generic_iface = dataclasses.replace(family.iface, canon=None)
+    return family, build_coset_graph(generic_iface, family.a_elt)
+
+
+def test_compact_mode_matches_dense():
+    # the closed-form canonicalisation gives the same graph and numbering as
+    # the minimum over H
+    for sign in ("plus", "minus"):
+        dense, compact = _family_and_generic("gamma:t=2,sign=%s" % sign)
         assert dense.graph.adj == compact.graph.adj
         assert dense.graph.labels == compact.graph.labels
         assert [compact.vertex_of(r) for r in dense.reps] == list(range(dense.graph.n))
 
 
-def test_with_action_false(monkeypatch):
-    # the representative-only mode builds no vertex action
-    grp, iface = gamma_iface(2, PLUS)
-    monkeypatch.setattr(cosetgraph, "_ELEMENT_MAP_MAX", 0)
-    build = build_coset_graph(iface, grp.a)
-    assert build.action is None
-    assert build.graph.n == 32
+def test_with_action_false():
+    # both canonicalisations build the same vertex action
+    family, generic = _family_and_generic("gamma:t=2,sign=plus")
+    assert family.action.gen_perms == generic.action.gen_perms
+    assert generic.graph.n == 32
 
 
 @pytest.mark.parametrize("spec", ["gamma:t=2,sign=plus", "gamma:t=2,sign=minus",
                                   "crs:r=6,s=3", "delta:m=2"])
-def test_representative_only_mode_matches_element_map(spec, monkeypatch):
-    # the memory-bounded mode is chosen from |G|; forcing it on small triples
-    # must give the same graph, numbering and coset lookups, without an action
-    full = build_family(FamilySpec.parse(spec)).coset
+def test_representative_only_mode_matches_element_map(spec):
+    # the family canon and the generic minimum over H must give the same
+    # graph, numbering, coset lookups and vertex action
+    full, lean = _family_and_generic(spec)
     iface, a = full.iface, full.a_elt
     full_report = validate_sabidussi(iface, a)
-    monkeypatch.setattr(cosetgraph, "_ELEMENT_MAP_MAX", 0)
-    lean = build_coset_graph(iface, a)
     assert lean.reps == full.reps
     assert lean.graph.adj == full.graph.adj
     assert lean.graph.labels == full.graph.labels
-    assert full.action is not None and lean.action is None
+    assert lean.action.gen_perms == full.action.gen_perms
     n = full.graph.n
     assert [lean.vertex_of(r) for r in full.reps] == list(range(n))
     for v in (0, 1, n // 2, n - 1):
         members = [h * full.reps[v] for h in iface.subgroup]
         assert {full.vertex_of(m) for m in members} == {v}
         assert {lean.vertex_of(m) for m in members} == {v}
-    assert validate_sabidussi(iface, a) == full_report
+    assert validate_sabidussi(lean.iface, a) == full_report
 
 
 @pytest.mark.parametrize("spec", ["gamma:t=2,sign=minus", "crs:r=6,s=3", "delta:m=2"])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tetrasym import graphalg
@@ -340,3 +342,40 @@ def test_crs_automorphism_orders(fam, r, s, expected):
 def test_wreath_vertex_stabiliser_order(fam, r):
     grp = PermGroup(fam.wreath(r).action.gen_perms)
     assert grp.point_stabiliser(0).order() == 2 ** r
+
+
+# -- closed-form coset canonicalisation --------------------------------------------
+
+def _min_over_h(iface, g):
+    return min(h * g for h in iface.subgroup)
+
+
+@pytest.mark.parametrize("spec", ["gamma:t=%d,sign=%s" % (t, sign)
+                                  for t in (2, 3) for sign in SIGNS]
+                         + ["crs:r=%d,s=%d" % (r, s)
+                            for r in range(3, 7) for s in range(1, r)])
+def test_canon_is_min_over_subgroup(spec):
+    # every element of G: the family's closed form is the minimum of H*g
+    fb = build_family(FamilySpec.parse(spec))
+    iface = fb.coset.iface
+    if fb.group is not None:
+        elements = list(fb.group.elements())
+    else:
+        elements = PermGroup(iface.generators).elements()
+    assert len(elements) == iface.order
+    for g in elements:
+        assert iface.canon(g) == _min_over_h(iface, g)
+
+
+@pytest.mark.parametrize("spec,steps", [("crs:r=%d,s=%d" % (r, s), 1000)
+                                        for r in (7, 8) for s in range(1, r)]
+                         + [("delta:m=2", 3000)])
+def test_canon_matches_min_on_random_walk(spec, steps):
+    # a seeded random walk over G by right multiplication with generators
+    fb = build_family(FamilySpec.parse(spec))
+    iface = fb.coset.iface
+    rng = random.Random(spec)
+    g = iface.identity
+    for _ in range(steps):
+        g = g * rng.choice(iface.generators)
+        assert iface.canon(g) == _min_over_h(iface, g)
