@@ -56,7 +56,7 @@ def _paper_or_derived(expected):
 def _with_chain(build):
     if build.graph.n > _CHAIN_CAP:
         raise _Skip("above stabiliser-chain cap")
-    return PermGroup(build.action.gen_perms)
+    return build.action.group
 
 
 def _with_coset(build):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
-from tetrasym.permgrp import Permutation
+from tetrasym.permgrp import PermGroup, Permutation
 
 __all__ = [
     "Graph", "VertexAction", "GroupIface", "CosetGraphBuild",
@@ -103,7 +104,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class VertexAction:
-    """A group's designated generators realized as automorphisms of a graph."""
+    """A group's designated generators realized as automorphisms of a graph.
+
+    ``group`` is the permutation group they generate, made on first use and
+    then kept, so every check on this action shares one stabiliser chain
+    (point stabilisers are read off it by conjugation).
+    """
 
     graph: Graph
     gen_perms: tuple
@@ -118,6 +124,10 @@ class VertexAction:
                 for v in self.graph.adj[u]:
                     if p(v) not in nbr_sets[pu]:
                         raise ValueError("generator is not a graph automorphism")
+
+    @cached_property
+    def group(self) -> PermGroup:
+        return PermGroup(self.gen_perms, degree=self.graph.n)
 
 
 @dataclass(frozen=True)

@@ -168,10 +168,10 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction,
 
 def local_group(action: VertexAction, v: int) -> PermGroup:
     """The permutation group induced on the neighbours of v by the
-    vertex-stabiliser of v (stabiliser generators from the chain, restricted
-    to the neighbourhood)."""
-    big = PermGroup(action.gen_perms, degree=action.graph.n)
-    stab = big.point_stabiliser(v)
+    vertex-stabiliser of v: the generators of ``action.group``'s point
+    stabiliser (from the action's one shared chain), restricted to the
+    neighbourhood."""
+    stab = action.group.point_stabiliser(v)
     nbrs = action.graph.adj[v]
     index = {w: i for i, w in enumerate(nbrs)}
     gens = [Permutation([index[p(w)] for w in nbrs]) for p in stab.generators]

@@ -126,7 +126,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*(len(c) for c in self.cycles()))
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -302,10 +302,10 @@ class _StabChain:
                 lv.done.add((p, gi))
                 s = lv.gens[gi]
                 q = int(s[p])
-                sg = _compose(_compose(up, s), lv.trans_inv[q])
-                if self._is_id(sg):
-                    continue
-                residue, j = self._strip(sg, i + 1)
+                ups = _compose(up, s)
+                if np.array_equal(ups, lv.trans[q]):
+                    continue  # trivial Schreier generator
+                residue, j = self._strip(_compose(ups, lv.trans_inv[q]), i + 1)
                 if not self._is_id(residue):
                     return residue, j
             oi += 1
@@ -425,14 +425,30 @@ class PermGroup:
         return self.degree > 0 and len(self.orbit(0)) == self.degree
 
     def point_stabiliser(self, x: int) -> "PermGroup":
-        """The stabiliser of x, via a chain whose base starts at x."""
+        """The stabiliser of x, read off this group's own chain.
+
+        For x in the first basic orbit, G_x = u^-1 G_b u, where b is the
+        first base point and u the transversal element mapping b to x
+        (Seress, *Permutation Group Algorithms*, 2003): the strong
+        generators fixing b are conjugated by u.  When every generator fixes
+        x the stabiliser is the whole group.  Only for any other x is a
+        second chain built, with base starting at x.
+        """
         if not 0 <= x < self.degree:
             raise ValueError("point %d out of range" % x)
-        chain = _StabChain(self.degree, self._gen_arrays(), base_prefix=(x,))
-        gens = [Permutation._unchecked(tuple(int(v) for v in g))
-                for g in chain.strong_gens_fixing_prefix(1)]
-        stab = PermGroup(gens, degree=self.degree)
-        return stab
+        if all(g.images[x] == x for g in self.generators):
+            return self
+        chain = self.chain
+        top = chain.levels[0]
+        if x in top.trans:
+            u, u_inv = top.trans[x], top.trans_inv[x]
+            arrays = [_compose(_compose(u_inv, s), u)
+                      for s in chain.strong_gens_fixing_prefix(1)]
+        else:
+            arrays = _StabChain(self.degree, self._gen_arrays(),
+                                base_prefix=(x,)).strong_gens_fixing_prefix(1)
+        gens = [Permutation._unchecked(tuple(int(v) for v in g)) for g in arrays]
+        return PermGroup(gens, degree=self.degree)
 
     def is_primitive(self) -> bool:
         """True iff the (transitive) action admits no nontrivial block system.

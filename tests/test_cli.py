@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from tetrasym.cli import main
+from tetrasym import permgrp
+from tetrasym.cli import family_checks, main
+from tetrasym.families import FamilySpec, build_family
 
 # Each file pins one CLI run: its arguments, exit code and JSON report with
 # every "millis" field removed.  Reports may change only in their timings.
@@ -212,3 +214,27 @@ def test_matrix_usage_errors(capsys):
     assert code == 2
     assert out == ""
     assert "wreth" in err and "wreath, crs, gamma, delta" in err
+
+
+# -- one stabiliser chain per vertex action -------------------------------------
+
+@pytest.mark.parametrize("spec, checks", [
+    ("gamma:sign=minus,t=3", ["stabiliser", "group-order", "local-group"]),
+    ("delta:m=2", ["stabiliser", "group-order"]),
+])
+def test_one_chain_per_vertex_action(monkeypatch, spec, checks):
+    build = build_family(FamilySpec.parse(spec))
+    gens = {p.images for p in build.action.gen_perms}
+    built = []
+
+    class CountingChain(permgrp._StabChain):
+        def __init__(self, degree, arrays, base_prefix=()):
+            if degree == build.graph.n and {tuple(a.tolist()) for a in arrays} == gens:
+                built.append(base_prefix)
+            super().__init__(degree, arrays, base_prefix)
+
+    monkeypatch.setattr(permgrp, "_StabChain", CountingChain)
+    rows = family_checks(build, checks)
+    assert [r["name"] for r in rows] == checks
+    assert all(r["pass"] for r in rows)
+    assert len(built) == 1

@@ -269,3 +269,55 @@ def test_chain_safe_to_force_concurrently():
         th.join()
     assert len(set(results)) == 1
     assert results[0] == G.order()
+
+
+# -- point stabilisers from one chain ----------------------------------------
+# point_stabiliser conjugates the chain's stabiliser of its first base point;
+# the oracle builds a second chain whose base starts at x and takes that
+# chain's strong generators fixing x.
+
+def _assert_stabiliser_matches_oracle(G, x):
+    stab = G.point_stabiliser(x)
+    based = PermGroup(G.generators, degree=G.degree, base_prefix=(x,))
+    oracle = PermGroup([Permutation(g) for g in based.chain.strong_gens_fixing_prefix(1)],
+                       degree=G.degree)
+    assert all(g(x) == x for g in stab.generators)
+    assert stab.order() == oracle.order()
+    assert all(g in oracle for g in stab.generators)
+    assert all(g in stab for g in oracle.generators)
+
+
+@pytest.mark.parametrize("member", [
+    ("wreath", 4), ("crs", 6, 3),
+    ("gamma", 2, "plus"), ("gamma", 2, "minus"),
+    ("gamma", 3, "plus"), ("gamma", 3, "minus"),
+    ("delta", 2),
+], ids=lambda member: ":".join(map(str, member)))
+def test_point_stabiliser_matches_based_chain(fam, member):
+    action = getattr(fam, member[0])(*member[1:]).action
+    G, n = action.group, action.graph.n
+    for x in (0, n - 1, random.Random(n).randrange(n)):
+        _assert_stabiliser_matches_oracle(G, x)
+
+
+def test_point_stabiliser_outside_first_basic_orbit():
+    G = PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4))])
+    assert 3 not in G.chain.levels[0].trans
+    _assert_stabiliser_matches_oracle(G, 3)
+    assert G.point_stabiliser(3).order() == 3
+
+
+def test_point_stabiliser_of_point_every_generator_fixes():
+    G = PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4))])
+    assert G.point_stabiliser(5).order() == G.order()
+    _assert_stabiliser_matches_oracle(G, 5)
+    trivial = PermGroup([], degree=3)
+    assert trivial.point_stabiliser(1).order() == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.permutations(range(7)), min_size=1, max_size=3))
+def test_point_stabiliser_matches_oracle_at_every_point(images_list):
+    G = PermGroup([Permutation(im) for im in images_list])
+    for x in range(G.degree):
+        _assert_stabiliser_matches_oracle(G, x)
