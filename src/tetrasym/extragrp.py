@@ -13,6 +13,18 @@ down by the exhaustive test-suite:
     x_i^a = x_{i+1},  x_i^b = x_{t-1-i}          (indices mod 2t)
     b^2 = 1,  a^b = a^(-1)
     a^(2t) = 1 in the plus group,  a^(2t) = z in the minus group
+
+Multiplication conjugates e by (a^k b^beta)^(-1), in closed form on the
+exponent bits v (bit i for x_i) for every t:
+
+- b reverses each half [0, t) and [t, 2t) of v and keeps z.  It sends the
+  non-commuting pair (x_j, x_{j+t}) to (x_{t-1-j}, x_{2t-1-j}), so every
+  such pair keeps its order and sorting costs no z.
+- a^(-k) rotates v left by r = -k mod 2t.  One step by a sends x_{2t-1} to
+  x_0, and the wrapped letter passes x_t, which costs z when both are
+  present.  Over r steps, z flips once for every j < t with
+  v_j = v_{j+t} = 1 whose x_j lands in [t, 2t): the bits [t-r, t) of
+  v & (v >> t) when r <= t, and the bits [0, 2t-r) otherwise.
 """
 
 from __future__ import annotations
@@ -31,10 +43,6 @@ __all__ = [
 PLUS = "plus"
 MINUS = "minus"
 SIGNS = (PLUS, MINUS)
-
-# Above this t the conjugation tables would dominate memory; conjugation
-# falls back to per-element decompose/remultiply.
-_TABLE_MAX_T = 8
 
 
 @dataclass(frozen=True)
@@ -225,7 +233,11 @@ class ExtensionGroup:
         self.minus = sign == MINUS
         self.order = t << (self.two_t + 3)
         self.identity = GElt(self, 0)
-        self._ct = self._build_conj_tables() if t <= _TABLE_MAX_T else None
+        # _rev[v] reverses the t bits of v; _pmask[r] marks the j < t whose
+        # x_j a left rotation by r carries into [t, 2t).
+        self._rev = [int(format(v, "0%db" % t)[::-1], 2) for v in range(1 << t)]
+        self._pmask = [(1 << t) - (1 << (t - r)) if r <= t
+                       else (1 << (self.two_t - r)) - 1 for r in range(self.two_t)]
 
     def __repr__(self):
         return "ExtensionGroup(t=%d, %s)" % (self.t, self.sign)
@@ -254,72 +266,41 @@ class ExtensionGroup:
         return tuple(self.x(i) for i in range(self.two_t)) + (self.a, self.b)
 
     def from_parts(self, e: EVec, k: int, beta: int) -> GElt:
+        """The element e * a^k * b^beta, for 0 <= k < 2t and beta in {0, 1}
+        (reducing k mod 2t would drop the z of a^(2t) in the minus group)."""
         if e.t != self.t:
             raise ValueError("parameter mismatch")
-        code = (e.v | (e.z << self.two_t) | ((k % self.two_t) << self.kshift)
-                | ((beta & 1) << self.bshift))
+        if not 0 <= k < self.two_t:
+            raise ValueError("a exponent out of range: %d (need 0 <= k < %d)"
+                             % (k, self.two_t))
+        if beta not in (0, 1):
+            raise ValueError("b exponent must be 0 or 1")
+        code = (e.v | (e.z << self.two_t) | (k << self.kshift)
+                | (beta << self.bshift))
         return GElt(self, code)
 
     # -- core arithmetic on packed codes -----------------------------------
 
-    def _build_conj_tables(self):
-        """ct[k][beta][v] = packed image (v' | correction << 2t) of the
-        e-part automorphism needed in mul_code: first conj by b^beta, then
-        index shift by -k mod 2t.  Built by composing single-step tables that
-        come straight from the decompose/remultiply maps above."""
-        two_t, vmask = self.two_t, self.vmask
-        size = 1 << two_t
-
-        def pack(ev: EVec) -> int:
-            return ev.v | (ev.z << two_t)
-
-        ident = list(range(size))
-        shift1 = [pack(conj_by_a(EVec(self.t, v, 0))) for v in range(size)]
-        btab = [pack(conj_by_b(EVec(self.t, v, 0))) for v in range(size)]
-
-        def compose(first, second):
-            out = []
-            for r1 in first:
-                r2 = second[r1 & vmask]
-                out.append((r2 & vmask) | (((r1 >> two_t) ^ (r2 >> two_t)) << two_t))
-            return out
-
-        shifts = [ident]
-        for _ in range(two_t - 1):
-            shifts.append(compose(shifts[-1], shift1))
-
-        ct = []
-        for k in range(two_t):
-            back = shifts[(two_t - k) % two_t]
-            ct.append([back, compose(btab, back)])
-        return ct
-
-    def _conj(self, k: int, beta: int, e: int) -> int:
-        """e-part conjugated by (a^k b^beta)^(-1), on packed (v | z<<2t)."""
-        if self._ct is not None:
-            r = self._ct[k][beta][e & self.vmask]
-            return r ^ (e & ~self.vmask)
-        t, two_t = self.t, self.two_t
-        u = EVec(t, e & self.vmask, (e >> two_t) & 1)
-        if beta:
-            mapper = lambda i: ((t - 1 - i) - k) % two_t
-        else:
-            mapper = lambda i: (i - k) % two_t
-        w = _remap(u, mapper)
-        return w.v | (w.z << two_t)
-
     def mul_code(self, p: int, q: int) -> int:
-        t, two_t = self.t, self.two_t
-        e1 = p & self.emask
+        # e1 a^k1 b^b1 * e2 a^k2 b^b2 = e1 e2' a^(k1 -+ k2) b^(b1^b2), where
+        # e2' is e2 conjugated by (a^k1 b^b1)^-1 in the closed form of the
+        # module docstring: reverse the halves if b1, rotate left by -k1.
+        t, two_t, vmask = self.t, self.two_t, self.vmask
         k1 = (p >> self.kshift) & 63
         b1 = p >> self.bshift
-        e2 = q & self.emask
         k2 = (q >> self.kshift) & 63
         b2 = q >> self.bshift
-        w = self._conj(k1, b1, e2)
-        v1 = e1 & self.vmask
-        v2 = w & self.vmask
-        z = ((e1 ^ w) >> two_t) ^ (((v1 >> t) & v2 & self.tmask).bit_count() & 1)
+        v = q & vmask
+        if b1:
+            rev = self._rev
+            v = rev[v & self.tmask] | (rev[v >> t] << t)
+        r = -k1 % two_t
+        v2 = ((v << r) | (v >> (two_t - r))) & vmask
+        v1 = p & vmask
+        # z flips once per pair the rotation wraps and, as in evec_mul, once
+        # per x_j of e2' that sorts left past x_{j+t} of e1
+        cross =(v & (v >> t) & self._pmask[r]) ^ ((v1 >> t) & v2 & self.tmask)
+        z = (((p ^ q) >> two_t) & 1) ^ (cross.bit_count() & 1)
         big_k = k1 - k2 if b1 else k1 + k2
         k = big_k % two_t
         if self.minus:

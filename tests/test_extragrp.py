@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -313,48 +314,107 @@ def test_from_parts_and_accessors():
     assert g.t == 3 and g.sign == MINUS
 
 
+def test_from_parts_rejects_unreduced_exponents():
+    # reducing k mod 2t would lose the z of a^(2t) = z in the minus group:
+    # a^6 is z and a^-1 is z*a^5 at t=3, neither of which is e*a^(k mod 6)
+    grp = extension_group(3, MINUS)
+    e = EVec(3, 0)
+    assert grp.a ** 6 == grp.z
+    assert grp.a ** -1 == grp.from_parts(EVec(3, 0, 1), 5, 0)
+    for k, beta in ((6, 0), (-1, 0), (7, 1), (0, 2), (0, -1)):
+        with pytest.raises(ValueError):
+            grp.from_parts(e, k, beta)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def reference_conj(t, k, beta, v, z):
+    """EVec(t, v, z) conjugated by (a^k b^beta)^-1 through the decompose and
+    remultiply maps: conj_by_b if beta, then conj_by_a (2t - k) mod 2t times."""
+    w = EVec(t, v, z)
+    if beta:
+        w = conj_by_b(w)
+    for _ in range(-k % (2 * t)):
+        w = conj_by_a(w)
+    return w
+
+
+def reference_mul(grp, p, q):
+    """Product of packed codes from the reference maps and the a-exponent
+    rule a^(2t) = 1 (plus) or z (minus); shares no code with mul_code."""
+    two_t = grp.two_t
+    (e1, k1, b1), (e2, k2, b2) = (
+        (EVec(grp.t, c & grp.vmask, (c >> two_t) & 1), (c >> grp.kshift) & 63,
+         c >> grp.bshift) for c in (p, q))
+    e = evec_mul(e1, reference_conj(grp.t, k1, b1, e2.v, e2.z))
+    wraps, k = divmod(k1 - k2 if b1 else k1 + k2, two_t)
+    if grp.minus and wraps % 2:
+        e = evec_mul(e, EVec(grp.t, 0, 1))
+    return e.v | (e.z << two_t) | (k << grp.kshift) | ((b1 ^ b2) << grp.bshift)
+
+
+def random_code(grp, rng):
+    return (rng.randrange(1 << (grp.two_t + 1)) | (rng.randrange(grp.two_t) << grp.kshift)
+            | (rng.randrange(2) << grp.bshift))
+
+
 def test_conj_table_matches_direct_path():
-    # the table-driven conjugation must agree with the decompose/remultiply
-    # fallback used above the table cutoff
-    for sign in SIGNS:
-        grp = extension_group(2, sign)
-        t, two_t = 2, 4
-        for k in range(two_t):
-            for beta in (0, 1):
-                for e in range(1 << (two_t + 1)):
-                    u = EVec(t, e & 15, e >> 4)
-                    if beta:
-                        w = conj_by_b(u)
-                    else:
-                        w = u
-                    for _ in range((two_t - k) % two_t):
-                        w = conj_by_a(w)
-                    assert grp._conj(k, beta, e) == w.v | (w.z << two_t)
+    # mul_code's closed-form conjugation (reverse the halves, rotate, flip z
+    # by parity) must agree with conj_by_b then repeated conj_by_a: on every
+    # (k, beta, e) for t <= 4 and on seeded samples for t = 5..10
+    for t in range(2, 11):
+        two_t = 2 * t
+        if t <= 4:
+            triples = list(itertools.product(range(two_t), (0, 1), range(1 << (two_t + 1))))
+        else:
+            rng = random.Random(100 + t)
+            triples = [(rng.randrange(two_t), rng.randrange(2),
+                        rng.randrange(1 << (two_t + 1))) for _ in range(150)]
+        for sign in SIGNS:
+            grp = extension_group(t, sign)
+            for k, beta, e in triples:
+                w = reference_conj(t, k, beta, e & grp.vmask, e >> two_t)
+                head = (k << grp.kshift) | (beta << grp.bshift)
+                assert grp.mul_code(head, e) == w.v | (w.z << two_t) | head
+
+
+@pytest.mark.parametrize("t", range(2, 11))
+@pytest.mark.parametrize("sign", SIGNS)
+def test_mul_code_matches_reference_product(t, sign):
+    grp = extension_group(t, sign)
+    if t == 2:
+        codes = [g.code for g in grp.elements()]
+        pairs = itertools.product(codes, repeat=2)
+    else:
+        rng = random.Random(200 + t)
+        pairs = [(random_code(grp, rng), random_code(grp, rng)) for _ in range(300)]
+    for p, q in pairs:
+        assert grp.mul_code(p, q) == reference_mul(grp, p, q)
 
 
 @pytest.mark.parametrize("sign", SIGNS)
 def test_tableless_conjugation_path_at_large_t(sign):
-    # t=9 sits above the conjugation-table cutoff, so multiplication runs
-    # through the per-element decompose/remultiply fallback
-    grp = extension_group(9, sign)
-    assert grp._ct is None
-    t, two_t = 9, 18
-    a, b, z = grp.a, grp.b, grp.z
-    for i in range(two_t):
-        assert grp.x(i).conjugate(a) == grp.x((i + 1) % two_t)
-        assert grp.x(i).conjugate(b) == grp.x((t - 1 - i) % two_t)
-    assert a.conjugate(b) == a.inverse()
-    assert ((a * b) ** 2).is_identity()
-    if sign == MINUS:
-        assert a ** two_t == z and a.order() == 4 * t
-    else:
-        assert (a ** two_t).is_identity() and a.order() == 2 * t
-    rng = random.Random(9)
-    els = [grp.from_parts(EVec(t, rng.randrange(1 << two_t), rng.randrange(2)),
-                          rng.randrange(two_t), rng.randrange(2))
-           for _ in range(20)]
-    for p in els:
-        assert (p * p.inverse()).is_identity()
-    for _ in range(300):
-        p, q, r = rng.choice(els), rng.choice(els), rng.choice(els)
-        assert (p * q) * r == p * (q * r)
+    # t = 9, 10, the largest members, multiply through the same closed-form
+    # conjugation as every other t: the relations and seeded associativity
+    # hold there
+    for t in (9, 10):
+        grp = extension_group(t, sign)
+        two_t = 2 * t
+        a, b, z = grp.a, grp.b, grp.z
+        for i in range(two_t):
+            assert grp.x(i).conjugate(a) == grp.x((i + 1) % two_t)
+            assert grp.x(i).conjugate(b) == grp.x((t - 1 - i) % two_t)
+        assert a.conjugate(b) == a.inverse()
+        assert ((a * b) ** 2).is_identity()
+        if sign == MINUS:
+            assert a ** two_t == z and a.order() == 4 * t
+        else:
+            assert (a ** two_t).is_identity() and a.order() == 2 * t
+        rng = random.Random(t)
+        els = [grp.from_parts(EVec(t, rng.randrange(1 << two_t), rng.randrange(2)),
+                              rng.randrange(two_t), rng.randrange(2))
+               for _ in range(20)]
+        for p in els:
+            assert (p * p.inverse()).is_identity()
+        for _ in range(300):
+            p, q, r = rng.choice(els), rng.choice(els), rng.choice(els)
+            assert (p * q) * r == p * (q * r)
