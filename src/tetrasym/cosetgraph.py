@@ -10,7 +10,7 @@ numbering is bit-for-bit reproducible across runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from tetrasym.permgrp import PermGroup, Permutation
@@ -134,32 +134,44 @@ class VertexAction:
 class GroupIface:
     """Capability bundle handed to the coset-graph builder.
 
-    Elements must support *, .inverse(), ==, hash and <.  ``subgroup`` is the
-    full element list of H (closure is checked here, once); ``order`` is |G|.
+    Elements must support *, .inverse(), ==, hash and <.  H is given by its
+    ``generators``; ``subgroup`` is their closure, computed here in sorted
+    order, so H is a subgroup by construction.  ``order`` is |G|.
     ``canon`` maps x to the canonical representative of its coset,
     ``canon(x) == min(h*x for h in H)``, in closed form; None takes that
     minimum over H.
+
+    G itself needs no generators: the builder acts with H's generators and
+    a, and its check that all |G|/|H| cosets are reached proves that they
+    generate G.
     """
 
     generators: tuple
-    subgroup: tuple
     identity: object
     order: int
     label: object = None  # element -> str, used for vertex labels
     canon: object = None  # element -> min(H*element)
+    subgroup: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        hset = set(self.subgroup)
-        if len(hset) != len(self.subgroup):
-            raise ValueError("subgroup list has duplicates")
-        if self.identity not in hset:
-            raise ValueError("subgroup must contain the identity")
-        for h1 in self.subgroup:
-            for h2 in self.subgroup:
-                if h1 * h2 not in hset:
-                    raise ValueError("subgroup is not closed under multiplication")
+        object.__setattr__(self, "subgroup",
+                           _closure(self.generators, self.identity))
         if self.order % len(self.subgroup):
             raise ValueError("|H| does not divide |G|")
+
+
+def _closure(gens: tuple, identity) -> tuple:
+    """The sorted elements of <gens>: a BFS from the identity by right
+    multiplication, |<gens>| * |gens| products."""
+    seen = {identity}
+    queue = [identity]
+    for h in queue:
+        for s in gens:
+            hs = h * s
+            if hs not in seen:
+                seen.add(hs)
+                queue.append(hs)
+    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -180,8 +192,9 @@ class SabidussiReport:
 
 
 class CosetGraphBuild:
-    """Result of build_coset_graph: the graph, the generators' vertex action,
-    canonical coset representatives and coset-lookup helpers."""
+    """Result of build_coset_graph: the graph, the vertex action of H's
+    generators and a, canonical coset representatives and coset-lookup
+    helpers."""
 
     def __init__(self, graph: Graph, reps: tuple, iface: GroupIface, a_elt,
                  vid_of: dict):
@@ -191,7 +204,8 @@ class CosetGraphBuild:
         self.a_elt = a_elt
         self._vid_of = vid_of
         self._canon = _canon_of(iface)
-        self.action = VertexAction(graph, tuple(map(self.perm_of, iface.generators)))
+        self.action = VertexAction(
+            graph, tuple(map(self.perm_of, iface.generators + (a_elt,))))
 
     def vertex_of(self, elt) -> int:
         """The vertex holding the coset H*elt."""
@@ -218,18 +232,17 @@ def _canon_of(iface: GroupIface):
     return iface.canon or (lambda x: min(h * x for h in subgroup))
 
 
-def _arc_transversal(iface: GroupIface, a_elt) -> list:
-    """One h per class of the arc stabiliser in H: the probes a*h*g fall into
-    the same coset for h, h' exactly when h*h'^-1 lies in a^-1 H a, so the
-    split does not depend on g and its length is the valency |HaH|/|H|."""
+def _arc_transversal(iface: GroupIface, a_elt) -> dict:
+    """canon(a*h) -> h, one h per class of the arc stabiliser in H: the
+    probes a*h*g fall into the same coset for h, h' exactly when h*h'^-1
+    lies in a^-1 H a, so the split does not depend on g and its length is
+    the valency |HaH|/|H|.  The keys are the cosets H*a*h, whose union is
+    HaH: x lies in HaH exactly when canon(x) is a key."""
     canon = _canon_of(iface)
-    hreps, seen = [], set()
+    arcs: dict = {}
     for h in iface.subgroup:
-        key = canon(a_elt * h)
-        if key not in seen:
-            seen.add(key)
-            hreps.append(h)
-    return hreps
+        arcs.setdefault(canon(a_elt * h), h)
+    return arcs
 
 
 def _explore(iface: GroupIface, a_elt, require_valency: int | None,
@@ -246,7 +259,7 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None,
     check_vertex_guard("coset space", iface.order // len(iface.subgroup),
                        max_vertices)
     canon = _canon_of(iface)
-    hreps = _arc_transversal(iface, a_elt)
+    hreps = _arc_transversal(iface, a_elt).values()
 
     reps: list = [canon(iface.identity)]
     vid_of: dict = {reps[0]: 0}
@@ -299,12 +312,10 @@ def build_coset_graph(iface: GroupIface, a_elt, *,
 
 
 def _sabidussi_report(iface: GroupIface, a_elt, connected: bool) -> SabidussiReport:
-    subgroup = iface.subgroup
-    a_inv = a_elt.inverse()
-    symmetric = any(h1 * a_elt * h2 == a_inv
-                    for h1 in subgroup for h2 in subgroup)
-    valency = len(_arc_transversal(iface, a_elt))
-    return SabidussiReport(connected=connected, symmetric=symmetric, valency=valency)
+    arcs = _arc_transversal(iface, a_elt)
+    symmetric = _canon_of(iface)(a_elt.inverse()) in arcs
+    return SabidussiReport(connected=connected, symmetric=symmetric,
+                           valency=len(arcs))
 
 
 def validate_sabidussi(iface: GroupIface, a_elt,

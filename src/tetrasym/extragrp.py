@@ -261,10 +261,6 @@ class ExtensionGroup:
     def b(self) -> GElt:
         return GElt(self, 1 << self.bshift)
 
-    @property
-    def generators(self) -> tuple:
-        return tuple(self.x(i) for i in range(self.two_t)) + (self.a, self.b)
-
     def from_parts(self, e: EVec, k: int, beta: int) -> GElt:
         """The element e * a^k * b^beta, for 0 <= k < 2t and beta in {0, 1}
         (reducing k mod 2t would drop the z of a^(2t) in the minus group)."""

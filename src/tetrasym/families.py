@@ -17,7 +17,7 @@ from tetrasym import extragrp
 from tetrasym.cosetgraph import (CosetGraphBuild, Graph, GroupIface,
                                  VertexAction, build_coset_graph,
                                  check_vertex_guard)
-from tetrasym.permgrp import PermGroup, Permutation
+from tetrasym.permgrp import Permutation
 
 __all__ = [
     "FamilySpec", "ExpectedProperties", "FamilyBuild",
@@ -232,16 +232,14 @@ def praeger_xu_coset(r: int, s: int, max_vertices: int | None = None) -> FamilyB
     if r - s + 1 > 10:
         raise ValueError("subgroup H of order 2^%d is beyond the closure guard"
                          % (r - s + 1))
-    n = 2 * r
     xs = [_wreath_perm(r, lambda v, i, k=k: (v, i ^ 1) if v == k else (v, i))
-          for k in range(r)]
+          for k in range(r - s)]
     a = _wreath_perm(r, lambda v, i: (v + 1, i))
     b_s = _wreath_perm(r, lambda v, i: ((r - s - 1 - v) % r, i))
 
     iface = GroupIface(
-        generators=tuple(xs) + (a, b_s),
-        subgroup=tuple(sorted(PermGroup(xs[:r - s] + [b_s], degree=n).elements())),
-        identity=Permutation.identity(n),
+        generators=tuple(xs) + (b_s,),
+        identity=Permutation.identity(2 * r),
         order=2 ** r * 2 * r,
         label=lambda p: p.cycle_string(),
         canon=_pair_canon([(2 * k, 2 * k + 1) for k in range(r - s)], b_s),
@@ -293,10 +291,8 @@ def gamma(t: int, sign: str, allow_large: bool = False,
     if t > _GAMMA_DEFAULT_MAX_T and not allow_large:
         raise ValueError(_LARGE_MEMBER % ("gamma t=%d" % t))
     grp = extragrp.extension_group(t, sign)
-    H = grp.subgroup_h()
     iface = GroupIface(
-        generators=tuple(grp.x(i) for i in range(2 * t)) + (grp.a, grp.b),
-        subgroup=H.elements,
+        generators=tuple(grp.x(i) for i in range(t)) + (grp.b,),
         identity=grp.identity,
         order=grp.order,
         label=lambda g: g.word(),
@@ -416,10 +412,8 @@ def delta(m: int, allow_large: bool = False,
     if max_vertices is None and allow_large:
         max_vertices = math.factorial(n) // 2 ** (2 * m)
     perms = delta_permutations(m)
-    h_gens = perms["xs"] + [perms["h"]]
     iface = GroupIface(
-        generators=tuple(h_gens) + (perms["a"],),
-        subgroup=tuple(sorted(PermGroup(h_gens, degree=n).elements())),
+        generators=tuple(perms["xs"]) + (perms["h"],),
         identity=Permutation.identity(n),
         order=math.factorial(n),
         label=lambda p: p.cycle_string(),

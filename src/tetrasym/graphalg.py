@@ -114,31 +114,13 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction,
     the enumerated N).  Returns (Partition, CoverReport).
     """
     normal_gens = tuple(normal_gens)
-    elements = set(PermGroup(normal_gens, degree=g.n).elements(cap=size_cap))
+    N = PermGroup(normal_gens, degree=g.n)
+    elements = set(N.elements(cap=size_cap))
     for gen in action.gen_perms:
         for q in normal_gens:
             if q.conjugate(gen) not in elements:
                 raise ValueError("subgroup is not normal under the action generators")
-
-    # N-orbits on vertices
-    seen = [False] * g.n
-    blocks = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        orb = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for q in normal_gens:
-                w = q(u)
-                if w not in orb:
-                    orb.add(w)
-                    stack.append(w)
-        for u in orb:
-            seen[u] = True
-        blocks.append(sorted(orb))
-    blocks.sort(key=lambda blk: blk[0])
+    blocks = N.orbits()
     part = Partition.from_blocks(g.n, blocks)
 
     edges = set()
@@ -183,20 +165,10 @@ def local_group(action: VertexAction, v: int) -> PermGroup:
 def is_block(action: VertexAction, S) -> bool:
     """True iff every group element maps S to itself or to a disjoint set,
     checked by orbit-closure of S under the action generators."""
-    n = action.graph.n
     base = frozenset(S)
     if not base:
         raise ValueError("empty vertex set")
-    orbit0 = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for p in action.gen_perms:
-            w = p(u)
-            if w not in orbit0:
-                orbit0.add(w)
-                stack.append(w)
-    if len(orbit0) != n:
+    if not action.group.is_transitive():
         raise ValueError("is_block requires a transitive action")
 
     seen = {base}

@@ -412,13 +412,15 @@ class PermGroup:
         return seen
 
     def orbits(self) -> list[set]:
-        left = set(range(self.degree))
+        """The orbits, ordered by their least points."""
+        seen = [False] * self.degree
         out = []
-        while left:
-            x = min(left)
-            orb = self.orbit(x)
-            out.append(orb)
-            left -= orb
+        for x in range(self.degree):
+            if not seen[x]:
+                orb = self.orbit(x)
+                for y in orb:
+                    seen[y] = True
+                out.append(orb)
         return out
 
     def is_transitive(self) -> bool:

@@ -169,13 +169,18 @@ def test_criterion_06_sphere_transversals(fam):
     announce(6, "sphere transversals", failures)
 
 
-def test_criterion_07_double_coset():
+def test_criterion_07_double_coset(fam):
+    # oracle: all |H|^2 products of a^-1 H a H, next to the build's reading
+    # (z lies in a^-1 H a H exactly when the coset H*a*z is adjacent to H)
     failures = []
-    for t in (2, 3, 4):
+    for t in (2, 3, 4, 5, 6):
         for sign in SIGNS:
             grp = extension_group(t, sign)
             if double_coset_contains(grp.subgroup_h(), grp.a, grp.z):
                 failures.append("z in H^aH at t=%d %s" % (t, sign))
+            fb = fam.gamma(t, sign)
+            if fb.coset.vertex_of(grp.a * grp.z) in fb.graph.adj[0]:
+                failures.append("H*a*z adjacent to H at t=%d %s" % (t, sign))
     announce(7, "double coset exclusion", failures)
 
 

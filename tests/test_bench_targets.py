@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from tetrasym.families import FamilySpec, build_family
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -34,3 +36,20 @@ def test_span_recorder_installs_on_every_named_target():
     finally:
         recorder.uninstall()
     assert {name: _resolve(name) for name in names} == originals
+
+
+def test_explorer_and_constructor_hooks_read_a_traced_build():
+    # the hooks read GroupIface.generators and .subgroup and the
+    # constructors' arguments; a traced build must still yield their metrics
+    spans = _load_spans()
+    recorder = spans.Recorder()
+    try:
+        recorder.install(only=spans.EXPLORERS | spans.CONSTRUCTORS)
+        for spec in ("gamma:t=2,sign=minus", "crs:r=6,s=3"):
+            build_family(FamilySpec.parse(spec))
+        metrics = recorder.layer_metrics(0)
+    finally:
+        recorder.uninstall()
+    assert metrics["cosetgraph.explored_vertices"] == 80
+    assert metrics["cosetgraph.explorations_per_member"] == 1.0
+    assert metrics["families.builds_per_spec"] == 1.0

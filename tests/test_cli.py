@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tetrasym import permgrp
+from tetrasym import cli, permgrp
 from tetrasym.cli import family_checks, main
 from tetrasym.families import FamilySpec, build_family
 
@@ -167,6 +167,17 @@ def test_verify_not_applicable_check_reported(capsys):
 def test_verify_report_stable_modulo_millis(capsys):
     run_golden(capsys, "verify_crs_r5_s2")
     run_golden(capsys, "verify_crs_r5_s2")
+
+
+def test_verify_cover_above_iso_cap_skips(capsys, monkeypatch):
+    # a valid member whose z-quotient (48 vertices here) is above the
+    # isomorphism cap gets a skip row, not a usage error
+    monkeypatch.setattr(cli, "_ISO_CAP", 40)
+    code, out, _ = run(capsys, "verify", "gamma:t=3,sign=minus", "--checks", "cover")
+    assert code == 0
+    assert json.loads(out)["checks"] == [{
+        "name": "cover", "skipped": True,
+        "reason": "z-quotient above the 40-vertex isomorphism cap"}]
 
 
 def test_verify_delta_quick_checks(capsys):

@@ -21,11 +21,9 @@ def cyc(n, *cycles):
 
 def gamma_iface(t, sign):
     grp = extension_group(t, sign)
-    H = grp.subgroup_h()
-    gens = tuple(grp.x(i) for i in range(2 * t)) + (grp.a, grp.b)
-    return grp, GroupIface(generators=gens, subgroup=H.elements,
-                           identity=grp.identity, order=grp.order,
-                           label=lambda g: g.word())
+    gens = tuple(grp.x(i) for i in range(t)) + (grp.b,)
+    return grp, GroupIface(generators=gens, identity=grp.identity,
+                           order=grp.order, label=lambda g: g.word())
 
 
 # -- Graph type ---------------------------------------------------------------
@@ -79,30 +77,40 @@ def test_sphere_basics():
 # -- GroupIface validation -------------------------------------------------------
 
 def test_iface_requires_closed_subgroup():
+    # H is the closure of its generators, so it is a subgroup by construction
+    c, e = cyc(3, (0, 1, 2)), Permutation.identity(3)
+    iface = GroupIface(generators=(c,), identity=e, order=6)
+    assert iface.subgroup == tuple(sorted((e, c, c * c)))
     with pytest.raises(ValueError):
-        GroupIface(generators=(cyc(3, (0, 1, 2)),),
-                   subgroup=(Permutation.identity(3), cyc(3, (0, 1, 2))),
-                   identity=Permutation.identity(3), order=3)
+        GroupIface(generators=(c,), identity=e, order=4)
 
 
 def test_iface_requires_identity_in_subgroup():
-    with pytest.raises(ValueError):
-        GroupIface(generators=(cyc(2, (0, 1)),),
-                   subgroup=(cyc(2, (0, 1)),),
-                   identity=Permutation.identity(2), order=2)
+    e = Permutation.identity(2)
+    assert GroupIface(generators=(), identity=e, order=2).subgroup == (e,)
+    iface = GroupIface(generators=(cyc(2, (0, 1)),), identity=e, order=2)
+    assert iface.subgroup == (e, cyc(2, (0, 1)))
 
 
 # -- builder and validators -------------------------------------------------------
 
 def test_degenerate_cyclic_triple_fails_valency():
     a = cyc(4, (0, 1, 2, 3))
-    iface = GroupIface(generators=(a,), subgroup=(Permutation.identity(4),),
-                       identity=Permutation.identity(4), order=4)
+    iface = GroupIface(generators=(), identity=Permutation.identity(4), order=4)
     report = validate_sabidussi(iface, a)
     assert report.valency == 1
     assert not report.tetravalent
     with pytest.raises(ValueError):
         build_coset_graph(iface, a)
+
+
+def test_asymmetric_triple_reported():
+    # Z_5 with H trivial: HaH = {a} does not hold a^-1 = a^4
+    a = cyc(5, (0, 1, 2, 3, 4))
+    iface = GroupIface(generators=(), identity=Permutation.identity(5), order=5)
+    report = validate_sabidussi(iface, a)
+    assert (report.connected, report.symmetric, report.valency) == (True, False, 1)
+    assert not report.ok
 
 
 @pytest.mark.parametrize("t,sign", [(2, s) for s in SIGNS] + [(3, s) for s in SIGNS])
@@ -117,20 +125,7 @@ def test_gamma_triples_satisfy_hypotheses(t, sign):
 
 def test_non_corefree_subgroup_detected():
     grp = extension_group(2, PLUS)
-    h_gens = [grp.x(0), grp.x(1), grp.b, grp.z]
-    els = {grp.identity}
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in h_gens:
-                pq = p * q
-                if pq not in els:
-                    els.add(pq)
-                    nxt.append(pq)
-        frontier = nxt
-    iface = GroupIface(generators=(grp.a, grp.b, grp.x(0)),
-                       subgroup=tuple(sorted(els)),
+    iface = GroupIface(generators=(grp.x(0), grp.x(1), grp.b, grp.z),
                        identity=grp.identity, order=grp.order)
     build = build_coset_graph(iface, grp.a)
     assert not validate_corefree(build)

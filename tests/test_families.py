@@ -361,7 +361,7 @@ def test_canon_is_min_over_subgroup(spec):
     if fb.group is not None:
         elements = list(fb.group.elements())
     else:
-        elements = PermGroup(iface.generators).elements()
+        elements = PermGroup(iface.generators + (fb.coset.a_elt,)).elements()
     assert len(elements) == iface.order
     for g in elements:
         assert iface.canon(g) == _min_over_h(iface, g)
@@ -371,11 +371,66 @@ def test_canon_is_min_over_subgroup(spec):
                                         for r in (7, 8) for s in range(1, r)]
                          + [("delta:m=2", 3000)])
 def test_canon_matches_min_on_random_walk(spec, steps):
-    # a seeded random walk over G by right multiplication with generators
+    # a seeded random walk over G = <H, a> by right multiplication with
+    # H's generators and a
     fb = build_family(FamilySpec.parse(spec))
     iface = fb.coset.iface
+    gens = iface.generators + (fb.coset.a_elt,)
     rng = random.Random(spec)
     g = iface.identity
     for _ in range(steps):
-        g = g * rng.choice(iface.generators)
+        g = g * rng.choice(gens)
         assert iface.canon(g) == _min_over_h(iface, g)
+
+
+# -- H by its generators --------------------------------------------------------
+
+def _member_id(member):
+    return "-".join(map(str, member))
+
+
+@pytest.mark.parametrize("member", [("crs", r, s) for r in range(3, 9)
+                                    for s in range(1, r)] + [("delta", 2)],
+                         ids=_member_id)
+def test_subgroup_is_closure_of_generators(fam, member):
+    # oracle: the Schreier-Sims enumeration of <H's generators>
+    fb = getattr(fam, member[0])(*member[1:])
+    iface = fb.coset.iface
+    degree = iface.identity.degree
+    assert iface.subgroup == tuple(sorted(
+        PermGroup(iface.generators, degree=degree).elements()))
+    assert len(iface.subgroup) == fb.expected.stabiliser_order
+
+
+@pytest.mark.parametrize("t", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("sign", SIGNS)
+def test_gamma_subgroup_is_subgroup_h(fam, t, sign):
+    fb = fam.gamma(t, sign)
+    assert fb.coset.iface.subgroup == fb.group.subgroup_h().elements
+
+
+def _full_generators(fb):
+    """The generators of G listed in the paper, H's among them."""
+    if fb.spec.family == "gamma":
+        grp, t = fb.group, fb.spec.get("t")
+        return [grp.x(i) for i in range(2 * t)] + [grp.a, grp.b]
+    if fb.spec.family == "crs":
+        r = fb.spec.get("r")
+        xs = [Permutation.from_cycles(2 * r, [(2 * k, 2 * k + 1)]) for k in range(r)]
+        return xs + [fb.coset.a_elt, fb.coset.iface.generators[-1]]
+    perms = delta_permutations(fb.spec.get("m"))
+    return perms["xs"] + [perms["h"], perms["a"]]
+
+
+@pytest.mark.parametrize("member", [("gamma", t, sign) for t in (2, 3)
+                                    for sign in SIGNS]
+                         + [("crs", 6, 3), ("delta", 2)], ids=_member_id)
+def test_action_is_generated_by_h_and_a(fam, member):
+    # H's generators and a act as the whole of G: the same order as the
+    # action of every listed generator of G
+    fb = getattr(fam, member[0])(*member[1:])
+    coset = fb.coset
+    assert len(fb.action.gen_perms) == len(coset.iface.generators) + 1
+    full = PermGroup([coset.perm_of(g) for g in _full_generators(fb)])
+    assert fb.action.group.order() == coset.iface.order
+    assert full.order() == coset.iface.order
