@@ -13,12 +13,12 @@ from tetrasym.graphalg import (automorphism_group_order, girth, is_bipartite,
                                is_block, isomorphic, local_group,
                                quotient_by_subgroup_orbits,
                                verify_arc_transitive)
-from tetrasym.permgrp import Permutation, PermGroup, parse_permutation
+from tetrasym.permgrp import Permutation, PermGroup
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Permutation", "PermGroup", "parse_permutation",
+    "Permutation", "PermGroup",
     "EVec", "GElt", "ExtensionGroup", "SubgroupH", "extension_group",
     "Graph", "GroupIface", "VertexAction", "build_coset_graph", "sphere",
     "validate_corefree", "validate_sabidussi",

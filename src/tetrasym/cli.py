@@ -224,7 +224,7 @@ CHECK_NAMES = tuple(_CHECKS)
 
 def family_checks(build: families.FamilyBuild, names=None) -> list:
     """Run the requested named checks (all when names is empty) against one
-    family member.  Skip rows appear only for checks asked for by name."""
+    family member.  A check that does not apply gives a skip row."""
     fam = build.spec.family
     wanted = list(names) if names else None
     rows = []
@@ -235,8 +235,7 @@ def family_checks(build: families.FamilyBuild, names=None) -> list:
         try:
             rows.append(_check(name, *check(build), t0))
         except _Skip as skip:
-            if wanted is not None:
-                rows.append(_skip(name, str(skip)))
+            rows.append(_skip(name, str(skip)))
 
     if wanted is not None:
         for name in wanted:
@@ -552,7 +551,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -87,7 +87,9 @@ class Graph:
         return sum(len(nbrs) for nbrs in self.adj) // 2
 
     def relabelled(self, perm: Permutation) -> "Graph":
-        """The isomorphic copy with vertex v renamed perm(v)."""
+        """The isomorphic copy with vertex v renamed perm(v), each label
+        moving with its vertex.  Public: callers relabel a graph with it to
+        check that an isomorphism-invariant computation ignores numbering."""
         if perm.degree != self.n:
             raise ValueError("degree mismatch")
         new_adj = [None] * self.n
@@ -385,7 +387,3 @@ def to_json_obj(g: Graph) -> dict:
     if g.labels is not None:
         obj["labels"] = list(g.labels)
     return obj
-
-
-def graph_from_json_obj(obj: dict) -> Graph:
-    return Graph.from_edges(obj["n"], obj["edges"], obj.get("labels"))

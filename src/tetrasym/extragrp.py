@@ -29,7 +29,6 @@ exponent bits v (bit i for x_i) for every t:
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ __all__ = [
     "PLUS", "MINUS", "SIGNS",
     "EVec", "evec_mul", "evec_inv", "conj_by_a", "conj_by_b",
     "GElt", "ExtensionGroup", "extension_group",
-    "SubgroupH", "enumerate_group", "double_coset_contains",
+    "SubgroupH", "double_coset_contains",
 ]
 
 PLUS = "plus"
@@ -360,31 +359,6 @@ class ExtensionGroup:
             parts.append("b")
         return "*".join(parts) if parts else "e"
 
-    _TOKEN_RE = re.compile(r"^(x(\d+)|z|a|b|e)(\^(-?\d+))?$")
-
-    def parse_word(self, text: str) -> GElt:
-        out = self.identity
-        text = text.strip()
-        if not text:
-            return out
-        for token in text.split("*"):
-            m = self._TOKEN_RE.match(token.strip())
-            if not m:
-                raise ValueError("bad token %r in word %r" % (token, text))
-            name, xi, _, exp = m.groups()
-            if name == "e":
-                base = self.identity
-            elif name == "z":
-                base = self.z
-            elif name == "a":
-                base = self.a
-            elif name == "b":
-                base = self.b
-            else:
-                base = self.x(int(xi))
-            out = out * (base ** int(exp) if exp is not None else base)
-        return out
-
 
 _GROUP_CACHE: dict[tuple, ExtensionGroup] = {}
 
@@ -396,13 +370,6 @@ def extension_group(t: int, sign: str) -> ExtensionGroup:
     return _GROUP_CACHE[key]
 
 
-def enumerate_group(t: int, sign: str) -> list[GElt]:
-    """All t*2^(2t+3) elements, each exactly once.  Guarded to t <= 4."""
-    if t > 4:
-        raise ValueError("full enumeration is guarded to t <= 4 (got t=%d)" % t)
-    return list(extension_group(t, sign).elements())
-
-
 @dataclass(frozen=True)
 class SubgroupH:
     """The 2^(t+1)-element subgroup <x_0, ..., x_{t-1}, b>."""
@@ -412,9 +379,6 @@ class SubgroupH:
 
     def __len__(self):
         return len(self.elements)
-
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
 
 
 def double_coset_contains(H: SubgroupH, mid: GElt, probe: GElt) -> bool:

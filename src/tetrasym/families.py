@@ -67,6 +67,8 @@ class FamilySpec:
             if "=" not in item:
                 raise ValueError("bad parameter %r in %r" % (item, text))
             key, val = item.split("=", 1)
+            if key in params:
+                raise ValueError("parameter %s given twice in %r" % (key, text))
             params[key] = int(val) if re.fullmatch(r"-?\d+", val) else val
         return cls.make(family, **params)
 
@@ -126,8 +128,10 @@ def _wreath_perm(r: int, fn) -> Permutation:
 def wreath_graph(r: int, max_vertices: int | None = None) -> FamilyBuild:
     """The 2r-vertex graph on fibres V_0..V_{r-1} (two vertices each) with
     every vertex of V_j joined to all of V_{j-1} and V_{j+1}, together with
-    its arc-transitive action: fibre swaps x_0..x_{r-1}, the fibre rotation
-    a and the fibre reflection b."""
+    its arc-transitive action, generated by the swap x_0 of fibre V_0, the
+    fibre rotation a and the fibre reflection b.  The other fibre swaps,
+    x_k = x_0^(a^k), are left out of the generators: r of them would make
+    the action's build quadratic in r."""
     if r < 3:
         raise ValueError("wreath graph needs r >= 3")
     n = 2 * r
@@ -141,11 +145,10 @@ def wreath_graph(r: int, max_vertices: int | None = None) -> FamilyBuild:
     graph = Graph.from_edges(n, edges, labels)
     assert graph.is_regular(4)
 
-    gens = [_wreath_perm(r, lambda v, i, k=k: (v, i ^ 1) if v == k else (v, i))
-            for k in range(r)]
-    gens.append(_wreath_perm(r, lambda v, i: (v + 1, i)))      # a
-    gens.append(_wreath_perm(r, lambda v, i: (-v % r, i)))     # b
-    action = VertexAction(graph, tuple(gens))
+    gens = (_wreath_perm(r, lambda v, i: (v, i ^ 1) if v == 0 else (v, i)),  # x_0
+            _wreath_perm(r, lambda v, i: (v + 1, i)),                        # a
+            _wreath_perm(r, lambda v, i: (-v % r, i)))                       # b
+    action = VertexAction(graph, gens)
     expected = ExpectedProperties(
         vertex_count=n,
         stabiliser_order=2 ** r,
@@ -199,7 +202,8 @@ def _crs_expected(r: int, s: int) -> ExpectedProperties:
         stabiliser_order=2 ** (r - s + 1),
         girth=4 if r >= 4 else None,
         bipartite=True if r % 2 == 0 else None,
-        locally_d4=True,
+        # crs(r, r-1) has vertex-stabilisers of order 4, too small for D4
+        locally_d4=s <= r - 2,
         aut_order=aut,
         group_order=2 ** r * 2 * r,
     )

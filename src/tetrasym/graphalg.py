@@ -104,21 +104,19 @@ class CoverReport:
     fibre_size: int
 
 
-def quotient_by_subgroup_orbits(g: Graph, action: VertexAction,
-                                normal_gens, size_cap: int = 10 ** 6):
+def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
     """Quotient of g by the vertex orbits of N = <normal_gens>.
 
     normal_gens are vertex permutations; N must be normal in the group
     generated by the action's designated generators (checked by conjugating
     each normal generator by each action generator and testing membership in
-    the enumerated N).  Returns (Partition, CoverReport).
+    N's stabiliser chain).  Returns (Partition, CoverReport).
     """
     normal_gens = tuple(normal_gens)
     N = PermGroup(normal_gens, degree=g.n)
-    elements = set(N.elements(cap=size_cap))
     for gen in action.gen_perms:
         for q in normal_gens:
-            if q.conjugate(gen) not in elements:
+            if q.conjugate(gen) not in N:
                 raise ValueError("subgroup is not normal under the action generators")
     blocks = N.orbits()
     part = Partition.from_blocks(g.n, blocks)
@@ -163,26 +161,14 @@ def local_group(action: VertexAction, v: int) -> PermGroup:
 
 
 def is_block(action: VertexAction, S) -> bool:
-    """True iff every group element maps S to itself or to a disjoint set,
-    checked by orbit-closure of S under the action generators."""
+    """True iff every group element maps S to itself or to a disjoint set:
+    S is a block exactly when it is the smallest block containing it."""
     base = frozenset(S)
     if not base:
         raise ValueError("empty vertex set")
     if not action.group.is_transitive():
         raise ValueError("is_block requires a transitive action")
-
-    seen = {base}
-    queue = [base]
-    while queue:
-        cur = queue.pop()
-        for p in action.gen_perms:
-            img = frozenset(p(v) for v in cur)
-            if img != base and img & base:
-                return False
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return True
+    return action.group.min_block(base) == base
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,12 @@ bit-for-bit across runs.
 
 from __future__ import annotations
 
-import json
-import re
 import threading
-from collections import Counter
 from math import lcm
 
 import numpy as np
 
-__all__ = ["Permutation", "PermGroup", "parse_permutation"]
+__all__ = ["Permutation", "PermGroup"]
 
 
 class Permutation:
@@ -134,9 +131,6 @@ class Permutation:
             return "()"
         return "".join("(" + ",".join(str(x) for x in c) + ")" for c in cycs)
 
-    def to_json(self) -> list:
-        return list(self.images)
-
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
@@ -156,37 +150,6 @@ class Permutation:
 
     def __str__(self):
         return self.cycle_string()
-
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_permutation(text: str, degree: int | None = None) -> Permutation:
-    """Parse either cycle notation "(1,2)(3,4)" or a JSON image array "[1,0,3,2]".
-
-    Cycle points may be separated by commas or spaces.  For cycle input the
-    degree defaults to 1 + the largest point mentioned.
-    """
-    text = text.strip()
-    if text.startswith("["):
-        return Permutation(json.loads(text))
-    if text == "()" or text == "":
-        return Permutation.identity(degree or 0)
-    chunks = _CYCLE_RE.findall(text)
-    if not chunks or _CYCLE_RE.sub("", text).strip():
-        raise ValueError("cannot parse permutation: %r" % text)
-    cycles = []
-    for chunk in chunks:
-        body = chunk.strip()
-        if not body:
-            continue
-        cycles.append([int(tok) for tok in re.split(r"[,\s]+", body)])
-    n = max((max(c) for c in cycles), default=-1) + 1
-    if degree is not None:
-        if degree < n:
-            raise ValueError("degree %d too small for cycles reaching %d" % (degree, n - 1))
-        n = degree
-    return Permutation.from_cycles(n, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -455,21 +418,28 @@ class PermGroup:
     def is_primitive(self) -> bool:
         """True iff the (transitive) action admits no nontrivial block system.
 
-        Runs the minimal-block (union-find) search seeded by every pair
-        {0, x}; primitive iff each seed generates the trivial one-block system.
+        Runs the minimal-block search seeded by every pair {0, x}; primitive
+        iff each seed generates the trivial one-block system.
         """
         if not self.is_transitive():
             raise ValueError("primitivity is only defined for transitive groups")
         if self.degree <= 2:
             return True
         for x in range(1, self.degree):
-            if len(self.min_block_containing(0, x)) < self.degree:
+            if len(self.min_block((0, x))) < self.degree:
                 return False
         return True
 
-    def min_block_containing(self, a: int, b: int) -> frozenset:
-        """The smallest block of imprimitivity containing both a and b
-        (Atkinson's union-find refinement)."""
+    def min_block(self, points) -> frozenset:
+        """The smallest block of imprimitivity containing all the points
+        (Atkinson's union-find refinement, Math. Comp. 29, 1975, seeded by
+        uniting every point with the first)."""
+        points = list(points)
+        if not points:
+            raise ValueError("empty point set")
+        for x in points:
+            if not 0 <= x < self.degree:
+                raise ValueError("point %d out of range" % x)
         parent = list(range(self.degree))
 
         def find(u):
@@ -479,21 +449,21 @@ class PermGroup:
             return u
 
         def union(u, v):
+            # A merged pair is queued: every generator must map it into one
+            # class as well.
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
+                queue.append((ru, rv))
 
-        union(a, b)
-        queue = [(a, b)]
+        queue: list = []
+        for x in points[1:]:
+            union(points[0], x)
         while queue:
             u, v = queue.pop()
             for g in self.generators:
-                x, y = g.images[u], g.images[v]
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    union(rx, ry)
-                    queue.append((rx, ry))
-        root = find(a)
+                union(g.images[u], g.images[v])
+        root = find(points[0])
         return frozenset(u for u in range(self.degree) if find(u) == root)
 
     def elements(self, cap: int = 10 ** 6) -> list[Permutation]:
@@ -505,26 +475,3 @@ class PermGroup:
                for arr in self.chain.iter_elements()]
         assert len(out) == n
         return out
-
-    def element_order_census(self, cap: int = 10 ** 6) -> dict[int, int]:
-        """Exact multiset {element order: count} by full enumeration."""
-        n = self.order()
-        if n > cap:
-            raise ValueError("group too large to enumerate: %d > %d" % (n, cap))
-        census: Counter = Counter()
-        for arr in self.chain.iter_elements():
-            seen = np.zeros(self.degree, dtype=bool)
-            order = 1
-            for i in range(self.degree):
-                if seen[i]:
-                    continue
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    length += 1
-                    j = int(arr[j])
-                if length > 1:
-                    order = lcm(order, length)
-            census[order] += 1
-        return dict(census)

@@ -19,7 +19,7 @@ from tetrasym.cli import (assoc_sample_failures, evec_exhaustive_failures,
                           relation_suite)
 from tetrasym.cosetgraph import sphere, validate_corefree, validate_sabidussi
 from tetrasym.extragrp import (MINUS, PLUS, SIGNS, double_coset_contains,
-                               enumerate_group, extension_group)
+                               extension_group)
 from tetrasym.permgrp import PermGroup
 
 
@@ -44,7 +44,7 @@ def test_criterion_01_extraspecial_engine_soundness():
                 failures.append("relation suite failed at t=%d %s" % (t, sign))
             if t > 4:
                 continue
-            els = enumerate_group(t, sign)
+            els = list(extension_group(t, sign).elements())
             want = t * 2 ** (2 * t + 3)
             if len(els) != want or len(set(els)) != want:
                 failures.append("enumeration size at t=%d %s" % (t, sign))

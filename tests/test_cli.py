@@ -83,6 +83,14 @@ def test_generate_to_file(tmp_path, capsys):
     assert len(target.read_text().splitlines()) == 16
 
 
+def test_unwritable_out_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "graph.txt", tmp_path):
+        code, out, err = run(capsys, "generate", "wreath:r=3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+
+
 def test_generate_bad_spec_usage_error(capsys):
     code, _, err = run(capsys, "generate", "gamma:t=banana")
     assert code == 2
@@ -95,6 +103,7 @@ def test_generate_bad_spec_usage_error(capsys):
     ("crs:r=6,s=3,foo=1", "takes parameters r, s"),
     ("gamma:t=7,sign=plus", "pass --allow-large on the command line, or allow_large=True"),
     ("delta:m=3", "pass --allow-large on the command line, or allow_large=True"),
+    ("crs:r=6,s=3,s=4", "parameter s given twice"),
 ])
 def test_verify_malformed_spec_usage_error(capsys, spec, message):
     code, out, err = run(capsys, "verify", spec)
@@ -173,11 +182,25 @@ def test_verify_cover_above_iso_cap_skips(capsys, monkeypatch):
     # a valid member whose z-quotient (48 vertices here) is above the
     # isomorphism cap gets a skip row, not a usage error
     monkeypatch.setattr(cli, "_ISO_CAP", 40)
+    skip = {"name": "cover", "skipped": True,
+            "reason": "z-quotient above the 40-vertex isomorphism cap"}
     code, out, _ = run(capsys, "verify", "gamma:t=3,sign=minus", "--checks", "cover")
     assert code == 0
-    assert json.loads(out)["checks"] == [{
-        "name": "cover", "skipped": True,
-        "reason": "z-quotient above the 40-vertex isomorphism cap"}]
+    assert json.loads(out)["checks"] == [skip]
+    # a full verify reports the skipped check too
+    code, out, _ = run(capsys, "verify", "gamma:t=3,sign=minus")
+    assert code == 0
+    assert skip in json.loads(out)["checks"]
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_local_group_every_crs_member(fam, r):
+    # crs(r, r-1) has vertex-stabilisers of order 4, so it is not locally D4;
+    # every other member is
+    for s in range(1, r):
+        [row] = family_checks(fam.crs(r, s), ["local-group"])
+        assert row["pass"], (r, s)
+        assert row["actual"] == ((8, True) if s <= r - 2 else (4, True))
 
 
 def test_verify_delta_quick_checks(capsys):

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from tetrasym import cosetgraph
 from tetrasym.cosetgraph import (Graph, GroupIface, VertexAction,
-                                 build_coset_graph, edge_list_text,
-                                 graph_from_json_obj, sphere, to_dot,
-                                 to_json_obj, validate_corefree,
+                                 build_coset_graph, edge_list_text, sphere,
+                                 to_dot, to_json_obj, validate_corefree,
                                  validate_sabidussi)
 from tetrasym.extragrp import PLUS, SIGNS, extension_group
 from tetrasym.families import FamilySpec, build_family
@@ -278,7 +277,9 @@ def test_dot_export():
 
 def test_json_roundtrip():
     g = Graph.from_edges(3, [(0, 1), (1, 2)], labels=("a", "b", "c"))
-    assert graph_from_json_obj(to_json_obj(g)) == g
+    obj = to_json_obj(g)
+    assert obj == {"n": 3, "edges": [[0, 1], [1, 2]], "labels": ["a", "b", "c"]}
+    assert Graph.from_edges(obj["n"], obj["edges"], obj["labels"]) == g
 
 
 def test_golden_wreath3_edge_list():

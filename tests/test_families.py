@@ -31,6 +31,8 @@ def test_spec_parse_errors():
         FamilySpec.parse("octopus:r=5")
     with pytest.raises(ValueError):
         FamilySpec.parse("crs:r")
+    with pytest.raises(ValueError, match="parameter s given twice"):
+        FamilySpec.parse("crs:r=6,s=3,s=4")
 
 
 def test_build_family_missing_param():
@@ -59,6 +61,7 @@ def test_wreath4_is_complete_bipartite(fam):
 @pytest.mark.parametrize("r", (3, 4, 5, 6))
 def test_wreath_action_group_order(fam, r):
     fb = fam.wreath(r)
+    assert len(fb.action.gen_perms) == 3  # x_0, a and b
     assert PermGroup(fb.action.gen_perms).order() == 2 ** r * 2 * r
 
 

@@ -1,15 +1,17 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrasym.cosetgraph import Graph, VertexAction
+from tetrasym.families import FamilySpec, build_family, central_block_words
 from tetrasym.graphalg import (automorphism_group_order, girth, is_bipartite,
                                is_block, isomorphic, local_group,
                                quotient_by_subgroup_orbits,
                                verify_arc_transitive)
-from tetrasym.permgrp import Permutation
+from tetrasym.permgrp import PermGroup, Permutation
 
 
 def cyc(n, *cycles):
@@ -126,8 +128,9 @@ def test_quotient_by_trivial_subgroup():
 
 def test_quotient_of_wreath_by_all_fibre_swaps():
     fb = wreath4()
-    gens = fb.action.gen_perms
-    total_swap = gens[0] * gens[1] * gens[2] * gens[3]
+    x0, a, _ = fb.action.gen_perms
+    x1, x2, x3 = (x0.conjugate(a ** k) for k in (1, 2, 3))
+    total_swap = x0 * x1 * x2 * x3
     part, rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [total_swap])
     assert len(part) == 4
     assert rep.fibre_size == 2
@@ -168,6 +171,41 @@ def test_block_requires_transitive():
     action = VertexAction(g, (cyc(4, (0, 1)),))
     with pytest.raises(ValueError):
         is_block(action, {0, 1})
+
+
+def block_by_definition(elements, S):
+    """Oracle: S is a block iff every element maps S onto S or off it."""
+    for g in elements:
+        image = {g.images[v] for v in S}
+        if image != S and not image.isdisjoint(S):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("text", ["gamma:t=3,sign=plus", "gamma:t=3,sign=minus",
+                                  "crs:r=6,s=3", "wreath:r=5"])
+def test_is_block_matches_definition(text):
+    fb = build_family(FamilySpec.parse(text))
+    group, n = fb.action.group, fb.graph.n
+    elements = group.elements()
+    # the orbits of a normal subgroup are blocks: here the normal closure of
+    # the first action generator (the fibre swaps, or gamma's 2-group part)
+    # and, for gamma, the centre <z>
+    x0 = fb.action.gen_perms[0]
+    closure = PermGroup([x0.conjugate(g) for g in elements], degree=n)
+    blocks = [{0}, set(range(n))] + closure.orbits()
+    rng = random.Random(text)
+    others = [set(rng.sample(range(n), rng.randint(2, n // 2))) for _ in range(40)]
+    others += [group.min_block(rng.sample(range(n), 2)) for _ in range(10)]
+    if fb.group is not None:
+        blocks += PermGroup([fb.coset.perm_of(fb.group.z)]).orbits()
+        others.append({fb.coset.vertex_of(w) for w in central_block_words(fb.group)})
+    for S in blocks:
+        assert block_by_definition(elements, frozenset(S))
+        assert is_block(fb.action, S)
+    verdicts = [block_by_definition(elements, frozenset(S)) for S in others]
+    assert set(verdicts) == {True, False}
+    assert [is_block(fb.action, S) for S in others] == verdicts
 
 
 # -- isomorphism -------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetrasym.permgrp import PermGroup, Permutation, parse_permutation
+from tetrasym.permgrp import PermGroup, Permutation
 
 perm_strategy = st.integers(2, 8).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
@@ -60,13 +61,7 @@ def test_inverse_law(p):
 
 @given(perm_strategy)
 def test_cycle_string_roundtrip(p):
-    assert parse_permutation(p.cycle_string(), p.degree) == p
-
-
-@given(perm_strategy)
-def test_json_roundtrip(p):
-    import json
-    assert parse_permutation(json.dumps(p.to_json())) == p
+    assert Permutation.from_cycles(p.degree, p.cycles()) == p
 
 
 @given(perm_strategy, st.integers(-6, 6))
@@ -81,8 +76,6 @@ def test_power_agrees_with_repeated_product(p, k):
 def test_cycle_string_format():
     assert cyc(4, (0, 1), (2, 3)).cycle_string() == "(0,1)(2,3)"
     assert Permutation.identity(3).cycle_string() == "()"
-    assert parse_permutation("(1,2)(3,4)").degree == 5
-    assert parse_permutation("(1 2)(3 4)") == parse_permutation("(1,2)(3,4)")
 
 
 def test_order():
@@ -208,8 +201,18 @@ def test_primitivity_agrees_with_brute_force(images_list):
 
 def test_min_block():
     G = PermGroup([cyc(4, (0, 1, 2, 3))])
-    assert G.min_block_containing(0, 2) == frozenset({0, 2})
-    assert G.min_block_containing(0, 1) == frozenset({0, 1, 2, 3})
+    assert G.min_block((0, 2)) == frozenset({0, 2})
+    assert G.min_block((0, 1)) == frozenset({0, 1, 2, 3})
+    # the blocks of the regular C_8 are the cosets of its subgroups
+    C8 = PermGroup([cyc(8, tuple(range(8)))])
+    assert C8.min_block((5,)) == frozenset({5})
+    assert C8.min_block((1, 5)) == frozenset({1, 5})
+    assert C8.min_block((2, 4)) == frozenset({0, 2, 4, 6})
+    assert C8.min_block((0, 4, 6)) == frozenset({0, 2, 4, 6})
+    assert C8.min_block((0, 4, 3)) == frozenset(range(8))
+    for bad in ((), (8,), (-1, 0)):
+        with pytest.raises(ValueError):
+            C8.min_block(bad)
 
 
 # -- enumeration and census ----------------------------------------------------
@@ -221,29 +224,34 @@ def test_elements_matches_order():
     assert len(set(els)) == 24
 
 
+def element_order_census(G, cap=10 ** 6):
+    """{element order: count} over the enumerated elements of G."""
+    return dict(Counter(p.order() for p in G.elements(cap=cap)))
+
+
 def test_census_trivial_group():
     G = PermGroup([Permutation.identity(3)])
-    assert G.element_order_census() == {1: 1}
+    assert element_order_census(G) == {1: 1}
 
 
 def test_census_c2():
-    assert PermGroup([cyc(2, (0, 1))]).element_order_census() == {1: 1, 2: 1}
+    assert element_order_census(PermGroup([cyc(2, (0, 1))])) == {1: 1, 2: 1}
 
 
 def test_census_s4():
-    assert sym(4).element_order_census() == {1: 1, 2: 9, 3: 8, 4: 6}
+    assert element_order_census(sym(4)) == {1: 1, 2: 9, 3: 8, 4: 6}
 
 
 def test_census_cap():
     with pytest.raises(ValueError):
-        sym(8).element_order_census(cap=1000)
+        element_order_census(sym(8), cap=1000)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.permutations(range(7)))
 def test_census_counts_sum_to_order(images):
     G = PermGroup([Permutation(images)])
-    census = G.element_order_census()
+    census = element_order_census(G)
     assert sum(census.values()) == G.order()
 
 
