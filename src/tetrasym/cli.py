@@ -7,7 +7,9 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import random
 import sys
 import time
@@ -468,32 +470,49 @@ def matrix_report(allow_large=False, families_filter=None, max_t: int = 6) -> di
 # argparse wiring
 # ---------------------------------------------------------------------------
 
-def _write_out(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
+@contextlib.contextmanager
+def _output(out_path):
+    """Yield the function that writes a command's text: to stdout, or to
+    ``out_path``.  The file is opened before the command's work, so an
+    unwritable path fails at once, and in append mode, so it is emptied only
+    when the text is written: a run that fails leaves an earlier report
+    whole, and removes the file if it made it."""
+    if not out_path:
+        yield sys.stdout.write
+        return
+    existed = os.path.exists(out_path)
+    with open(out_path, "a") as fh:
+        def write(text: str):
+            fh.truncate(0)
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            yield write
+        except BaseException:
+            if not existed:
+                os.unlink(out_path)
+            raise
 
 
 def cmd_generate(args) -> int:
     spec = FamilySpec.parse(args.spec)
-    build = build_family(spec, allow_large=args.allow_large)
-    if args.format == "edges":
-        text = edge_list_text(build.graph)
-    elif args.format == "dot":
-        text = to_dot(build.graph)
-    else:
-        text = json.dumps(to_json_obj(build.graph), sort_keys=True) + "\n"
-    _write_out(text, args.out)
+    with _output(args.out) as write:
+        build = build_family(spec, allow_large=args.allow_large)
+        if args.format == "edges":
+            text = edge_list_text(build.graph)
+        elif args.format == "dot":
+            text = to_dot(build.graph)
+        else:
+            text = json.dumps(to_json_obj(build.graph), sort_keys=True) + "\n"
+        write(text)
     return 0
 
 
 def cmd_verify(args) -> int:
     spec = FamilySpec.parse(args.spec)
     checks = args.checks.split(",") if args.checks else None
-    report = verification_report(spec, checks, allow_large=args.allow_large)
-    _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    with _output(args.out) as write:
+        report = verification_report(spec, checks, allow_large=args.allow_large)
+        write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["overall"] else 1
 
 
@@ -503,13 +522,14 @@ def cmd_matrix(args) -> int:
     if args.max_t > 6 and not args.allow_large:
         raise ValueError("--max-t beyond 6 needs --allow-large")
     fams = args.families.split(",") if args.families else None
-    report = matrix_report(allow_large=args.allow_large, families_filter=fams,
-                           max_t=args.max_t)
-    for crit in report["criteria"]:
-        print("criterion %2d  %-38s %s" % (crit["id"], crit["name"],
-                                           "PASS" if crit["pass"] else "FAIL"),
-              file=sys.stderr)
-    _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    with _output(args.out) as write:
+        report = matrix_report(allow_large=args.allow_large, families_filter=fams,
+                               max_t=args.max_t)
+        for crit in report["criteria"]:
+            print("criterion %2d  %-38s %s" % (crit["id"], crit["name"],
+                                               "PASS" if crit["pass"] else "FAIL"),
+                  file=sys.stderr)
+        write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["overall"] else 1
 
 

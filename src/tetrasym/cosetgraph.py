@@ -1,10 +1,20 @@
-"""Coset graphs over any group-element interface.
+"""Coset graphs over GElt and Permutation elements.
 
 Vertices are right cosets Hg of a subgroup H, identified by their canonical
 representative (the minimum of {h*g} under the element type's total order);
-Hg and Hag are adjacent.  The builder BFS is deterministic: fresh vertex ids
-are assigned in (parent id, canonical representative) order, so vertex
-numbering is bit-for-bit reproducible across runs.
+Hg and Hag are adjacent.  The builder works on the array form of the
+elements (GElt as int64 packed codes, Permutation as image rows) and
+explores one BFS level at a time, in the manner of coset enumeration
+(Butler, Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
+
+The numbering is deterministic and equals that of a BFS that probes one
+vertex at a time and gives the new cosets of each probed vertex the next
+ids in key order.  That BFS registers a coset while probing the first of its
+neighbours to be probed, which is its least neighbour on the level above:
+probing a vertex of level L finds cosets of levels L-1, L and L+1, and all
+of levels up to L are known by then.  So each level's new cosets get ids in
+(least parent id, key) order, the order in which the batched BFS assigns
+them.
 """
 
 from __future__ import annotations
@@ -12,8 +22,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
-from tetrasym.permgrp import PermGroup, Permutation
+import numpy as np
+
+from tetrasym.extragrp import GElt
+from tetrasym.permgrp import (PermGroup, Permutation, min_rows, mul_rows,
+                              row_keys)
 
 __all__ = [
     "Graph", "VertexAction", "GroupIface", "CosetGraphBuild",
@@ -117,31 +132,82 @@ class VertexAction:
     gen_perms: tuple
 
     def __post_init__(self):
-        nbr_sets = [set(nbrs) for nbrs in self.graph.adj]
+        # a bijection of the vertices is an automorphism exactly when it
+        # maps the arc set (u*n + v for each arc u -> v) onto itself
+        n, adj = self.graph.n, self.graph.adj
+        tails = np.repeat(np.arange(n), [len(nbrs) for nbrs in adj])
+        heads = np.fromiter(chain.from_iterable(adj), np.int64, len(tails))
+        arcs = np.sort(tails * n + heads)
         for p in self.gen_perms:
-            if p.degree != self.graph.n:
+            if p.degree != n:
                 raise ValueError("generator degree != vertex count")
-            for u in range(self.graph.n):
-                pu = p(u)
-                for v in self.graph.adj[u]:
-                    if p(v) not in nbr_sets[pu]:
-                        raise ValueError("generator is not a graph automorphism")
+            images = np.array(p.images, dtype=np.int64)
+            if not np.array_equal(np.sort(images[tails] * n + images[heads]), arcs):
+                raise ValueError("generator is not a graph automorphism")
 
     @cached_property
     def group(self) -> PermGroup:
         return PermGroup(self.gen_perms, degree=self.graph.n)
 
 
+class _CodeForm:
+    """GElt elements as int64 packed codes, ordered as GElt orders them."""
+
+    def __init__(self, grp):
+        self.grp = grp
+        self.mul = grp.mul_codes
+
+    @staticmethod
+    def pack(elts) -> np.ndarray:
+        return np.array([g.code for g in elts], dtype=np.int64)
+
+    def unpack(self, codes: np.ndarray) -> list:
+        grp = self.grp
+        return [GElt(grp, c) for c in codes.tolist()]
+
+    @staticmethod
+    def keys(codes: np.ndarray) -> np.ndarray:
+        return codes
+
+    minimum = staticmethod(np.minimum)
+
+
+class _RowForm:
+    """Permutations as unsigned-byte image rows, ordered as Permutation
+    orders them."""
+
+    mul = staticmethod(mul_rows)
+    keys = staticmethod(row_keys)
+    minimum = staticmethod(min_rows)
+
+    def __init__(self, degree: int):
+        if degree > 256:
+            raise ValueError("coset graphs over permutations of %d points: "
+                             "image rows hold at most 256" % degree)
+
+    @staticmethod
+    def pack(perms) -> np.ndarray:
+        return np.array([p.images for p in perms], dtype=np.uint8)
+
+    @staticmethod
+    def unpack(rows: np.ndarray) -> list:
+        return [Permutation._unchecked(tuple(r)) for r in rows.tolist()]
+
+
 @dataclass(frozen=True)
 class GroupIface:
     """Capability bundle handed to the coset-graph builder.
 
-    Elements must support *, .inverse(), ==, hash and <.  H is given by its
+    Elements are GElt or Permutation objects.  H is given by its
     ``generators``; ``subgroup`` is their closure, computed here in sorted
     order, so H is a subgroup by construction.  ``order`` is |G|.
-    ``canon`` maps x to the canonical representative of its coset,
-    ``canon(x) == min(h*x for h in H)``, in closed form; None takes that
-    minimum over H.
+
+    The builder works on ``form``, the array form of the elements: GElt as
+    int64 packed codes, Permutation as image rows.  ``form`` packs and
+    unpacks elements and multiplies, orders and compares array forms.
+    ``canon`` maps an array of elements to the array of the canonical
+    representatives of their cosets, ``canon(X)[i] == min(h*X[i] for h in
+    H)``, in closed form; None takes that minimum over H.
 
     G itself needs no generators: the builder acts with H's generators and
     a, and its check that all |G|/|H| cosets are reached proves that they
@@ -152,12 +218,17 @@ class GroupIface:
     identity: object
     order: int
     label: object = None  # element -> str, used for vertex labels
-    canon: object = None  # element -> min(H*element)
+    canon: object = None  # array form -> array form of min(H*element)
     subgroup: tuple = field(init=False, repr=False)
+    form: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subgroup",
                            _closure(self.generators, self.identity))
+        object.__setattr__(self, "form",
+                           _CodeForm(self.identity.group)
+                           if isinstance(self.identity, GElt)
+                           else _RowForm(self.identity.degree))
         if self.order % len(self.subgroup):
             raise ValueError("|H| does not divide |G|")
 
@@ -198,23 +269,27 @@ class CosetGraphBuild:
     generators and a, canonical coset representatives and coset-lookup
     helpers."""
 
-    def __init__(self, graph: Graph, reps: tuple, iface: GroupIface, a_elt,
-                 vid_of: dict):
-        self.graph = graph
-        self.reps = reps
+    def __init__(self, iface: GroupIface, a_elt, reps, index: tuple, adj):
         self.iface = iface
         self.a_elt = a_elt
-        self._vid_of = vid_of
+        self._reps = reps  # array form, in vertex order
+        self._index = index
         self._canon = _canon_of(iface)
+        self.reps = tuple(iface.form.unpack(reps))
+        labels = None
+        if iface.label is not None:
+            labels = tuple(map(iface.label, self.reps))
+        self.graph = Graph(len(self.reps), tuple(map(tuple, adj.tolist())), labels)
         self.action = VertexAction(
-            graph, tuple(map(self.perm_of, iface.generators + (a_elt,))))
+            self.graph, tuple(map(self.perm_of, iface.generators + (a_elt,))))
+
+    def _vertices(self, elts: np.ndarray) -> np.ndarray:
+        """The vertices holding the cosets H*x of an array of elements."""
+        return _lookup(self._index, self.iface.form.keys(self._canon(elts)))
 
     def vertex_of(self, elt) -> int:
         """The vertex holding the coset H*elt."""
-        vid = self._vid_of.get(self._canon(elt))
-        if vid is None:
-            raise ValueError("element does not belong to any registered coset")
-        return vid
+        return int(self._vertices(self.iface.form.pack([elt]))[0])
 
     def sabidussi(self) -> SabidussiReport:
         """validate_sabidussi of this build's triple.  The build reached all
@@ -223,69 +298,112 @@ class CosetGraphBuild:
         return _sabidussi_report(self.iface, self.a_elt, connected=True)
 
     def perm_of(self, elt) -> Permutation:
-        """The vertex permutation induced by right multiplication with elt."""
-        return Permutation._unchecked(
-            tuple(self.vertex_of(rep * elt) for rep in self.reps))
+        """The vertex permutation induced by right multiplication with elt:
+        one product, canonicalisation and lookup over all representatives."""
+        form = self.iface.form
+        images = self._vertices(form.mul(self._reps, form.pack([elt])[0]))
+        return Permutation._unchecked(tuple(images.tolist()))
+
+
+def _find(known: np.ndarray, keys: np.ndarray) -> tuple:
+    """(pos, found): where each key is, or would be, in the sorted keys
+    ``known``, clipped to the last one, and whether it is there."""
+    pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+    return pos, known[pos] == keys
+
+
+def _lookup(index: tuple, keys: np.ndarray) -> np.ndarray:
+    """The vertices of coset keys, by binary search in ``index`` = (sorted
+    keys of the known cosets, their vertices)."""
+    known, vids = index
+    pos, found = _find(known, keys)
+    if not found.all():
+        raise ValueError("element does not belong to any registered coset")
+    return vids[pos]
 
 
 def _canon_of(iface: GroupIface):
-    """x -> min(H*x): the family's closed form, else the minimum over H."""
-    subgroup = iface.subgroup
-    return iface.canon or (lambda x: min(h * x for h in subgroup))
+    """X -> min(H*X) on array forms: the family's closed form, else the
+    minimum over H, one product per element of H."""
+    if iface.canon is not None:
+        return iface.canon
+    form = iface.form
+    subgroup = form.pack(iface.subgroup)
+
+    def canon(xs: np.ndarray) -> np.ndarray:
+        best = form.mul(subgroup[0], xs)
+        for h in subgroup[1:]:
+            best = form.minimum(best, form.mul(h, xs))
+        return best
+    return canon
 
 
-def _arc_transversal(iface: GroupIface, a_elt) -> dict:
-    """canon(a*h) -> h, one h per class of the arc stabiliser in H: the
+def _arc_transversal(iface: GroupIface, a_elt) -> tuple:
+    """(keys, hs): the sorted keys of the cosets H*a*h and, for each, the
+    least h giving it, one h per class of the arc stabiliser in H.  The
     probes a*h*g fall into the same coset for h, h' exactly when h*h'^-1
     lies in a^-1 H a, so the split does not depend on g and its length is
-    the valency |HaH|/|H|.  The keys are the cosets H*a*h, whose union is
-    HaH: x lies in HaH exactly when canon(x) is a key."""
-    canon = _canon_of(iface)
-    arcs: dict = {}
-    for h in iface.subgroup:
-        arcs.setdefault(canon(a_elt * h), h)
-    return arcs
+    the valency |HaH|/|H|.  The union of these cosets is HaH: x lies in HaH
+    exactly when the key of canon(x) is one of the keys."""
+    form = iface.form
+    subgroup = form.pack(iface.subgroup)
+    a_hs = _canon_of(iface)(form.mul(form.pack([a_elt])[0], subgroup))
+    keys, first = np.unique(form.keys(a_hs), return_index=True)
+    return keys, subgroup[first]
 
 
 def _explore(iface: GroupIface, a_elt, require_valency: int | None,
              max_vertices: int | None):
     """Deterministic coset BFS shared by the builder and the validator.
 
-    Each vertex Hr is probed once per arc-stabiliser class, at a*h*r, and a
-    probe is one canonicalisation plus one lookup in a map from canonical
-    representative to vertex (one entry per coset).  New vertices get ids in
-    (parent id, canonical representative) order.  Returns (reps, vid_of,
-    adjacency lists).  With require_valency=None the exploration tolerates
-    any neighbour count (used for validation).
+    One BFS level at a time: each frontier vertex Hr is probed once per
+    arc-stabiliser class, at a*h*r, all probes of the level as one array
+    product and one canonicalisation, and their keys are looked up by
+    binary search in the sorted keys of the known cosets.  New vertices get
+    ids in (least parent id, key) order (see the module docstring).
+    Returns (reps, (sorted keys, their vertices), adj): the array form of
+    the representatives and an (n, valency) array of sorted neighbour ids.
+    With require_valency=None the exploration tolerates any neighbour count
+    (used for validation).
     """
     check_vertex_guard("coset space", iface.order // len(iface.subgroup),
                        max_vertices)
-    canon = _canon_of(iface)
-    hreps = _arc_transversal(iface, a_elt).values()
-
-    reps: list = [canon(iface.identity)]
-    vid_of: dict = {reps[0]: 0}
-    adj: list = []
-    for v, r in enumerate(reps):
-        hits: list = []
-        staged: set = set()
-        for h in hreps:
-            rep = canon(a_elt * (h * r))
-            vid = vid_of.get(rep)
-            if vid is None:
-                staged.add(rep)
-            else:
-                hits.append(vid)
-        for rep in sorted(staged):
-            vid_of[rep] = len(reps)
-            hits.append(len(reps))
-            reps.append(rep)
-        nbrs = sorted(set(hits))
-        if require_valency is not None and len(nbrs) != require_valency:
-            raise ValueError("neighbour count %d != %d at vertex %d: "
-                             "bad (G, H, a) triple" % (len(nbrs), require_valency, v))
-        adj.append(tuple(nbrs))
-    return reps, vid_of, adj
+    form, canon = iface.form, _canon_of(iface)
+    _, hs = _arc_transversal(iface, a_elt)
+    steps = form.mul(form.pack([a_elt])[0], hs)  # a*h, one per class
+    frontier = canon(form.pack([iface.identity]))
+    known, vids = form.keys(frontier), np.zeros(1, dtype=np.int64)
+    reps, adj = [frontier], []
+    first_vid, n = 0, 1
+    while len(frontier):
+        probes = np.stack([form.mul(s, frontier) for s in steps], axis=1)
+        probes = canon(probes.reshape((-1,) + probes.shape[2:]))
+        keys = form.keys(probes)
+        pos, old = _find(known, keys)
+        nbrs = np.where(old, vids[pos], 0)
+        fresh = np.flatnonzero(~old)
+        new_keys, first, inverse = np.unique(keys[fresh], return_index=True,
+                                             return_inverse=True)
+        order = np.argsort(fresh[first] // len(steps), kind="stable")
+        new_vids = np.empty(len(order), dtype=np.int64)
+        new_vids[order] = np.arange(n, n + len(order))
+        nbrs[fresh] = new_vids[inverse]
+        rows = np.sort(nbrs.reshape(len(frontier), len(steps)), axis=1)
+        if require_valency is not None:
+            valency = 1 + (np.diff(rows, axis=1) != 0).sum(axis=1)
+            bad = np.flatnonzero(valency != require_valency)
+            if len(bad):
+                raise ValueError("neighbour count %d != %d at vertex %d: "
+                                 "bad (G, H, a) triple" % (
+                                     valency[bad[0]], require_valency,
+                                     first_vid + bad[0]))
+        adj.append(rows)
+        at = np.searchsorted(known, new_keys)
+        known, vids = np.insert(known, at, new_keys), np.insert(vids, at, new_vids)
+        frontier = probes[fresh[first[order]]]
+        reps.append(frontier)
+        first_vid, n = n, n + len(order)
+    return np.concatenate(reps), (known, vids), np.concatenate(adj)
 
 
 # bench/spans.py wraps this name on every benchmark run; it stays an alias
@@ -300,24 +418,22 @@ def build_coset_graph(iface: GroupIface, a_elt, *,
     Raises if any vertex ends up with a neighbour count other than 4 or if
     the explored vertex count differs from |G|/|H| (either one signals a bad
     triple, or an ``iface.canon`` that is not constant on cosets)."""
-    reps, vid_of, adj = _explore(iface, a_elt, 4, max_vertices)
+    reps, index, adj = _explore(iface, a_elt, 4, max_vertices)
     n_expected = iface.order // len(iface.subgroup)
     if len(reps) != n_expected:
         raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
                          "proper subgroup, or canon is not constant on cosets"
                          % (len(reps), n_expected))
-    labels = None
-    if iface.label is not None:
-        labels = tuple(iface.label(r) for r in reps)
-    graph = Graph(len(reps), tuple(adj), labels)
-    return CosetGraphBuild(graph, tuple(reps), iface, a_elt, vid_of)
+    return CosetGraphBuild(iface, a_elt, reps, index, adj)
 
 
 def _sabidussi_report(iface: GroupIface, a_elt, connected: bool) -> SabidussiReport:
-    arcs = _arc_transversal(iface, a_elt)
-    symmetric = _canon_of(iface)(a_elt.inverse()) in arcs
-    return SabidussiReport(connected=connected, symmetric=symmetric,
-                           valency=len(arcs))
+    keys, _ = _arc_transversal(iface, a_elt)
+    form = iface.form
+    a_inv = form.keys(_canon_of(iface)(form.pack([a_elt.inverse()])))
+    return SabidussiReport(connected=connected,
+                           symmetric=bool(np.isin(a_inv, keys)[0]),
+                           valency=len(keys))
 
 
 def validate_sabidussi(iface: GroupIface, a_elt,

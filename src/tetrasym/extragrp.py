@@ -32,6 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "PLUS", "MINUS", "SIGNS",
     "EVec", "evec_mul", "evec_inv", "conj_by_a", "conj_by_b",
@@ -237,6 +239,22 @@ class ExtensionGroup:
         self._rev = [int(format(v, "0%db" % t)[::-1], 2) for v in range(1 << t)]
         self._pmask = [(1 << t) - (1 << (t - r)) if r <= t
                        else (1 << (self.two_t - r)) - 1 for r in range(self.two_t)]
+        # mul_codes reads them as arrays, with the parity of each t-bit value
+        self._rev_arr = np.array(self._rev, dtype=np.int64)
+        self._pmask_arr = np.array(self._pmask, dtype=np.int64)
+        self._parity_arr = np.array([v.bit_count() & 1 for v in range(1 << t)],
+                                    dtype=np.int64)
+        # word() reads three tables: the letters of x_0..x_{t-1} and of
+        # x_t..x_{2t-1} by the value of their t bits, and those of z a^k b
+        # by the value of the 8 bits above them
+        self._words = [["*".join("x%d" % (i + off) for i in range(t) if v >> i & 1)
+                        for v in range(1 << t)] for off in (0, t)]
+        tops = []
+        for top in range(1 << 8):
+            k = (top >> 1) & 63
+            tops.append("*".join(["z"] * (top & 1) + ["a"] * (k == 1)
+                                 + ["a^%d" % k] * (k > 1) + ["b"] * (top >> 7)))
+        self._words.append(tops)
 
     def __repr__(self):
         return "ExtensionGroup(t=%d, %s)" % (self.t, self.sign)
@@ -302,6 +320,30 @@ class ExtensionGroup:
             z ^= ((big_k - k) // two_t) & 1
         return (v1 ^ v2) | (z << two_t) | (k << self.kshift) | ((b1 ^ b2) << self.bshift)
 
+    def mul_codes(self, p, q) -> np.ndarray:
+        """mul_code over int64 arrays of packed codes, broadcast like any
+        numpy operation, so either factor may be a single code."""
+        p = np.asarray(p, dtype=np.int64)
+        q = np.asarray(q, dtype=np.int64)
+        t, two_t, vmask = self.t, self.two_t, self.vmask
+        k1 = (p >> self.kshift) & 63
+        b1 = p >> self.bshift
+        k2 = (q >> self.kshift) & 63
+        b2 = q >> self.bshift
+        v = q & vmask
+        rev = self._rev_arr
+        v = np.where(b1, rev[v & self.tmask] | (rev[v >> t] << t), v)
+        r = -k1 % two_t
+        v2 = ((v << r) | (v >> (two_t - r))) & vmask
+        v1 = p & vmask
+        cross = (v & (v >> t) & self._pmask_arr[r]) ^ ((v1 >> t) & v2 & self.tmask)
+        z = (((p ^ q) >> two_t) & 1) ^ self._parity_arr[cross]
+        big_k = np.where(b1, k1 - k2, k1 + k2)
+        k = big_k % two_t
+        if self.minus:
+            z ^= ((big_k - k) // two_t) & 1
+        return (v1 ^ v2) | (z << two_t) | (k << self.kshift) | ((b1 ^ b2) << self.bshift)
+
     def inv_code(self, p: int) -> int:
         # (e a^k b^beta)^-1 = b^beta * a^-k * e^-1
         e = p & self.emask
@@ -344,20 +386,14 @@ class ExtensionGroup:
     # -- serialization -------------------------------------------------------
 
     def word(self, g: GElt) -> str:
-        parts = []
-        ev = g.evec
-        for i in ev.support():
-            parts.append("x%d" % i)
-        if ev.z:
-            parts.append("z")
-        k = g.a_exp
-        if k == 1:
-            parts.append("a")
-        elif k:
-            parts.append("a^%d" % k)
-        if g.b_exp:
-            parts.append("b")
-        return "*".join(parts) if parts else "e"
+        """The normal form as a word, read off the bits of the packed code:
+        each half of the exponent bits through one table, z, a^k and b
+        through one more."""
+        code = g.code
+        words = self._words
+        parts = (words[0][code & self.tmask], words[1][(code >> self.t) & self.tmask],
+                 words[2][code >> self.two_t])
+        return "*".join([p for p in parts if p]) or "e"
 
 
 _GROUP_CACHE: dict[tuple, ExtensionGroup] = {}

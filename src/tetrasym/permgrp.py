@@ -13,7 +13,7 @@ from math import lcm
 
 import numpy as np
 
-__all__ = ["Permutation", "PermGroup"]
+__all__ = ["Permutation", "PermGroup", "mul_rows", "row_keys", "min_rows"]
 
 
 class Permutation:
@@ -150,6 +150,35 @@ class Permutation:
 
     def __str__(self):
         return self.cycle_string()
+
+
+# ---------------------------------------------------------------------------
+# Array form: permutations on at most 256 points as unsigned-byte image rows,
+# whose bytes compare in the order Permutation.__lt__ compares image tuples
+# ---------------------------------------------------------------------------
+
+def mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise products p*q, (p*q)(x) == q(p(x)), as gathers; either factor
+    may be a single row."""
+    if q.ndim == 1:
+        return q[p]
+    if p.ndim == 1:
+        return q[:, p]
+    return np.take_along_axis(q, p, axis=1)
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, ordered and compared as the rows: numpy sorts,
+    searches and compares them bytewise."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def min_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lexicographically smaller row of each pair a[i], b[i]."""
+    first = (a != b).argmax(axis=1)
+    at = np.arange(len(a))
+    return np.where((a[at, first] < b[at, first])[:, None], a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from tetrasym import cli, permgrp
 from tetrasym.cli import family_checks, main
+from tetrasym.cosetgraph import edge_list_text
 from tetrasym.families import FamilySpec, build_family
 
 # Each file pins one CLI run: its arguments, exit code and JSON report with
@@ -89,6 +90,44 @@ def test_unwritable_out_usage_error(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("command", [["generate", "wreath:r=3"],
+                                     ["verify", "wreath:r=3"], ["matrix"]])
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch,
+                                              command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before --out was opened")
+
+    for name in ("build_family", "verification_report", "matrix_report"):
+        monkeypatch.setattr(cli, name, no_work)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *command, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_failed_run_keeps_earlier_report(tmp_path, capsys, monkeypatch):
+    def failing_matrix(**kwargs):
+        raise ValueError("matrix failed")
+
+    monkeypatch.setattr(cli, "matrix_report", failing_matrix)
+    earlier = tmp_path / "earlier.json"
+    report = '{"overall": true}\n' * 20
+    earlier.write_text(report)
+    fresh = tmp_path / "fresh.json"
+    for target in (earlier, fresh):
+        code, _, err = run(capsys, "matrix", "--out", str(target))
+        assert code == 2 and "matrix failed" in err
+    assert earlier.read_text() == report
+    assert not fresh.exists()
+    # a shorter report replaces a longer one whole
+    monkeypatch.undo()
+    code, _, _ = run(capsys, "generate", "wreath:r=3", "--out", str(earlier))
+    assert code == 0
+    assert earlier.read_text() == edge_list_text(build_family(
+        FamilySpec.parse("wreath:r=3")).graph)
 
 
 def test_generate_bad_spec_usage_error(capsys):

@@ -91,6 +91,13 @@ def test_iface_requires_identity_in_subgroup():
     assert iface.subgroup == (e, cyc(2, (0, 1)))
 
 
+def test_iface_rejects_permutations_beyond_byte_rows():
+    assert GroupIface(generators=(), identity=Permutation.identity(256),
+                      order=1).form.pack([Permutation.identity(256)]).dtype == "uint8"
+    with pytest.raises(ValueError, match="at most 256"):
+        GroupIface(generators=(), identity=Permutation.identity(257), order=1)
+
+
 # -- builder and validators -------------------------------------------------------
 
 def test_degenerate_cyclic_triple_fails_valency():
@@ -246,6 +253,43 @@ def test_representative_only_mode_matches_element_map(spec):
     assert validate_sabidussi(lean.iface, a) == full_report
 
 
+def _sequential_bfs(iface, a):
+    """Oracle: the coset BFS one vertex at a time over elements, with
+    min(H*x) taken over H, giving each probed vertex's new cosets the next
+    ids in order.  Returns (reps, adjacency)."""
+    def canon(x):
+        return min(h * x for h in iface.subgroup)
+    arcs = {}
+    for h in iface.subgroup:
+        arcs.setdefault(canon(a * h), h)
+    reps = [canon(iface.identity)]
+    vid = {reps[0]: 0}
+    adj = []
+    for r in reps:
+        hits, staged = [], set()
+        for h in arcs.values():
+            c = canon(a * h * r)
+            if c in vid:
+                hits.append(vid[c])
+            else:
+                staged.add(c)
+        for c in sorted(staged):
+            vid[c] = len(reps)
+            hits.append(len(reps))
+            reps.append(c)
+        adj.append(tuple(sorted(set(hits))))
+    return reps, tuple(adj)
+
+
+@pytest.mark.parametrize("spec", ["gamma:t=3,sign=plus", "gamma:t=4,sign=minus",
+                                  "crs:r=6,s=3", "crs:r=7,s=6", "delta:m=2"])
+def test_batched_bfs_numbers_as_sequential_bfs(spec):
+    coset = build_family(FamilySpec.parse(spec)).coset
+    reps, adj = _sequential_bfs(coset.iface, coset.a_elt)
+    assert coset.reps == tuple(reps)
+    assert coset.graph.adj == adj
+
+
 @pytest.mark.parametrize("spec", ["gamma:t=2,sign=minus", "crs:r=6,s=3", "delta:m=2"])
 def test_build_sabidussi_matches_validation(spec, monkeypatch):
     # a build knows <H, a> = G from its coset count, so its report needs no
@@ -304,3 +348,36 @@ def test_golden_coset_graph_numbering():
     g3m = gamma(3, "minus")
     assert hashlib.sha256(edge_list_text(g3m.graph).encode()).hexdigest() == (
         "39e552d187a078182f1c04724c6027911ccdc289e0138d450b0203c7ba89ec43")
+
+
+# sha256 of the edge list, the action's image tuples and the vertex labels,
+# pinned before the batched explorer replaced the per-vertex one
+_DEEP_GOLDENS = {
+    "gamma:t=6,sign=plus": (
+        "236288298cef2b174dae4c8d1b995f284a5d72e1d45390c6b0e5fbcd9d6f3093",
+        "b547a0e4d8848dcd987342c723e5d738cd7ec8dab5881282ce130f11494df892",
+        "d9b0cc926ed353119caa9eca7865a3839739118c00f0a9a31c0147a10af570f9"),
+    "gamma:t=6,sign=minus": (
+        "230e40d71a46395e527a554650bea548095d4a1d026ca642cef110f3409c7766",
+        "0efa733259f6ba73f34fc8243d5a37d35e88122db9f799446ef696753819808c",
+        "b9c1fae9535170073a2d628782594fc0ea92a7ed4d2c0bac1257529849050b2b"),
+    "crs:r=8,s=4": (
+        "1c6184893150a793d678d512c1e4489052759e3742f6a6f3d20ffdf245c31195",
+        "60e53ced5e3cad9c819c0efea53d719b9b4f2e6fae4fe8a30ef8aa205c6dd305",
+        "200ea5064d95276dd8de2adc3aa760cbc7a04c828d19ad937657c45ce1b3810c"),
+    "delta:m=2": (
+        "1976213eaf3f7ebf8ff1155cce752795af7d6cd5044385a35ae7ffbb30af4e23",
+        "12409eda796f4af9dc1a6574650669a1124821c50484c69eaaef0be987d4a9b7",
+        "53c0aa4007f4e3e80f8d0915d7cccdc555ce8cc8a03c8f631cabb287bcc113be"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_DEEP_GOLDENS))
+def test_golden_numbering_at_depth(spec):
+    import hashlib
+    fb = build_family(FamilySpec.parse(spec))
+    texts = (edge_list_text(fb.graph),
+             repr([p.images for p in fb.action.gen_perms]),
+             "\n".join(fb.graph.labels))
+    assert tuple(hashlib.sha256(s.encode()).hexdigest()
+                 for s in texts) == _DEEP_GOLDENS[spec]

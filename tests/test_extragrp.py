@@ -3,11 +3,12 @@ import itertools
 import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetrasym.extragrp import (MINUS, PLUS, SIGNS, EVec, conj_by_a,
+from tetrasym.extragrp import (MINUS, PLUS, SIGNS, EVec, GElt, conj_by_a,
                                conj_by_b, double_coset_contains, evec_inv,
                                evec_mul, extension_group)
 
@@ -387,6 +388,44 @@ def test_mul_code_matches_reference_product(t, sign):
         pairs = [(random_code(grp, rng), random_code(grp, rng)) for _ in range(300)]
     for p, q in pairs:
         assert grp.mul_code(p, q) == reference_mul(grp, p, q)
+
+
+@pytest.mark.parametrize("t", range(2, 11))
+@pytest.mark.parametrize("sign", SIGNS)
+def test_mul_codes_matches_mul_code(t, sign):
+    # the array product against the scalar one on 20,000 seeded pairs, as
+    # array*array, scalar*array and array*scalar
+    grp = extension_group(t, sign)
+    rng = random.Random(300 + t)
+    ps = [random_code(grp, rng) for _ in range(20000)]
+    qs = [random_code(grp, rng) for _ in range(20000)]
+    P, Q = np.array(ps), np.array(qs)
+    assert grp.mul_codes(P, Q).tolist() == list(map(grp.mul_code, ps, qs))
+    assert grp.mul_codes(ps[0], Q).tolist() == [grp.mul_code(ps[0], q) for q in qs]
+    assert grp.mul_codes(P, qs[0]).tolist() == [grp.mul_code(p, qs[0]) for p in ps]
+
+
+def _evec_word(g):
+    """g's word spelled out through EVec, as word() did before it read the
+    packed code's bits."""
+    ev = g.evec
+    parts = ["x%d" % i for i in ev.support()] + ["z"] * ev.z
+    if g.a_exp == 1:
+        parts.append("a")
+    elif g.a_exp:
+        parts.append("a^%d" % g.a_exp)
+    return "*".join(parts + ["b"] * g.b_exp) or "e"
+
+
+@pytest.mark.parametrize("t", range(2, 11))
+@pytest.mark.parametrize("sign", SIGNS)
+def test_word_matches_evec_spelling(t, sign):
+    grp = extension_group(t, sign)
+    rng = random.Random(400 + t)
+    elements = [grp.identity, grp.a, grp.b, grp.z] + [
+        GElt(grp, random_code(grp, rng)) for _ in range(2000)]
+    for g in elements:
+        assert g.word() == _evec_word(g)
 
 
 @pytest.mark.parametrize("sign", SIGNS)

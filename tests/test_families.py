@@ -353,6 +353,12 @@ def _min_over_h(iface, g):
     return min(h * g for h in iface.subgroup)
 
 
+def _array_canon(iface, elements):
+    """The family's canon over the array form of ``elements``, unpacked."""
+    form = iface.form
+    return form.unpack(iface.canon(form.pack(elements)))
+
+
 @pytest.mark.parametrize("spec", ["gamma:t=%d,sign=%s" % (t, sign)
                                   for t in (2, 3) for sign in SIGNS]
                          + ["crs:r=%d,s=%d" % (r, s)
@@ -366,8 +372,8 @@ def test_canon_is_min_over_subgroup(spec):
     else:
         elements = PermGroup(iface.generators + (fb.coset.a_elt,)).elements()
     assert len(elements) == iface.order
-    for g in elements:
-        assert iface.canon(g) == _min_over_h(iface, g)
+    for g, c in zip(elements, _array_canon(iface, elements), strict=True):
+        assert c == _min_over_h(iface, g)
 
 
 @pytest.mark.parametrize("spec,steps", [("crs:r=%d,s=%d" % (r, s), 1000)
@@ -380,10 +386,11 @@ def test_canon_matches_min_on_random_walk(spec, steps):
     iface = fb.coset.iface
     gens = iface.generators + (fb.coset.a_elt,)
     rng = random.Random(spec)
-    g = iface.identity
+    walk = [iface.identity]
     for _ in range(steps):
-        g = g * rng.choice(gens)
-        assert iface.canon(g) == _min_over_h(iface, g)
+        walk.append(walk[-1] * rng.choice(gens))
+    for g, c in zip(walk[1:], _array_canon(iface, walk[1:]), strict=True):
+        assert c == _min_over_h(iface, g)
 
 
 # -- H by its generators --------------------------------------------------------

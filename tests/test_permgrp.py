@@ -2,11 +2,13 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetrasym.permgrp import PermGroup, Permutation
+from tetrasym.families import FamilySpec, build_family
+from tetrasym.permgrp import PermGroup, Permutation, min_rows, mul_rows, row_keys
 
 perm_strategy = st.integers(2, 8).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
@@ -329,3 +331,29 @@ def test_point_stabiliser_matches_oracle_at_every_point(images_list):
     G = PermGroup([Permutation(im) for im in images_list])
     for x in range(G.degree):
         _assert_stabiliser_matches_oracle(G, x)
+
+
+# -- array form: image rows ---------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["delta:m=2", "crs:r=8,s=4"])
+def test_row_products_match_permutation_products(spec):
+    # seeded elements of G = <H, a>, multiplied as rows and as Permutations,
+    # as array*array, scalar*array and array*scalar
+    coset = build_family(FamilySpec.parse(spec)).coset
+    form, gens = coset.iface.form, coset.iface.generators + (coset.a_elt,)
+    rng = random.Random(spec)
+
+    def element():
+        g = rng.choice(gens)
+        for _ in range(rng.randrange(30)):
+            g = g * rng.choice(gens)
+        return g
+    ps = [element() for _ in range(500)]
+    qs = [element() for _ in range(500)]
+    P, Q = form.pack(ps), form.pack(qs)
+    assert form.unpack(mul_rows(P, Q)) == [p * q for p, q in zip(ps, qs)]
+    assert form.unpack(mul_rows(P[0], Q)) == [ps[0] * q for q in qs]
+    assert form.unpack(mul_rows(P, Q[0])) == [p * qs[0] for p in ps]
+    assert form.unpack(min_rows(P, Q)) == [min(p, q) for p, q in zip(ps, qs)]
+    order = np.argsort(row_keys(P), kind="stable")
+    assert [ps[i] for i in order] == sorted(ps)
