@@ -7,6 +7,7 @@ exactly; the crs rows overshoot it (exponential stabilisers on linearly many
 vertices) and the delta rows undershoot it.
 
 Usage: python scripts/stabiliser_growth.py [--max-t T] [--out FILE]
+(T from 2 to 10, default 6)
 """
 
 import argparse
@@ -37,7 +38,7 @@ def rows(max_t: int):
             yield ("crs", "r=%d,s=%d" % (r, s), fb.graph.n, gv, bound_rhs(gv))
     for t in range(2, max_t + 1):
         for sign in ("plus", "minus"):
-            fb = families.gamma(t, sign, allow_large=max_t > 6)
+            fb = families.gamma(t, sign)
             gv = fb.expected.stabiliser_order
             yield ("gamma", "t=%d,sign=%s" % (t, sign), fb.graph.n, gv,
                    bound_rhs(gv))
@@ -58,6 +59,8 @@ def main() -> int:
     parser.add_argument("--max-t", type=int, default=6)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
+    if not 2 <= args.max_t <= families.GAMMA_MAX_T:
+        parser.error("--max-t must be between 2 and %d" % families.GAMMA_MAX_T)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
     writer.writerow(["family", "params", "vertices", "stabiliser_order",

@@ -133,7 +133,7 @@ def _bound_equality(build):
 
 def _cover(build):
     zperm = build.coset.perm_of(build.group.z)
-    _, rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action, [zperm])
+    rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action, [zperm])
     if rep.quotient.n > _ISO_CAP:
         raise _Skip("z-quotient above the %d-vertex isomorphism cap" % _ISO_CAP)
     t = build.spec.get("t")
@@ -392,7 +392,7 @@ def _census_rows():
         yield _check("census-differs-t%d" % t, "derived", True, cp != cm, t0)
 
 
-def matrix_report(allow_large=False, families_filter=None, max_t: int = 6) -> dict:
+def matrix_report(families_filter=None, max_t: int = 6) -> dict:
     """The acceptance matrix: each criterion's rows over the family members
     that families_filter (all when None) and max_t select."""
     if families_filter is not None:
@@ -416,8 +416,7 @@ def matrix_report(allow_large=False, families_filter=None, max_t: int = 6) -> di
     wreath = ["wreath:r=4"] if on("wreath") else []
     gamma_all = gamma(range(2, max_t + 1))
     specs = crs(range(3, 9)) + gamma_all + delta + wreath
-    builds = {s: build_family(FamilySpec.parse(s), allow_large=allow_large)
-              for s in specs}
+    builds = {s: build_family(FamilySpec.parse(s)) for s in specs}
     gamma_to_5 = gamma(range(2, 6))
     locally_d4 = [s for t in (2, 3, 4) if t <= max_t for s in gamma([t])
                   + (["crs:r=%d,s=%d" % (2 * t, t)] if on("crs") else [])]
@@ -517,14 +516,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    if args.max_t < 2:
-        raise ValueError("--max-t must be at least 2")
-    if args.max_t > 6 and not args.allow_large:
-        raise ValueError("--max-t beyond 6 needs --allow-large")
+    if not 2 <= args.max_t <= families.GAMMA_MAX_T:
+        raise ValueError("--max-t must be between 2 and %d" % families.GAMMA_MAX_T)
     fams = args.families.split(",") if args.families else None
     with _output(args.out) as write:
-        report = matrix_report(allow_large=args.allow_large, families_filter=fams,
-                               max_t=args.max_t)
+        report = matrix_report(families_filter=fams, max_t=args.max_t)
         for crit in report["criteria"]:
             print("criterion %2d  %-38s %s" % (crit["id"], crit["name"],
                                                "PASS" if crit["pass"] else "FAIL"),
@@ -542,13 +538,14 @@ def main(argv=None) -> int:
 
     spec_help = ("family spec, e.g. 'wreath:r=5', 'crs:r=6,s=3', "
                  "'gamma:t=4,sign=minus', 'delta:m=2'")
+    large_help = ("build a member above the size guard of 100000 vertices, "
+                  "such as delta:m=3")
 
     p = sub.add_parser("generate", help="export one family member as a graph file")
     p.add_argument("spec", help=spec_help)
     p.add_argument("--format", choices=("edges", "dot", "json"), default="edges")
     p.add_argument("--out", default=None)
-    p.add_argument("--allow-large", action="store_true",
-                   help="unlock delta m=3 and gamma t>6")
+    p.add_argument("--allow-large", action="store_true", help=large_help)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="run checks for one family member")
@@ -556,16 +553,16 @@ def main(argv=None) -> int:
     p.add_argument("--checks", default=None,
                    help="comma list from: %s" % ",".join(CHECK_NAMES))
     p.add_argument("--out", default=None)
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--allow-large", action="store_true", help=large_help)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("matrix", help="run the full verification matrix")
     p.add_argument("--out", default=None)
-    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--families", default=None,
                    help="comma list restricting to these families")
     p.add_argument("--max-t", type=int, default=6,
-                   help="largest parameter for the extension-group family")
+                   help="largest parameter for the extension-group family "
+                        "(2 to %d)" % families.GAMMA_MAX_T)
     p.set_defaults(fn=cmd_matrix)
 
     args = parser.parse_args(argv)

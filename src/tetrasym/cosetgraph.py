@@ -19,7 +19,6 @@ them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -33,25 +32,8 @@ from tetrasym.permgrp import (PermGroup, Permutation, min_rows, mul_rows,
 __all__ = [
     "Graph", "VertexAction", "GroupIface", "CosetGraphBuild",
     "build_coset_graph", "validate_sabidussi", "validate_corefree",
-    "SabidussiReport", "sphere", "max_vertex_guard", "check_vertex_guard",
-    "edge_list_text", "to_dot", "to_json_obj",
+    "SabidussiReport", "sphere", "edge_list_text", "to_dot", "to_json_obj",
 ]
-
-def max_vertex_guard() -> int:
-    """Global vertex-count guard; override with TETRASYM_MAX_VERTICES."""
-    return int(os.environ.get("TETRASYM_MAX_VERTICES", 100_000))
-
-
-def check_vertex_guard(what: str, n: int, max_vertices: int | None = None) -> None:
-    """Raise if a graph of n vertices exceeds max_vertices, or the global
-    guard when max_vertices is None."""
-    guard = max_vertices if max_vertices is not None else max_vertex_guard()
-    if n > guard:
-        raise ValueError(
-            "%s has %d vertices, above the size guard %d "
-            "(raise the TETRASYM_MAX_VERTICES environment variable, or pass "
-            "max_vertices= from Python)" % (what, n, guard))
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -352,8 +334,7 @@ def _arc_transversal(iface: GroupIface, a_elt) -> tuple:
     return keys, subgroup[first]
 
 
-def _explore(iface: GroupIface, a_elt, require_valency: int | None,
-             max_vertices: int | None):
+def _explore(iface: GroupIface, a_elt, require_valency: int | None):
     """Deterministic coset BFS shared by the builder and the validator.
 
     One BFS level at a time: each frontier vertex Hr is probed once per
@@ -364,10 +345,9 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None,
     Returns (reps, (sorted keys, their vertices), adj): the array form of
     the representatives and an (n, valency) array of sorted neighbour ids.
     With require_valency=None the exploration tolerates any neighbour count
-    (used for validation).
+    (used for validation).  It explores whatever it is given: the families
+    decide what may be built.
     """
-    check_vertex_guard("coset space", iface.order // len(iface.subgroup),
-                       max_vertices)
     form, canon = iface.form, _canon_of(iface)
     _, hs = _arc_transversal(iface, a_elt)
     steps = form.mul(form.pack([a_elt])[0], hs)  # a*h, one per class
@@ -411,14 +391,13 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None,
 _explore_compact = _explore
 
 
-def build_coset_graph(iface: GroupIface, a_elt, *,
-                      max_vertices: int | None = None) -> CosetGraphBuild:
+def build_coset_graph(iface: GroupIface, a_elt) -> CosetGraphBuild:
     """Construct the coset graph of (G, H, a) and the generators' action.
 
     Raises if any vertex ends up with a neighbour count other than 4 or if
     the explored vertex count differs from |G|/|H| (either one signals a bad
     triple, or an ``iface.canon`` that is not constant on cosets)."""
-    reps, index, adj = _explore(iface, a_elt, 4, max_vertices)
+    reps, index, adj = _explore(iface, a_elt, 4)
     n_expected = iface.order // len(iface.subgroup)
     if len(reps) != n_expected:
         raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
@@ -436,27 +415,27 @@ def _sabidussi_report(iface: GroupIface, a_elt, connected: bool) -> SabidussiRep
                            valency=len(keys))
 
 
-def validate_sabidussi(iface: GroupIface, a_elt,
-                       max_vertices: int | None = None) -> SabidussiReport:
+def validate_sabidussi(iface: GroupIface, a_elt) -> SabidussiReport:
     """Check the three coset-graph hypotheses: <H,a> = G (via the explored
     vertex count), a^(-1) in HaH, and |HaH|/|H| = 4.  For a triple that has
     been built, CosetGraphBuild.sabidussi gives the same report without
     exploring again."""
-    reps, _, _ = _explore(iface, a_elt, None, max_vertices)
+    reps, _, _ = _explore(iface, a_elt, None)
     connected = len(reps) == iface.order // len(iface.subgroup)
     return _sabidussi_report(iface, a_elt, connected)
 
 
 def validate_corefree(build: CosetGraphBuild) -> bool:
     """True iff no non-identity element of H fixes every coset, i.e. the
-    action of G on the cosets of H is faithful."""
-    for h in build.iface.subgroup:
-        if h == build.iface.identity:
-            continue
-        if all(build.vertex_of(rep * h) == v
-               for v, rep in enumerate(build.reps)):
-            return False
-    return True
+    action of G on the cosets of H is faithful.  One array product per
+    vertex, over the elements of H that fix every vertex seen so far."""
+    form = build.iface.form
+    live = form.pack(build.iface.subgroup)
+    for v, rep in enumerate(build._reps):
+        live = live[build._vertices(form.mul(rep, live)) == v]
+        if len(live) == 1:  # only the identity is left
+            return True
+    return False
 
 
 def sphere(g: Graph, v: int, i: int) -> set:

@@ -17,8 +17,7 @@ import numpy as np
 
 from tetrasym import extragrp
 from tetrasym.cosetgraph import (CosetGraphBuild, Graph, GroupIface,
-                                 VertexAction, build_coset_graph,
-                                 check_vertex_guard)
+                                 VertexAction, build_coset_graph)
 from tetrasym.permgrp import Permutation, min_rows
 
 __all__ = [
@@ -34,13 +33,19 @@ _PARAMS = {"wreath": {"r": int}, "crs": {"r": int, "s": int},
            "gamma": {"t": int, "sign": str}, "delta": {"m": int}}
 FAMILIES = tuple(_PARAMS)
 
-# Construction limits without the explicit large-build opt-in.
-_GAMMA_DEFAULT_MAX_T = 6
-_GAMMA_HARD_MAX_T = 10
-_DELTA_DEFAULT_MAX_M = 2
-_DELTA_HARD_MAX_M = 3
-_LARGE_MEMBER = ("%s is above the default size guard: pass --allow-large on the "
-                 "command line, or allow_large=True from Python")
+# The size guard: a member with more vertices is built only with allow_large.
+_MAX_VERTICES = 100_000
+# The largest t and m that gamma and delta are built for (both start at 2).
+GAMMA_MAX_T = 10
+_DELTA_MAX_M = 3
+
+
+def _check_size(what: str, n: int, allow_large: bool) -> None:
+    """Refuse a member of n vertices above the size guard, unless allow_large."""
+    if n > _MAX_VERTICES and not allow_large:
+        raise ValueError("%s has %d vertices, above the size guard of %d: pass "
+                         "--allow-large on the command line, or allow_large=True "
+                         "from Python" % (what, n, _MAX_VERTICES))
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def _wreath_perm(r: int, fn) -> Permutation:
     return Permutation(images)
 
 
-def wreath_graph(r: int, max_vertices: int | None = None) -> FamilyBuild:
+def wreath_graph(r: int, allow_large: bool = False) -> FamilyBuild:
     """The 2r-vertex graph on fibres V_0..V_{r-1} (two vertices each) with
     every vertex of V_j joined to all of V_{j-1} and V_{j+1}, together with
     its arc-transitive action, generated by the swap x_0 of fibre V_0, the
@@ -137,7 +142,7 @@ def wreath_graph(r: int, max_vertices: int | None = None) -> FamilyBuild:
     if r < 3:
         raise ValueError("wreath graph needs r >= 3")
     n = 2 * r
-    check_vertex_guard("wreath graph", n, max_vertices)
+    _check_size("wreath r=%d" % r, n, allow_large)
     edges = []
     for v in range(r):
         for i in (0, 1):
@@ -231,7 +236,7 @@ def _pair_canon(pairs, beta: Permutation):
     return canon
 
 
-def praeger_xu_coset(r: int, s: int, max_vertices: int | None = None) -> FamilyBuild:
+def praeger_xu_coset(r: int, s: int, allow_large: bool = False) -> FamilyBuild:
     """crs(r, s) as the coset graph of (G, H, a) with G the group generated
     on the wreath-graph vertices by the fibre swaps x_i, the rotation a and
     the reflection b_s: (v,i) -> (r-s-1-v, i), and H = <x_0..x_{r-s-1}, b_s>."""
@@ -240,6 +245,7 @@ def praeger_xu_coset(r: int, s: int, max_vertices: int | None = None) -> FamilyB
     if r - s + 1 > 10:
         raise ValueError("subgroup H of order 2^%d is beyond the closure guard"
                          % (r - s + 1))
+    _check_size("crs r=%d,s=%d" % (r, s), r * 2 ** s, allow_large)
     xs = [_wreath_perm(r, lambda v, i, k=k: (v, i ^ 1) if v == k else (v, i))
           for k in range(r - s)]
     a = _wreath_perm(r, lambda v, i: (v + 1, i))
@@ -252,7 +258,7 @@ def praeger_xu_coset(r: int, s: int, max_vertices: int | None = None) -> FamilyB
         label=lambda p: p.cycle_string(),
         canon=_pair_canon([(2 * k, 2 * k + 1) for k in range(r - s)], b_s),
     )
-    coset = build_coset_graph(iface, a, max_vertices=max_vertices)
+    coset = build_coset_graph(iface, a)
     return FamilyBuild(FamilySpec.make("crs", r=r, s=s), coset.graph,
                        coset.action, _crs_expected(r, s), coset=coset)
 
@@ -290,15 +296,13 @@ def _gamma_canon(grp: extragrp.ExtensionGroup):
     return canon
 
 
-def gamma(t: int, sign: str, allow_large: bool = False,
-          max_vertices: int | None = None) -> FamilyBuild:
+def gamma(t: int, sign: str, allow_large: bool = False) -> FamilyBuild:
     """The coset graph of (G, H, a) over the plus- or minus-type extension
     group of order t*2^(2t+3), with H = <x_0..x_{t-1}, b>; t*2^(t+2)
     vertices and vertex-stabilisers of order 2^(t+1)."""
-    if not 2 <= t <= _GAMMA_HARD_MAX_T:
+    if not 2 <= t <= GAMMA_MAX_T:
         raise ValueError("t out of range: %d" % t)
-    if t > _GAMMA_DEFAULT_MAX_T and not allow_large:
-        raise ValueError(_LARGE_MEMBER % ("gamma t=%d" % t))
+    _check_size("gamma t=%d" % t, t * 2 ** (t + 2), allow_large)
     grp = extragrp.extension_group(t, sign)
     iface = GroupIface(
         generators=tuple(grp.x(i) for i in range(t)) + (grp.b,),
@@ -307,7 +311,7 @@ def gamma(t: int, sign: str, allow_large: bool = False,
         label=lambda g: g.word(),
         canon=_gamma_canon(grp),
     )
-    coset = build_coset_graph(iface, grp.a, max_vertices=max_vertices)
+    coset = build_coset_graph(iface, grp.a)
     expected = ExpectedProperties(
         vertex_count=t * 2 ** (t + 2),
         stabiliser_order=2 ** (t + 1),
@@ -405,22 +409,18 @@ def delta_permutations(m: int) -> dict:
     return {"xs": xs, "h": h, "a": a, "g": a * h}
 
 
-def delta(m: int, allow_large: bool = False,
-          max_vertices: int | None = None) -> FamilyBuild:
+def delta(m: int, allow_large: bool = False) -> FamilyBuild:
     """The coset graph of (Sym(4m), H, a) with H = <x_1..x_{2m-1}, h> of
-    order 2^(2m); (4m)!/2^(2m) vertices.  m=3 (7484400 vertices) requires
-    allow_large=True and is built like m=2, vertex action included.  On a
-    2-core host m=2 builds in about 0.05 s, and the m=3 exploration alone
-    took about a minute and 1 GB."""
+    order 2^(2m); (4m)!/2^(2m) vertices.  m=3 (7484400 vertices) is above
+    the size guard, so it needs allow_large=True; it is built like m=2,
+    vertex action included.  On a 2-core host m=2 builds in about 0.05 s,
+    and the m=3 exploration alone took about a minute and 1 GB."""
     if m < 2:
         raise ValueError("delta needs m >= 2")
-    if m > _DELTA_HARD_MAX_M:
-        raise ValueError("delta is limited to m <= %d" % _DELTA_HARD_MAX_M)
-    if m > _DELTA_DEFAULT_MAX_M and not allow_large:
-        raise ValueError(_LARGE_MEMBER % ("delta m=%d" % m))
+    if m > _DELTA_MAX_M:
+        raise ValueError("delta is limited to m <= %d" % _DELTA_MAX_M)
     n = 4 * m
-    if max_vertices is None and allow_large:
-        max_vertices = math.factorial(n) // 2 ** (2 * m)
+    _check_size("delta m=%d" % m, math.factorial(n) // 2 ** (2 * m), allow_large)
     perms = delta_permutations(m)
     iface = GroupIface(
         generators=tuple(perms["xs"]) + (perms["h"],),
@@ -430,7 +430,7 @@ def delta(m: int, allow_large: bool = False,
         canon=_pair_canon([(2 * i, 2 * i + 1) for i in range(2 * m - 1)],
                           perms["h"]),
     )
-    coset = build_coset_graph(iface, perms["a"], max_vertices=max_vertices)
+    coset = build_coset_graph(iface, perms["a"])
     expected = ExpectedProperties(
         vertex_count=math.factorial(n) // 2 ** (2 * m),
         stabiliser_order=2 ** (2 * m),
@@ -467,15 +467,12 @@ def _check_params(spec: FamilySpec) -> None:
                                 "an integer" if typ is int else "a name"))
 
 
-def build_family(spec: FamilySpec, allow_large: bool = False,
-                 max_vertices: int | None = None) -> FamilyBuild:
+def build_family(spec: FamilySpec, allow_large: bool = False) -> FamilyBuild:
     _check_params(spec)
     if spec.family == "wreath":
-        return wreath_graph(spec.get("r"), max_vertices=max_vertices)
+        return wreath_graph(spec.get("r"), allow_large)
     if spec.family == "crs":
-        return praeger_xu_coset(spec.get("r"), spec.get("s"),
-                                max_vertices=max_vertices)
+        return praeger_xu_coset(spec.get("r"), spec.get("s"), allow_large)
     if spec.family == "gamma":
-        return gamma(spec.get("t"), spec.get("sign"),
-                     allow_large=allow_large, max_vertices=max_vertices)
-    return delta(spec.get("m"), allow_large=allow_large, max_vertices=max_vertices)
+        return gamma(spec.get("t"), spec.get("sign"), allow_large)
+    return delta(spec.get("m"), allow_large)

@@ -20,7 +20,7 @@ from tetrasym.cosetgraph import Graph, VertexAction
 from tetrasym.permgrp import PermGroup, Permutation
 
 __all__ = [
-    "girth", "is_bipartite", "Partition", "CoverReport",
+    "girth", "is_bipartite", "CoverReport",
     "quotient_by_subgroup_orbits", "local_group", "is_block",
     "isomorphic", "automorphism_group_order", "verify_arc_transitive",
 ]
@@ -74,30 +74,6 @@ def is_bipartite(g: Graph) -> bool:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Disjoint vertex sets covering all vertices, with a membership index."""
-
-    blocks: tuple
-    block_of: tuple
-
-    @classmethod
-    def from_blocks(cls, n: int, blocks) -> "Partition":
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
-        index = [-1] * n
-        for i, blk in enumerate(blocks):
-            for v in blk:
-                if index[v] != -1:
-                    raise ValueError("blocks overlap at vertex %d" % v)
-                index[v] = i
-        if any(i == -1 for i in index):
-            raise ValueError("blocks do not cover all vertices")
-        return cls(blocks, tuple(index))
-
-    def __len__(self):
-        return len(self.blocks)
-
-
-@dataclass(frozen=True)
 class CoverReport:
     is_local_bijection: bool
     quotient: Graph
@@ -110,7 +86,7 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
     normal_gens are vertex permutations; N must be normal in the group
     generated by the action's designated generators (checked by conjugating
     each normal generator by each action generator and testing membership in
-    N's stabiliser chain).  Returns (Partition, CoverReport).
+    N's stabiliser chain).  Returns the CoverReport.
     """
     normal_gens = tuple(normal_gens)
     N = PermGroup(normal_gens, degree=g.n)
@@ -119,31 +95,34 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
             if q.conjugate(gen) not in N:
                 raise ValueError("subgroup is not normal under the action generators")
     blocks = N.orbits()
-    part = Partition.from_blocks(g.n, blocks)
+    block_of = [0] * g.n
+    for i, blk in enumerate(blocks):
+        for v in blk:
+            block_of[v] = i
 
     edges = set()
     for u in range(g.n):
-        bu = part.block_of[u]
+        bu = block_of[u]
         for w in g.adj[u]:
-            bw = part.block_of[w]
+            bw = block_of[w]
             if bu != bw:
                 edges.add((min(bu, bw), max(bu, bw)))
     quotient = Graph.from_edges(len(blocks), sorted(edges))
 
-    sizes = {len(b) for b in part.blocks}
+    sizes = {len(b) for b in blocks}
     uniform = len(sizes) == 1
     local_bij = uniform
     if local_bij:
         for v in range(g.n):
-            images = {part.block_of[w] for w in g.adj[v]}
+            images = {block_of[w] for w in g.adj[v]}
             if (len(images) != len(g.adj[v])
-                    or part.block_of[v] in images
-                    or images != set(quotient.adj[part.block_of[v]])):
+                    or block_of[v] in images
+                    or images != set(quotient.adj[block_of[v]])):
                 local_bij = False
                 break
-    fibre = len(part.blocks[0]) if uniform else 0
-    return part, CoverReport(is_local_bijection=local_bij, quotient=quotient,
-                             fibre_size=fibre)
+    fibre = len(blocks[0]) if uniform else 0
+    return CoverReport(is_local_bijection=local_bij, quotient=quotient,
+                       fibre_size=fibre)
 
 
 def local_group(action: VertexAction, v: int) -> PermGroup:

@@ -190,7 +190,7 @@ def test_criterion_08_central_covers(fam):
         for sign in SIGNS:
             fb = fam.gamma(t, sign)
             zperm = fb.coset.perm_of(fb.group.z)
-            _, rep = graphalg.quotient_by_subgroup_orbits(
+            rep = graphalg.quotient_by_subgroup_orbits(
                 fb.graph, fb.action, [zperm])
             base = fam.crs(2 * t, t).graph
             witness = graphalg.isomorphic(rep.quotient, base)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tetrasym import cli, permgrp
+from tetrasym import cli, extragrp, families, permgrp
 from tetrasym.cli import family_checks, main
 from tetrasym.cosetgraph import edge_list_text
 from tetrasym.families import FamilySpec, build_family
@@ -140,7 +140,7 @@ def test_generate_bad_spec_usage_error(capsys):
 @pytest.mark.parametrize("spec, message", [
     ("gamma:t=abc,sign=plus", "must be an integer"),
     ("crs:r=6,s=3,foo=1", "takes parameters r, s"),
-    ("gamma:t=7,sign=plus", "pass --allow-large on the command line, or allow_large=True"),
+    ("crs:r=14,s=13", "has 114688 vertices"),
     ("delta:m=3", "pass --allow-large on the command line, or allow_large=True"),
     ("crs:r=6,s=3,s=4", "parameter s given twice"),
 ])
@@ -151,21 +151,40 @@ def test_verify_malformed_spec_usage_error(capsys, spec, message):
     assert message in err
 
 
-def test_generate_large_guard(capsys):
-    code, _, err = run(capsys, "generate", "gamma:t=7,sign=plus")
-    assert code == 2
-    assert "allow_large" in err
-    assert "--allow-large" in err
-
-
-@pytest.mark.parametrize("spec", ["wreath:r=5", "crs:r=5,s=1"])
-def test_generate_vertex_guard_every_family(capsys, monkeypatch, spec):
-    monkeypatch.setenv("TETRASYM_MAX_VERTICES", "8")
-    code, out, err = run(capsys, "generate", spec)
+def test_generate_large_guard(capsys, monkeypatch):
+    code, out, err = run(capsys, "generate", "wreath:r=50001")
     assert code == 2
     assert out == ""
-    assert "has 10 vertices, above the size guard 8" in err
-    assert "raise the TETRASYM_MAX_VERTICES environment variable" in err
+    assert "has 100002 vertices" in err
+    assert "allow_large" in err
+    assert "--allow-large" in err
+    # the guard is the closed-form vertex count alone; the environment
+    # variable that used to lower it is not read
+    monkeypatch.setenv("TETRASYM_MAX_VERTICES", "8")
+    code, out, _ = run(capsys, "generate", "wreath:r=5")
+    assert code == 0
+    assert len(out.splitlines()) == 20
+
+
+@pytest.mark.parametrize("spec, n", [("wreath:r=50001", 100002),
+                                     ("crs:r=14,s=13", 114688),
+                                     ("delta:m=3", 7484400)])
+def test_generate_vertex_guard_every_family(capsys, monkeypatch, spec, n):
+    # each family refuses a member above the guard before it builds any
+    # group or graph
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the size guard")
+
+    monkeypatch.setattr(families, "build_coset_graph", no_build)
+    monkeypatch.setattr(families, "GroupIface", no_build)
+    monkeypatch.setattr(families.Graph, "from_edges", no_build)
+    monkeypatch.setattr(extragrp, "extension_group", no_build)
+    for command in ("generate", "verify"):
+        code, out, err = run(capsys, command, spec)
+        assert code == 2
+        assert out == ""
+        assert "has %d vertices, above the size guard of 100000" % n in err
+        assert "--allow-large" in err
 
 
 # -- verify ---------------------------------------------------------------------
@@ -278,11 +297,18 @@ def test_matrix_delta_only(capsys):
     assert [c["id"] for c in report["criteria"]] == [2, 3, 13]
 
 
-def test_matrix_usage_errors(capsys):
-    code, _, _ = run(capsys, "matrix", "--max-t", "1")
-    assert code == 2
-    code, _, _ = run(capsys, "matrix", "--max-t", "7")
-    assert code == 2
+def test_matrix_usage_errors(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before --max-t was checked")
+
+    monkeypatch.setattr(cli, "build_family", no_build)
+    for max_t in ("1", "11"):
+        code, out, err = run(capsys, "matrix", "--max-t", max_t)
+        assert code == 2
+        assert out == ""
+        assert "--max-t must be between 2 and 10" in err
+    with pytest.raises(SystemExit):  # nothing the matrix builds is large
+        run(capsys, "matrix", "--allow-large")
     code, out, err = run(capsys, "matrix", "--families", "wreth")
     assert code == 2
     assert out == ""

@@ -129,25 +129,46 @@ def test_gamma_triples_satisfy_hypotheses(t, sign):
     assert build.graph.n * len(iface.subgroup) == iface.order
 
 
-def test_non_corefree_subgroup_detected():
+def _non_corefree_build():
+    # z is central, so it fixes every coset of H = <x_0, x_1, b, z>
     grp = extension_group(2, PLUS)
     iface = GroupIface(generators=(grp.x(0), grp.x(1), grp.b, grp.z),
                        identity=grp.identity, order=grp.order)
-    build = build_coset_graph(iface, grp.a)
-    assert not validate_corefree(build)
+    return build_coset_graph(iface, grp.a)
 
 
-def test_vertex_count_guard():
-    grp, iface = gamma_iface(2, PLUS)
-    with pytest.raises(ValueError):
-        build_coset_graph(iface, grp.a, max_vertices=10)
+def test_non_corefree_subgroup_detected():
+    assert not validate_corefree(_non_corefree_build())
+
+
+def _corefree_oracle(build):
+    """Reference: one coset lookup per pair (h, vertex), stopping at the
+    first h that fixes every coset."""
+    for h in build.iface.subgroup:
+        if h == build.iface.identity:
+            continue
+        if all(build.vertex_of(rep * h) == v
+               for v, rep in enumerate(build.reps)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", ["gamma:t=6,sign=plus", "gamma:t=6,sign=minus",
+                                  "gamma:t=10,sign=minus", "crs:r=8,s=4",
+                                  "crs:r=7,s=6", "delta:m=2",
+                                  pytest.param(None, id="z-in-H")])
+def test_corefree_matches_per_element_oracle(spec):
+    build = (_non_corefree_build() if spec is None
+             else build_family(FamilySpec.parse(spec)).coset)
+    assert validate_corefree(build) == _corefree_oracle(build) == (spec is not None)
 
 
 def test_env_guard(monkeypatch):
+    # the coset layer explores whatever it is given: the families check the
+    # size guard, and no environment variable lowers it
     monkeypatch.setenv("TETRASYM_MAX_VERTICES", "8")
     grp, iface = gamma_iface(2, PLUS)
-    with pytest.raises(ValueError):
-        build_coset_graph(iface, grp.a)
+    assert build_coset_graph(iface, grp.a).graph.n == 32
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,26 +236,9 @@ def _family_and_generic(spec):
     return family, build_coset_graph(generic_iface, family.a_elt)
 
 
-def test_compact_mode_matches_dense():
-    # the closed-form canonicalisation gives the same graph and numbering as
-    # the minimum over H
-    for sign in ("plus", "minus"):
-        dense, compact = _family_and_generic("gamma:t=2,sign=%s" % sign)
-        assert dense.graph.adj == compact.graph.adj
-        assert dense.graph.labels == compact.graph.labels
-        assert [compact.vertex_of(r) for r in dense.reps] == list(range(dense.graph.n))
-
-
-def test_with_action_false():
-    # both canonicalisations build the same vertex action
-    family, generic = _family_and_generic("gamma:t=2,sign=plus")
-    assert family.action.gen_perms == generic.action.gen_perms
-    assert generic.graph.n == 32
-
-
 @pytest.mark.parametrize("spec", ["gamma:t=2,sign=plus", "gamma:t=2,sign=minus",
                                   "crs:r=6,s=3", "delta:m=2"])
-def test_representative_only_mode_matches_element_map(spec):
+def test_family_canon_matches_minimum_over_h(spec):
     # the family canon and the generic minimum over H must give the same
     # graph, numbering, coset lookups and vertex action
     full, lean = _family_and_generic(spec)

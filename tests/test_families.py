@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tetrasym import graphalg
+from tetrasym import families, graphalg
 from tetrasym.cosetgraph import sphere, validate_corefree, validate_sabidussi
 from tetrasym.extragrp import MINUS, PLUS, SIGNS
 from tetrasym.families import (FamilySpec, build_family, central_block_words,
@@ -220,8 +220,6 @@ def test_gamma_guards():
         gamma(1, PLUS)
     with pytest.raises(ValueError):
         gamma(11, PLUS)
-    with pytest.raises(ValueError):
-        gamma(7, PLUS)  # needs allow_large
 
 
 def test_gamma_vertex_stabiliser(fam):
@@ -295,7 +293,7 @@ def test_delta_guards():
     with pytest.raises(ValueError):
         delta(1)
     with pytest.raises(ValueError):
-        delta(3)  # needs allow_large
+        delta(3)  # above the size guard
     with pytest.raises(ValueError):
         delta(4, allow_large=True)
 
@@ -323,12 +321,30 @@ def test_build_family_dispatch(fam):
     assert fb.graph.n == 32
 
 
-def test_delta3_guard_plumbing():
-    # allow_large lifts the m <= 2 limit, but an explicit max_vertices still
-    # reaches the explorer's vertex guard; this exercises the m=3 path without
-    # paying for the 7.5M-vertex build
-    with pytest.raises(ValueError, match="7484400"):
-        delta(3, allow_large=True, max_vertices=10)
+def test_delta3_guard_plumbing(monkeypatch):
+    # delta(3) names its closed-form vertex count and the switch that lifts
+    # the guard, before it builds the group or the graph
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the size guard")
+
+    monkeypatch.setattr(families, "GroupIface", no_build)
+    monkeypatch.setattr(families, "build_coset_graph", no_build)
+    with pytest.raises(ValueError, match="7484400 vertices.*allow_large"):
+        delta(3)
+
+
+def test_size_guard_boundary():
+    # the guard admits exactly 100,000 vertices, and allow_large lifts it
+    assert wreath_graph(50000).graph.n == 100000
+    with pytest.raises(ValueError, match="100002 vertices"):
+        wreath_graph(50001)
+    assert wreath_graph(50001, allow_large=True).graph.n == 100002
+
+
+def test_every_gamma_member_builds_without_allow_large():
+    for t in range(2, 11):
+        for sign in SIGNS:
+            assert gamma(t, sign).graph.n == t * 2 ** (t + 2)
 
 
 @pytest.mark.parametrize("r,s,expected", [

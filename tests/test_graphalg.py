@@ -119,8 +119,8 @@ def wreath4():
 
 def test_quotient_by_trivial_subgroup():
     fb = wreath4()
-    part, rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [])
-    assert len(part) == fb.graph.n
+    rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [])
+    assert rep.quotient.n == fb.graph.n
     assert rep.quotient == Graph(fb.graph.n, fb.graph.adj)
     assert rep.fibre_size == 1
     assert rep.is_local_bijection
@@ -131,8 +131,8 @@ def test_quotient_of_wreath_by_all_fibre_swaps():
     x0, a, _ = fb.action.gen_perms
     x1, x2, x3 = (x0.conjugate(a ** k) for k in (1, 2, 3))
     total_swap = x0 * x1 * x2 * x3
-    part, rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [total_swap])
-    assert len(part) == 4
+    rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [total_swap])
+    assert rep.quotient.n == 4
     assert rep.fibre_size == 2
     assert not rep.is_local_bijection  # 4 neighbours fold onto 2 fibres
 
@@ -286,7 +286,7 @@ def test_cover_arithmetic_and_quotient_regularity():
     from tetrasym.families import gamma
     fb = gamma(3, "minus")
     zperm = fb.coset.perm_of(fb.group.z)
-    part, rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [zperm])
+    rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [zperm])
     assert rep.fibre_size * rep.quotient.n == fb.graph.n
     assert rep.is_local_bijection
     assert rep.quotient.is_regular(4)
