@@ -107,11 +107,14 @@ class VertexAction:
 
     ``group`` is the permutation group they generate, made on first use and
     then kept, so every check on this action shares one stabiliser chain
-    (point stabilisers are read off it by conjugation).
+    (point stabilisers are read off it by conjugation).  ``order_bound``,
+    when known, is an upper bound on that group's order; its chain stops as
+    soon as it reaches it.
     """
 
     graph: Graph
     gen_perms: tuple
+    order_bound: int | None = None
 
     def __post_init__(self):
         # a bijection of the vertices is an automorphism exactly when it
@@ -129,7 +132,8 @@ class VertexAction:
 
     @cached_property
     def group(self) -> PermGroup:
-        return PermGroup(self.gen_perms, degree=self.graph.n)
+        return PermGroup(self.gen_perms, degree=self.graph.n,
+                         order_bound=self.order_bound)
 
 
 class _CodeForm:
@@ -262,16 +266,24 @@ class CosetGraphBuild:
         if iface.label is not None:
             labels = tuple(map(iface.label, self.reps))
         self.graph = Graph(len(self.reps), tuple(map(tuple, adj.tolist())), labels)
+        # build_coset_graph reached |G|/|H| cosets, so <H, a> has order
+        # iface.order, and the action is a homomorphic image of <H, a>
         self.action = VertexAction(
-            self.graph, tuple(map(self.perm_of, iface.generators + (a_elt,))))
+            self.graph, tuple(map(self.perm_of, iface.generators + (a_elt,))),
+            order_bound=iface.order)
 
     def _vertices(self, elts: np.ndarray) -> np.ndarray:
         """The vertices holding the cosets H*x of an array of elements."""
         return _lookup(self._index, self.iface.form.keys(self._canon(elts)))
 
+    def vertices_of(self, elts) -> list:
+        """The vertices holding the cosets H*x of a sequence of elements:
+        one array canonicalisation and lookup for the whole sequence."""
+        return self._vertices(self.iface.form.pack(elts)).tolist()
+
     def vertex_of(self, elt) -> int:
         """The vertex holding the coset H*elt."""
-        return int(self._vertices(self.iface.form.pack([elt]))[0])
+        return self.vertices_of([elt])[0]
 
     def sabidussi(self) -> SabidussiReport:
         """validate_sabidussi of this build's triple.  The build reached all

@@ -172,16 +172,17 @@ def wreath_graph(r: int, allow_large: bool = False) -> FamilyBuild:
 # Praeger-Xu graphs crs(r, s)
 # ---------------------------------------------------------------------------
 
-def praeger_xu_direct(r: int, s: int) -> Graph:
+def praeger_xu_direct(r: int, s: int, allow_large: bool = False) -> Graph:
     """Vertices are the s-vertex paths of the wreath graph with at most one
     vertex per fibre, encoded as (start fibre j, choices eps_0..eps_{s-1});
     two paths are adjacent exactly when one extends the other's tail by one
     fibre.  Defined for 2 <= s <= r-2; s=1 is the wreath graph itself."""
-    if s == 1:
-        return wreath_graph(r).graph
-    if not (2 <= s <= r - 2):
+    if not (s == 1 or 2 <= s <= r - 2):
         raise ValueError("direct construction needs 2 <= s <= r-2 (s=1 is "
                          "the wreath graph); coset form covers s = r-1")
+    _check_size("crs r=%d,s=%d (direct)" % (r, s), r * 2 ** s, allow_large)
+    if s == 1:
+        return wreath_graph(r, allow_large=True).graph
 
     def vid(j, eps):
         return j * (1 << s) + eps

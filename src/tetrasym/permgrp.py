@@ -4,6 +4,28 @@ transitivity, blocks and primitivity.
 Group data is computed through a deterministic (non-randomised)
 Schreier-Sims stabiliser chain so that any failure reproduces
 bit-for-bit across runs.
+
+Each level of the chain keeps its basic orbit as a Schreier vector, q ->
+(p, i) with q the image of p under the level's i-th generator.  A
+transversal element u_q, and its inverse, is built only when asked for, by
+tracing the vector back to the base point, and kept once built; so a level
+costs O(degree) memory plus the elements the run has used, not O(degree)
+per orbit point (Seress, *Permutation Group Algorithms*, CUP 2003, §4.1).
+
+Known-order stop (Seress §4.5; Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005, §4.4).  A group may be given an upper
+bound on its order; its chain then stops as soon as the product of the basic
+orbit lengths equals the bound, and raises ValueError if the product goes
+above it.  The stop is exact: each partial basic orbit lies inside the true
+one, so the product is at most |G|, which is at most the bound; when the
+product equals the bound every inclusion is an equality and the chain is a
+complete base and strong generating set, so order, membership, point
+stabilisers and enumeration are exact.  A bound that is never reached (an
+action that is not faithful, say) leaves the run to complete as without
+one.  A bound must be a true upper bound: one below |G| that equals some
+partial product would stop the run early.  The coset-graph builder supplies
+the bound for its vertex actions: it certifies |<H, a>| = |G| by reaching
+all |G|/|H| cosets, and the action is a homomorphic image of <H, a>.
 """
 
 from __future__ import annotations
@@ -187,7 +209,7 @@ def min_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # apply p first, then q
-    return q[p]
+    return np.take(q, p)
 
 
 def _invert(p: np.ndarray) -> np.ndarray:
@@ -197,40 +219,89 @@ def _invert(p: np.ndarray) -> np.ndarray:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit_list", "trans", "trans_inv", "done")
+    """One level of the chain: a base point, the strong generators that fix
+    the earlier base points, and the basic orbit as a Schreier vector."""
+
+    __slots__ = ("point", "gens", "orbit", "sv", "_u", "_u_inv", "done",
+                 "cursor")
 
     def __init__(self, point: int, identity: np.ndarray):
         self.point = point
         self.gens: list[np.ndarray] = []
-        self.orbit_list = [point]
-        self.trans = {point: identity}
-        self.trans_inv = {point: identity}
-        self.done: set = set()
+        self.orbit = np.array([point])  # in discovery order
+        # Schreier vector: sv[q] = (p, i) with q = gens[i](p), so that
+        # u_q = u_p * gens[i]; (-1, -1) off the orbit, (point, -1) at the
+        # base point.
+        self.sv = np.full((len(identity), 2), -1, dtype=np.int32)
+        self.sv[point, 0] = point
+        self._u = {point: identity}  # the transversal elements built so far
+        self._u_inv = {point: identity}
+        # done[k]: how many generators have been paired with orbit[k]
+        # as Schreier generators; cursor: the first point with one left.
+        self.done = [0]
+        self.cursor = 0
+
+    def __contains__(self, q: int) -> bool:
+        return self.sv[q, 0] >= 0
 
     def add_gen(self, g: np.ndarray):
+        """Append g and close the orbit, extend-only: Schreier-vector
+        entries are never rewritten, which keeps already-processed Schreier
+        pairs valid.  The old orbit was closed under the old generators, so
+        it is probed with g alone, then the new points with every
+        generator, one BFS level at a time.  New points are appended in
+        (discoverer, generator) order, as a one-point-at-a-time BFS would."""
         self.gens.append(g)
-        self._extend_orbit()
+        self.cursor = 0
+        frontier = self._grow(self.orbit, [g], len(self.gens) - 1)
+        while len(frontier):
+            frontier = self._grow(frontier, self.gens, 0)
+        self.done.extend([0] * (len(self.orbit) - len(self.done)))
 
-    def _extend_orbit(self):
-        # Extend-only closure: existing transversal entries are never
-        # rewritten, which keeps already-processed Schreier pairs valid.
-        i = 0
-        while i < len(self.orbit_list):
-            p = self.orbit_list[i]
-            up = self.trans[p]
-            for g in self.gens:
-                q = int(g[p])
-                if q not in self.trans:
-                    uq = _compose(up, g)
-                    self.trans[q] = uq
-                    self.trans_inv[q] = _invert(uq)
-                    self.orbit_list.append(q)
-            i += 1
+    def _grow(self, points: np.ndarray, gens: list, first: int) -> np.ndarray:
+        """Append the images of points under gens (numbered from first) that
+        are not yet in the orbit; returns them."""
+        images = np.stack([s[points] for s in gens], axis=1).ravel()
+        fresh = np.flatnonzero(self.sv[images, 0] < 0)
+        _, at = np.unique(images[fresh], return_index=True)
+        at = fresh[np.sort(at)]  # first discoveries, in discovery order
+        new = images[at]
+        self.sv[new, 0] = points[at // len(gens)]
+        self.sv[new, 1] = first + at % len(gens)
+        self.orbit = np.concatenate((self.orbit, new))
+        return new
+
+    def u(self, q: int) -> np.ndarray:
+        """The transversal element mapping the base point to q, built by
+        tracing the Schreier vector back to the nearest element built."""
+        path = []
+        while q not in self._u:
+            p, gi = self.sv[q].tolist()
+            path.append((q, gi))
+            q = p
+        up = self._u[q]
+        for q, gi in reversed(path):
+            up = self._u[q] = _compose(up, self.gens[gi])
+        return up
+
+    def u_inv(self, q: int) -> np.ndarray:
+        inv = self._u_inv.get(q)
+        if inv is None:
+            inv = self._u_inv[q] = _invert(self.u(q))
+        return inv
 
 
 class _StabChain:
-    def __init__(self, degree: int, gens: list[np.ndarray], base_prefix=()):
+    """A deterministic Schreier-Sims chain of <gens>.
+
+    With ``bound`` (an upper bound on |<gens>|) the run stops as soon as the
+    product of the basic orbit lengths reaches it, and raises if the product
+    goes above it; see the module docstring."""
+
+    def __init__(self, degree: int, gens: list[np.ndarray], base_prefix=(),
+                 bound: int | None = None):
         self.degree = degree
+        self.bound = bound
         self.identity = np.arange(degree, dtype=np.int32)
         self.levels: list[_Level] = [_Level(b, self.identity) for b in base_prefix]
         for g in gens:
@@ -263,14 +334,25 @@ class _StabChain:
             beta = int(g[lv.point])
             if beta == lv.point:
                 continue
-            if beta not in lv.trans_inv:
+            if beta not in lv:
                 return g, k
-            g = _compose(g, lv.trans_inv[beta])
+            g = _compose(g, lv.u_inv(beta))
         return g, len(self.levels)
+
+    def _complete(self) -> bool:
+        """True once the orbit product reaches the bound: then the chain is
+        a complete base and strong generating set."""
+        if self.bound is None:
+            return False
+        product = self.order()
+        if product > self.bound:
+            raise ValueError("stabiliser chain reached order %d, above the "
+                             "bound %d" % (product, self.bound))
+        return product == self.bound
 
     def _run(self):
         i = len(self.levels) - 1
-        while i >= 0:
+        while not self._complete() and i >= 0:
             found = self._process_level(i)
             if found is None:
                 i -= 1
@@ -279,34 +361,34 @@ class _StabChain:
             if j_stuck == len(self.levels):
                 moved = int(np.nonzero(h != self.identity)[0][0])
                 self.levels.append(_Level(moved, self.identity))
-            j = self._insert_gen(h, i + 1)
-            i = j
+            i = self._insert_gen(h, i + 1)
 
     def _process_level(self, i: int):
+        """Sift the Schreier generators u_p * s * u_q^-1 of level i, in orbit
+        then generator order, until one leaves a non-identity residue."""
         lv = self.levels[i]
-        oi = 0
-        while oi < len(lv.orbit_list):
-            p = lv.orbit_list[oi]
-            up = lv.trans[p]
-            for gi in range(len(lv.gens)):
-                if (p, gi) in lv.done:
-                    continue
-                lv.done.add((p, gi))
-                s = lv.gens[gi]
+        gens, done = lv.gens, lv.done
+        while lv.cursor < len(lv.orbit):
+            k = lv.cursor
+            p = int(lv.orbit[k])
+            while done[k] < len(gens):
+                gi = done[k]
+                done[k] += 1
+                s = gens[gi]
                 q = int(s[p])
-                ups = _compose(up, s)
-                if np.array_equal(ups, lv.trans[q]):
-                    continue  # trivial Schreier generator
-                residue, j = self._strip(_compose(ups, lv.trans_inv[q]), i + 1)
+                if lv.sv[q].tolist() == [p, gi]:
+                    continue  # u_q = u_p * s: a trivial Schreier generator
+                residue, j = self._strip(
+                    _compose(_compose(lv.u(p), s), lv.u_inv(q)), i + 1)
                 if not self._is_id(residue):
                     return residue, j
-            oi += 1
+            lv.cursor += 1
         return None
 
     def order(self) -> int:
         n = 1
         for lv in self.levels:
-            n *= len(lv.orbit_list)
+            n *= len(lv.orbit)
         return n
 
     def contains(self, g: np.ndarray) -> bool:
@@ -334,8 +416,8 @@ class _StabChain:
                 return
             lv = self.levels[k]
             for h in rec(k + 1):
-                for p in lv.orbit_list:
-                    yield _compose(h, lv.trans[p])
+                for p in lv.orbit.tolist():
+                    yield _compose(h, lv.u(p))
 
         return rec(0)
 
@@ -343,11 +425,14 @@ class _StabChain:
 class PermGroup:
     """Group generated by a set of permutations of {0..degree-1}.
 
+    ``order_bound``, when given, is an upper bound on the group's order: the
+    chain stops once it reaches it (see the module docstring).
     The stabiliser-chain data is built lazily, at most once, behind a lock;
     after that the group is safe to share between threads.
     """
 
-    def __init__(self, generators, degree: int | None = None, base_prefix=()):
+    def __init__(self, generators, degree: int | None = None, base_prefix=(),
+                 order_bound: int | None = None):
         generators = tuple(generators)
         if degree is None:
             if not generators:
@@ -359,6 +444,7 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._base_prefix = tuple(int(b) for b in base_prefix)
+        self.order_bound = order_bound
         self._chain: _StabChain | None = None
         self._lock = threading.Lock()
 
@@ -374,7 +460,7 @@ class PermGroup:
             with self._lock:
                 if self._chain is None:
                     self._chain = _StabChain(self.degree, self._gen_arrays(),
-                                             self._base_prefix)
+                                             self._base_prefix, bound=self.order_bound)
         return self._chain
 
     def order(self) -> int:
@@ -426,7 +512,9 @@ class PermGroup:
         (Seress, *Permutation Group Algorithms*, 2003): the strong
         generators fixing b are conjugated by u.  When every generator fixes
         x the stabiliser is the whole group.  Only for any other x is a
-        second chain built, with base starting at x.
+        second chain built, with base starting at x, bounded by this
+        chain's (exact) order.  The stabiliser gets no order bound, so its
+        own chain counts its order independently.
         """
         if not 0 <= x < self.degree:
             raise ValueError("point %d out of range" % x)
@@ -434,14 +522,14 @@ class PermGroup:
             return self
         chain = self.chain
         top = chain.levels[0]
-        if x in top.trans:
-            u, u_inv = top.trans[x], top.trans_inv[x]
+        if x in top:
+            u, u_inv = top.u(x), top.u_inv(x)
             arrays = [_compose(_compose(u_inv, s), u)
                       for s in chain.strong_gens_fixing_prefix(1)]
         else:
-            arrays = _StabChain(self.degree, self._gen_arrays(),
-                                base_prefix=(x,)).strong_gens_fixing_prefix(1)
-        gens = [Permutation._unchecked(tuple(int(v) for v in g)) for g in arrays]
+            arrays = _StabChain(self.degree, self._gen_arrays(), (x,),
+                                bound=chain.order()).strong_gens_fixing_prefix(1)
+        gens = [Permutation._unchecked(tuple(g.tolist())) for g in arrays]
         return PermGroup(gens, degree=self.degree)
 
     def is_primitive(self) -> bool:
@@ -500,7 +588,7 @@ class PermGroup:
         n = self.order()
         if n > cap:
             raise ValueError("group too large to enumerate: %d > %d" % (n, cap))
-        out = [Permutation._unchecked(tuple(int(v) for v in arr))
+        out = [Permutation._unchecked(tuple(arr.tolist()))
                for arr in self.chain.iter_elements()]
         assert len(out) == n
         return out

@@ -251,6 +251,33 @@ def test_verify_cover_above_iso_cap_skips(capsys, monkeypatch):
     assert skip in json.loads(out)["checks"]
 
 
+def test_chain_checks_above_the_cap_on_a_bounded_action(capsys):
+    # gamma t=8 has 8192 vertices; its action's chain is bounded by the
+    # order its build certified, so the chain checks run there
+    code, out, _ = run(capsys, "verify", "gamma:sign=minus,t=8",
+                       "--checks", "stabiliser,group-order,local-group")
+    assert code == 0
+    rows = {r["name"]: r for r in json.loads(out)["checks"]}
+    assert all(r["pass"] for r in rows.values())
+    assert rows["stabiliser"]["actual"] == 512
+    assert rows["group-order"]["actual"] == 8 * 2 ** 19
+    assert rows["local-group"]["actual"] == [8, True]
+
+
+def test_chain_cap_skips_only_unbounded_actions(capsys, monkeypatch):
+    # the wreath action has no certified order bound, so the cap still
+    # applies to it; a coset family's action runs above the same cap
+    monkeypatch.setattr(cli, "_CHAIN_CAP", 8)
+    code, out, _ = run(capsys, "verify", "wreath:r=5", "--checks", "stabiliser")
+    assert code == 0
+    assert json.loads(out)["checks"] == [
+        {"name": "stabiliser", "skipped": True, "reason": "above stabiliser-chain cap"}]
+    code, out, _ = run(capsys, "verify", "gamma:sign=plus,t=2", "--checks", "stabiliser")
+    assert code == 0
+    [row] = json.loads(out)["checks"]
+    assert row["pass"] and row["actual"] == 8
+
+
 @pytest.mark.parametrize("r", range(3, 9))
 def test_local_group_every_crs_member(fam, r):
     # crs(r, r-1) has vertex-stabilisers of order 4, so it is not locally D4;
@@ -327,10 +354,10 @@ def test_one_chain_per_vertex_action(monkeypatch, spec, checks):
     built = []
 
     class CountingChain(permgrp._StabChain):
-        def __init__(self, degree, arrays, base_prefix=()):
+        def __init__(self, degree, arrays, base_prefix=(), bound=None):
             if degree == build.graph.n and {tuple(a.tolist()) for a in arrays} == gens:
                 built.append(base_prefix)
-            super().__init__(degree, arrays, base_prefix)
+            super().__init__(degree, arrays, base_prefix, bound)
 
     monkeypatch.setattr(permgrp, "_StabChain", CountingChain)
     rows = family_checks(build, checks)

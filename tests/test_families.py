@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -200,6 +201,20 @@ def test_gamma_third_sphere_transversal(fam, t, sign):
     assert len(cosets) == 36
 
 
+@pytest.mark.parametrize("t,sign", [(3, MINUS), (4, PLUS)])
+def test_gamma_word_sets_batched(fam, t, sign):
+    # one batched lookup per word set, against the oracle: w lies in the
+    # coset H*r of vertex v exactly when w * r^-1 lies in H
+    fb = fam.gamma(t, sign)
+    subgroup = set(fb.coset.iface.subgroup)
+    inverses = [r.inverse() for r in fb.coset.reps]
+    for words in (second_sphere_words(fb.group), third_sphere_words(fb.group),
+                  central_block_words(fb.group)):
+        assert fb.coset.vertices_of(words) == [
+            next(v for v, ri in enumerate(inverses) if w * ri in subgroup)
+            for w in words]
+
+
 def test_gamma_third_sphere_collapses_for_3plus(fam):
     # a^3 = a^-3 in the plus group at t=3, so the word families overlap
     fb = fam.gamma(3, PLUS)
@@ -339,6 +354,23 @@ def test_size_guard_boundary():
     with pytest.raises(ValueError, match="100002 vertices"):
         wreath_graph(50001)
     assert wreath_graph(50001, allow_large=True).graph.n == 100002
+
+
+@pytest.mark.parametrize("r,s,n", [(50001, 1, 100002), (17, 13, 139264)])
+def test_direct_size_guard(monkeypatch, r, s, n):
+    # the direct oracle names its own member and the switch it takes, at
+    # s=1 (the wreath graph) as at s >= 2, before it builds anything
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the size guard")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(families, "wreath_graph", no_build)
+        patched.setattr(families.Graph, "from_edges", no_build)
+        message = re.escape("crs r=%d,s=%d (direct) has %d vertices" % (r, s, n))
+        with pytest.raises(ValueError, match=message + ".*allow_large"):
+            praeger_xu_direct(r, s)
+    if s > 1:
+        assert praeger_xu_direct(r, s, allow_large=True).n == n
 
 
 def test_every_gamma_member_builds_without_allow_large():

@@ -312,7 +312,7 @@ def test_point_stabiliser_matches_based_chain(fam, member):
 
 def test_point_stabiliser_outside_first_basic_orbit():
     G = PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4))])
-    assert 3 not in G.chain.levels[0].trans
+    assert 3 not in G.chain.levels[0]
     _assert_stabiliser_matches_oracle(G, 3)
     assert G.point_stabiliser(3).order() == 3
 
@@ -357,3 +357,77 @@ def test_row_products_match_permutation_products(spec):
     assert form.unpack(min_rows(P, Q)) == [min(p, q) for p, q in zip(ps, qs)]
     order = np.argsort(row_keys(P), kind="stable")
     assert [ps[i] for i in order] == sorted(ps)
+
+
+# -- chains bounded by a known order ------------------------------------------
+# A coset build certifies |<H, a>| = iface.order and hands it to its vertex
+# action as an upper bound on the action's order; the chain stops once the
+# product of its basic orbit lengths reaches it.  The oracle is the chain of
+# the same generators with no bound, run to completion.
+
+def _matrix_members():
+    """Every family member that `tetrasym matrix` builds by default."""
+    return (["crs:r=%d,s=%d" % (r, s) for r in range(3, 9) for s in range(1, r)]
+            + ["gamma:sign=%s,t=%d" % (sign, t) for t in range(2, 7)
+               for sign in ("plus", "minus")]
+            + ["delta:m=2", "wreath:r=4"])
+
+
+def _seeded_word(gens, rng, length):
+    p = Permutation.identity(gens[0].degree)
+    for _ in range(length):
+        p = p * rng.choice(gens)
+    return p
+
+
+@pytest.mark.parametrize("spec", _matrix_members())
+def test_bounded_chain_matches_unbounded(spec):
+    action = build_family(FamilySpec.parse(spec)).action
+    gens, n = action.gen_perms, action.graph.n
+    full = PermGroup(gens, degree=n)
+    # the wreath action has no certified bound; its true order is one
+    bound = action.order_bound or full.order()
+    bounded = PermGroup(gens, degree=n, order_bound=bound)
+    assert bounded.order() == full.order() == bound
+    rng = random.Random(spec)
+    members = [_seeded_word(gens, rng, rng.randrange(1, 25)) for _ in range(10)]
+    strangers = [Permutation(rng.sample(range(n), n)) for _ in range(10)]
+    for p in members + strangers:
+        assert bounded.contains(p) == full.contains(p)
+    assert all(bounded.contains(p) for p in members)
+    for x in (0, n - 1, rng.randrange(n)):
+        assert bounded.point_stabiliser(x).order() == full.point_stabiliser(x).order()
+
+
+def test_bound_above_the_order_gives_the_true_order():
+    # H = <x_0, x_1, x_2, b, z> holds the central z, so it is not core-free:
+    # the action has order |G|/2, below the certified bound |G|
+    from tetrasym.cosetgraph import GroupIface, build_coset_graph
+    from tetrasym.extragrp import MINUS, extension_group
+    grp = extension_group(3, MINUS)
+    iface = GroupIface(generators=tuple(grp.x(i) for i in range(3)) + (grp.b, grp.z),
+                       identity=grp.identity, order=grp.order)
+    action = build_coset_graph(iface, grp.a).action
+    full = PermGroup(action.gen_perms)
+    assert action.order_bound == grp.order
+    assert action.group.order() == full.order() == grp.order // 2
+    for G in (sym(5), PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4))])):
+        assert PermGroup(G.generators, order_bound=2 * G.order()).order() == G.order()
+
+
+def test_bound_below_the_orbit_product_raises():
+    # 7 is no product of orbit lengths of at most 5 points, so the chain of
+    # Sym(5) passes it without stopping and meets a product above it
+    with pytest.raises(ValueError, match="above the bound 7"):
+        PermGroup(sym(5).generators, order_bound=7).order()
+    with pytest.raises(ValueError, match="above the bound 1"):
+        PermGroup([cyc(3, (0, 1))], order_bound=1).order()
+
+
+def test_bounded_chain_is_deterministic():
+    def strong_gens(spec):
+        action = build_family(FamilySpec.parse(spec)).action
+        group = PermGroup(action.gen_perms, order_bound=action.order_bound)
+        return [g.tolist() for g in group.chain.strong_gens_fixing_prefix(0)]
+    for spec in ("delta:m=2", "gamma:sign=minus,t=5"):
+        assert strong_gens(spec) == strong_gens(spec)
