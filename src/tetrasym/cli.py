@@ -76,7 +76,7 @@ def _counts(build):
 
 def _girth(build):
     exp = build.expected.girth
-    return _paper_or_derived(exp), exp, graphalg.girth(build.graph)
+    return _paper_or_derived(exp), exp, graphalg.girth(build.graph, build.action)
 
 
 def _bipartite(build):

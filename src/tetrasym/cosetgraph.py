@@ -44,20 +44,45 @@ class Graph:
     labels: tuple | None = None
 
     def __post_init__(self):
+        # Each check is an array mask over the arcs; the first vertex with an
+        # offending arc is checked again one neighbour at a time, which
+        # raises the message a vertex-by-vertex check raises first.
         if len(self.adj) != self.n:
             raise ValueError("adjacency length != n")
-        for u, nbrs in enumerate(self.adj):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ValueError("neighbour list of %d not sorted/duplicate-free" % u)
-            for v in nbrs:
-                if not 0 <= v < self.n:
-                    raise ValueError("neighbour %d out of range" % v)
-                if v == u:
-                    raise ValueError("loop at vertex %d" % u)
-                if u not in self.adj[v]:
-                    raise ValueError("edge %d-%d not symmetric" % (u, v))
+        n = self.n
+        tails, heads = self.arcs
+        inside = (heads >= 0) & (heads < n)
+        bad = ~inside | (heads == tails)
+        bad[1:] |= (tails[1:] == tails[:-1]) & (heads[1:] <= heads[:-1])
+        codes = np.sort((tails * n + heads)[inside])
+        reverse = heads[inside] * n + tails[inside]
+        at = np.minimum(np.searchsorted(codes, reverse), len(codes) - 1)
+        bad[inside] |= codes[at] != reverse
+        if bad.any():
+            self._check_vertex(int(tails[bad.argmax()]))
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length != n")
+
+    def _check_vertex(self, u: int):
+        nbrs = self.adj[u]
+        if list(nbrs) != sorted(set(nbrs)):
+            raise ValueError("neighbour list of %d not sorted/duplicate-free" % u)
+        for v in nbrs:
+            if not 0 <= v < self.n:
+                raise ValueError("neighbour %d out of range" % v)
+            if v == u:
+                raise ValueError("loop at vertex %d" % u)
+            if u not in self.adj[v]:
+                raise ValueError("edge %d-%d not symmetric" % (u, v))
+
+    @cached_property
+    def arcs(self) -> tuple:
+        """(tails, heads): the arcs u -> v as two int64 arrays, in adjacency
+        order, which is (u, v) order."""
+        heads = np.fromiter(chain.from_iterable(self.adj), np.int64)
+        tails = np.repeat(np.arange(self.n, dtype=np.int64),
+                          [len(nbrs) for nbrs in self.adj])
+        return tails, heads
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
@@ -118,11 +143,11 @@ class VertexAction:
 
     def __post_init__(self):
         # a bijection of the vertices is an automorphism exactly when it
-        # maps the arc set (u*n + v for each arc u -> v) onto itself
-        n, adj = self.graph.n, self.graph.adj
-        tails = np.repeat(np.arange(n), [len(nbrs) for nbrs in adj])
-        heads = np.fromiter(chain.from_iterable(adj), np.int64, len(tails))
-        arcs = np.sort(tails * n + heads)
+        # maps the arc set (u*n + v for each arc u -> v, in the sorted order
+        # of the graph's adjacency lists) onto itself
+        n = self.graph.n
+        tails, heads = self.graph.arcs
+        arcs = tails * n + heads
         for p in self.gen_perms:
             if p.degree != n:
                 raise ValueError("generator degree != vertex count")

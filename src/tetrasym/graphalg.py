@@ -2,6 +2,11 @@
 quotients and covers, local groups, blocks of imprimitivity, isomorphism and
 automorphism-group orders at desk scale.
 
+Girth runs a BFS from one root per vertex orbit of a given action (every
+vertex without one).  Arc-transitivity is one array orbit
+(``permgrp.array_orbit``) on the arcs, numbered by their sorted codes
+u*n + v, with each generator mapped onto those numbers by binary search.
+
 Isomorphism and automorphism searches use equitable-partition refinement
 (cell splitting) with individualization and full backtracking, so a negative
 answer is a proof of non-isomorphism, not a heuristic.  The automorphism
@@ -16,8 +21,10 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
+import numpy as np
+
 from tetrasym.cosetgraph import Graph, VertexAction
-from tetrasym.permgrp import PermGroup, Permutation
+from tetrasym.permgrp import PermGroup, Permutation, array_orbit
 
 __all__ = [
     "girth", "is_bipartite", "CoverReport",
@@ -26,32 +33,60 @@ __all__ = [
 ]
 
 
-def girth(g: Graph) -> int:
-    """Length of the shortest cycle, by per-root BFS with parent-edge
-    exclusion and early cutoff at the best cycle found so far."""
+def _check_on(g: Graph, action: VertexAction):
+    if action.graph != g:
+        raise ValueError("the action is not on this graph")
+
+
+def girth(g: Graph, action: VertexAction | None = None) -> int:
+    """Length of the shortest cycle: the least result of a BFS from each
+    root.  A BFS from a vertex on a shortest cycle finds that cycle's
+    length, and none finds a shorter one.
+
+    Without an action every vertex is a root.  With one, the roots are the
+    least vertex of each orbit of the action's group: its generators are
+    automorphisms (VertexAction checks that), so an element mapping a
+    vertex on a shortest cycle to its orbit's root maps that cycle onto one
+    through the root, and the minimum over one root per orbit is exactly
+    the girth."""
+    if action is None:
+        roots = range(g.n)
+    else:
+        _check_on(g, action)
+        labels = action.group.orbit_labels()
+        roots = np.flatnonzero(labels == np.arange(g.n)).tolist()
     best = None
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                break
-            for w in g.adj[u]:
-                if w == parent[u]:
-                    continue
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                else:
-                    cycle = dist[u] + dist[w] + 1
-                    if best is None or cycle < best:
-                        best = cycle
+    for root in roots:
+        best = _shortest_cycle_from(g.adj, root, best)
     if best is None:
         raise ValueError("girth undefined: graph is a forest")
+    return best
+
+
+def _shortest_cycle_from(adj, root: int, best):
+    """The least of best and the shortest cycle a BFS from root finds, by
+    parent-edge exclusion, cut off once no cycle shorter than best can be
+    found; None while no cycle is known."""
+    n = len(adj)
+    dist = [-1] * n
+    parent = [-1] * n
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        if best is not None and 2 * dist[u] >= best:
+            break
+        for w in adj[u]:
+            if w == parent[u]:
+                continue
+            if dist[w] == -1:
+                dist[w] = dist[u] + 1
+                parent[w] = u
+                queue.append(w)
+            else:
+                cycle = dist[u] + dist[w] + 1
+                if best is None or cycle < best:
+                    best = cycle
     return best
 
 
@@ -94,11 +129,10 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
         for q in normal_gens:
             if q.conjugate(gen) not in N:
                 raise ValueError("subgroup is not normal under the action generators")
-    blocks = N.orbits()
-    block_of = [0] * g.n
-    for i, blk in enumerate(blocks):
-        for v in blk:
-            block_of[v] = i
+    # the blocks are numbered in the order of their least vertices
+    _, block_of, sizes = np.unique(N.orbit_labels(), return_inverse=True,
+                                   return_counts=True)
+    block_of = block_of.tolist()
 
     edges = set()
     for u in range(g.n):
@@ -107,10 +141,9 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
             bw = block_of[w]
             if bu != bw:
                 edges.add((min(bu, bw), max(bu, bw)))
-    quotient = Graph.from_edges(len(blocks), sorted(edges))
+    quotient = Graph.from_edges(len(sizes), sorted(edges))
 
-    sizes = {len(b) for b in blocks}
-    uniform = len(sizes) == 1
+    uniform = len(set(sizes.tolist())) == 1
     local_bij = uniform
     if local_bij:
         for v in range(g.n):
@@ -120,7 +153,7 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
                     or images != set(quotient.adj[block_of[v]])):
                 local_bij = False
                 break
-    fibre = len(blocks[0]) if uniform else 0
+    fibre = int(sizes[0]) if uniform else 0
     return CoverReport(is_local_bijection=local_bij, quotient=quotient,
                        fibre_size=fibre)
 
@@ -352,19 +385,19 @@ def automorphism_group_order(g: Graph, cap: int = 100) -> int:
 
 
 def verify_arc_transitive(g: Graph, action: VertexAction) -> bool:
-    """True iff the orbit of one arc under the generated group covers all
-    arcs (BFS on arcs under the generator action)."""
-    arcs_total = sum(len(nbrs) for nbrs in g.adj)
-    if arcs_total == 0:
+    """True iff the action's group has one orbit on the arcs of g.
+
+    Arc u -> v is numbered by the rank of its code u*n + v among all the
+    codes, which adjacency order already sorts.  A generator, an
+    automorphism, maps the codes onto the codes, so np.searchsorted turns
+    it into a permutation of the numbers, and one array orbit from arc 0
+    must reach them all."""
+    _check_on(g, action)
+    tails, heads = g.arcs
+    if not len(tails):
         return False
-    start = (0, g.adj[0][0])
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u, v = queue.popleft()
-        for p in action.gen_perms:
-            arc = (p(u), p(v))
-            if arc not in seen:
-                seen.add(arc)
-                queue.append(arc)
-    return len(seen) == arcs_total
+    codes = tails * g.n + heads
+    gens = [np.searchsorted(codes, p[tails] * g.n + p[heads])
+            for p in (q.astype(np.int64) for q in action.group.arrays())]
+    seen = np.zeros(len(codes), dtype=bool)
+    return len(array_orbit(gens, [0], seen)) == len(codes)

@@ -1,6 +1,14 @@
 """Permutation-group engine: orbits, order, membership, stabilisers,
 transitivity, blocks and primitivity.
 
+Orbits are found by one array routine, ``array_orbit``: a level-synchronous
+BFS over int image arrays with a boolean ``seen`` mask, one gather per
+generator per level (Seress, *Permutation Group Algorithms*, CUP 2003,
+§2.1).  A group's orbit of a point and its transitivity are one BFS; all
+its orbits are one BFS from many seeds plus a union-find over the seeds
+that turn out to share an orbit; the graph checks' arc orbit is one BFS on
+arc numbers; and the chain grows its basic orbits by the same level step.
+
 Group data is computed through a deterministic (non-randomised)
 Schreier-Sims stabiliser chain so that any failure reproduces
 bit-for-bit across runs.
@@ -35,7 +43,8 @@ from math import lcm
 
 import numpy as np
 
-__all__ = ["Permutation", "PermGroup", "mul_rows", "row_keys", "min_rows"]
+__all__ = ["Permutation", "PermGroup", "array_orbit", "mul_rows", "row_keys",
+           "min_rows"]
 
 
 class Permutation:
@@ -204,6 +213,47 @@ def min_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Orbits over int image arrays
+# ---------------------------------------------------------------------------
+
+def _orbit_level(frontier: np.ndarray, gens: list, seen: np.ndarray):
+    """One BFS level: the images of the frontier under gens that seen does
+    not hold, each once, in order of first discovery in the frontier-major
+    (point, generator) image array, with their positions in that array.
+    Marks them in seen."""
+    images = np.stack([np.take(g, frontier) for g in gens], axis=1).ravel()
+    fresh = np.flatnonzero(~seen[images])
+    _, first = np.unique(images[fresh], return_index=True)
+    at = fresh[np.sort(first)]
+    new = images[at]
+    seen[new] = True
+    return new, at
+
+
+def array_orbit(gens: list, seeds, seen: np.ndarray,
+                owner: np.ndarray | None = None) -> np.ndarray:
+    """The union of the orbits of the seeds under the group generated by
+    gens (int image arrays on the points of the boolean mask seen), by a
+    level-synchronous BFS.  The seeds must not be in seen; what the BFS
+    reaches is marked in it, and points already marked are not entered, so
+    one mask serves a sweep over several orbits.  With owner (an int array
+    over the points, set at the seeds), each point reached gets its
+    discoverer's entry, so a BFS from several seeds records which seed
+    reached which point.  Returns the points in discovery order, seeds
+    first."""
+    frontier = np.asarray(seeds, dtype=np.int64)
+    seen[frontier] = True
+    levels = [frontier]
+    while len(frontier) and gens:
+        new, at = _orbit_level(frontier, gens, seen)
+        if owner is not None:
+            owner[new] = owner[frontier[at // len(gens)]]
+        frontier = new
+        levels.append(frontier)
+    return np.concatenate(levels)
+
+
+# ---------------------------------------------------------------------------
 # Stabiliser chain (deterministic Schreier-Sims)
 # ---------------------------------------------------------------------------
 
@@ -222,13 +272,15 @@ class _Level:
     """One level of the chain: a base point, the strong generators that fix
     the earlier base points, and the basic orbit as a Schreier vector."""
 
-    __slots__ = ("point", "gens", "orbit", "sv", "_u", "_u_inv", "done",
-                 "cursor")
+    __slots__ = ("point", "gens", "orbit", "seen", "sv", "_u", "_u_inv",
+                 "done", "cursor")
 
     def __init__(self, point: int, identity: np.ndarray):
         self.point = point
         self.gens: list[np.ndarray] = []
         self.orbit = np.array([point])  # in discovery order
+        self.seen = np.zeros(len(identity), dtype=bool)
+        self.seen[point] = True
         # Schreier vector: sv[q] = (p, i) with q = gens[i](p), so that
         # u_q = u_p * gens[i]; (-1, -1) off the orbit, (point, -1) at the
         # base point.
@@ -242,7 +294,7 @@ class _Level:
         self.cursor = 0
 
     def __contains__(self, q: int) -> bool:
-        return self.sv[q, 0] >= 0
+        return bool(self.seen[q])
 
     def add_gen(self, g: np.ndarray):
         """Append g and close the orbit, extend-only: Schreier-vector
@@ -261,11 +313,7 @@ class _Level:
     def _grow(self, points: np.ndarray, gens: list, first: int) -> np.ndarray:
         """Append the images of points under gens (numbered from first) that
         are not yet in the orbit; returns them."""
-        images = np.stack([s[points] for s in gens], axis=1).ravel()
-        fresh = np.flatnonzero(self.sv[images, 0] < 0)
-        _, at = np.unique(images[fresh], return_index=True)
-        at = fresh[np.sort(at)]  # first discoveries, in discovery order
-        new = images[at]
+        new, at = _orbit_level(points, gens, self.seen)
         self.sv[new, 0] = points[at // len(gens)]
         self.sv[new, 1] = first + at % len(gens)
         self.orbit = np.concatenate((self.orbit, new))
@@ -445,21 +493,27 @@ class PermGroup:
         self.generators = generators
         self._base_prefix = tuple(int(b) for b in base_prefix)
         self.order_bound = order_bound
+        self._arrays: list[np.ndarray] | None = None
         self._chain: _StabChain | None = None
         self._lock = threading.Lock()
 
     def __repr__(self):
         return "PermGroup(degree=%d, ngens=%d)" % (self.degree, len(self.generators))
 
-    def _gen_arrays(self) -> list[np.ndarray]:
-        return [np.array(g.images, dtype=np.int32) for g in self.generators]
+    def arrays(self) -> list[np.ndarray]:
+        """The generators as int32 image arrays, made on first use and then
+        kept; callers must not write to them."""
+        if self._arrays is None:
+            self._arrays = [np.array(g.images, dtype=np.int32)
+                            for g in self.generators]
+        return self._arrays
 
     @property
     def chain(self) -> _StabChain:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = _StabChain(self.degree, self._gen_arrays(),
+                    self._chain = _StabChain(self.degree, self.arrays(),
                                              self._base_prefix, bound=self.order_bound)
         return self._chain
 
@@ -475,34 +529,70 @@ class PermGroup:
         return self.contains(p)
 
     def orbit(self, x: int) -> set:
-        """The orbit of point x, by plain closure over the generators."""
+        """The orbit of point x."""
         if not 0 <= x < self.degree:
             raise ValueError("point %d out of range" % x)
-        seen = {x}
-        queue = [x]
-        while queue:
-            p = queue.pop()
-            for g in self.generators:
-                q = g.images[p]
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return seen
+        seen = np.zeros(self.degree, dtype=bool)
+        return set(array_orbit(self.arrays(), [x], seen).tolist())
+
+    def orbit_labels(self) -> np.ndarray:
+        """The least point of each point's orbit, as an int64 array.
+
+        One BFS runs from every point that no generator or inverse maps
+        below it.  The least point of each orbit is such a seed, so the BFS
+        reaches every point, and each point records the seed that reached
+        it.  Two seeds whose regions a generator joins lie in one orbit; a
+        union-find over those pairs, rooted at the lesser seed, ends at the
+        orbit's least point.  So many small orbits cost one BFS, not one
+        each."""
+        n = self.degree
+        gens = self.arrays()
+        points = np.arange(n)
+        if not gens:
+            return points
+        is_seed = np.ones(n, dtype=bool)
+        for g in gens:
+            is_seed &= (points <= g) & (points <= _invert(g))
+        owner = np.where(is_seed, points, -1)
+        array_orbit(gens, np.flatnonzero(is_seed), np.zeros(n, dtype=bool), owner)
+        lo = np.concatenate([np.minimum(owner, owner[g]) for g in gens])
+        hi = np.concatenate([np.maximum(owner, owner[g]) for g in gens])
+        joined = np.sort((hi * n + lo)[lo != hi])  # the pairs, as hi*n + lo
+        joined = joined[np.diff(joined, prepend=-1) != 0]
+        root: dict = {}  # seed -> a lesser seed of its orbit
+
+        def find(x):
+            path = []
+            while x in root:
+                path.append(x)
+                x = root[x]
+            for y in path:
+                root[y] = x
+            return x
+
+        for code in joined.tolist():
+            ra, rb = find(code // n), find(code % n)
+            if ra != rb:
+                root[max(ra, rb)] = min(ra, rb)
+        least = points.copy()
+        least[list(root)] = [find(x) for x in root]
+        return least[owner]
 
     def orbits(self) -> list[set]:
         """The orbits, ordered by their least points."""
-        seen = [False] * self.degree
-        out = []
-        for x in range(self.degree):
-            if not seen[x]:
-                orb = self.orbit(x)
-                for y in orb:
-                    seen[y] = True
-                out.append(orb)
-        return out
+        if not self.degree:
+            return []
+        label = self.orbit_labels()
+        order = np.argsort(label, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), self.degree]
+        order = order.tolist()
+        return [set(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def is_transitive(self) -> bool:
-        return self.degree > 0 and len(self.orbit(0)) == self.degree
+        """True iff the orbit of point 0 is every point."""
+        seen = np.zeros(self.degree, dtype=bool)
+        return (self.degree > 0
+                and len(array_orbit(self.arrays(), [0], seen)) == self.degree)
 
     def point_stabiliser(self, x: int) -> "PermGroup":
         """The stabiliser of x, read off this group's own chain.
@@ -527,7 +617,7 @@ class PermGroup:
             arrays = [_compose(_compose(u_inv, s), u)
                       for s in chain.strong_gens_fixing_prefix(1)]
         else:
-            arrays = _StabChain(self.degree, self._gen_arrays(), (x,),
+            arrays = _StabChain(self.degree, self.arrays(), (x,),
                                 bound=chain.order()).strong_gens_fixing_prefix(1)
         gens = [Permutation._unchecked(tuple(g.tolist())) for g in arrays]
         return PermGroup(gens, degree=self.degree)

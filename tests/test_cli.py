@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tetrasym import cli, extragrp, families, permgrp
+from tetrasym import cli, extragrp, families, graphalg, permgrp
 from tetrasym.cli import family_checks, main
 from tetrasym.cosetgraph import edge_list_text
 from tetrasym.families import FamilySpec, build_family
@@ -364,3 +364,18 @@ def test_one_chain_per_vertex_action(monkeypatch, spec, checks):
     assert [r["name"] for r in rows] == checks
     assert all(r["pass"] for r in rows)
     assert len(built) == 1
+
+
+def test_girth_check_runs_one_bfs_on_a_transitive_action(monkeypatch):
+    build = build_family(FamilySpec.parse("gamma:t=10,sign=minus"))
+    roots = []
+    bfs = graphalg._shortest_cycle_from
+
+    def counting(adj, root, best):
+        roots.append(root)
+        return bfs(adj, root, best)
+
+    monkeypatch.setattr(graphalg, "_shortest_cycle_from", counting)
+    rows = family_checks(build, ["girth"])
+    assert [(r["name"], r["actual"], r["pass"]) for r in rows] == [("girth", 8, True)]
+    assert roots == [0]

@@ -42,6 +42,58 @@ def test_graph_rejects_unsorted_neighbours():
         Graph(3, ((2, 1), (0,), (0,)))
 
 
+def _scalar_graph_error(n, adj):
+    """The first error of a vertex-by-vertex validation, the oracle for the
+    array checks: None for a valid adjacency."""
+    for u, nbrs in enumerate(adj):
+        if list(nbrs) != sorted(set(nbrs)):
+            return "neighbour list of %d not sorted/duplicate-free" % u
+        for v in nbrs:
+            if not 0 <= v < n:
+                return "neighbour %d out of range" % v
+            if v == u:
+                return "loop at vertex %d" % u
+            if u not in adj[v]:
+                return "edge %d-%d not symmetric" % (u, v)
+    return None
+
+
+@pytest.mark.parametrize("adj, message", [
+    (((1,), (0, 2), (3, 1), (2,)), "neighbour list of 2 not sorted/duplicate-free"),
+    (((1,), (0, 2, 2), (1,)), "neighbour list of 1 not sorted/duplicate-free"),
+    (((1,), (0, 3), (1,)), "neighbour 3 out of range"),
+    (((-1, 1), (0,), ()), "neighbour -1 out of range"),
+    (((1,), (0, 1), ()), "loop at vertex 1"),
+    (((1,), (0, 2), (1,), (2,)), "edge 3-2 not symmetric"),
+    (((1, 2), (0,), ()), "edge 0-2 not symmetric"),
+])
+def test_graph_names_the_first_malformed_vertex(adj, message):
+    assert _scalar_graph_error(len(adj), adj) == message
+    with pytest.raises(ValueError, match="^%s$" % message):
+        Graph(len(adj), adj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-1, n), max_size=4).map(tuple), min_size=n, max_size=n)))
+def test_graph_validation_matches_scalar_oracle(adj):
+    adj = tuple(adj)
+    message = _scalar_graph_error(len(adj), adj)
+    if message is None:
+        assert Graph(len(adj), adj).adj == adj
+    else:
+        with pytest.raises(ValueError) as err:
+            Graph(len(adj), adj)
+        assert str(err.value) == message
+
+
+def test_graph_arcs_are_in_adjacency_order():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    tails, heads = g.arcs
+    assert list(zip(tails.tolist(), heads.tolist())) == [
+        (u, v) for u in range(4) for v in g.adj[u]]
+
+
 def test_from_edges_dedupes():
     g = Graph.from_edges(3, [(0, 1), (1, 0), (1, 2)])
     assert g.adj == ((1,), (0, 2), (1,))

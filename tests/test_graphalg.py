@@ -1,12 +1,15 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetrasym import graphalg
 from tetrasym.cosetgraph import Graph, VertexAction
-from tetrasym.families import FamilySpec, build_family, central_block_words
+from tetrasym.families import (FamilySpec, build_family, central_block_words,
+                               praeger_xu_direct)
 from tetrasym.graphalg import (automorphism_group_order, girth, is_bipartite,
                                is_block, isomorphic, local_group,
                                quotient_by_subgroup_orbits,
@@ -81,6 +84,153 @@ def test_girth_agrees_with_brute_force(g):
             girth(g)
     else:
         assert girth(g) == expected
+
+
+def all_roots_girth(g):
+    """Oracle: a parent-excluding BFS from every vertex, with the cutoff at
+    the best cycle found so far (the library's path before it took one
+    root per vertex orbit)."""
+    best = None
+    for root in range(g.n):
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            if best is not None and 2 * dist[u] >= best:
+                break
+            for w in g.adj[u]:
+                if w == parent[u]:
+                    continue
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                else:
+                    cycle = dist[u] + dist[w] + 1
+                    if best is None or cycle < best:
+                        best = cycle
+    return best
+
+
+def arc_orbit_oracle(g, action):
+    """Oracle: the orbit of one arc, by a BFS on arc pairs under the
+    generators, one Permutation call per arc end."""
+    arcs_total = sum(len(nbrs) for nbrs in g.adj)
+    if arcs_total == 0:
+        return False
+    start = (0, g.adj[0][0])
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u, v = queue.popleft()
+        for p in action.gen_perms:
+            arc = (p(u), p(v))
+            if arc not in seen:
+                seen.add(arc)
+                queue.append(arc)
+    return len(seen) == arcs_total
+
+
+def matrix_members(fam):
+    """The 39 members that the default acceptance matrix builds, plus
+    wreath:r=3000 (6000 vertices under three generators)."""
+    members = {"crs:r=%d,s=%d" % (r, s): fam.crs(r, s)
+               for r in range(3, 9) for s in range(1, r)}
+    members.update({"gamma:sign=%s,t=%d" % (sign, t): fam.gamma(t, sign)
+                    for t in range(2, 7) for sign in ("plus", "minus")})
+    members["delta:m=2"] = fam.delta(2)
+    members["wreath:r=4"] = fam.wreath(4)
+    assert len(members) == 39
+    members["wreath:r=3000"] = fam.wreath(3000)
+    return members
+
+
+def test_orbit_checks_match_oracles_on_matrix_members(fam):
+    for spec, fb in matrix_members(fam).items():
+        assert girth(fb.graph, fb.action) == all_roots_girth(fb.graph), spec
+        assert (verify_arc_transitive(fb.graph, fb.action)
+                == arc_orbit_oracle(fb.graph, fb.action)), spec
+
+
+@pytest.mark.parametrize("r", range(4, 9))
+def test_girth_without_action_matches_oracle_on_direct_crs(r):
+    for s in range(2, r - 1):
+        g = praeger_xu_direct(r, s)
+        assert girth(g) == all_roots_girth(g), (r, s)
+
+
+def c5_and_c4():
+    """C5 and C4 side by side, each rotated by its own cycle: two vertex
+    orbits of different girth."""
+    g = Graph.from_edges(9, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 1) % 4) for i in range(4)])
+    return g, VertexAction(g, (cyc(9, (0, 1, 2, 3, 4), (5, 6, 7, 8)),))
+
+
+def test_girth_takes_least_over_orbits_of_different_girth():
+    g, action = c5_and_c4()
+    assert len(action.group.orbits()) == 2
+    assert girth(g, action) == 4 == all_roots_girth(g)
+    assert not verify_arc_transitive(g, action)
+    assert not arc_orbit_oracle(g, action)
+
+
+def test_girth_runs_one_bfs_per_orbit(monkeypatch):
+    g, action = c5_and_c4()
+    roots = []
+    bfs = graphalg._shortest_cycle_from
+
+    def counting(adj, root, best):
+        roots.append(root)
+        return bfs(adj, root, best)
+
+    monkeypatch.setattr(graphalg, "_shortest_cycle_from", counting)
+    girth(g, action)
+    assert roots == [0, 5]
+    roots.clear()
+    girth(g)
+    assert roots == list(range(9))
+
+
+def test_girth_and_arcs_reject_an_action_on_another_graph():
+    action = VertexAction(cycle_graph(5), (cyc(5, (0, 1, 2, 3, 4)),))
+    with pytest.raises(ValueError):
+        girth(cycle_graph(6), action)
+    with pytest.raises(ValueError):
+        verify_arc_transitive(petersen(), action)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_strategy)
+def test_girth_with_identity_action_agrees_with_brute_force(g):
+    expected = brute_force_girth(g)
+    action = VertexAction(g, (Permutation.identity(g.n),))
+    if expected is None:
+        with pytest.raises(ValueError):
+            girth(g, action)
+    else:
+        assert girth(g, action) == expected == all_roots_girth(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 39))
+def test_girth_and_arcs_with_dihedral_action_on_a_cycle(n, shift):
+    # rotation and a reflection of C_n, in a relabelling of the vertices
+    images = list(range(n))
+    random.Random(shift).shuffle(images)
+    relabel = Permutation(images)
+    g = cycle_graph(n).relabelled(relabel)
+    rotation = Permutation([(i + 1) % n for i in range(n)])
+    reflection = Permutation([(shift - i) % n for i in range(n)])
+    gens = tuple(p.conjugate(relabel) for p in (rotation, reflection))
+    action = VertexAction(g, gens)
+    assert girth(g, action) == n == all_roots_girth(g)
+    assert verify_arc_transitive(g, action)
+    assert arc_orbit_oracle(g, action)
+    # the rotation alone moves arcs one way round the cycle only
+    assert not verify_arc_transitive(g, VertexAction(g, gens[:1]))
 
 
 # -- bipartiteness ---------------------------------------------------------------

@@ -124,6 +124,75 @@ def test_orbits_partition_degree():
     assert sorted(sum(([*o] for o in orbits), [])) == list(range(5))
 
 
+def closure_orbits(G):
+    """Oracle: each orbit by a plain closure over the generators, from the
+    least point not yet in an orbit."""
+    seen = [False] * G.degree
+    out = []
+    for x in range(G.degree):
+        if seen[x]:
+            continue
+        orb, queue = {x}, [x]
+        while queue:
+            p = queue.pop()
+            for g in G.generators:
+                if g(p) not in orb:
+                    orb.add(g(p))
+                    queue.append(g(p))
+        for y in orb:
+            seen[y] = True
+        out.append(orb)
+    return out
+
+
+def check_orbits(G):
+    expected = closure_orbits(G)
+    assert G.orbits() == expected
+    labels = G.orbit_labels().tolist()
+    assert labels == [min(o) for x in range(G.degree) for o in expected if x in o]
+    assert G.is_transitive() == (len(expected) == 1)
+    for x in range(0, G.degree, max(1, G.degree // 5)):
+        assert G.orbit(x) == next(o for o in expected if x in o)
+
+
+@pytest.mark.parametrize("spec", ["delta:m=2", "crs:r=8,s=4"])
+def test_orbits_match_closure_on_seeded_subgroups(spec):
+    # groups generated by seeded subsets and products of a vertex action's
+    # generators: several orbits of several sizes, and the whole action
+    gens = build_family(FamilySpec.parse(spec)).action.gen_perms
+    rng = random.Random(spec)
+    groups = [PermGroup(gens)]
+    for _ in range(6):
+        picked = rng.sample(gens, rng.randint(1, 2))
+        if rng.random() < 0.5:
+            picked = [picked[0] * rng.choice(gens)]
+        groups.append(PermGroup(picked))
+    assert len({len(G.orbits()) for G in groups}) > 2
+    for G in groups:
+        check_orbits(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(
+    st.permutations(range(n)).map(Permutation), min_size=0, max_size=3)
+    .map(lambda gens: (n, gens))))
+def test_orbits_match_closure(data):
+    n, gens = data
+    check_orbits(PermGroup(gens, degree=n))
+
+
+def test_orbits_of_a_long_cycle_and_of_an_empty_generating_set():
+    rng = random.Random(7)
+    points = list(range(1000))
+    rng.shuffle(points)
+    images = [0] * 1000
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    check_orbits(PermGroup([Permutation(images)]))
+    assert PermGroup((), degree=3).orbits() == [{0}, {1}, {2}]
+    assert PermGroup((), degree=0).orbits() == []
+
+
 def test_point_stabiliser_orbit_stabiliser_theorem():
     G = sym(4)
     stab = G.point_stabiliser(0)
