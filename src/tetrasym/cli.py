@@ -14,6 +14,8 @@ import random
 import sys
 import time
 
+import numpy as np
+
 from tetrasym import families, graphalg
 from tetrasym.cosetgraph import (edge_list_text, sphere, to_dot, to_json_obj,
                                  validate_corefree)
@@ -135,9 +137,12 @@ def _bound_equality(build):
 
 def _cover(build):
     zperm = build.coset.perm_of(build.group.z)
-    rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action, [zperm])
-    if rep.quotient.n > _ISO_CAP:
+    # the quotient has one vertex per <z>-orbit, each named by its least
+    # point: count them before the quotient is built
+    labels = PermGroup([zperm]).orbit_labels()
+    if np.count_nonzero(labels == np.arange(len(labels))) > _ISO_CAP:
         raise _Skip("z-quotient above the %d-vertex isomorphism cap" % _ISO_CAP)
+    rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action, [zperm])
     t = build.spec.get("t")
     base = families.praeger_xu_coset(2 * t, t)
     iso = graphalg.isomorphic(rep.quotient, base.graph, cap=_ISO_CAP) is not None

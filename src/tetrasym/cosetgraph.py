@@ -15,6 +15,12 @@ probing a vertex of level L finds cosets of levels L-1, L and L+1, and all
 of levels up to L are known by then.  So each level's new cosets get ids in
 (least parent id, key) order, the order in which the batched BFS assigns
 them.
+
+A build makes no element object and no label per vertex.  H is closed,
+the cosets are explored and the vertex action is formed on array forms;
+the representatives as elements (``CosetGraphBuild.reps``) and the vertex
+labels (``Graph.labels``) are made on their first read, and no check reads
+either one.
 """
 
 from __future__ import annotations
@@ -35,13 +41,25 @@ __all__ = [
     "SabidussiReport", "sphere", "edge_list_text", "to_dot", "to_json_obj",
 ]
 
-@dataclass(frozen=True)
 class Graph:
-    """Finite simple undirected graph as indexed adjacency lists."""
+    """Finite simple undirected graph as indexed adjacency lists.
 
-    n: int
-    adj: tuple
-    labels: tuple | None = None
+    ``labels`` names the vertices, or is None.  It may be given as a
+    function of no arguments that returns the names: the function is called
+    on the first read of ``labels`` and its tuple kept, which is how coset
+    builds label their vertices.  Two graphs are equal when their vertex
+    counts, adjacency lists and labels are; a graph is equal to itself
+    without a read of its labels.  Graphs are immutable.
+    """
+
+    def __init__(self, n: int, adj: tuple, labels=None):
+        self.__dict__.update(n=n, adj=adj, _labels=labels)
+        # the validation keeps the name it had when Graph was a dataclass;
+        # bench/spans.py times it under that name
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
 
     def __post_init__(self):
         # Each check is an array mask over the arcs; the first vertex with an
@@ -60,8 +78,32 @@ class Graph:
         bad[inside] |= codes[at] != reverse
         if bad.any():
             self._check_vertex(int(tails[bad.argmax()]))
-        if self.labels is not None and len(self.labels) != self.n:
+        if not callable(self._labels):
+            self._check_labels(self._labels)
+
+    def _check_labels(self, labels):
+        if labels is not None and len(labels) != self.n:
             raise ValueError("labels length != n")
+
+    @property
+    def labels(self) -> tuple | None:
+        labels = self._labels
+        if callable(labels):
+            labels = tuple(labels())
+            self._check_labels(labels)
+            self.__dict__["_labels"] = labels
+        return labels
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and self.adj == other.adj
+                and self.labels == other.labels)
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
 
     def _check_vertex(self, u: int):
         nbrs = self.adj[u]
@@ -210,15 +252,18 @@ class GroupIface:
     """Capability bundle handed to the coset-graph builder.
 
     Elements are GElt or Permutation objects.  H is given by its
-    ``generators``; ``subgroup`` is their closure, computed here in sorted
-    order, so H is a subgroup by construction.  ``order`` is |G|.
+    ``generators``, and is their closure, so it is a subgroup by
+    construction.  ``order`` is |G|.
 
     The builder works on ``form``, the array form of the elements: GElt as
     int64 packed codes, Permutation as image rows.  ``form`` packs and
     unpacks elements and multiplies, orders and compares array forms.
-    ``canon`` maps an array of elements to the array of the canonical
-    representatives of their cosets, ``canon(X)[i] == min(h*X[i] for h in
-    H)``, in closed form; None takes that minimum over H.
+    ``subgroup_array`` holds the elements of H in array form, in sorted
+    order, closed here by one level-synchronous BFS; ``subgroup`` is the
+    same elements as objects, unpacked on first read and used by no build
+    or check.  ``canon`` maps an array of elements to the array of the
+    canonical representatives of their cosets, ``canon(X)[i] == min(h*X[i]
+    for h in H)``, in closed form; None takes that minimum over H.
 
     G itself needs no generators: the builder acts with H's generators and
     a, and its check that all |G|/|H| cosets are reached proves that they
@@ -230,32 +275,40 @@ class GroupIface:
     order: int
     label: object = None  # element -> str, used for vertex labels
     canon: object = None  # array form -> array form of min(H*element)
-    subgroup: tuple = field(init=False, repr=False)
     form: object = field(init=False, repr=False, compare=False)
+    subgroup_array: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "subgroup",
-                           _closure(self.generators, self.identity))
-        object.__setattr__(self, "form",
-                           _CodeForm(self.identity.group)
-                           if isinstance(self.identity, GElt)
-                           else _RowForm(self.identity.degree))
-        if self.order % len(self.subgroup):
+        form = (_CodeForm(self.identity.group) if isinstance(self.identity, GElt)
+                else _RowForm(self.identity.degree))
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "subgroup_array", _closure(
+            form, form.pack(self.generators), form.pack([self.identity])))
+        if self.order % len(self.subgroup_array):
             raise ValueError("|H| does not divide |G|")
 
+    @cached_property
+    def subgroup(self) -> tuple:
+        """The sorted elements of H as GElt or Permutation objects."""
+        return tuple(self.form.unpack(self.subgroup_array))
 
-def _closure(gens: tuple, identity) -> tuple:
-    """The sorted elements of <gens>: a BFS from the identity by right
-    multiplication, |<gens>| * |gens| products."""
-    seen = {identity}
-    queue = [identity]
-    for h in queue:
-        for s in gens:
-            hs = h * s
-            if hs not in seen:
-                seen.add(hs)
-                queue.append(hs)
-    return tuple(sorted(seen))
+
+def _closure(form, gens: np.ndarray, identity: np.ndarray) -> np.ndarray:
+    """The elements of <gens> in array form, sorted: a level-synchronous BFS
+    from the identity by right multiplication, one array product per level
+    and |<gens>| * |gens| in all."""
+    levels = [identity]
+    known = form.keys(identity)  # sorted
+    while len(levels[-1]) and len(gens):
+        frontier = levels[-1]
+        products = form.mul(np.repeat(frontier, len(gens), axis=0),
+                            gens[np.arange(len(frontier) * len(gens)) % len(gens)])
+        keys, first = np.unique(form.keys(products), return_index=True)
+        _, old = _find(known, keys)
+        levels.append(products[first[~old]])
+        known = np.sort(np.concatenate((known, keys[~old])))
+    elts = np.concatenate(levels)
+    return elts[np.argsort(form.keys(elts))]
 
 
 @dataclass(frozen=True)
@@ -278,7 +331,12 @@ class SabidussiReport:
 class CosetGraphBuild:
     """Result of build_coset_graph: the graph, the vertex action of H's
     generators and a, canonical coset representatives and coset-lookup
-    helpers."""
+    helpers.
+
+    The representatives are kept in array form (``_reps``, in vertex order).
+    ``reps``, the same representatives as GElt or Permutation objects, and
+    the graph's labels, ``iface.label`` of each representative, are made on
+    their first read; the build and the checks read neither."""
 
     def __init__(self, iface: GroupIface, a_elt, reps, index: tuple, adj):
         self.iface = iface
@@ -286,16 +344,21 @@ class CosetGraphBuild:
         self._reps = reps  # array form, in vertex order
         self._index = index
         self._canon = _canon_of(iface)
-        self.reps = tuple(iface.form.unpack(reps))
         labels = None
         if iface.label is not None:
-            labels = tuple(map(iface.label, self.reps))
-        self.graph = Graph(len(self.reps), tuple(map(tuple, adj.tolist())), labels)
+            def labels():
+                return tuple(map(iface.label, iface.form.unpack(reps)))
+        self.graph = Graph(len(reps), tuple(map(tuple, adj.tolist())), labels)
         # build_coset_graph reached |G|/|H| cosets, so <H, a> has order
         # iface.order, and the action is a homomorphic image of <H, a>
         self.action = VertexAction(
             self.graph, tuple(map(self.perm_of, iface.generators + (a_elt,))),
             order_bound=iface.order)
+
+    @cached_property
+    def reps(self) -> tuple:
+        """The canonical coset representatives as elements, in vertex order."""
+        return tuple(self.iface.form.unpack(self._reps))
 
     def _vertices(self, elts: np.ndarray) -> np.ndarray:
         """The vertices holding the cosets H*x of an array of elements."""
@@ -346,8 +409,7 @@ def _canon_of(iface: GroupIface):
     minimum over H, one product per element of H."""
     if iface.canon is not None:
         return iface.canon
-    form = iface.form
-    subgroup = form.pack(iface.subgroup)
+    form, subgroup = iface.form, iface.subgroup_array
 
     def canon(xs: np.ndarray) -> np.ndarray:
         best = form.mul(subgroup[0], xs)
@@ -364,8 +426,7 @@ def _arc_transversal(iface: GroupIface, a_elt) -> tuple:
     lies in a^-1 H a, so the split does not depend on g and its length is
     the valency |HaH|/|H|.  The union of these cosets is HaH: x lies in HaH
     exactly when the key of canon(x) is one of the keys."""
-    form = iface.form
-    subgroup = form.pack(iface.subgroup)
+    form, subgroup = iface.form, iface.subgroup_array
     a_hs = _canon_of(iface)(form.mul(form.pack([a_elt])[0], subgroup))
     keys, first = np.unique(form.keys(a_hs), return_index=True)
     return keys, subgroup[first]
@@ -435,7 +496,7 @@ def build_coset_graph(iface: GroupIface, a_elt) -> CosetGraphBuild:
     the explored vertex count differs from |G|/|H| (either one signals a bad
     triple, or an ``iface.canon`` that is not constant on cosets)."""
     reps, index, adj = _explore(iface, a_elt, 4)
-    n_expected = iface.order // len(iface.subgroup)
+    n_expected = iface.order // len(iface.subgroup_array)
     if len(reps) != n_expected:
         raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
                          "proper subgroup, or canon is not constant on cosets"
@@ -458,7 +519,7 @@ def validate_sabidussi(iface: GroupIface, a_elt) -> SabidussiReport:
     been built, CosetGraphBuild.sabidussi gives the same report without
     exploring again."""
     reps, _, _ = _explore(iface, a_elt, None)
-    connected = len(reps) == iface.order // len(iface.subgroup)
+    connected = len(reps) == iface.order // len(iface.subgroup_array)
     return _sabidussi_report(iface, a_elt, connected)
 
 
@@ -467,7 +528,7 @@ def validate_corefree(build: CosetGraphBuild) -> bool:
     action of G on the cosets of H is faithful.  One array product per
     vertex, over the elements of H that fix every vertex seen so far."""
     form = build.iface.form
-    live = form.pack(build.iface.subgroup)
+    live = build.iface.subgroup_array
     for v, rep in enumerate(build._reps):
         live = live[build._vertices(form.mul(rep, live)) == v]
         if len(live) == 1:  # only the identity is left

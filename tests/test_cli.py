@@ -251,6 +251,30 @@ def test_verify_cover_above_iso_cap_skips(capsys, monkeypatch):
     assert skip in json.loads(out)["checks"]
 
 
+def test_cover_skip_never_builds_the_quotient(monkeypatch):
+    # the cap is tested on the count of <z>-orbits, before the quotient's
+    # loops over every arc run; at the cap itself the quotient is built
+    build = build_family(FamilySpec.parse("gamma:t=3,sign=minus"))
+    quotient = graphalg.quotient_by_subgroup_orbits
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(graphalg, "quotient_by_subgroup_orbits", counting)
+    monkeypatch.setattr(cli, "_ISO_CAP", 47)
+    assert family_checks(build, ["cover"]) == [
+        {"name": "cover", "skipped": True,
+         "reason": "z-quotient above the 47-vertex isomorphism cap"}]
+    assert built == []
+    monkeypatch.setattr(cli, "_ISO_CAP", 48)
+    rows = family_checks(build, ["cover"])
+    assert [(r["name"], r["actual"], r["pass"]) for r in rows] == [
+        ("cover", (2, True, True), True)]
+    assert len(built) == 1
+
+
 def test_chain_checks_above_the_cap_on_a_bounded_action(capsys):
     # gamma t=8 has 8192 vertices; its action's chain is bounded by the
     # order its build certified, so the chain checks run there

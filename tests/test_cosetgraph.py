@@ -1,10 +1,14 @@
 import dataclasses
+import hashlib
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrasym import cosetgraph
+from tetrasym.cli import CHECK_NAMES, family_checks
 from tetrasym.cosetgraph import (Graph, GroupIface, VertexAction,
                                  build_coset_graph, edge_list_text, sphere,
                                  to_dot, to_json_obj, validate_corefree,
@@ -108,6 +112,29 @@ def test_relabelled_preserves_structure():
     assert sorted(len(x) for x in h.adj) == [2, 2, 2, 2]
 
 
+def test_lazy_labels_are_made_on_first_read_and_kept():
+    calls = []
+
+    def names():
+        calls.append(1)
+        return ["u", "v"]
+
+    g = Graph(2, ((1,), (0,)), names)
+    assert g == g and hash(g) == hash(Graph(2, ((1,), (0,))))
+    assert calls == []
+    assert g.labels == ("u", "v") and calls == [1]
+    assert g.labels == ("u", "v") and calls == [1]
+    assert g == Graph.from_edges(2, [(0, 1)], ("u", "v"))
+    assert g != Graph.from_edges(2, [(0, 1)], ("v", "u"))
+    assert g != Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(ValueError, match="labels length != n"):
+        Graph(2, ((1,), (0,)), lambda: ("u",)).labels
+    with pytest.raises(ValueError, match="labels length != n"):
+        Graph(2, ((1,), (0,)), ("u",))
+    with pytest.raises(AttributeError):
+        g.n = 3
+
+
 def test_vertex_action_rejects_non_automorphism():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
@@ -141,6 +168,51 @@ def test_iface_requires_identity_in_subgroup():
     assert GroupIface(generators=(), identity=e, order=2).subgroup == (e,)
     iface = GroupIface(generators=(cyc(2, (0, 1)),), identity=e, order=2)
     assert iface.subgroup == (e, cyc(2, (0, 1)))
+
+
+def _closure_oracle(gens, identity) -> tuple:
+    """Reference: the sorted elements of <gens>, by a BFS over elements
+    from the identity, one product and one hash lookup at a time."""
+    seen = {identity}
+    queue = [identity]
+    for h in queue:
+        for s in gens:
+            hs = h * s
+            if hs not in seen:
+                seen.add(hs)
+                queue.append(hs)
+    return tuple(sorted(seen))
+
+
+# every coset member that `tetrasym matrix` builds by default
+_MATRIX_COSET_MEMBERS = (
+    ["crs:r=%d,s=%d" % (r, s) for r in range(3, 9) for s in range(1, r)]
+    + ["gamma:sign=%s,t=%d" % (sign, t) for t in range(2, 7)
+       for sign in ("plus", "minus")]
+    + ["delta:m=2"])
+
+
+def _hand_made_ifaces():
+    """Triples with no closed-form canon: Z_4 and Z_5 with H trivial, a
+    cyclic H in Sym(3), the gamma t=2, 3 triples and H = <x_0, x_1, b, z>."""
+    c = cyc(3, (0, 1, 2))
+    grp = extension_group(2, PLUS)
+    return [GroupIface(generators=(), identity=Permutation.identity(4), order=4),
+            GroupIface(generators=(), identity=Permutation.identity(5), order=5),
+            GroupIface(generators=(c,), identity=Permutation.identity(3), order=6),
+            gamma_iface(2, PLUS)[1], gamma_iface(3, "minus")[1],
+            GroupIface(generators=(grp.x(0), grp.x(1), grp.b, grp.z),
+                       identity=grp.identity, order=grp.order)]
+
+
+@pytest.mark.parametrize("spec", _MATRIX_COSET_MEMBERS + [None])
+def test_array_closure_matches_element_closure(spec):
+    ifaces = (_hand_made_ifaces() if spec is None
+              else [build_family(FamilySpec.parse(spec)).coset.iface])
+    for iface in ifaces:
+        oracle = _closure_oracle(iface.generators, iface.identity)
+        assert iface.subgroup == oracle
+        assert np.array_equal(iface.subgroup_array, iface.form.pack(oracle))
 
 
 def test_iface_rejects_permutations_beyond_byte_rows():
@@ -277,6 +349,34 @@ def test_build_is_deterministic():
     b2 = build_coset_graph(iface, grp.a)
     assert edge_list_text(b1.graph) == edge_list_text(b2.graph)
     assert b1.graph.labels == b2.graph.labels
+
+
+@pytest.mark.parametrize("spec", ["delta:m=2", "gamma:t=3,sign=minus",
+                                  "crs:r=6,s=3"])
+def test_build_and_checks_never_call_the_labeller(spec):
+    # the labels are made on the first read of graph.labels, and kept; no
+    # step of the build and no check reads them or the representatives
+    fb = build_family(FamilySpec.parse(spec))
+    calls = []
+
+    def label(elt):
+        calls.append(elt)
+        return fb.coset.iface.label(elt)
+
+    iface = dataclasses.replace(fb.coset.iface, label=label)
+    coset = build_coset_graph(iface, fb.coset.a_elt)
+    member = dataclasses.replace(fb, graph=coset.graph, action=coset.action,
+                                 coset=coset)
+    rows = family_checks(member, list(CHECK_NAMES))
+    assert sorted(r["name"] for r in rows) == sorted(CHECK_NAMES)
+    assert all(r.get("skipped") or r["pass"] for r in rows)
+    assert calls == []
+    assert "reps" not in vars(coset)
+    labels = coset.graph.labels
+    assert len(calls) == coset.graph.n
+    assert labels == fb.graph.labels
+    assert coset.graph.labels is labels
+    assert len(calls) == coset.graph.n
 
 
 def _family_and_generic(spec):
@@ -437,3 +537,26 @@ def test_golden_numbering_at_depth(spec):
              "\n".join(fb.graph.labels))
     assert tuple(hashlib.sha256(s.encode()).hexdigest()
                  for s in texts) == _DEEP_GOLDENS[spec]
+
+
+# sha256 of to_dot and of the sorted-key JSON export, labels included,
+# pinned before the labels and representatives were made on demand
+_EXPORT_GOLDENS = {
+    "delta:m=2": (
+        "302bdc629eb863ea533ef7ae5b7723af30c7bb256fb0ca1a2ffb8441de0e12e1",
+        "c5207bdc00555c793895f66fa62c218517ab341fc6b56be6f490286fc65db3cd"),
+    "gamma:t=3,sign=minus": (
+        "0a2a015a2264374c9ae57ac5b9da118a2c499f91d1154dd80f48b1d9a167d69c",
+        "2181e9a37d9bb37aecd688d5bdd124ce6369f0db305d1fbebd2ca7355405ef46"),
+    "crs:r=6,s=3": (
+        "abd46b0d6196694f53a6550a2191df31ccae7b6949346da5b565dfce0a6eafe6",
+        "f78311e0934b037bab7723a25af6c64f3932ffe05ed0dc22024bc30c8ef50004"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_EXPORT_GOLDENS))
+def test_golden_exports(spec):
+    g = build_family(FamilySpec.parse(spec)).graph
+    texts = (to_dot(g), json.dumps(to_json_obj(g), sort_keys=True))
+    assert tuple(hashlib.sha256(s.encode()).hexdigest()
+                 for s in texts) == _EXPORT_GOLDENS[spec]
