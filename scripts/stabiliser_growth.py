@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tetrasym import families  # noqa: E402
+from tetrasym import extragrp, families  # noqa: E402
 
 
 def bound_rhs(gv: int) -> int:
@@ -54,13 +54,13 @@ def rows(max_t: int):
                math.factorial(4 * m) // gv, gv, bound_rhs(gv))
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-t", type=int, default=6)
     parser.add_argument("--out", default=None)
-    args = parser.parse_args()
-    if not 2 <= args.max_t <= families.GAMMA_MAX_T:
-        parser.error("--max-t must be between 2 and %d" % families.GAMMA_MAX_T)
+    args = parser.parse_args(argv)
+    if not 2 <= args.max_t <= extragrp.MAX_T:
+        parser.error("--max-t must be between 2 and %d" % extragrp.MAX_T)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
     writer.writerow(["family", "params", "vertices", "stabiliser_order",

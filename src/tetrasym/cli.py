@@ -19,7 +19,7 @@ import numpy as np
 from tetrasym import families, graphalg
 from tetrasym.cosetgraph import (edge_list_text, sphere, to_dot, to_json_obj,
                                  validate_corefree)
-from tetrasym.extragrp import MINUS, PLUS, SIGNS, EVec, extension_group
+from tetrasym.extragrp import MAX_T, MINUS, PLUS, SIGNS, EVec, extension_group
 from tetrasym.families import FamilySpec, build_family
 from tetrasym.permgrp import PermGroup, Permutation
 
@@ -230,11 +230,22 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
+def _check_names(names):
+    """The requested check names as a list, or None for all (names empty);
+    raises ValueError on an unknown name."""
+    unknown = list(dict.fromkeys(n for n in names or () if n not in _CHECKS))
+    if unknown:
+        raise ValueError("unknown checks %s (choose from %s)"
+                         % (", ".join(map(repr, unknown)), ", ".join(CHECK_NAMES)))
+    return list(names) if names else None
+
+
 def family_checks(build: families.FamilyBuild, names=None) -> list:
     """Run the requested named checks (all when names is empty) against one
-    family member.  A check that does not apply gives a skip row."""
+    family member.  A check that does not apply gives a skip row; an
+    unknown name raises ValueError."""
     fam = build.spec.family
-    wanted = list(names) if names else None
+    wanted = _check_names(names)
     rows = []
     for name, (only, check) in _CHECKS.items():
         if (wanted is not None and name not in wanted) or only not in (None, fam):
@@ -247,14 +258,13 @@ def family_checks(build: families.FamilyBuild, names=None) -> list:
 
     if wanted is not None:
         for name in wanted:
-            if name not in _CHECKS:
-                rows.append(_skip(name, "unknown check"))
-            elif not any(r["name"] == name for r in rows):
+            if not any(r["name"] == name for r in rows):
                 rows.append(_skip(name, "not applicable to family %s" % fam))
     return rows
 
 
 def verification_report(spec: FamilySpec, checks=None, allow_large=False) -> dict:
+    _check_names(checks)  # before the build
     build = build_family(spec, allow_large=allow_large)
     rows = family_checks(build, checks)
     live = [r for r in rows if not r.get("skipped")]
@@ -522,8 +532,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    if not 2 <= args.max_t <= families.GAMMA_MAX_T:
-        raise ValueError("--max-t must be between 2 and %d" % families.GAMMA_MAX_T)
+    if not 2 <= args.max_t <= MAX_T:
+        raise ValueError("--max-t must be between 2 and %d" % MAX_T)
     fams = args.families.split(",") if args.families else None
     with _output(args.out) as write:
         report = matrix_report(families_filter=fams, max_t=args.max_t)
@@ -568,7 +578,7 @@ def main(argv=None) -> int:
                    help="comma list restricting to these families")
     p.add_argument("--max-t", type=int, default=6,
                    help="largest parameter for the extension-group family "
-                        "(2 to %d)" % families.GAMMA_MAX_T)
+                        "(2 to %d)" % MAX_T)
     p.set_defaults(fn=cmd_matrix)
 
     args = parser.parse_args(argv)

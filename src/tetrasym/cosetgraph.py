@@ -137,9 +137,6 @@ class Graph:
         return cls(n, tuple(tuple(sorted(s)) for s in nbrs),
                    tuple(labels) if labels is not None else None)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def is_regular(self, d: int) -> bool:
         return all(len(nbrs) == d for nbrs in self.adj)
 

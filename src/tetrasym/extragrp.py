@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PLUS", "MINUS", "SIGNS",
+    "PLUS", "MINUS", "SIGNS", "MAX_T",
     "EVec", "evec_mul", "evec_inv", "conj_by_a", "conj_by_b",
     "GElt", "ExtensionGroup", "extension_group",
     "SubgroupH", "double_coset_contains",
@@ -44,6 +44,7 @@ __all__ = [
 PLUS = "plus"
 MINUS = "minus"
 SIGNS = (PLUS, MINUS)
+MAX_T = 10  # the groups are built for 2 <= t <= MAX_T
 
 
 @dataclass(frozen=True)
@@ -219,8 +220,8 @@ class ExtensionGroup:
     compared by identity."""
 
     def __init__(self, t: int, sign: str):
-        if not 2 <= t <= 10:
-            raise ValueError("t out of range: %d (need 2 <= t <= 10)" % t)
+        if not 2 <= t <= MAX_T:
+            raise ValueError("t out of range: %d (need 2 <= t <= %d)" % (t, MAX_T))
         if sign not in SIGNS:
             raise ValueError("sign must be %r or %r" % SIGNS)
         self.t = t

@@ -35,8 +35,8 @@ FAMILIES = tuple(_PARAMS)
 
 # The size guard: a member with more vertices is built only with allow_large.
 _MAX_VERTICES = 100_000
-# The largest t and m that gamma and delta are built for (both start at 2).
-GAMMA_MAX_T = 10
+# The largest m that delta is built for (from 2); gamma's t stops at
+# extragrp.MAX_T.
 _DELTA_MAX_M = 3
 
 
@@ -301,8 +301,8 @@ def gamma(t: int, sign: str, allow_large: bool = False) -> FamilyBuild:
     """The coset graph of (G, H, a) over the plus- or minus-type extension
     group of order t*2^(2t+3), with H = <x_0..x_{t-1}, b>; t*2^(t+2)
     vertices and vertex-stabilisers of order 2^(t+1)."""
-    if not 2 <= t <= GAMMA_MAX_T:
-        raise ValueError("t out of range: %d" % t)
+    if not 2 <= t <= extragrp.MAX_T:
+        raise ValueError("t out of range: %d (need 2 <= t <= %d)" % (t, extragrp.MAX_T))
     _check_size("gamma t=%d" % t, t * 2 ** (t + 2), allow_large)
     grp = extragrp.extension_group(t, sign)
     iface = GroupIface(

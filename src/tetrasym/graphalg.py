@@ -3,15 +3,17 @@ quotients and covers, local groups, blocks of imprimitivity, isomorphism and
 automorphism-group orders at desk scale.
 
 Girth runs a BFS from one root per vertex orbit of a given action (every
-vertex without one).  Arc-transitivity is one array orbit
-(``permgrp.array_orbit``) on the arcs, numbered by their sorted codes
-u*n + v, with each generator mapped onto those numbers by binary search.
+vertex without one).  Arc-transitivity labels the orbits of the action's
+group on the arcs (``permgrp.orbit_labels``), the arcs numbered by their
+sorted codes u*n + v and each generator mapped onto those numbers by binary
+search.
 
 Isomorphism and automorphism searches use equitable-partition refinement
 (cell splitting) with individualization and full backtracking, so a negative
 answer is a proof of non-isomorphism, not a heuristic.  The automorphism
 search skips the orbit searches that the automorphisms it has already found
-decide.
+decide: it labels the orbits of the group they generate with the same
+``permgrp.orbit_labels``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from tetrasym.cosetgraph import Graph, VertexAction
-from tetrasym.permgrp import PermGroup, Permutation, array_orbit
+from tetrasym.permgrp import PermGroup, Permutation, orbit_labels
 
 __all__ = [
     "girth", "is_bipartite", "CoverReport",
@@ -345,22 +347,16 @@ def automorphism_group_order(g: Graph, cap: int = 100) -> int:
 
     The orbit of v is decided by complete find-one searches (v -> u) and
     pruned with the automorphisms found so far, all of which fix the
-    vertices individualised above level k: a union-find over the vertices
-    holds the orbits of the group they generate, which lie inside the true
-    orbits.  A u already joined to v is counted without a search, and a u
-    joined to an earlier failure fails too."""
+    vertices individualised above level k: the orbits of the group they
+    generate, relabelled after each find, lie inside the true orbits.  A u
+    in v's orbit there is counted without a search, and a u in the orbit of
+    an earlier failure fails too."""
     if g.n > cap:
         raise ValueError("automorphism search capped at %d vertices" % cap)
     adj = g.adj
     path = _path(adj, g.n)
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    found_autos = []
+    label = list(range(g.n))
     order = 1
     for k in reversed(range(len(path) - 1)):
         cell_of, cells, _, target = path[k]
@@ -368,19 +364,15 @@ def automorphism_group_order(g: Graph, cap: int = 100) -> int:
         v = cell[0]
         failed = []
         for u in cell[1:]:
-            root = find(u)
-            if root == find(v) or any(find(f) == root for f in failed):
+            if label[u] == label[v] or any(label[f] == label[u] for f in failed):
                 continue
             found = _branch(adj, adj, path, k, cell_of, cells, u)
             if found is None:
                 failed.append(u)
                 continue
-            for x, y in enumerate(found):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-        root = find(v)
-        order *= sum(1 for u in cell if find(u) == root)
+            found_autos.append(np.array(found))
+            label = orbit_labels(found_autos, g.n).tolist()
+        order *= sum(1 for u in cell if label[u] == label[v])
     return order
 
 
@@ -390,8 +382,8 @@ def verify_arc_transitive(g: Graph, action: VertexAction) -> bool:
     Arc u -> v is numbered by the rank of its code u*n + v among all the
     codes, which adjacency order already sorts.  A generator, an
     automorphism, maps the codes onto the codes, so np.searchsorted turns
-    it into a permutation of the numbers, and one array orbit from arc 0
-    must reach them all."""
+    it into a permutation of the numbers, and every number must share arc
+    0's orbit label."""
     _check_on(g, action)
     tails, heads = g.arcs
     if not len(tails):
@@ -399,5 +391,4 @@ def verify_arc_transitive(g: Graph, action: VertexAction) -> bool:
     codes = tails * g.n + heads
     gens = [np.searchsorted(codes, p[tails] * g.n + p[heads])
             for p in (q.astype(np.int64) for q in action.group.arrays())]
-    seen = np.zeros(len(codes), dtype=bool)
-    return len(array_orbit(gens, [0], seen)) == len(codes)
+    return not orbit_labels(gens, len(codes)).any()

@@ -1,13 +1,18 @@
 """Permutation-group engine: orbits, order, membership, stabilisers,
 transitivity, blocks and primitivity.
 
-Orbits are found by one array routine, ``array_orbit``: a level-synchronous
-BFS over int image arrays with a boolean ``seen`` mask, one gather per
-generator per level (Seress, *Permutation Group Algorithms*, CUP 2003,
-§2.1).  A group's orbit of a point and its transitivity are one BFS; all
-its orbits are one BFS from many seeds plus a union-find over the seeds
-that turn out to share an orbit; the graph checks' arc orbit is one BFS on
-arc numbers; and the chain grows its basic orbits by the same level step.
+Orbits are labelled by one array routine, ``orbit_labels``: min-label
+hooking with pointer jumping (Shiloach & Vishkin, *An O(log n) parallel
+connectivity algorithm*, J. Algorithms 3, 1982).  Each round hooks every
+class's least point to the least class a generator joins it to, then follows
+the hooks to their ends.  A class joined to another merges within two
+rounds (if all its neighbours hook below it, it hooks to them next), so an
+orbit of n points takes O(log n) rounds of O(log n) jumps, each a few
+gathers per generator.  A group's orbits, the orbit of a point, its
+transitivity and the graph checks' arc orbit all read these labels.  The
+chain grows its basic orbits by a BFS instead, because its Schreier vectors
+need the BFS tree.  ``PermGroup.min_block`` keeps Atkinson's union-find: its
+merges cascade one pair at a time, which array rounds do slowly.
 
 Group data is computed through a deterministic (non-randomised)
 Schreier-Sims stabiliser chain so that any failure reproduces
@@ -43,7 +48,7 @@ from math import lcm
 
 import numpy as np
 
-__all__ = ["Permutation", "PermGroup", "array_orbit", "mul_rows", "row_keys",
+__all__ = ["Permutation", "PermGroup", "orbit_labels", "mul_rows", "row_keys",
            "min_rows"]
 
 
@@ -213,44 +218,34 @@ def min_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Orbits over int image arrays
+# Orbit labels over int image arrays
 # ---------------------------------------------------------------------------
 
-def _orbit_level(frontier: np.ndarray, gens: list, seen: np.ndarray):
-    """One BFS level: the images of the frontier under gens that seen does
-    not hold, each once, in order of first discovery in the frontier-major
-    (point, generator) image array, with their positions in that array.
-    Marks them in seen."""
-    images = np.stack([np.take(g, frontier) for g in gens], axis=1).ravel()
-    fresh = np.flatnonzero(~seen[images])
-    _, first = np.unique(images[fresh], return_index=True)
-    at = fresh[np.sort(first)]
-    new = images[at]
-    seen[new] = True
-    return new, at
+def orbit_labels(gens: list, degree: int) -> np.ndarray:
+    """The least point of each point's orbit under the group generated by
+    gens (int image arrays on 0..degree-1), as an int64 array.
 
-
-def array_orbit(gens: list, seeds, seen: np.ndarray,
-                owner: np.ndarray | None = None) -> np.ndarray:
-    """The union of the orbits of the seeds under the group generated by
-    gens (int image arrays on the points of the boolean mask seen), by a
-    level-synchronous BFS.  The seeds must not be in seen; what the BFS
-    reaches is marked in it, and points already marked are not entered, so
-    one mask serves a sweep over several orbits.  With owner (an int array
-    over the points, set at the seeds), each point reached gets its
-    discoverer's entry, so a BFS from several seeds records which seed
-    reached which point.  Returns the points in discovery order, seeds
-    first."""
-    frontier = np.asarray(seeds, dtype=np.int64)
-    seen[frontier] = True
-    levels = [frontier]
-    while len(frontier) and gens:
-        new, at = _orbit_level(frontier, gens, seen)
-        if owner is not None:
-            owner[new] = owner[frontier[at // len(gens)]]
-        frontier = new
-        levels.append(frontier)
-    return np.concatenate(levels)
+    label[x] is the least point of x's class, every class starting as one
+    point.  Each round hooks every class's least point to the least label
+    that some generator joins the class to, follows the hooks to their ends
+    (root = root[root] until stable) and relabels, until no label changes.
+    Hooks only point down, so they cannot cycle.  The generators are taken
+    one at a time, so the round holds a few arrays of degree points."""
+    label = np.arange(degree, dtype=np.int64)
+    while True:
+        root = label.copy()
+        for g in gens:
+            image = label[g]
+            np.minimum.at(root, np.maximum(label, image), np.minimum(label, image))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        relabelled = root[label]
+        if np.array_equal(relabelled, label):
+            return label
+        label = relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +308,14 @@ class _Level:
     def _grow(self, points: np.ndarray, gens: list, first: int) -> np.ndarray:
         """Append the images of points under gens (numbered from first) that
         are not yet in the orbit; returns them."""
-        new, at = _orbit_level(points, gens, self.seen)
+        images = np.stack([np.take(g, points) for g in gens], axis=1).ravel()
+        fresh = np.flatnonzero(~self.seen[images])
+        # each new point once, at its first place in the point-major
+        # (point, generator) image array
+        _, once = np.unique(images[fresh], return_index=True)
+        at = fresh[np.sort(once)]
+        new = images[at]
+        self.seen[new] = True
         self.sv[new, 0] = points[at // len(gens)]
         self.sv[new, 1] = first + at % len(gens)
         self.orbit = np.concatenate((self.orbit, new))
@@ -528,55 +530,16 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
+    def orbit_labels(self) -> np.ndarray:
+        """The least point of each point's orbit, as an int64 array."""
+        return orbit_labels(self.arrays(), self.degree)
+
     def orbit(self, x: int) -> set:
         """The orbit of point x."""
         if not 0 <= x < self.degree:
             raise ValueError("point %d out of range" % x)
-        seen = np.zeros(self.degree, dtype=bool)
-        return set(array_orbit(self.arrays(), [x], seen).tolist())
-
-    def orbit_labels(self) -> np.ndarray:
-        """The least point of each point's orbit, as an int64 array.
-
-        One BFS runs from every point that no generator or inverse maps
-        below it.  The least point of each orbit is such a seed, so the BFS
-        reaches every point, and each point records the seed that reached
-        it.  Two seeds whose regions a generator joins lie in one orbit; a
-        union-find over those pairs, rooted at the lesser seed, ends at the
-        orbit's least point.  So many small orbits cost one BFS, not one
-        each."""
-        n = self.degree
-        gens = self.arrays()
-        points = np.arange(n)
-        if not gens:
-            return points
-        is_seed = np.ones(n, dtype=bool)
-        for g in gens:
-            is_seed &= (points <= g) & (points <= _invert(g))
-        owner = np.where(is_seed, points, -1)
-        array_orbit(gens, np.flatnonzero(is_seed), np.zeros(n, dtype=bool), owner)
-        lo = np.concatenate([np.minimum(owner, owner[g]) for g in gens])
-        hi = np.concatenate([np.maximum(owner, owner[g]) for g in gens])
-        joined = np.sort((hi * n + lo)[lo != hi])  # the pairs, as hi*n + lo
-        joined = joined[np.diff(joined, prepend=-1) != 0]
-        root: dict = {}  # seed -> a lesser seed of its orbit
-
-        def find(x):
-            path = []
-            while x in root:
-                path.append(x)
-                x = root[x]
-            for y in path:
-                root[y] = x
-            return x
-
-        for code in joined.tolist():
-            ra, rb = find(code // n), find(code % n)
-            if ra != rb:
-                root[max(ra, rb)] = min(ra, rb)
-        least = points.copy()
-        least[list(root)] = [find(x) for x in root]
-        return least[owner]
+        label = self.orbit_labels()
+        return set(np.flatnonzero(label == label[x]).tolist())
 
     def orbits(self) -> list[set]:
         """The orbits, ordered by their least points."""
@@ -589,10 +552,8 @@ class PermGroup:
         return [set(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def is_transitive(self) -> bool:
-        """True iff the orbit of point 0 is every point."""
-        seen = np.zeros(self.degree, dtype=bool)
-        return (self.degree > 0
-                and len(array_orbit(self.arrays(), [0], seen)) == self.degree)
+        """True iff every point lies in the orbit of point 0."""
+        return self.degree > 0 and not self.orbit_labels().any()
 
     def point_stabiliser(self, x: int) -> "PermGroup":
         """The stabiliser of x, read off this group's own chain.

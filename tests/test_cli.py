@@ -220,7 +220,30 @@ def test_verify_checks_subset(capsys):
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["counts"]["pass"] and by_name["girth"]["pass"]
     assert by_name["cover"]["pass"]
-    assert by_name["nonsense"]["skipped"]
+
+
+@pytest.mark.parametrize("checks, named", [("counts,nonsense", "'nonsense'"),
+                                           (",", "''")])
+def test_verify_unknown_check_usage_error(capsys, monkeypatch, checks, named):
+    # an unknown name is refused before the build, with the valid names
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the check names were read")
+
+    monkeypatch.setattr(cli, "build_family", no_build)
+    code, out, err = run(capsys, "verify", "gamma:t=3,sign=minus",
+                         "--checks", checks)
+    assert code == 2
+    assert out == ""
+    assert "unknown checks %s (choose from %s)" % (named, ", ".join(cli.CHECK_NAMES)) in err
+    with pytest.raises(ValueError, match="unknown checks 'nonsense'"):
+        family_checks(build_family(FamilySpec.parse("wreath:r=3")), ["nonsense"])
+
+
+def test_verify_gamma_t_above_the_limit_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "gamma:t=11,sign=minus")
+    assert code == 2
+    assert out == ""
+    assert "t out of range: 11 (need 2 <= t <= 10)" in err
 
 
 def test_verify_not_applicable_check_reported(capsys):

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetrasym.cosetgraph import VertexAction
 from tetrasym.families import FamilySpec, build_family
-from tetrasym.permgrp import PermGroup, Permutation, min_rows, mul_rows, row_keys
+from tetrasym.graphalg import verify_arc_transitive
+from tetrasym.permgrp import (PermGroup, Permutation, min_rows, mul_rows,
+                              orbit_labels, row_keys)
 
 perm_strategy = st.integers(2, 8).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
@@ -148,8 +151,10 @@ def closure_orbits(G):
 def check_orbits(G):
     expected = closure_orbits(G)
     assert G.orbits() == expected
-    labels = G.orbit_labels().tolist()
-    assert labels == [min(o) for x in range(G.degree) for o in expected if x in o]
+    least = {}
+    for o in expected:
+        least.update(dict.fromkeys(o, min(o)))
+    assert G.orbit_labels().tolist() == [least[x] for x in range(G.degree)]
     assert G.is_transitive() == (len(expected) == 1)
     for x in range(0, G.degree, max(1, G.degree // 5)):
         assert G.orbit(x) == next(o for o in expected if x in o)
@@ -191,6 +196,67 @@ def test_orbits_of_a_long_cycle_and_of_an_empty_generating_set():
     check_orbits(PermGroup([Permutation(images)]))
     assert PermGroup((), degree=3).orbits() == [{0}, {1}, {2}]
     assert PermGroup((), degree=0).orbits() == []
+
+
+# -- orbit_labels edge cases, each against closure_orbits -------------------------
+
+def test_orbit_labels_without_generators():
+    for n in (0, 1, 5):
+        G = PermGroup((), degree=n)
+        assert orbit_labels([], n).tolist() == list(range(n))
+        assert orbit_labels([], n).dtype == np.int64
+        check_orbits(G)
+
+
+def test_orbit_labels_with_fixed_points():
+    # two cycles and a transposition among fixed points, under two
+    # generators that share the fixed points 0, 6 and 11
+    G = PermGroup([cyc(12, (1, 4, 9), (2, 7)), cyc(12, (3, 10), (4, 8))])
+    check_orbits(G)
+    assert G.orbit_labels().tolist() == [0, 1, 2, 3, 1, 5, 6, 2, 1, 1, 3, 11]
+
+
+def test_orbit_labels_of_an_involution():
+    # n/2 two-point orbits, the pairs interleaved so no orbit is an interval
+    n = 1000
+    rng = random.Random(11)
+    points = list(range(n))
+    rng.shuffle(points)
+    G = PermGroup([cyc(n, *zip(points[::2], points[1::2]))])
+    check_orbits(G)
+    assert len(G.orbits()) == n // 2
+
+
+def test_orbit_labels_of_a_40960_point_cycle():
+    n = 40960
+    rng = random.Random(40960)
+    points = list(range(n))
+    rng.shuffle(points)
+    images = [0] * n
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    G = PermGroup([Permutation(images)])
+    assert not G.orbit_labels().any()
+    check_orbits(G)
+    assert not orbit_labels([np.arange(1, n + 1) % n], n).any()
+
+
+def test_arc_orbits_of_wreath_20000():
+    # the arcs of wreath:r=20000 (160,000 of them) under its action, as a
+    # permutation group on arcs numbered in a dictionary, against the
+    # closure; verify_arc_transitive numbers them by binary search instead
+    fb = build_family(FamilySpec.parse("wreath:r=20000"))
+    arcs = [(u, v) for u in range(fb.graph.n) for v in fb.graph.adj[u]]
+    number = {arc: i for i, arc in enumerate(arcs)}
+    arc_gens = [Permutation([number[p(u), p(v)] for u, v in arcs])
+                for p in fb.action.gen_perms]
+    G = PermGroup(arc_gens)
+    check_orbits(G)
+    assert G.is_transitive()
+    assert verify_arc_transitive(fb.graph, fb.action)
+    H = PermGroup(arc_gens[:2])
+    check_orbits(H)
+    assert not verify_arc_transitive(fb.graph, VertexAction(fb.graph, fb.action.gen_perms[:2]))
 
 
 def test_point_stabiliser_orbit_stabiliser_theorem():
