@@ -4,24 +4,28 @@ automorphism-group orders at desk scale.
 
 Girth runs a BFS from one root per vertex orbit of a given action (every
 vertex without one).  Arc-transitivity labels the orbits of the action's
-group on the arcs (``permgrp.orbit_labels``), the arcs numbered by their
-sorted codes u*n + v and each generator mapped onto those numbers by binary
-search.
+group on the arcs (``permgrp.orbit_labels``), the arc u -> v numbered as the
+first arc of u plus the count of u's neighbours below v in the padded
+adjacency array that the searches use too.
 
-Isomorphism and automorphism searches use equitable-partition refinement
-(cell splitting) with individualization and full backtracking, so a negative
-answer is a proof of non-isomorphism, not a heuristic.  The automorphism
-search skips the orbit searches that the automorphisms it has already found
-decide: it labels the orbits of the group they generate with the same
-``permgrp.orbit_labels``.
+Isomorphism and automorphism searches individualise and refine with full
+backtracking, so a negative answer is a proof of non-isomorphism, not a
+heuristic.  Refinement works on the whole colouring at once: each round
+ranks every vertex's key (its colour and its neighbours' sorted colours)
+with one argsort, and records the sorted keys exactly, so a second graph
+replays a first graph's records and fails at the first round that differs.
+The automorphism order comes from orbit-stabiliser along the first path.
+The isomorphism search prunes with the second graph's automorphisms, which
+it computes only at its first failed branch: at each level it tries one
+candidate per orbit of those that fix the branch's individualised vertices
+(McKay and Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
+2014).  Orbits are labelled by ``permgrp.orbit_labels``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -189,136 +193,271 @@ def is_block(action: VertexAction, S) -> bool:
 # Isomorphism / automorphisms via refinement + backtracking
 # ---------------------------------------------------------------------------
 
-def _refine(adj, cell_of, cells, queue, script=None):
-    """Refine a vertex partition in place until it is equitable.
+def _padded(g: Graph) -> np.ndarray:
+    """g's adjacency as an (n, maximum degree) int64 array: row u holds u's
+    neighbours in increasing order, padded on the right with n."""
+    tails, heads = g.arcs
+    degree = np.bincount(tails, minlength=g.n)
+    pad = np.full((g.n, int(degree.max(initial=0))), g.n, np.int64)
+    pad[tails, np.arange(len(tails)) - (np.cumsum(degree) - degree)[tails]] = heads
+    return pad
 
-    The partition is cell_of (vertex -> cell id) with cells (id -> set of
-    vertices).  Each step takes a cell from the queue and splits every cell
-    by the number of neighbours its vertices have in it.  A split cell keeps
-    its id for the part with the fewest such neighbours, and the other parts
-    get new ids in order of that number, so cell ids are isomorphism
-    invariant.  A cell that splits queues its new parts when it is still
-    queued itself, and all its parts but the largest otherwise (Hopcroft's
-    rule, as in McKay and Piperno's refinement).
 
-    Each step records, for every cell the splitter reaches, its (number of
-    neighbours, part size) pairs.  Returns the records; given the records
-    of a first graph as script, replays them instead and returns None at
-    the first step that differs, which proves that no isomorphism maps the
-    first graph's partition onto this one."""
-    queued = set(queue)
+def _refine(pad, colours, script=None):
+    """Refine a dense colouring (ranks 0..k-1, as an int64 array) until it
+    is equitable.
+
+    Each round keys every vertex by its own colour and the sorted colours
+    of its neighbours, and recolours it by the rank of its key among the
+    distinct keys.  The keys start with the old colour, so colour classes
+    only split, and the rounds stop once the number of colours stops
+    growing or every vertex has its own.  Ranks depend only on the keys, so
+    the colouring is isomorphism invariant.
+
+    Each round's record is the sorted keys themselves, not a hash of them:
+    the bytes of the keys packed into one int64 each when they fit, of the
+    key rows otherwise.  Returns (colouring, records); given the records of
+    a first graph as script, returns None at the first round that differs,
+    which proves that no isomorphism maps the first graph's colouring onto
+    this one."""
+    n = len(colours)
     records = []
-    while queue:
-        w = queue.popleft()
-        queued.discard(w)
-        hits: dict = {}
-        for x in cells[w]:
-            for y in adj[x]:
-                hits[y] = hits.get(y, 0) + 1
-        parts: dict = {}
-        for y, k in hits.items():
-            key = (cell_of[y], k)
-            if key in parts:
-                parts[key].append(y)
-            else:
-                parts[key] = [y]
-        record, splits = [], []
-        for c, keys in groupby(sorted(parts), itemgetter(0)):
-            counts = [k for _, k in keys]
-            split = [parts[c, k] for k in counts]
-            sizes = [(k, len(part)) for k, part in zip(counts, split)]
-            rest = len(cells[c]) - sum(size for _, size in sizes)
-            if rest:
-                sizes.insert(0, (0, rest))
-            record.append((c, tuple(sizes)))
-            if len(sizes) > 1:
-                splits.append((c, split, rest))
+    count = int(colours.max()) + 1 if n else 0
+    shifted = np.zeros(n + 1, np.int64)  # colour + 1; the pad value n reads 0
+    while count < n:
+        shifted[:n] = colours + 1
+        columns = _neighbour_columns(pad, shifted)
+        # fold the columns in base count + 1, ranking the partial keys
+        # (which keeps their order) whenever the next fold could overflow
+        base, span, packed_keys = count + 1, count, True
+        packed = colours
+        for column in columns:
+            if span * base > 1 << 63:
+                packed = np.unique(packed, return_inverse=True)[1]
+                span, packed_keys = int(packed.max()) + 1, False
+            packed = packed * base + column
+            span *= base
+        order = np.argsort(packed)
+        packed = packed[order]
+        if packed_keys:
+            record = packed.tobytes()
+        else:
+            record = np.vstack([colours, *columns]).T[order].tobytes()
         if script is not None and (len(records) == len(script)
                                    or script[len(records)] != record):
             return None
         records.append(record)
-        for c, split, rest in splits:
-            if rest:
-                for part in split:
-                    cells[c].difference_update(part)
-            else:
-                cells[c] = set(split.pop(0))
-            ids = [c]
-            for part in split:
-                ids.append(len(cells))
-                for y in part:
-                    cell_of[y] = len(cells)
-                cells.append(set(part))
-            if c in queued:
-                del ids[0]
-            else:
-                lengths = [len(cells[i]) for i in ids]
-                del ids[lengths.index(max(lengths))]
-            queue.extend(ids)
-            queued.update(ids)
+        ranks = np.zeros(n, np.int64)
+        np.cumsum(packed[1:] != packed[:-1], out=ranks[1:])
+        colours = np.empty(n, np.int64)
+        colours[order] = ranks
+        if ranks[-1] + 1 == count:
+            break
+        count = int(ranks[-1]) + 1
     if script is not None and len(records) != len(script):
         return None
-    return records
+    return colours, records
 
 
-def _individualise(cell_of, cells, v):
-    """A copy of an equitable partition with v moved to a new singleton
-    cell, and the queue that refines it: just that cell."""
-    cell_of = list(cell_of)
-    cells = [set(vs) for vs in cells]
-    cells[cell_of[v]].discard(v)
-    cell_of[v] = len(cells)
-    cells.append({v})
-    return cell_of, cells, deque([cell_of[v]])
+def _neighbour_columns(pad, shifted):
+    """The columns of the (n, width) array shifted[pad], each row sorted.
+
+    An insertion network of elementwise minima and maxima costs about
+    width**2 array operations whatever n is, and row sorts cost about one
+    sort per vertex; the network is used where it is the cheaper of the
+    two, on large graphs of small degree."""
+    n, width = pad.shape
+    if width * (width - 1) * 32 > n:
+        return list(np.sort(shifted[pad], axis=1).T)
+    columns = list(shifted[pad.T])
+    for i in range(1, width):
+        for j in range(i, 0, -1):
+            columns[j - 1], columns[j] = (np.minimum(columns[j - 1], columns[j]),
+                                          np.maximum(columns[j - 1], columns[j]))
+    return columns
 
 
-def _path(adj, n) -> list:
+class _Level:
+    """One level of the first path: the refined colouring, the records
+    that refined it, and its target colour: the least colour of the largest
+    class, or None when the colouring is discrete.  (Largest cells make the
+    paths of the families' vertex-transitive graphs short.)"""
+
+    __slots__ = ("colours", "records", "target")
+
+    def __init__(self, colours, records):
+        self.colours, self.records = colours, records
+        sizes = np.bincount(colours, minlength=1)
+        self.target = int(sizes.argmax()) if sizes.max() > 1 else None
+
+    def cell(self, colours=None) -> list:
+        """The target cell of this level's colouring or of colours."""
+        return np.flatnonzero((self.colours if colours is None else colours)
+                              == self.target).tolist()
+
+
+def _individualise(colours, v):
+    """colours with v moved to a new colour of its own."""
+    out = colours.copy()
+    out[v] = int(colours.max()) + 1
+    return out
+
+
+def _path(pad) -> list:
     """The first path of the individualisation-refinement tree: level 0 is
-    the refined unit partition, and level k+1 individualises the least
-    vertex of level k's first non-singleton cell and refines.  Each level is
-    (cell_of, cells, the records that refined it, that cell's id), the id
-    None at the discrete last level."""
-    cell_of, cells, queue = [0] * n, [set(range(n))], deque([0])
-    path = []
-    while True:
-        script = _refine(adj, cell_of, cells, queue)
-        target = next((c for c, vs in enumerate(cells) if len(vs) > 1), None)
-        path.append((cell_of, cells, script, target))
-        if target is None:
-            return path
-        cell_of, cells, queue = _individualise(cell_of, cells, min(cells[target]))
+    the refined unit colouring, and level k+1 individualises the least
+    vertex of level k's target cell and refines.  A search tries the
+    candidates of a cell in increasing order, so its first branch in graph
+    2 is graph 2's own first path, which the automorphisms that
+    _automorphisms finds for each level fix down to that level."""
+    level = _Level(*_refine(pad, np.zeros(len(pad), np.int64)))
+    path = [level]
+    while level.target is not None:
+        colours = _individualise(level.colours, level.cell()[0])
+        level = _Level(*_refine(pad, colours))
+        path.append(level)
+    return path
 
 
-def _extend(adj1, adj2, path, k, cell_of2, cells2):
-    """An isomorphism from adj1, whose path this is, to adj2 that maps level
-    k's partition onto (cell_of2, cells2), which replayed it, or None.  The
-    search over the branches is complete, and a map found at the discrete
-    level is checked edge by edge."""
-    cell_of1, _, _, target = path[k]
-    if target is None:
-        where = [0] * len(cell_of2)
-        for u, c in enumerate(cell_of2):
-            where[c] = u
-        mapping = [where[c] for c in cell_of1]
-        for u, nbrs in enumerate(adj1):
-            if sorted([mapping[w] for w in nbrs]) != list(adj2[mapping[u]]):
-                return None
-        return mapping
-    for u in sorted(cells2[target]):
-        found = _branch(adj1, adj2, path, k, cell_of2, cells2, u)
-        if found is not None:
-            return found
-    return None
+class _Search:
+    """A complete backtracking search for an isomorphism from the graph of
+    pad1, whose first path this is, to the graph of pad2.
 
+    gens are known automorphisms of graph 2, or None.  Below a prefix of
+    individualised vertices, the search tries one candidate per orbit of
+    the gens that fix the prefix pointwise: such an automorphism maps a
+    branch that holds no isomorphism onto one that holds none.  When gens
+    is None, the first failed branch computes Aut(graph 2)'s generators.
+    The search keeps its own stack, so the path may be deeper than Python's
+    recursion limit."""
 
-def _branch(adj1, adj2, path, k, cell_of2, cells2, u):
-    """_extend below level k, along the branch that individualises u in
-    adj2's partition (cell_of2, cells2) where adj1 individualised level k's
-    branch vertex."""
-    cell_of, cells, queue = _individualise(cell_of2, cells2, u)
-    if _refine(adj2, cell_of, cells, queue, path[k + 1][2]) is None:
+    def __init__(self, pad1, pad2, path, gens=None):
+        self.pad1, self.pad2, self.path, self.gens = pad1, pad2, path, gens
+
+    def extend(self, k, colours, prefix, cell=None):
+        """An isomorphism mapping level k's colouring onto colours, which
+        replayed it below prefix, or None; with cell, only along the
+        branches that individualise a vertex of cell at level k."""
+        if self.path[k].target is None:
+            return self._leaf(colours)
+        stack = [_Node(self.path[k], k, colours, prefix, cell)]
+        while stack:
+            node = stack[-1]
+            u = node.candidate(self.gens)
+            if u is None:
+                stack.pop()
+                if stack:
+                    self._fail(stack[-1], node.prefix[-1])
+                continue
+            level = self.path[node.k + 1]
+            refined = _refine(self.pad2, _individualise(node.colours, u), level.records)
+            if refined is not None and level.target is not None:
+                stack.append(_Node(level, node.k + 1, refined[0], node.prefix + [u]))
+                continue
+            if refined is not None:
+                found = self._leaf(refined[0])
+                if found is not None:
+                    return found
+            self._fail(node, u)
         return None
-    return _extend(adj1, adj2, path, k + 1, cell_of, cells)
+
+    def _fail(self, node, u):
+        if self.gens is None:
+            self.gens = _automorphisms(self.pad2)[0]
+        node.failed.append(u)
+        if node.labels is not None:
+            node.seen.add(node.labels[u])
+
+    def _leaf(self, colours):
+        """The map from the path's discrete last colouring to colours, if
+        it maps graph 1's edges onto graph 2's (checked edge by edge), else
+        None."""
+        where = np.empty(len(colours), np.int64)
+        where[colours] = np.arange(len(colours))
+        mapping = where[self.path[-1].colours]
+        return mapping if _maps_edges(self.pad1, self.pad2, mapping) else None
+
+
+def _maps_edges(pad1, pad2, mapping) -> bool:
+    """True iff the vertex bijection mapping carries the neighbours of each
+    vertex of graph 1 onto those of its image in graph 2."""
+    images = np.append(mapping, len(mapping))[pad1]
+    return np.array_equal(np.sort(images, axis=1), pad2[mapping])
+
+
+class _Node:
+    """A search node: a colouring of graph 2 that replayed the path's
+    level k below prefix, its untried candidates (the target cell, or the
+    given cell) and the candidates that failed."""
+
+    __slots__ = ("k", "colours", "prefix", "cell", "failed", "labels", "seen")
+
+    def __init__(self, level, k, colours, prefix, cell=None):
+        self.k, self.colours, self.prefix = k, colours, prefix
+        self.cell = (level.cell(colours) if cell is None else cell)[::-1]
+        self.failed, self.labels, self.seen = [], None, set()
+
+    def candidate(self, gens):
+        """The least untried candidate outside the orbits of the failed
+        ones under the gens that fix the prefix, or None."""
+        while self.cell:
+            u = self.cell.pop()
+            if not self.failed or gens is None:
+                return u
+            if self.labels is None:
+                prefix = self.prefix
+                fixing = [g for g in gens if (g[prefix] == prefix).all()]
+                self.labels = orbit_labels(fixing, len(self.colours)).tolist()
+                self.seen = {self.labels[f] for f in self.failed}
+            if self.labels[u] not in self.seen:
+                return u
+        return None
+
+
+def _automorphisms(pad):
+    """Generators of the automorphism group of the graph of pad, and its
+    order, by orbit-stabiliser along the first path: |Aut at level k| =
+    |orbit of level k's branch vertex v| * |Aut at level k+1|, from the
+    discrete level up.
+
+    The orbit of v is decided by complete find-one searches (v -> u),
+    pruned with the automorphisms found so far, all of which fix the
+    vertices individualised above level k: the orbits of the group they
+    generate lie inside the true orbits.  A u in v's orbit there is counted
+    without a search, and a u in the orbit of an earlier failure fails too.
+    Before its search, the transposition of v and u is tried: it is an
+    automorphism whenever the two have the same neighbours, which is what
+    makes graphs with many such twins (the wreath graphs) cheap."""
+    path = _path(pad)
+    gens = []
+    search = _Search(pad, pad, path, gens)
+    n = len(pad)
+    label = np.arange(n)
+    prefix = [level.cell()[0] for level in path[:-1]]
+    order = 1
+    for k in reversed(range(len(path) - 1)):
+        cell = path[k].cell()
+        v = cell[0]
+        failed = set()
+        for u in cell[1:]:
+            if label[u] == label[v] or label[u] in failed:
+                continue
+            swap = np.arange(n)
+            swap[[v, u]] = u, v
+            if _maps_edges(pad, pad, swap):
+                found = swap
+            else:
+                found = search.extend(k, path[k].colours, prefix[:k], [u])
+            if found is None:
+                failed.add(label[u])
+                continue
+            gens.append(found)
+            # the orbits of the enlarged group: the old orbits (each point
+            # joined to its label) joined by the new generator
+            label = orbit_labels([label, found], n)
+            failed = {label[f] for f in failed}
+        order *= int(np.count_nonzero(label[cell] == label[v]))
+    return gens, order
 
 
 def isomorphic(g1: Graph, g2: Graph, cap: int = 5000):
@@ -330,65 +469,48 @@ def isomorphic(g1: Graph, g2: Graph, cap: int = 5000):
         return None
     if sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
         return None
-    path = _path(g1.adj, g1.n)
-    cell_of, cells = [0] * g2.n, [set(range(g2.n))]
-    if _refine(g2.adj, cell_of, cells, deque([0]), path[0][2]) is None:
+    pad1, pad2 = _padded(g1), _padded(g2)
+    path = _path(pad1)
+    refined = _refine(pad2, np.zeros(g2.n, np.int64), path[0].records)
+    if refined is None:
         return None
-    res = _extend(g1.adj, g2.adj, path, 0, cell_of, cells)
-    if res is None:
-        return None
-    return Permutation(res)
+    found = _Search(pad1, pad2, path).extend(0, refined[0], [])
+    return None if found is None else Permutation(found.tolist())
 
 
 def automorphism_group_order(g: Graph, cap: int = 100) -> int:
-    """Exact |Aut(g)| by orbit-stabiliser along the first path of the
-    refinement tree: |Aut at level k| = |orbit of level k's branch vertex v|
-    * |Aut at level k+1|, from the discrete level up.
-
-    The orbit of v is decided by complete find-one searches (v -> u) and
-    pruned with the automorphisms found so far, all of which fix the
-    vertices individualised above level k: the orbits of the group they
-    generate, relabelled after each find, lie inside the true orbits.  A u
-    in v's orbit there is counted without a search, and a u in the orbit of
-    an earlier failure fails too."""
+    """Exact |Aut(g)|, by orbit-stabiliser along the first path of the
+    refinement tree (see _automorphisms)."""
     if g.n > cap:
         raise ValueError("automorphism search capped at %d vertices" % cap)
-    adj = g.adj
-    path = _path(adj, g.n)
-    found_autos = []
-    label = list(range(g.n))
-    order = 1
-    for k in reversed(range(len(path) - 1)):
-        cell_of, cells, _, target = path[k]
-        cell = sorted(cells[target])
-        v = cell[0]
-        failed = []
-        for u in cell[1:]:
-            if label[u] == label[v] or any(label[f] == label[u] for f in failed):
-                continue
-            found = _branch(adj, adj, path, k, cell_of, cells, u)
-            if found is None:
-                failed.append(u)
-                continue
-            found_autos.append(np.array(found))
-            label = orbit_labels(found_autos, g.n).tolist()
-        order *= sum(1 for u in cell if label[u] == label[v])
-    return order
+    return _automorphisms(_padded(g))[1]
+
+
+def _arc_numbers(pad, first, tails, heads):
+    """The numbers of the arcs tails -> heads of the graph of pad, the
+    arcs numbered in (tail, head) order: first[tail], the number of the
+    tail's first arc, plus the count of the tail's neighbours below the
+    head in its padded row."""
+    numbers = first[tails]
+    for column in pad.T:
+        numbers += column[tails] < heads
+    return numbers
 
 
 def verify_arc_transitive(g: Graph, action: VertexAction) -> bool:
     """True iff the action's group has one orbit on the arcs of g.
 
-    Arc u -> v is numbered by the rank of its code u*n + v among all the
-    codes, which adjacency order already sorts.  A generator, an
-    automorphism, maps the codes onto the codes, so np.searchsorted turns
-    it into a permutation of the numbers, and every number must share arc
+    Arcs are numbered in (tail, head) order, which is adjacency order
+    (_arc_numbers).  A generator, an automorphism, maps the arcs onto the
+    arcs, so it permutes their numbers, and every number must share arc
     0's orbit label."""
     _check_on(g, action)
     tails, heads = g.arcs
     if not len(tails):
         return False
-    codes = tails * g.n + heads
-    gens = [np.searchsorted(codes, p[tails] * g.n + p[heads])
+    pad = _padded(g)
+    degree = np.bincount(tails, minlength=g.n)
+    first = np.cumsum(degree) - degree
+    gens = [_arc_numbers(pad, first, p[tails], p[heads])
             for p in (q.astype(np.int64) for q in action.group.arrays())]
-    return not orbit_labels(gens, len(codes)).any()
+    return not orbit_labels(gens, len(tails)).any()

@@ -252,11 +252,15 @@ def test_criterion_11_automorphism_orders(fam):
         ("gamma", 4, MINUS): 8192,
         ("gamma", 5, PLUS): 40960,
         ("gamma", 5, MINUS): 40960,
+        ("gamma", 6, PLUS): 196608,
+        ("gamma", 6, MINUS): 196608,
+        ("gamma", 7, PLUS): 917504,
+        ("gamma", 7, MINUS): 917504,
     }
     for key, want in expected.items():
         graph = (fam.wreath(4) if key[0] == "wreath"
                  else fam.gamma(key[1], key[2])).graph
-        got = graphalg.automorphism_group_order(graph, cap=640)
+        got = graphalg.automorphism_group_order(graph, cap=3584)
         if got != want:
             failures.append("%s: %d != %d" % (key, got, want))
     elapsed = time.time() - t0
@@ -269,7 +273,7 @@ def test_criterion_12_isomorphism_facts(fam):
     failures = []
     if graphalg.isomorphic(fam.gamma(2, PLUS).graph, fam.crs(4, 3).graph) is None:
         failures.append("gamma(2,plus) not matched to crs(4,3)")
-    for t in (2, 3, 4):
+    for t in range(2, 8):
         if graphalg.isomorphic(fam.gamma(t, PLUS).graph,
                                fam.gamma(t, MINUS).graph) is not None:
             failures.append("gamma(%d) signs wrongly isomorphic" % t)

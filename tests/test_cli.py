@@ -223,7 +223,7 @@ def test_verify_checks_subset(capsys):
 
 
 @pytest.mark.parametrize("checks, named", [("counts,nonsense", "'nonsense'"),
-                                           (",", "''")])
+                                           (",", "''"), ("", "''")])
 def test_verify_unknown_check_usage_error(capsys, monkeypatch, checks, named):
     # an unknown name is refused before the build, with the valid names
     def no_build(*args, **kwargs):

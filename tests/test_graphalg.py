@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -430,6 +431,43 @@ def test_cycle_graph_arc_transitive_with_dihedral_action():
     g = cycle_graph(5)
     action = VertexAction(g, (cyc(5, (0, 1, 2, 3, 4)), cyc(5, (1, 4), (2, 3))))
     assert verify_arc_transitive(g, action)
+
+
+def searchsorted_arc_numbers(g, p):
+    """Oracle: the numbering that verify_arc_transitive used before, the
+    rank of each image arc's code p(u)*n + p(v) among the sorted arc codes,
+    found by binary search."""
+    tails, heads = g.arcs
+    return np.searchsorted(tails * g.n + heads, p[tails] * g.n + p[heads])
+
+
+def star_with_tail():
+    """A non-regular graph: a centre with three leaves, one of them
+    extended by a path of two more vertices, and the swap of the two plain
+    leaves as its automorphism."""
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+    return g, [cyc(6, (1, 2)), Permutation.identity(6)]
+
+
+@pytest.mark.parametrize("spec", ["crs:r=5,s=2", "gamma:sign=minus,t=3",
+                                  "wreath:r=4", "delta:m=2", "star-with-tail"])
+def test_arc_numbers_match_binary_search(spec):
+    if spec == "star-with-tail":
+        g, perms = star_with_tail()
+    else:
+        fb = build_family(FamilySpec.parse(spec))
+        g, perms = fb.graph, fb.action.gen_perms
+    pad = graphalg._padded(g)
+    tails, heads = g.arcs
+    first = np.searchsorted(tails, np.arange(g.n))  # each vertex's first arc
+
+    def numbers(p):
+        return graphalg._arc_numbers(pad, first, p[tails], p[heads])
+
+    assert np.array_equal(numbers(np.arange(g.n)), np.arange(len(tails)))
+    for p in perms:
+        images = np.array(p.images, dtype=np.int64)
+        assert np.array_equal(numbers(images), searchsorted_arc_numbers(g, images))
 
 
 def test_cover_arithmetic_and_quotient_regularity():

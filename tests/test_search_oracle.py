@@ -6,18 +6,22 @@ vertex-transitive graphs, so two cases are reduced before it runs: the
 gamma plus-vs-minus pairs pin vertex 0 to vertex 0, which loses nothing
 because the minus graph is vertex-transitive (checked here from its
 generators), and crs(8,6) (512 vertices, about 30 s of VF2) has its
-isomorphism checked edge by edge with networkx instead.
+isomorphism checked edge by edge with networkx instead.  Larger gamma
+members are checked against the paper's |Aut| = t*2^(2t+3) and the
+pruning of the isomorphism search is pinned by a count of its branches.
 """
 
+import math
 import random
+import sys
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from tetrasym import families
+from tetrasym import families, graphalg
 from tetrasym.cosetgraph import Graph
 from tetrasym.extragrp import MINUS, PLUS
 from tetrasym.graphalg import automorphism_group_order, isomorphic
@@ -159,13 +163,11 @@ def small_graphs(draw, max_n):
     return Graph.from_edges(n, sorted(edges))
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_graphs(9), st.data())
-def test_isomorphic_agrees_with_vf2(g, data):
-    images = data.draw(st.permutations(range(g.n)))
+def assert_isomorphic_agrees_with_vf2(g, images, pairs):
+    """isomorphic against VF2 on g relabelled by images and on the graph
+    of g's size made of the first pairs."""
     relabelled = Graph.from_edges(g.n, [(images[u], images[v]) for u, v in g.edges()])
-    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-    other = Graph.from_edges(g.n, data.draw(st.permutations(pairs))[:g.num_edges])
+    other = Graph.from_edges(g.n, pairs[:g.num_edges])
     for h in (relabelled, other):
         mapping = isomorphic(g, h)
         assert (mapping is not None) == nx.is_isomorphic(nx_graph(g), nx_graph(h))
@@ -173,7 +175,116 @@ def test_isomorphic_agrees_with_vf2(g, data):
             assert maps_edges_onto(g, h, mapping)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(9), st.data())
+def test_isomorphic_agrees_with_vf2(g, data):
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    assert_isomorphic_agrees_with_vf2(g, data.draw(st.permutations(range(g.n))),
+                                      data.draw(st.permutations(pairs)))
+
+
+def wheel(spokes):
+    return from_nx(nx.wheel_graph(spokes + 1))
+
+
+# The corners of the hypothesis cases, run every time: one vertex, no
+# edges, degrees that differ, and the largest degree (8) that 9 vertices
+# allow.
+CORNERS = {
+    "n=1": Graph.from_edges(1, []),
+    "edgeless": Graph.from_edges(6, []),
+    "non-regular": Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]),
+    "wheel8": wheel(8),
+    "K9": from_nx(nx.complete_graph(9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNERS))
+def test_isomorphic_agrees_with_vf2_on_corner_cases(name):
+    g = CORNERS[name]
+    rng = random.Random(name)
+    images = rng.sample(range(g.n), g.n)
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    assert_isomorphic_agrees_with_vf2(g, images, rng.sample(pairs, len(pairs)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_graphs(8))
+@example(CORNERS["n=1"])
+@example(CORNERS["edgeless"])
+@example(CORNERS["non-regular"])
+@example(wheel(7))
 def test_aut_order_counts_vf2_self_isomorphisms(g):
     assert automorphism_group_order(g) == self_isomorphisms(g)
+
+
+@pytest.mark.parametrize("t", [4, 5])
+def test_aut_order_of_relabelled_gamma_minus(fam, t):
+    g = shuffled(fam.gamma(t, MINUS).graph, t)
+    assert automorphism_group_order(g, cap=g.n) == t * 2 ** (2 * t + 3)
+
+
+def test_plus_vs_minus_tries_one_top_level_branch(fam, monkeypatch):
+    # The minus graph is vertex-transitive, so once the first branch fails
+    # its automorphisms rule out every other top-level branch.  A top-level
+    # branch is a refinement that replays level 1 of the plus graph's path,
+    # the first path the search computes.
+    paths, top_level = [], []
+    real_path, real_refine = graphalg._path, graphalg._refine
+
+    def path(pad):
+        paths.append(real_path(pad))
+        return paths[-1]
+
+    def refine(pad, colours, script=None):
+        if script is not None and script is paths[0][1].records:
+            top_level.append(colours)
+        return real_refine(pad, colours, script)
+
+    monkeypatch.setattr(graphalg, "_path", path)
+    monkeypatch.setattr(graphalg, "_refine", refine)
+    plus, minus = fam.gamma(4, PLUS).graph, shuffled(fam.gamma(4, MINUS).graph, 4)
+    assert isomorphic(plus, minus) is None
+    assert len(paths) == 2  # the plus graph's, then the minus graph's for Aut
+    assert len(top_level) == 1
+
+
+def complement(g: Graph) -> Graph:
+    edges = set(g.edges())
+    return Graph.from_edges(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                                  if (u, v) not in edges])
+
+
+@pytest.mark.parametrize("t, orders", [(2, (256, 2304)), (3, (1536, 1536))])
+def test_search_on_dense_complements(fam, t, orders):
+    # Degree n - 5 makes a refinement key too long to pack into one int64,
+    # so these runs take the refinement's rank-as-you-fold path.  A graph
+    # and its complement have the same automorphisms.
+    plus, minus = (complement(fam.gamma(t, sign).graph) for sign in (PLUS, MINUS))
+    assert (plus.n + 1) ** (plus.n - 5) > 2 ** 63
+    assert (automorphism_group_order(plus), automorphism_group_order(minus)) == orders
+    assert isomorphic(plus, shuffled(minus, t)) is None
+    h = shuffled(minus, t)
+    mapping = isomorphic(minus, h)
+    assert mapping is not None and maps_edges_onto(minus, h, mapping)
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # Every level of an edgeless graph's first path individualises one more
+    # vertex, so the path has n - 1 levels, more than the interpreter allows
+    # frames.
+    g = Graph.from_edges(1100, [])
+    assert len(graphalg._path(graphalg._padded(g))) > sys.getrecursionlimit()
+    assert automorphism_group_order(g, cap=g.n) == math.factorial(g.n)
+    assert isomorphic(g, shuffled(g, 0)) is not None
+
+
+def test_aut_order_of_a_wreath_graph_with_many_twins(fam):
+    # Twins (vertices with the same neighbours) are never split by
+    # refinement, so the first path individualises one vertex of each of
+    # the 600 twin pairs; each level's orbit is found by its transposition.
+    w = fam.wreath(600).graph
+    assert automorphism_group_order(w, cap=w.n) == 2 ** 600 * 2 * 600
+    h = shuffled(w, 0)
+    mapping = isomorphic(w, h)
+    assert mapping is not None and maps_edges_onto(w, h, mapping)
