@@ -208,41 +208,40 @@ def _refine(pad, colours, script=None):
     is equitable.
 
     Each round keys every vertex by its own colour and the sorted colours
-    of its neighbours, and recolours it by the rank of its key among the
+    of its neighbours (gathered from the padded adjacency as colour + 1,
+    the pad reading 0), and recolours it by the rank of its key among the
     distinct keys.  The keys start with the old colour, so colour classes
     only split, and the rounds stop once the number of colours stops
     growing or every vertex has its own.  Ranks depend only on the keys, so
     the colouring is isomorphism invariant.
 
-    Each round's record is the sorted keys themselves, not a hash of them:
-    the bytes of the keys packed into one int64 each when they fit, of the
-    key rows otherwise.  Returns (colouring, records); given the records of
-    a first graph as script, returns None at the first round that differs,
-    which proves that no isomorphism maps the first graph's colouring onto
-    this one."""
+    The keys are ranked by one argsort of a fold of their columns into one
+    int64 each, in base count + 1; whenever the next fold could overflow,
+    the partial keys are replaced by their ranks, which keeps their order.
+    Each round's record is the bytes of the sorted key rows themselves, not
+    a hash of them, in the smallest unsigned type that holds n.  Returns
+    (colouring, records); given the records of a first graph as script,
+    returns None at the first round that differs, which proves that no
+    isomorphism maps the first graph's colouring onto this one."""
     n = len(colours)
     records = []
     count = int(colours.max()) + 1 if n else 0
     shifted = np.zeros(n + 1, np.int64)  # colour + 1; the pad value n reads 0
+    small = np.min_scalar_type(n)  # holds every key entry, all <= n
     while count < n:
         shifted[:n] = colours + 1
-        columns = _neighbour_columns(pad, shifted)
-        # fold the columns in base count + 1, ranking the partial keys
-        # (which keeps their order) whenever the next fold could overflow
-        base, span, packed_keys = count + 1, count, True
+        keys = np.column_stack([colours, np.sort(shifted[pad], axis=1)])
+        base, span = count + 1, count
         packed = colours
-        for column in columns:
+        for column in keys.T[1:]:
             if span * base > 1 << 63:
                 packed = np.unique(packed, return_inverse=True)[1]
-                span, packed_keys = int(packed.max()) + 1, False
+                span = int(packed.max()) + 1
             packed = packed * base + column
             span *= base
         order = np.argsort(packed)
         packed = packed[order]
-        if packed_keys:
-            record = packed.tobytes()
-        else:
-            record = np.vstack([colours, *columns]).T[order].tobytes()
+        record = keys[order].astype(small).tobytes()
         if script is not None and (len(records) == len(script)
                                    or script[len(records)] != record):
             return None
@@ -257,24 +256,6 @@ def _refine(pad, colours, script=None):
     if script is not None and len(records) != len(script):
         return None
     return colours, records
-
-
-def _neighbour_columns(pad, shifted):
-    """The columns of the (n, width) array shifted[pad], each row sorted.
-
-    An insertion network of elementwise minima and maxima costs about
-    width**2 array operations whatever n is, and row sorts cost about one
-    sort per vertex; the network is used where it is the cheaper of the
-    two, on large graphs of small degree."""
-    n, width = pad.shape
-    if width * (width - 1) * 32 > n:
-        return list(np.sort(shifted[pad], axis=1).T)
-    columns = list(shifted[pad.T])
-    for i in range(1, width):
-        for j in range(i, 0, -1):
-            columns[j - 1], columns[j] = (np.minimum(columns[j - 1], columns[j]),
-                                          np.maximum(columns[j - 1], columns[j]))
-    return columns
 
 
 class _Level:
@@ -509,7 +490,7 @@ def verify_arc_transitive(g: Graph, action: VertexAction) -> bool:
     if not len(tails):
         return False
     pad = _padded(g)
-    degree = np.bincount(tails, minlength=g.n)
+    degree = np.count_nonzero(pad < g.n, axis=1)
     first = np.cumsum(degree) - degree
     gens = [_arc_numbers(pad, first, p[tails], p[heads])
             for p in (q.astype(np.int64) for q in action.group.arrays())]
