@@ -11,6 +11,7 @@ import contextlib
 import json
 import os
 import random
+import resource
 import sys
 import time
 
@@ -33,6 +34,16 @@ _ISO_CAP = 5000  # vertex cap of the isomorphism searches (criteria 8 and 12)
 _CHAIN_CAP = 4000  # vertex cap of the chain checks on actions of no known order
 
 
+def _millis(t0) -> int:
+    return int((time.perf_counter() - t0) * 1000)
+
+
+def _peak_rss_mb() -> float:
+    """The peak resident set size of this process so far, in MB (Linux
+    reports ru_maxrss in KB)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def _check(name, source, expected, actual, t0):
     return {
         "name": name,
@@ -40,7 +51,7 @@ def _check(name, source, expected, actual, t0):
         "actual": actual,
         "source": source,
         "pass": bool(expected is None or expected == actual),
-        "millis": int((time.perf_counter() - t0) * 1000),
+        "millis": _millis(t0),
     }
 
 
@@ -157,7 +168,7 @@ def _double_coset(build):
     # coset H*a*z is a neighbour of vertex 0, the coset H.
     grp = build.group
     return ("paper", False,
-            build.coset.vertex_of(grp.a * grp.z) in build.graph.adj[0])
+            build.coset.vertex_of(grp.a * grp.z) in build.graph.neighbours(0))
 
 
 def _blocks(build):
@@ -166,7 +177,7 @@ def _blocks(build):
     graph = build.graph
     block = set(build.coset.vertices_of(families.central_block_words(build.group)))
     inter = None
-    for u in graph.adj[0]:
+    for u in graph.neighbours(0):
         s3 = sphere(graph, u, 3)
         inter = s3 if inter is None else inter & s3
     return ("paper", (True, True),
@@ -267,15 +278,21 @@ def family_checks(build: families.FamilyBuild, names=None) -> list:
 
 
 def verification_report(spec: FamilySpec, checks=None, allow_large=False) -> dict:
+    """The report of the named checks (all when None) on one member, with
+    the time its build took and the process's peak RSS at the end."""
     _check_names(checks)  # before the build
+    t0 = time.perf_counter()
     build = build_family(spec, allow_large=allow_large)
+    build_millis = _millis(t0)
     rows = family_checks(build, checks)
     live = [r for r in rows if not r.get("skipped")]
     return {
         "schema": SCHEMA_VERSION,
         "spec": {"family": spec.family, "params": dict(spec.params)},
+        "build_millis": build_millis,
         "checks": rows,
         "overall": all(r["pass"] for r in live),
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 
@@ -415,7 +432,8 @@ def _census_rows():
 
 def matrix_report(families_filter=None, max_t: int = 6) -> dict:
     """The acceptance matrix: each criterion's rows over the family members
-    that families_filter (all when None) and max_t select."""
+    that families_filter (all when None) and max_t select, with each
+    member's build time and the process's peak RSS at the end."""
     if families_filter is not None:
         unknown = sorted(set(families_filter) - set(families.FAMILIES))
         if unknown:
@@ -437,7 +455,11 @@ def matrix_report(families_filter=None, max_t: int = 6) -> dict:
     wreath = ["wreath:r=4"] if on("wreath") else []
     gamma_all = gamma(range(2, max_t + 1))
     specs = crs(range(3, 9)) + gamma_all + delta + wreath
-    builds = {s: build_family(FamilySpec.parse(s)) for s in specs}
+    builds, build_millis = {}, {}
+    for spec in specs:
+        t0 = time.perf_counter()
+        builds[spec] = build_family(FamilySpec.parse(spec))
+        build_millis[spec] = _millis(t0)
     gamma_to_5 = gamma(range(2, 6))
     locally_d4 = [s for t in (2, 3, 4) if t <= max_t for s in gamma([t])
                   + (["crs:r=%d,s=%d" % (2 * t, t)] if on("crs") else [])]
@@ -481,8 +503,10 @@ def matrix_report(families_filter=None, max_t: int = 6) -> dict:
                          "pass": all(r["pass"] for r in rows if not r.get("skipped"))})
     return {
         "schema": SCHEMA_VERSION,
+        "build_millis": build_millis,
         "criteria": criteria,
         "overall": all(c["pass"] for c in criteria),
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 

@@ -16,11 +16,15 @@ of levels up to L are known by then.  So each level's new cosets get ids in
 (least parent id, key) order, the order in which the batched BFS assigns
 them.
 
-A build makes no element object and no label per vertex.  H is closed,
-the cosets are explored and the vertex action is formed on array forms;
-the representatives as elements (``CosetGraphBuild.reps``) and the vertex
-labels (``Graph.labels``) are made on their first read, and no check reads
-either one.
+A build makes no element object, no label and no tuple per vertex.  H is
+closed, the cosets are explored, the graph is validated and the vertex
+action is formed and checked on arrays: permutations of at most 16 points
+are keyed by one uint64 each, the graph keeps the BFS's neighbour array,
+and the action one int32 image array per generator.  The representatives
+as elements (``CosetGraphBuild.reps``), the vertex labels
+(``Graph.labels``), the neighbour tuples (``Graph.adj``) and the
+generators as Permutation objects (``VertexAction.gen_perms``) are made on
+their first read.
 """
 
 from __future__ import annotations
@@ -41,8 +45,31 @@ __all__ = [
     "SabidussiReport", "sphere", "edge_list_text", "to_dot", "to_json_obj",
 ]
 
+# Rows per pass of _in_chunks and of the graph and action checks: few
+# enough for a chunk's intermediate arrays to stay in cache, which took
+# delta:m=3's 7.5M-row passes to about two thirds of their time and peak
+# memory
+_CHUNK = 1 << 14
+
+
+def _in_chunks(fn, xs: np.ndarray) -> np.ndarray:
+    """fn(xs) for a row-wise fn, computed _CHUNK rows at a time, so that a
+    chain of array operations over millions of rows runs in cache."""
+    if len(xs) <= _CHUNK:
+        return fn(xs)
+    return np.concatenate([fn(xs[i:i + _CHUNK]) for i in range(0, len(xs), _CHUNK)])
+
+
 class Graph:
-    """Finite simple undirected graph as indexed adjacency lists.
+    """Finite simple undirected graph on the vertices 0..n-1.
+
+    The adjacency is given as a tuple of neighbour tuples, or as an (n, d)
+    integer array whose row u holds u's d neighbours (a d-regular graph, as
+    the coset builder makes it).  Either way it is validated and kept as
+    ``rows``, an (n, maximum degree) int64 array: row u holds u's neighbours
+    in increasing order, padded on the right with n.  ``adj``, the neighbour
+    tuples, is the given tuple, or is made from ``rows`` on its first read;
+    the checks read ``rows``, and the exports read ``edges()``.
 
     ``labels`` names the vertices, or is None.  It may be given as a
     function of no arguments that returns the names: the function is called
@@ -52,8 +79,9 @@ class Graph:
     without a read of its labels.  Graphs are immutable.
     """
 
-    def __init__(self, n: int, adj: tuple, labels=None):
-        self.__dict__.update(n=n, adj=adj, _labels=labels)
+    def __init__(self, n: int, adj, labels=None):
+        given = "rows" if isinstance(adj, np.ndarray) else "adj"
+        self.__dict__.update({"n": n, given: adj, "_labels": labels})
         # the validation keeps the name it had when Graph was a dataclass;
         # bench/spans.py times it under that name
         self.__post_init__()
@@ -62,22 +90,39 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __post_init__(self):
-        # Each check is an array mask over the arcs; the first vertex with an
-        # offending arc is checked again one neighbour at a time, which
-        # raises the message a vertex-by-vertex check raises first.
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length != n")
+        # Each check is an array mask over the rows (symmetry is one gather
+        # and compare per column), in chunks of vertices; the first vertex
+        # with an offending entry is checked again one neighbour at a time,
+        # which raises the message a vertex-by-vertex check raises first.
         n = self.n
-        tails, heads = self.arcs
-        inside = (heads >= 0) & (heads < n)
-        bad = ~inside | (heads == tails)
-        bad[1:] |= (tails[1:] == tails[:-1]) & (heads[1:] <= heads[:-1])
-        codes = np.sort((tails * n + heads)[inside])
-        reverse = heads[inside] * n + tails[inside]
-        at = np.minimum(np.searchsorted(codes, reverse), len(codes) - 1)
-        bad[inside] |= codes[at] != reverse
-        if bad.any():
-            self._check_vertex(int(tails[bad.argmax()]))
+        if "adj" in self.__dict__:
+            adj = self.adj
+            if len(adj) != n:
+                raise ValueError("adjacency length != n")
+            degree = np.fromiter(map(len, adj), np.int64, n)
+            rows = np.full((n, int(degree.max(initial=0))), n, np.int64)
+            real = np.arange(rows.shape[1]) < degree[:, None]
+            rows[real] = np.fromiter(chain.from_iterable(adj), np.int64,
+                                     int(degree.sum()))
+        else:
+            adj = rows = self.rows
+            if rows.ndim != 2 or len(rows) != n:
+                raise ValueError("adjacency length != n")
+            real = np.broadcast_to(True, rows.shape)
+        for start in range(0, n, _CHUNK):
+            part, entry = rows[start:start + _CHUNK], real[start:start + _CHUNK]
+            us = np.arange(start, start + len(part))[:, None]
+            inside = (part >= 0) & (part < n)
+            bad = entry & (~inside | (part == us))
+            bad[:, 1:] |= entry[:, 1:] & (part[:, 1:] <= part[:, :-1])
+            at = np.where(inside, part, 0)
+            for j in range(rows.shape[1]):
+                bad[:, j] |= entry[:, j] & ~(rows[at[:, j]] == us).any(axis=1)
+            if bad.any():
+                self._check_vertex(start + int(bad.any(axis=1).argmax()), adj)
+        rows = rows.astype(np.int64, copy=False).view()
+        rows.flags.writeable = False
+        self.__dict__["rows"] = rows
         if not callable(self._labels):
             self._check_labels(self._labels)
 
@@ -99,32 +144,48 @@ class Graph:
             return True
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n == other.n and self.adj == other.adj
+        return (self.n == other.n and np.array_equal(self.rows, other.rows)
                 and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash((self.n, self.rows.tobytes()))
 
-    def _check_vertex(self, u: int):
-        nbrs = self.adj[u]
-        if list(nbrs) != sorted(set(nbrs)):
+    def _check_vertex(self, u: int, adj):
+        nbrs = [int(v) for v in adj[u]]
+        if nbrs != sorted(set(nbrs)):
             raise ValueError("neighbour list of %d not sorted/duplicate-free" % u)
         for v in nbrs:
             if not 0 <= v < self.n:
                 raise ValueError("neighbour %d out of range" % v)
             if v == u:
                 raise ValueError("loop at vertex %d" % u)
-            if u not in self.adj[v]:
+            if u not in adj[v]:
                 raise ValueError("edge %d-%d not symmetric" % (u, v))
+
+    @cached_property
+    def adj(self) -> tuple:
+        """The neighbour tuples.  Made from ``rows`` only for a graph given
+        as an array, whose rows have no padding."""
+        return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """The degree of each vertex, as an int64 array."""
+        return np.count_nonzero(self.rows < self.n, axis=1)
 
     @cached_property
     def arcs(self) -> tuple:
         """(tails, heads): the arcs u -> v as two int64 arrays, in adjacency
         order, which is (u, v) order."""
-        heads = np.fromiter(chain.from_iterable(self.adj), np.int64)
-        tails = np.repeat(np.arange(self.n, dtype=np.int64),
-                          [len(nbrs) for nbrs in self.adj])
+        rows = self.rows
+        heads = rows[rows < self.n]
+        tails = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         return tails, heads
+
+    def neighbours(self, u: int) -> list:
+        """The neighbours of u, in increasing order."""
+        row = self.rows[u]
+        return row[row < self.n].tolist()
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
@@ -138,14 +199,17 @@ class Graph:
                    tuple(labels) if labels is not None else None)
 
     def is_regular(self, d: int) -> bool:
-        return all(len(nbrs) == d for nbrs in self.adj)
+        return bool((self.degrees == d).all())
 
     def edges(self) -> list:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        """The edges (u, v), u < v, in (u, v) order."""
+        tails, heads = self.arcs
+        keep = tails < heads
+        return list(zip(tails[keep].tolist(), heads[keep].tolist()))
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return int(self.degrees.sum()) // 2
 
     def relabelled(self, perm: Permutation) -> "Graph":
         """The isomorphic copy with vertex v renamed perm(v), each label
@@ -165,38 +229,57 @@ class Graph:
         return Graph(self.n, tuple(new_adj), labels)
 
 
-@dataclass(frozen=True)
 class VertexAction:
     """A group's designated generators realized as automorphisms of a graph.
 
-    ``group`` is the permutation group they generate, made on first use and
-    then kept, so every check on this action shares one stabiliser chain
-    (point stabilisers are read off it by conjugation).  ``order_bound``,
-    when known, is an upper bound on that group's order; its chain stops as
-    soon as it reaches it.
+    The generators are given as Permutation objects or as int image arrays
+    and kept as int32 arrays, ``images``; ``gen_perms``, the same generators
+    as Permutation objects, is made on its first read.  ``group`` is the
+    permutation group they generate, made on first use and then kept, so
+    every check on this action shares one stabiliser chain (point
+    stabilisers are read off it by conjugation).  ``order_bound``, when
+    known, is an upper bound on that group's order; its chain stops as soon
+    as it reaches it.  Actions are immutable.
     """
 
-    graph: Graph
-    gen_perms: tuple
-    order_bound: int | None = None
+    def __init__(self, graph: Graph, gens, order_bound: int | None = None):
+        images = tuple(np.array(g.images, dtype=np.int32) if isinstance(g, Permutation)
+                       else np.asarray(g, dtype=np.int32) for g in gens)
+        self.__dict__.update(graph=graph, images=images, order_bound=order_bound)
+        # named as when VertexAction was a dataclass; bench/spans.py times it
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VertexAction is immutable")
 
     def __post_init__(self):
-        # a bijection of the vertices is an automorphism exactly when it
-        # maps the arc set (u*n + v for each arc u -> v, in the sorted order
-        # of the graph's adjacency lists) onto itself
-        n = self.graph.n
-        tails, heads = self.graph.arcs
-        arcs = tails * n + heads
-        for p in self.gen_perms:
-            if p.degree != n:
+        # a map of the vertices is an automorphism exactly when it is a
+        # bijection and sends each neighbourhood onto the neighbourhood of
+        # the image: sorted, the images of row u equal row images[u]
+        n, rows = self.graph.n, self.graph.rows
+        for images in self.images:
+            if images.shape != (n,):
                 raise ValueError("generator degree != vertex count")
-            images = np.array(p.images, dtype=np.int64)
-            if not np.array_equal(np.sort(images[tails] * n + images[heads]), arcs):
-                raise ValueError("generator is not a graph automorphism")
+            if n and (images.min() < 0 or images.max() >= n
+                      or not (np.bincount(images, minlength=n) == 1).all()):
+                raise ValueError("generator is not a bijection of the vertices")
+            # the pad n maps to itself; int64, the dtype every other sort of
+            # neighbour ids uses (a sort's first use per dtype costs memory)
+            padded = np.append(images, n).astype(np.int64, copy=False)
+            for start in range(0, n, _CHUNK):  # in cache-sized chunks
+                part = slice(start, start + _CHUNK)
+                if not np.array_equal(np.sort(padded[rows[part]], axis=1),
+                                      rows[images[part]]):
+                    raise ValueError("generator is not a graph automorphism")
+
+    @cached_property
+    def gen_perms(self) -> tuple:
+        """The generators as Permutation objects."""
+        return tuple(Permutation._unchecked(tuple(g.tolist())) for g in self.images)
 
     @cached_property
     def group(self) -> PermGroup:
-        return PermGroup(self.gen_perms, degree=self.graph.n,
+        return PermGroup(self.images, degree=self.graph.n,
                          order_bound=self.order_bound)
 
 
@@ -215,6 +298,10 @@ class _CodeForm:
         grp = self.grp
         return [GElt(grp, c) for c in codes.tolist()]
 
+    def outer(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """The products p*q for each q of qs and, within it, each p of ps."""
+        return self.mul(ps[None, :], qs[:, None]).ravel()
+
     @staticmethod
     def keys(codes: np.ndarray) -> np.ndarray:
         return codes
@@ -222,18 +309,37 @@ class _CodeForm:
     minimum = staticmethod(np.minimum)
 
 
+def _nibble_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of at most 16 points, 4 bits per image and the
+    first image in the top bits, so that the keys sort and compare as the
+    rows do (as ``row_keys`` does, bytewise): images 2i and 2i+1 share byte
+    i, and the 8 bytes are read as one big-endian word with its top bit
+    flipped, which orders signed words as the unsigned ones.  (Keys of the
+    same dtype as the packed GElt codes share numpy's sorting code with
+    them, whose first use costs resident memory.)"""
+    n, degree = rows.shape
+    words = np.zeros((n, 8), dtype=np.uint8)
+    high = rows[:, 0::2]
+    words[:, :high.shape[1]] = high << 4
+    words[:, :degree // 2] |= rows[:, 1::2]
+    words[:, 0] ^= 0x80
+    return words.view(">i8").ravel().astype(np.int64)
+
+
 class _RowForm:
     """Permutations as unsigned-byte image rows, ordered as Permutation
-    orders them."""
+    orders them.  Rows of at most 16 points are keyed by one int64 each
+    (``_nibble_keys``), which numpy sorts and searches far faster than the
+    bytewise void keys (``row_keys``) that longer rows keep."""
 
     mul = staticmethod(mul_rows)
-    keys = staticmethod(row_keys)
     minimum = staticmethod(min_rows)
 
     def __init__(self, degree: int):
         if degree > 256:
             raise ValueError("coset graphs over permutations of %d points: "
                              "image rows hold at most 256" % degree)
+        self.keys = _nibble_keys if degree <= 16 else row_keys
 
     @staticmethod
     def pack(perms) -> np.ndarray:
@@ -242,6 +348,12 @@ class _RowForm:
     @staticmethod
     def unpack(rows: np.ndarray) -> list:
         return [Permutation._unchecked(tuple(r)) for r in rows.tolist()]
+
+    @staticmethod
+    def outer(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """The products p*q for each q of qs and, within it, each p of ps:
+        one gather, (p*q)(x) = q(p(x))."""
+        return qs[:, ps].reshape(-1, qs.shape[1])
 
 
 @dataclass(frozen=True)
@@ -345,11 +457,11 @@ class CosetGraphBuild:
         if iface.label is not None:
             def labels():
                 return tuple(map(iface.label, iface.form.unpack(reps)))
-        self.graph = Graph(len(reps), tuple(map(tuple, adj.tolist())), labels)
+        self.graph = Graph(len(reps), adj, labels)
         # build_coset_graph reached |G|/|H| cosets, so <H, a> has order
         # iface.order, and the action is a homomorphic image of <H, a>
         self.action = VertexAction(
-            self.graph, tuple(map(self.perm_of, iface.generators + (a_elt,))),
+            self.graph, tuple(map(self.images_of, iface.generators + (a_elt,))),
             order_bound=iface.order)
 
     @cached_property
@@ -376,12 +488,26 @@ class CosetGraphBuild:
         coset space is not explored again."""
         return _sabidussi_report(self.iface, self.a_elt, connected=True)
 
+    def images_of(self, elt) -> np.ndarray:
+        """The vertex images under right multiplication with elt, as an
+        int32 array: one product and canonicalisation over all
+        representatives.  Right multiplication permutes the cosets, so the
+        sorted keys of the images equal the sorted keys of the known cosets,
+        and one argsort matches them; otherwise each key is looked up."""
+        form, x = self.iface.form, self.iface.form.pack([elt])[0]
+        keys = _in_chunks(lambda reps: form.keys(self._canon(form.mul(reps, x))),
+                          self._reps)
+        known, vids = self._index
+        order = np.argsort(keys)
+        if not np.array_equal(keys[order], known):
+            return _lookup(self._index, keys)
+        images = np.empty(len(keys), dtype=np.int32)
+        images[order] = vids
+        return images
+
     def perm_of(self, elt) -> Permutation:
-        """The vertex permutation induced by right multiplication with elt:
-        one product, canonicalisation and lookup over all representatives."""
-        form = self.iface.form
-        images = self._vertices(form.mul(self._reps, form.pack([elt])[0]))
-        return Permutation._unchecked(tuple(images.tolist()))
+        """images_of(elt) as a Permutation."""
+        return Permutation._unchecked(tuple(self.images_of(elt).tolist()))
 
 
 def _find(known: np.ndarray, keys: np.ndarray) -> tuple:
@@ -434,8 +560,8 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
 
     One BFS level at a time: each frontier vertex Hr is probed once per
     arc-stabiliser class, at a*h*r, all probes of the level as one array
-    product and one canonicalisation, and their keys are looked up by
-    binary search in the sorted keys of the known cosets.  New vertices get
+    product and one canonicalisation, and their keys are sorted and looked
+    up by binary search in the sorted keys of the known cosets.  New vertices get
     ids in (least parent id, key) order (see the module docstring).
     Returns (reps, (sorted keys, their vertices), adj): the array form of
     the representatives and an (n, valency) array of sorted neighbour ids.
@@ -447,22 +573,27 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
     _, hs = _arc_transversal(iface, a_elt)
     steps = form.mul(form.pack([a_elt])[0], hs)  # a*h, one per class
     frontier = canon(form.pack([iface.identity]))
-    known, vids = form.keys(frontier), np.zeros(1, dtype=np.int64)
+    known, vids = form.keys(frontier), np.zeros(1, dtype=np.int32)
     reps, adj = [frontier], []
     first_vid, n = 0, 1
     while len(frontier):
-        probes = np.stack([form.mul(s, frontier) for s in steps], axis=1)
-        probes = canon(probes.reshape((-1,) + probes.shape[2:]))
+        probes = _in_chunks(lambda rows: canon(form.outer(steps, rows)), frontier)
+        # the probes in key order, stably, so that each key's first probe
+        # leads its run; sorted keys make the binary search cache-friendly
         keys = form.keys(probes)
+        by_key = np.argsort(keys, kind="stable")
+        keys = keys[by_key]
         pos, old = _find(known, keys)
-        nbrs = np.where(old, vids[pos], 0)
-        fresh = np.flatnonzero(~old)
-        new_keys, first, inverse = np.unique(keys[fresh], return_index=True,
-                                             return_inverse=True)
-        order = np.argsort(fresh[first] // len(steps), kind="stable")
-        new_vids = np.empty(len(order), dtype=np.int64)
+        new = ~old
+        starts = new.copy()  # the first probe of each new key
+        starts[1:] &= keys[1:] != keys[:-1]
+        new_keys, first = keys[starts], by_key[starts]
+        order = np.argsort(first // len(steps), kind="stable")
+        new_vids = np.empty(len(order), dtype=np.int32)
         new_vids[order] = np.arange(n, n + len(order))
-        nbrs[fresh] = new_vids[inverse]
+        nbrs = np.empty(len(keys), dtype=np.int64)
+        nbrs[by_key[old]] = vids[pos[old]]
+        nbrs[by_key[new]] = new_vids[np.cumsum(starts)[new] - 1]
         rows = np.sort(nbrs.reshape(len(frontier), len(steps)), axis=1)
         if require_valency is not None:
             valency = 1 + (np.diff(rows, axis=1) != 0).sum(axis=1)
@@ -475,7 +606,7 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
         adj.append(rows)
         at = np.searchsorted(known, new_keys)
         known, vids = np.insert(known, at, new_keys), np.insert(vids, at, new_vids)
-        frontier = probes[fresh[first[order]]]
+        frontier = probes[first[order]]
         reps.append(frontier)
         first_vid, n = n, n + len(order)
     return np.concatenate(reps), (known, vids), np.concatenate(adj)
@@ -533,23 +664,28 @@ def validate_corefree(build: CosetGraphBuild) -> bool:
     return False
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted: np.unique without options, but without
+    its masked-array test, whose first call imports numpy.ma (tens of ms)."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def sphere(g: Graph, v: int, i: int) -> set:
-    """The set of vertices at distance exactly i from v (BFS)."""
+    """The set of vertices at distance exactly i from v: a BFS one level at
+    a time over the graph's rows."""
     if i < 0:
         raise ValueError("negative radius")
-    dist = {v: 0}
-    frontier = [v]
-    d = 0
-    while frontier and d < i:
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w not in dist:
-                    dist[w] = d + 1
-                    nxt.append(w)
-        frontier = nxt
-        d += 1
-    return set(frontier) if d == i else set()
+    seen = np.zeros(g.n + 1, dtype=bool)
+    seen[[v, g.n]] = True  # index n is the rows' padding
+    frontier = np.array([v])
+    for _ in range(i):
+        frontier = _distinct(g.rows[frontier])
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    return set(frontier.tolist())
 
 
 # ---------------------------------------------------------------------------

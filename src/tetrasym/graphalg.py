@@ -24,12 +24,11 @@ candidate per orbit of those that fix the branch's individualised vertices
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from tetrasym.cosetgraph import Graph, VertexAction
+from tetrasym.cosetgraph import Graph, VertexAction, _distinct
 from tetrasym.permgrp import PermGroup, Permutation, orbit_labels
 
 __all__ = [
@@ -63,55 +62,63 @@ def girth(g: Graph, action: VertexAction | None = None) -> int:
         roots = np.flatnonzero(labels == np.arange(g.n)).tolist()
     best = None
     for root in roots:
-        best = _shortest_cycle_from(g.adj, root, best)
+        best = _shortest_cycle_from(g.rows, root, best)
     if best is None:
         raise ValueError("girth undefined: graph is a forest")
     return best
 
 
-def _shortest_cycle_from(adj, root: int, best):
+def _shortest_cycle_from(rows, root: int, best):
     """The least of best and the shortest cycle a BFS from root finds, by
     parent-edge exclusion, cut off once no cycle shorter than best can be
-    found; None while no cycle is known."""
-    n = len(adj)
-    dist = [-1] * n
-    parent = [-1] * n
+    found; None while no cycle is known.
+
+    The BFS runs one level at a time over the graph's rows (padded with n).
+    From level d, an arc inside the level closes a cycle of length 2d+1,
+    and two arcs to one new vertex close one of 2d+2.  (An arc from a vertex
+    to level d-1 other than its parent is one of two arcs that found it.)"""
+    n = len(rows)
+    dist = np.full(n + 1, -1, dtype=np.int64)
+    dist[n] = -2  # the padding
     dist[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        if best is not None and 2 * dist[u] >= best:
-            break
-        for w in adj[u]:
-            if w == parent[u]:
-                continue
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-            else:
-                cycle = dist[u] + dist[w] + 1
-                if best is None or cycle < best:
-                    best = cycle
+    frontier, d = np.array([root]), 0
+    while len(frontier) and (best is None or 2 * d < best):
+        heads = rows[frontier]
+        at = dist[heads]
+        fresh, counts = np.unique(heads[at == -1], return_counts=True)
+        cycle = (2 * d + 1 if (at == d).any()
+                 else 2 * d + 2 if (counts > 1).any() else None)
+        if cycle is not None and (best is None or cycle < best):
+            best = cycle
+        d += 1
+        dist[fresh] = d
+        frontier = fresh
     return best
 
 
 def is_bipartite(g: Graph) -> bool:
-    colour = [-1] * g.n
-    for start in range(g.n):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if colour[w] == -1:
-                    colour[w] = colour[u] ^ 1
-                    queue.append(w)
-                elif colour[w] == colour[u]:
-                    return False
-    return True
+    """True iff no BFS level holds both ends of an edge: a BFS one level at
+    a time over the rows, from the least vertex of each component not yet
+    reached, that stops at the first arc inside a level."""
+    rows, n = g.rows, g.n
+    level = np.full(n + 1, -1, dtype=np.int64)
+    level[n] = -2  # the padding
+    start = 0
+    while True:
+        unreached = level[start:n] == -1
+        if not unreached.any():
+            return True
+        start += int(unreached.argmax())
+        level[start] = 0
+        frontier, d = np.array([start]), 0
+        while len(frontier):
+            heads = rows[frontier]
+            at = level[heads]
+            if (at == d).any():
+                return False
+            d += 1
+            frontier = _distinct(heads[at == -1])
+            level[frontier] = d
 
 
 @dataclass(frozen=True)
@@ -138,27 +145,19 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
     # the blocks are numbered in the order of their least vertices
     _, block_of, sizes = np.unique(N.orbit_labels(), return_inverse=True,
                                    return_counts=True)
-    block_of = block_of.tolist()
+    tails, heads = g.arcs
+    ends = block_of[tails] * len(sizes) + block_of[heads]
+    ends = _distinct(ends[block_of[tails] < block_of[heads]])
+    lo, hi = divmod(ends, len(sizes))
+    quotient = Graph.from_edges(len(sizes), zip(lo.tolist(), hi.tolist()))
 
-    edges = set()
-    for u in range(g.n):
-        bu = block_of[u]
-        for w in g.adj[u]:
-            bw = block_of[w]
-            if bu != bw:
-                edges.add((min(bu, bw), max(bu, bw)))
-    quotient = Graph.from_edges(len(sizes), sorted(edges))
-
+    # each neighbourhood maps one-to-one onto its block's neighbourhood:
+    # the sorted blocks of row v's entries (the padding n going to the
+    # quotient's padding) equal the quotient's row of v's block
     uniform = len(set(sizes.tolist())) == 1
-    local_bij = uniform
-    if local_bij:
-        for v in range(g.n):
-            images = {block_of[w] for w in g.adj[v]}
-            if (len(images) != len(g.adj[v])
-                    or block_of[v] in images
-                    or images != set(quotient.adj[block_of[v]])):
-                local_bij = False
-                break
+    blocks = np.append(block_of, len(sizes))[g.rows]
+    local_bij = uniform and np.array_equal(np.sort(blocks, axis=1),
+                                           quotient.rows[block_of])
     fibre = int(sizes[0]) if uniform else 0
     return CoverReport(is_local_bijection=local_bij, quotient=quotient,
                        fibre_size=fibre)
@@ -170,9 +169,9 @@ def local_group(action: VertexAction, v: int) -> PermGroup:
     stabiliser (from the action's one shared chain), restricted to the
     neighbourhood."""
     stab = action.group.point_stabiliser(v)
-    nbrs = action.graph.adj[v]
+    nbrs = action.graph.neighbours(v)
     index = {w: i for i, w in enumerate(nbrs)}
-    gens = [Permutation([index[p(w)] for w in nbrs]) for p in stab.generators]
+    gens = [Permutation([index[w] for w in p[nbrs].tolist()]) for p in stab.arrays()]
     if not gens:
         gens = [Permutation.identity(len(nbrs))]
     return PermGroup(gens, degree=len(nbrs))
@@ -195,12 +194,9 @@ def is_block(action: VertexAction, S) -> bool:
 
 def _padded(g: Graph) -> np.ndarray:
     """g's adjacency as an (n, maximum degree) int64 array: row u holds u's
-    neighbours in increasing order, padded on the right with n."""
-    tails, heads = g.arcs
-    degree = np.bincount(tails, minlength=g.n)
-    pad = np.full((g.n, int(degree.max(initial=0))), g.n, np.int64)
-    pad[tails, np.arange(len(tails)) - (np.cumsum(degree) - degree)[tails]] = heads
-    return pad
+    neighbours in increasing order, padded on the right with n (read-only:
+    the graph's own rows)."""
+    return g.rows
 
 
 def _refine(pad, colours, script=None):
@@ -448,7 +444,7 @@ def isomorphic(g1: Graph, g2: Graph, cap: int = 5000):
         raise ValueError("isomorphism search capped at %d vertices" % cap)
     if g1.n != g2.n or g1.num_edges != g2.num_edges:
         return None
-    if sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
+    if not np.array_equal(np.sort(g1.degrees), np.sort(g2.degrees)):
         return None
     pad1, pad2 = _padded(g1), _padded(g2)
     path = _path(pad1)

@@ -44,6 +44,7 @@ all |G|/|H| cosets, and the action is a homomorphic image of <H, a>.
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -475,6 +476,11 @@ class _StabChain:
 class PermGroup:
     """Group generated by a set of permutations of {0..degree-1}.
 
+    The generators may be given as Permutation objects or as int image
+    arrays (taken as bijections without a check; ``VertexAction`` checks
+    its own).  The group keeps them as int32 arrays (``arrays()``);
+    ``generators``, the same generators as Permutation objects, is made on
+    its first read when they were given as arrays.
     ``order_bound``, when given, is an upper bound on the group's order: the
     chain stops once it reaches it (see the module docstring).
     The stabiliser-chain data is built lazily, at most once, behind a lock;
@@ -484,30 +490,35 @@ class PermGroup:
     def __init__(self, generators, degree: int | None = None, base_prefix=(),
                  order_bound: int | None = None):
         generators = tuple(generators)
+        arrays = [np.array(g.images, dtype=np.int32) if isinstance(g, Permutation)
+                  else np.asarray(g, dtype=np.int32) for g in generators]
         if degree is None:
-            if not generators:
+            if not arrays:
                 raise ValueError("degree required for an empty generating set")
-            degree = generators[0].degree
-        for g in generators:
-            if g.degree != degree:
-                raise ValueError("degree mismatch: %d vs %d" % (g.degree, degree))
+            degree = len(arrays[0])
+        for g in arrays:
+            if len(g) != degree:
+                raise ValueError("degree mismatch: %d vs %d" % (len(g), degree))
         self.degree = degree
-        self.generators = generators
+        if all(isinstance(g, Permutation) for g in generators):
+            self.generators = generators
+        self._arrays = arrays
         self._base_prefix = tuple(int(b) for b in base_prefix)
         self.order_bound = order_bound
-        self._arrays: list[np.ndarray] | None = None
         self._chain: _StabChain | None = None
         self._lock = threading.Lock()
 
     def __repr__(self):
-        return "PermGroup(degree=%d, ngens=%d)" % (self.degree, len(self.generators))
+        return "PermGroup(degree=%d, ngens=%d)" % (self.degree, len(self._arrays))
+
+    @cached_property
+    def generators(self) -> tuple:
+        """The generators as Permutation objects."""
+        return tuple(Permutation._unchecked(tuple(g.tolist())) for g in self._arrays)
 
     def arrays(self) -> list[np.ndarray]:
-        """The generators as int32 image arrays, made on first use and then
-        kept; callers must not write to them."""
-        if self._arrays is None:
-            self._arrays = [np.array(g.images, dtype=np.int32)
-                            for g in self.generators]
+        """The generators as int32 image arrays; callers must not write to
+        them."""
         return self._arrays
 
     @property
@@ -569,7 +580,7 @@ class PermGroup:
         """
         if not 0 <= x < self.degree:
             raise ValueError("point %d out of range" % x)
-        if all(g.images[x] == x for g in self.generators):
+        if all(g[x] == x for g in self._arrays):
             return self
         chain = self.chain
         top = chain.levels[0]
@@ -580,8 +591,7 @@ class PermGroup:
         else:
             arrays = _StabChain(self.degree, self.arrays(), (x,),
                                 bound=chain.order()).strong_gens_fixing_prefix(1)
-        gens = [Permutation._unchecked(tuple(g.tolist())) for g in arrays]
-        return PermGroup(gens, degree=self.degree)
+        return PermGroup(arrays, degree=self.degree)
 
     def is_primitive(self) -> bool:
         """True iff the (transitive) action admits no nontrivial block system.
@@ -627,10 +637,11 @@ class PermGroup:
         queue: list = []
         for x in points[1:]:
             union(points[0], x)
+        gens = [g.tolist() for g in self._arrays]
         while queue:
             u, v = queue.pop()
-            for g in self.generators:
-                union(g.images[u], g.images[v])
+            for g in gens:
+                union(g[u], g[v])
         root = find(points[0])
         return frozenset(u for u in range(self.degree) if find(u) == root)
 

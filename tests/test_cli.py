@@ -9,8 +9,11 @@ from tetrasym.cosetgraph import edge_list_text
 from tetrasym.families import FamilySpec, build_family
 
 # Each file pins one CLI run: its arguments, exit code and JSON report with
-# every "millis" field removed.  Reports may change only in their timings.
+# every timing and memory field removed.  Reports may change only in those.
 DATA = Path(__file__).parent / "data"
+# the per-check "millis", and the per-spec "build_millis" and process-wide
+# "peak_rss_mb" of the verify and matrix reports
+IGNORED = frozenset({"millis", "build_millis", "peak_rss_mb"})
 
 
 def run(capsys, *argv):
@@ -21,7 +24,7 @@ def run(capsys, *argv):
 
 def without_millis(obj):
     if isinstance(obj, dict):
-        return {k: without_millis(v) for k, v in obj.items() if k != "millis"}
+        return {k: without_millis(v) for k, v in obj.items() if k not in IGNORED}
     if isinstance(obj, list):
         return [without_millis(v) for v in obj]
     return obj
@@ -257,6 +260,20 @@ def test_verify_not_applicable_check_reported(capsys):
 def test_verify_report_stable_modulo_millis(capsys):
     run_golden(capsys, "verify_crs_r5_s2")
     run_golden(capsys, "verify_crs_r5_s2")
+
+
+def test_reports_give_build_time_and_peak_rss(capsys):
+    # verify gives its one build's time; matrix one per member it built
+    _, report, _ = run_golden(capsys, "verify_crs_r5_s2")
+    assert isinstance(report["build_millis"], int) and report["build_millis"] >= 0
+    assert isinstance(report["peak_rss_mb"], float) and report["peak_rss_mb"] > 0
+    for name, specs in (("matrix_delta", {"delta:m=2"}),
+                        ("matrix_wreath", {"wreath:r=4"})):
+        _, report, _ = run_golden(capsys, name)
+        assert set(report["build_millis"]) == specs
+        assert all(isinstance(m, int) and m >= 0
+                   for m in report["build_millis"].values())
+        assert isinstance(report["peak_rss_mb"], float) and report["peak_rss_mb"] > 0
 
 
 def test_verify_cover_above_iso_cap_skips(capsys, monkeypatch):

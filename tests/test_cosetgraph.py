@@ -15,7 +15,7 @@ from tetrasym.cosetgraph import (Graph, GroupIface, VertexAction,
                                  validate_sabidussi)
 from tetrasym.extragrp import PLUS, SIGNS, extension_group
 from tetrasym.families import FamilySpec, build_family
-from tetrasym.permgrp import Permutation
+from tetrasym.permgrp import Permutation, row_keys
 
 
 def cyc(n, *cycles):
@@ -560,3 +560,133 @@ def test_golden_exports(spec):
     texts = (to_dot(g), json.dumps(to_json_obj(g), sort_keys=True))
     assert tuple(hashlib.sha256(s.encode()).hexdigest()
                  for s in texts) == _EXPORT_GOLDENS[spec]
+
+
+# -- array form: integer keys, graphs from rows, actions from arrays ------------
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_nibble_keys_sort_and_compare_as_row_keys(degree):
+    rng = np.random.default_rng(degree)
+    rows = np.concatenate([
+        rng.integers(0, 16, size=(400, degree), dtype=np.uint8),
+        # permutations, the rows a form of this degree keys
+        np.argsort(rng.random((400, degree)), axis=1).astype(np.uint8),
+        # few distinct rows, so that equal keys occur
+        rng.integers(0, 2, size=(200, degree), dtype=np.uint8),
+        # the first image at 8 or above: the top bit of a 16-point key
+        np.full((20, degree), 15, dtype=np.uint8)])
+    rows[-10:, 0] = rng.integers(8, 16, size=10)
+    ints, voids = cosetgraph._nibble_keys(rows), row_keys(rows)
+    assert ints.dtype == np.int64
+    assert np.array_equal(np.argsort(ints, kind="stable"),
+                          np.argsort(voids, kind="stable"))
+    _, int_classes = np.unique(ints, return_inverse=True)
+    _, void_classes = np.unique(voids, return_inverse=True)
+    assert np.array_equal(int_classes, void_classes)
+    known = np.unique(ints[::2])
+    assert np.array_equal(np.searchsorted(known, ints),
+                          np.searchsorted(np.unique(voids[::2]), voids))
+
+
+def test_row_forms_key_by_integers_up_to_16_points():
+    for degree, kind in ((12, "i"), (16, "i"), (17, "V"), (40, "V")):
+        iface = GroupIface(generators=(), identity=Permutation.identity(degree),
+                           order=1)
+        assert iface.form.keys(iface.subgroup_array).dtype.kind == kind, degree
+    assert (build_family(FamilySpec.parse("crs:r=8,s=4")).coset
+            .iface.form.keys is cosetgraph._nibble_keys)
+
+
+_BUILT = ["delta:m=2", "gamma:t=3,sign=minus", "crs:r=6,s=3"]
+
+
+@pytest.mark.parametrize("spec", _BUILT)
+def test_graph_from_rows_equals_graph_from_tuples(spec):
+    g = build_family(FamilySpec.parse(spec)).graph
+    assert "adj" not in vars(g)  # the build makes no neighbour tuples
+    adj = tuple(map(tuple, g.rows.tolist()))
+    tuples = Graph(g.n, adj, g.labels)
+    assert g == tuples and hash(g) == hash(tuples)
+    assert g.adj == tuples.adj == adj
+    assert g.edges() == tuples.edges() == [
+        (u, v) for u in range(g.n) for v in adj[u] if u < v]
+    for export in (edge_list_text, to_dot, to_json_obj):
+        assert export(g) == export(tuples)
+    assert Graph(g.n, g.rows.astype(np.int64)) == Graph(g.n, adj)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [0, 2], [1, 0]], "neighbour list of 2 not sorted/duplicate-free"),
+    ([[1, 1], [0, 0]], "neighbour list of 0 not sorted/duplicate-free"),
+    ([[1, 2], [0, 1], [0, 1]], "loop at vertex 1"),
+    ([[1, 2], [0, 3], [0, 1]], "neighbour 3 out of range"),
+    ([[-1, 1], [0, 2], [0, 1]], "neighbour -1 out of range"),
+    ([[1, 3], [0, 2], [1, 3], [0, 1]], "edge 2-3 not symmetric"),
+    ([[1, 2], [0, 2], [0, 3], [1, 2]], "edge 1-2 not symmetric"),
+])
+def test_graph_from_rows_names_the_first_malformed_vertex(rows, message):
+    adj = tuple(map(tuple, rows))
+    assert _scalar_graph_error(len(adj), adj) == message
+    for given in (adj, np.array(rows, np.int64), np.array(rows, np.int32)):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            Graph(len(rows), given)
+
+
+def test_graph_from_rows_of_the_wrong_shape():
+    for rows in (np.zeros((3, 2), np.int32), np.zeros(2, np.int32)):
+        with pytest.raises(ValueError, match="adjacency length != n"):
+            Graph(2, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.integers(0, 4).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-1, n), min_size=d, max_size=d),
+                       min_size=n, max_size=n))))
+def test_graph_from_rows_matches_tuple_validation(rows):
+    adj = tuple(map(tuple, rows))
+    message = _scalar_graph_error(len(adj), adj)
+    array = np.array(rows, np.int64).reshape(len(rows), -1)
+    if message is None:
+        assert Graph(len(adj), array) == Graph(len(adj), adj)
+        assert Graph(len(adj), array).adj == adj
+    else:
+        with pytest.raises(ValueError) as err:
+            Graph(len(adj), array)
+        assert str(err.value) == message
+
+
+def test_vertex_action_rejects_a_fold_of_two_copies_onto_one():
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    g = Graph.from_edges(10, c5 + [(u + 5, v + 5) for u, v in c5])
+    fold = np.arange(10) % 5
+    # every neighbourhood goes onto the neighbourhood of its image
+    assert np.array_equal(np.sort(fold[g.rows], axis=1), g.rows[fold])
+    with pytest.raises(ValueError, match="not a bijection"):
+        VertexAction(g, (fold,))
+    for images in (np.arange(10) - 1, np.arange(10) + 1):
+        with pytest.raises(ValueError, match="not a bijection"):
+            VertexAction(g, (images,))
+    with pytest.raises(ValueError, match="degree"):
+        VertexAction(g, (np.arange(9),))
+    swap = (np.arange(10) + 5) % 10
+    assert VertexAction(g, (swap,)).gen_perms == (Permutation(swap.tolist()),)
+
+
+def test_vertex_action_from_arrays_equals_from_permutations():
+    fb = build_family(FamilySpec.parse("crs:r=6,s=3"))
+    perms = VertexAction(fb.graph, fb.action.gen_perms)
+    for p, q in zip(perms.images, fb.action.images):
+        assert p.dtype == q.dtype == np.int32 and np.array_equal(p, q)
+    assert perms.group.order() == fb.action.group.order()
+    with pytest.raises(ValueError, match="not a graph automorphism"):
+        VertexAction(fb.graph, (np.roll(np.arange(fb.graph.n), 1),))
+
+
+@pytest.mark.parametrize("spec", _BUILT)
+def test_checks_read_no_neighbour_tuples_and_no_permutations(spec):
+    fb = build_family(FamilySpec.parse(spec))
+    names = [n for n in CHECK_NAMES if n != "cover"]
+    rows = family_checks(fb, names)
+    assert all(r.get("skipped") or r["pass"] for r in rows)
+    assert "adj" not in vars(fb.graph)
+    assert "gen_perms" not in vars(fb.action)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrasym import graphalg
-from tetrasym.cosetgraph import Graph, VertexAction
+from tetrasym.cosetgraph import Graph, VertexAction, sphere
 from tetrasym.families import (FamilySpec, build_family, central_block_words,
                                praeger_xu_direct)
 from tetrasym.graphalg import (automorphism_group_order, girth, is_bipartite,
@@ -87,32 +87,125 @@ def test_girth_agrees_with_brute_force(g):
         assert girth(g) == expected
 
 
+def tuple_shortest_cycle_from(adj, root, best):
+    """Oracle for graphalg._shortest_cycle_from: a parent-excluding BFS one
+    vertex at a time over the neighbour tuples, cut off at the best cycle
+    found so far (the library's BFS before it ran over the rows)."""
+    n = len(adj)
+    dist = [-1] * n
+    parent = [-1] * n
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        if best is not None and 2 * dist[u] >= best:
+            break
+        for w in adj[u]:
+            if w == parent[u]:
+                continue
+            if dist[w] == -1:
+                dist[w] = dist[u] + 1
+                parent[w] = u
+                queue.append(w)
+            else:
+                cycle = dist[u] + dist[w] + 1
+                if best is None or cycle < best:
+                    best = cycle
+    return best
+
+
 def all_roots_girth(g):
-    """Oracle: a parent-excluding BFS from every vertex, with the cutoff at
-    the best cycle found so far (the library's path before it took one
-    root per vertex orbit)."""
+    """Oracle: the tuple BFS from every vertex, with the cutoff at the best
+    cycle found so far (the library's path before it took one root per
+    vertex orbit)."""
     best = None
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
+        best = tuple_shortest_cycle_from(g.adj, root, best)
+    return best
+
+
+def tuple_is_bipartite(g):
+    """Oracle for is_bipartite: 2-colouring by a BFS one vertex at a time
+    over the neighbour tuples (the library's version before it ran over the
+    rows)."""
+    colour = [-1] * g.n
+    for start in range(g.n):
+        if colour[start] != -1:
+            continue
+        colour[start] = 0
+        queue = deque([start])
         while queue:
             u = queue.popleft()
-            if best is not None and 2 * dist[u] >= best:
-                break
             for w in g.adj[u]:
-                if w == parent[u]:
-                    continue
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
+                if colour[w] == -1:
+                    colour[w] = colour[u] ^ 1
                     queue.append(w)
-                else:
-                    cycle = dist[u] + dist[w] + 1
-                    if best is None or cycle < best:
-                        best = cycle
-    return best
+                elif colour[w] == colour[u]:
+                    return False
+    return True
+
+
+def tuple_sphere(g, v, i):
+    """Oracle for cosetgraph.sphere: the vertices at distance exactly i
+    from v, by a BFS one vertex at a time over the neighbour tuples."""
+    dist = {v: 0}
+    frontier = [v]
+    for d in range(i):
+        nxt = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if w not in dist:
+                    dist[w] = d + 1
+                    nxt.append(w)
+        frontier = nxt
+    return set(frontier)
+
+
+def disjoint_union(g, h):
+    return Graph.from_edges(g.n + h.n, g.edges() + [(u + g.n, v + g.n)
+                                                    for u, v in h.edges()])
+
+
+# the graphs of graph_strategy and disjoint unions of two of them
+any_graph_strategy = st.one_of(
+    graph_strategy, st.tuples(graph_strategy, graph_strategy).map(
+        lambda pair: disjoint_union(*pair)))
+
+
+def _assert_bfs_matches_tuple_bfs(g, roots):
+    assert is_bipartite(g) == tuple_is_bipartite(g)
+    for root in roots:
+        for radius in range(5):
+            assert sphere(g, root, radius) == tuple_sphere(g, root, radius)
+        for best in (None, 3, 4, 5, 7, 8):
+            assert (graphalg._shortest_cycle_from(g.rows, root, best)
+                    == tuple_shortest_cycle_from(g.adj, root, best)), (root, best)
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_graph_strategy)
+def test_array_bfs_matches_tuple_bfs(g):
+    _assert_bfs_matches_tuple_bfs(g, range(g.n))
+    expected = all_roots_girth(g)
+    if expected is None:
+        with pytest.raises(ValueError):
+            girth(g)
+    else:
+        assert girth(g) == expected
+
+
+# every member that `tetrasym matrix` builds by default
+_MATRIX_MEMBERS = (
+    ["crs:r=%d,s=%d" % (r, s) for r in range(3, 9) for s in range(1, r)]
+    + ["gamma:sign=%s,t=%d" % (sign, t) for t in range(2, 7)
+       for sign in ("plus", "minus")]
+    + ["delta:m=2", "wreath:r=4"])
+
+
+@pytest.mark.parametrize("spec", _MATRIX_MEMBERS)
+def test_array_bfs_matches_tuple_bfs_on_matrix_members(spec):
+    g = build_family(FamilySpec.parse(spec)).graph
+    _assert_bfs_matches_tuple_bfs(g, sorted({0, 1, g.n // 2, g.n - 1}))
 
 
 def arc_orbit_oracle(g, action):
