@@ -19,8 +19,10 @@ them.
 A build makes no element object, no label and no tuple per vertex.  H is
 closed, the cosets are explored, the graph is validated and the vertex
 action is formed and checked on arrays: permutations of at most 16 points
-are keyed by one uint64 each, the graph keeps the BFS's neighbour array,
-and the action one int32 image array per generator.  The representatives
+are keyed by one int64 each (one integer product of the image row with the
+powers of 16), the graph keeps the BFS's neighbour array, and the action
+one int32 image array per generator, all made by one product, one
+canonicalisation and one key pass.  The representatives
 as elements (``CosetGraphBuild.reps``), the vertex labels
 (``Graph.labels``), the neighbour tuples (``Graph.adj``) and the
 generators as Permutation objects (``VertexAction.gen_perms``) are made on
@@ -309,21 +311,21 @@ class _CodeForm:
     minimum = staticmethod(np.minimum)
 
 
+# 16**(15..0), the weights of the 4-bit images of a 16-point row
+_NIBBLES = 16 ** np.arange(15, -1, -1, dtype=np.uint64)
+_SIGN = np.int64(-1 << 63)
+
+
 def _nibble_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 key per row of at most 16 points, 4 bits per image and the
-    first image in the top bits, so that the keys sort and compare as the
-    rows do (as ``row_keys`` does, bytewise): images 2i and 2i+1 share byte
-    i, and the 8 bytes are read as one big-endian word with its top bit
-    flipped, which orders signed words as the unsigned ones.  (Keys of the
-    same dtype as the packed GElt codes share numpy's sorting code with
-    them, whose first use costs resident memory.)"""
-    n, degree = rows.shape
-    words = np.zeros((n, 8), dtype=np.uint8)
-    high = rows[:, 0::2]
-    words[:, :high.shape[1]] = high << 4
-    words[:, :degree // 2] |= rows[:, 1::2]
-    words[:, 0] ^= 0x80
-    return words.view(">i8").ravel().astype(np.int64)
+    """One int64 key per row of at most 16 points, so that the keys sort and
+    compare as the rows do (as ``row_keys`` does, bytewise): the row as a
+    base-16 number, first image most significant, made by one integer
+    product, ``rows @ 16**(d-1..0)``.  A 16-point row fills all 64 bits, so
+    the product is unsigned and read as int64 with its sign bit flipped,
+    which orders the signed words as the unsigned ones.  (Keys of the same
+    dtype as the packed GElt codes share numpy's sorting code with them,
+    whose first use costs resident memory.)"""
+    return (rows @ _NIBBLES[16 - rows.shape[1]:]).view(np.int64) ^ _SIGN
 
 
 class _RowForm:
@@ -409,13 +411,14 @@ def _closure(form, gens: np.ndarray, identity: np.ndarray) -> np.ndarray:
     levels = [identity]
     known = form.keys(identity)  # sorted
     while len(levels[-1]) and len(gens):
-        frontier = levels[-1]
-        products = form.mul(np.repeat(frontier, len(gens), axis=0),
-                            gens[np.arange(len(frontier) * len(gens)) % len(gens)])
-        keys, first = np.unique(form.keys(products), return_index=True)
-        _, old = _find(known, keys)
-        levels.append(products[first[~old]])
-        known = np.sort(np.concatenate((known, keys[~old])))
+        products = form.outer(levels[-1], gens)
+        keys = form.keys(products)
+        by_key = keys.argsort()
+        keys = keys[by_key]
+        new = ~_find(known, keys)[1]
+        new[1:] &= keys[1:] != keys[:-1]  # each new key once
+        levels.append(products[by_key[new]])
+        known = np.sort(np.concatenate((known, keys[new])))
     elts = np.concatenate(levels)
     return elts[np.argsort(form.keys(elts))]
 
@@ -461,7 +464,7 @@ class CosetGraphBuild:
         # build_coset_graph reached |G|/|H| cosets, so <H, a> has order
         # iface.order, and the action is a homomorphic image of <H, a>
         self.action = VertexAction(
-            self.graph, tuple(map(self.images_of, iface.generators + (a_elt,))),
+            self.graph, self._images(iface.form.pack(iface.generators + (a_elt,))),
             order_bound=iface.order)
 
     @cached_property
@@ -488,22 +491,37 @@ class CosetGraphBuild:
         coset space is not explored again."""
         return _sabidussi_report(self.iface, self.a_elt, connected=True)
 
+    def _images(self, xs: np.ndarray) -> np.ndarray:
+        """The vertex images under right multiplication with each element
+        of ``xs`` (array form), as a (len(xs), n) int32 array.  As many
+        elements as fit in _CHUNK products share a pass: one product, one
+        canonicalisation and one key pass over all of them (past _CHUNK
+        vertices, one element a pass, in chunks of representatives).  Right
+        multiplication permutes the cosets, so the sorted keys of an
+        element's images equal the sorted keys of the known cosets, and
+        one argsort per element matches them; otherwise each key is looked
+        up."""
+        form, canon, reps = self.iface.form, self._canon, self._reps
+        known, vids = self._index
+        n = len(reps)
+        images = np.empty((len(xs), n), dtype=np.int32)
+        step = max(1, _CHUNK // n)
+        for start in range(0, len(xs), step):
+            batch = xs[start:start + step]
+            keys = _in_chunks(lambda rs: form.keys(canon(form.outer(rs, batch))),
+                              reps).reshape(len(batch), n)
+            for i, row in enumerate(keys, start):
+                order = row.argsort()
+                if (row[order] == known).all():
+                    images[i][order] = vids
+                else:
+                    images[i] = _lookup(self._index, row)
+        return images
+
     def images_of(self, elt) -> np.ndarray:
         """The vertex images under right multiplication with elt, as an
-        int32 array: one product and canonicalisation over all
-        representatives.  Right multiplication permutes the cosets, so the
-        sorted keys of the images equal the sorted keys of the known cosets,
-        and one argsort matches them; otherwise each key is looked up."""
-        form, x = self.iface.form, self.iface.form.pack([elt])[0]
-        keys = _in_chunks(lambda reps: form.keys(self._canon(form.mul(reps, x))),
-                          self._reps)
-        known, vids = self._index
-        order = np.argsort(keys)
-        if not np.array_equal(keys[order], known):
-            return _lookup(self._index, keys)
-        images = np.empty(len(keys), dtype=np.int32)
-        images[order] = vids
-        return images
+        int32 array (``_images`` of the one element)."""
+        return self._images(self.iface.form.pack([elt]))[0]
 
     def perm_of(self, elt) -> Permutation:
         """images_of(elt) as a Permutation."""
@@ -515,6 +533,36 @@ def _find(known: np.ndarray, keys: np.ndarray) -> tuple:
     ``known``, clipped to the last one, and whether it is there."""
     pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
     return pos, known[pos] == keys
+
+
+def _drain(parts: list) -> np.ndarray:
+    """np.concatenate(parts), emptying the list part by part as it copies,
+    so that a part's memory is freed once copied: the levels of a large
+    exploration are not held twice."""
+    out = np.empty((sum(map(len, parts)),) + parts[0].shape[1:], dtype=parts[0].dtype)
+    end = len(out)
+    while parts:
+        part = parts.pop()
+        out[end - len(part):end] = part
+        end -= len(part)
+    return out
+
+
+def _merge(known: np.ndarray, vids: np.ndarray, at: np.ndarray,
+           new_keys: np.ndarray, new_vids: np.ndarray) -> tuple:
+    """The sorted keys ``known`` and their vertices ``vids`` with the sorted
+    ``new_keys`` and their ``new_vids`` put in at their searchsorted
+    positions ``at``, as np.insert puts them, in one O(n) pass: in the
+    merged arrays a new key's place is its position plus the number of new
+    keys before it."""
+    at = at + np.arange(len(at))
+    old = np.ones(len(known) + len(at), dtype=bool)
+    old[at] = False
+    keys = np.empty(len(old), dtype=known.dtype)
+    ids = np.empty(len(old), dtype=vids.dtype)
+    keys[at], ids[at] = new_keys, new_vids
+    keys[old], ids[old] = known, vids
+    return keys, ids
 
 
 def _lookup(index: tuple, keys: np.ndarray) -> np.ndarray:
@@ -560,9 +608,11 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
 
     One BFS level at a time: each frontier vertex Hr is probed once per
     arc-stabiliser class, at a*h*r, all probes of the level as one array
-    product and one canonicalisation, and their keys are sorted and looked
-    up by binary search in the sorted keys of the known cosets.  New vertices get
-    ids in (least parent id, key) order (see the module docstring).
+    product and one canonicalisation.  The probe keys are sorted, and each
+    distinct key is looked up by binary search in the sorted keys of the
+    known cosets; a new key's first probe is the least probe index of its
+    run.  New vertices get ids in (least parent id, key) order (see the
+    module docstring).
     Returns (reps, (sorted keys, their vertices), adj): the array form of
     the representatives and an (n, valency) array of sorted neighbour ids.
     With require_valency=None the exploration tolerates any neighbour count
@@ -578,25 +628,27 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
     first_vid, n = 0, 1
     while len(frontier):
         probes = _in_chunks(lambda rows: canon(form.outer(steps, rows)), frontier)
-        # the probes in key order, stably, so that each key's first probe
-        # leads its run; sorted keys make the binary search cache-friendly
-        keys = form.keys(probes)
-        by_key = np.argsort(keys, kind="stable")
+        keys = _in_chunks(form.keys, probes)
+        by_key = keys.argsort()  # sorted keys make the binary search cache-friendly
         keys = keys[by_key]
-        pos, old = _find(known, keys)
-        new = ~old
-        starts = new.copy()  # the first probe of each new key
-        starts[1:] &= keys[1:] != keys[:-1]
-        new_keys, first = keys[starts], by_key[starts]
+        head = np.ones(len(keys), dtype=bool)  # the first probe of each key's run
+        head[1:] = keys[1:] != keys[:-1]
+        runs, distinct = np.flatnonzero(head), keys[head]
+        at = known.searchsorted(distinct)
+        pos = np.minimum(at, len(known) - 1)
+        new = known[pos] != distinct
+        first = np.minimum.reduceat(by_key, runs)[new]  # each new key's first probe
         order = np.argsort(first // len(steps), kind="stable")
         new_vids = np.empty(len(order), dtype=np.int32)
         new_vids[order] = np.arange(n, n + len(order))
+        run_vids = vids[pos]
+        run_vids[new] = new_vids
         nbrs = np.empty(len(keys), dtype=np.int64)
-        nbrs[by_key[old]] = vids[pos[old]]
-        nbrs[by_key[new]] = new_vids[np.cumsum(starts)[new] - 1]
-        rows = np.sort(nbrs.reshape(len(frontier), len(steps)), axis=1)
+        nbrs[by_key] = np.repeat(run_vids, np.diff(runs, append=len(keys)))
+        rows = nbrs.reshape(len(frontier), len(steps))
+        rows.sort(axis=1)
         if require_valency is not None:
-            valency = 1 + (np.diff(rows, axis=1) != 0).sum(axis=1)
+            valency = 1 + (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
             bad = np.flatnonzero(valency != require_valency)
             if len(bad):
                 raise ValueError("neighbour count %d != %d at vertex %d: "
@@ -604,12 +656,11 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
                                      valency[bad[0]], require_valency,
                                      first_vid + bad[0]))
         adj.append(rows)
-        at = np.searchsorted(known, new_keys)
-        known, vids = np.insert(known, at, new_keys), np.insert(vids, at, new_vids)
+        known, vids = _merge(known, vids, at[new], distinct[new], new_vids)
         frontier = probes[first[order]]
         reps.append(frontier)
         first_vid, n = n, n + len(order)
-    return np.concatenate(reps), (known, vids), np.concatenate(adj)
+    return _drain(reps), (known, vids), _drain(adj)
 
 
 # bench/spans.py wraps this name on every benchmark run; it stays an alias

@@ -181,6 +181,8 @@ def test_generate_vertex_guard_every_family(capsys, monkeypatch, spec, n):
     monkeypatch.setattr(families, "build_coset_graph", no_build)
     monkeypatch.setattr(families, "GroupIface", no_build)
     monkeypatch.setattr(families.Graph, "from_edges", no_build)
+    # the direct constructions hand their neighbour rows to Graph itself
+    monkeypatch.setattr(families, "Graph", no_build)
     monkeypatch.setattr(extragrp, "extension_group", no_build)
     for command in ("generate", "verify"):
         code, out, err = run(capsys, command, spec)

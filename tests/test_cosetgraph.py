@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetrasym import cosetgraph
@@ -13,7 +13,7 @@ from tetrasym.cosetgraph import (Graph, GroupIface, VertexAction,
                                  build_coset_graph, edge_list_text, sphere,
                                  to_dot, to_json_obj, validate_corefree,
                                  validate_sabidussi)
-from tetrasym.extragrp import PLUS, SIGNS, extension_group
+from tetrasym.extragrp import PLUS, SIGNS, GElt, extension_group
 from tetrasym.families import FamilySpec, build_family
 from tetrasym.permgrp import Permutation, row_keys
 
@@ -680,6 +680,92 @@ def test_vertex_action_from_arrays_equals_from_permutations():
     assert perms.group.order() == fb.action.group.order()
     with pytest.raises(ValueError, match="not a graph automorphism"):
         VertexAction(fb.graph, (np.roll(np.arange(fb.graph.n), 1),))
+
+
+def _per_vertex_images(build, elt):
+    """Oracle: the image of each vertex under elt, one element product per
+    representative and one coset lookup for them all."""
+    return build.vertices_of([rep * elt for rep in build.reps])
+
+
+# crs(9, 7) acts on 18 points, so its cosets have bytewise keys
+@pytest.mark.parametrize("spec", _MATRIX_COSET_MEMBERS + ["crs:r=9,s=7", None])
+def test_batched_action_equals_per_element_images(spec):
+    # the hand-made triples over permutations are not tetravalent, so only
+    # the three over the extension group build; their canon is the minimum
+    # over H
+    builds = ([build_coset_graph(iface, iface.identity.group.a)
+               for iface in _hand_made_ifaces() if isinstance(iface.identity, GElt)]
+              if spec is None else [build_family(FamilySpec.parse(spec)).coset])
+    for build in builds:
+        gens = build.iface.generators + (build.a_elt,)
+        elts = gens + (build.a_elt * build.a_elt, gens[0] * build.a_elt)
+        batched = build._images(build.iface.form.pack(elts))
+        assert batched.dtype == np.int32 and batched.shape == (len(elts), build.graph.n)
+        for images, elt in zip(batched, elts):
+            assert np.array_equal(images, build.images_of(elt))
+            assert build.perm_of(elt).images == tuple(images.tolist())
+            assert images.tolist() == _per_vertex_images(build, elt)
+        assert len(build.action.images) == len(gens)
+        for images, batch in zip(build.action.images, batched):
+            assert np.array_equal(images, batch)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 95, 96, 200, 500])
+@pytest.mark.parametrize("spec", ["gamma:t=3,sign=minus", "crs:r=6,s=3"])
+def test_build_does_not_depend_on_the_rows_per_pass(monkeypatch, spec, chunk):
+    # gamma t=3 has 96 vertices and 5 generators with a, crs(6, 3) 48 and 5:
+    # the passes take one element in chunks of representatives, one element
+    # whole, or several elements at once, the last pass fewer
+    whole = build_family(FamilySpec.parse(spec)).coset
+    monkeypatch.setattr(cosetgraph, "_CHUNK", chunk)
+    parts = build_family(FamilySpec.parse(spec)).coset
+    assert parts.graph == whole.graph
+    assert np.array_equal(parts._reps, whole._reps)
+    for p, q in zip(parts.action.images, whole.action.images, strict=True):
+        assert np.array_equal(p, q)
+
+
+def _merge_and_insert(known, vids, new_keys, new_vids):
+    """_merge and np.insert of the new keys at their searchsorted positions."""
+    at = np.searchsorted(known, new_keys)
+    return (cosetgraph._merge(known, vids, at, new_keys, new_vids),
+            (np.insert(known, at, new_keys), np.insert(vids, at, new_vids)))
+
+
+_KEYS = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), unique=True, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KEYS, _KEYS)
+@example([], [])
+@example([5, 9], [])  # nothing to insert
+@example([], [1, 2])
+@example([5, 9], [-3, 1])  # before the first key
+@example([5, 9], [10, 2 ** 63 - 1])  # after the last key
+@example([5, 9], [-2 ** 63, 7, 12])
+def test_index_merge_equals_insert(known, new):
+    known = np.sort(np.array(known, dtype=np.int64))
+    new_keys = np.sort(np.setdiff1d(np.array(new, dtype=np.int64), known))
+    vids = np.arange(len(known), dtype=np.int32)[::-1].copy()
+    new_vids = np.arange(len(known), len(known) + len(new_keys), dtype=np.int32)
+    (keys, ids), (want_keys, want_ids) = _merge_and_insert(known, vids, new_keys,
+                                                           new_vids)
+    assert keys.dtype == np.int64 and ids.dtype == np.int32
+    assert np.array_equal(keys, want_keys) and np.array_equal(ids, want_ids)
+
+
+def test_index_merge_of_bytewise_keys():
+    # rows above 16 points keep bytewise void keys
+    rows = np.random.default_rng(0).integers(0, 40, size=(30, 40), dtype=np.uint8)
+    keys = np.sort(row_keys(rows))
+    known, new_keys = keys[1::2], keys[0::2]
+    vids = np.arange(len(known), dtype=np.int32)
+    new_vids = np.arange(len(known), len(keys), dtype=np.int32)
+    (merged, ids), (want_keys, want_ids) = _merge_and_insert(known, vids, new_keys,
+                                                             new_vids)
+    assert np.array_equal(merged, keys) and np.array_equal(merged, want_keys)
+    assert np.array_equal(ids, want_ids)
 
 
 @pytest.mark.parametrize("spec", _BUILT)

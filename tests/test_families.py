@@ -4,7 +4,8 @@ import re
 import pytest
 
 from tetrasym import families, graphalg
-from tetrasym.cosetgraph import sphere, validate_corefree, validate_sabidussi
+from tetrasym.cosetgraph import (Graph, sphere, validate_corefree,
+                                 validate_sabidussi)
 from tetrasym.extragrp import MINUS, PLUS, SIGNS
 from tetrasym.families import (FamilySpec, build_family, central_block_words,
                                delta, delta_permutations, first_sphere_words,
@@ -98,6 +99,36 @@ def test_direct_range_validation():
 
 def test_direct_s1_is_wreath(fam):
     assert praeger_xu_direct(5, 1).adj == fam.wreath(5).graph.adj
+
+
+def _edge_list_wreath(r):
+    """Oracle: the wreath graph from its edge list, vertex (v, i) = 2v + i
+    joined to both vertices of the next fibre."""
+    edges = [(2 * v + i, 2 * ((v + 1) % r) + j)
+             for v in range(r) for i in (0, 1) for j in (0, 1)]
+    labels = ["(%d,%d)" % (v, i) for v in range(r) for i in (0, 1)]
+    return Graph.from_edges(2 * r, edges, labels)
+
+
+def _edge_list_praeger_xu(r, s):
+    """Oracle: crs(r, s) from its edge list, path (j, eps) = j * 2^s + eps
+    joined to its two extensions (j+1, eps >> 1 | top << s-1)."""
+    edges = [(j * (1 << s) + eps, (j + 1) % r * (1 << s) + (eps >> 1 | top << (s - 1)))
+             for j in range(r) for eps in range(1 << s) for top in (0, 1)]
+    labels = ["(%d;%s)" % (j, format(eps, "0%db" % s)[::-1])
+              for j in range(r) for eps in range(1 << s)]
+    return Graph.from_edges(r * (1 << s), edges, labels)
+
+
+@pytest.mark.parametrize("r", range(3, 13))
+def test_closed_form_graphs_equal_edge_list_constructions(r):
+    graphs = [(wreath_graph(r).graph, _edge_list_wreath(r))]
+    graphs += [(praeger_xu_direct(r, s), _edge_list_praeger_xu(r, s))
+               for s in range(2, r - 1)]
+    for graph, oracle in graphs:
+        assert "_labels" in vars(graph) and callable(vars(graph)["_labels"])
+        assert graph == oracle  # vertex count, rows and labels
+        assert graph.adj == oracle.adj and graph.labels == oracle.labels
 
 
 @pytest.mark.parametrize("r,s", [(4, 1), (4, 3), (5, 4), (6, 5), (3, 1), (3, 2)])
@@ -366,6 +397,7 @@ def test_direct_size_guard(monkeypatch, r, s, n):
     with monkeypatch.context() as patched:
         patched.setattr(families, "wreath_graph", no_build)
         patched.setattr(families.Graph, "from_edges", no_build)
+        patched.setattr(families, "Graph", no_build)
         message = re.escape("crs r=%d,s=%d (direct) has %d vertices" % (r, s, n))
         with pytest.raises(ValueError, match=message + ".*allow_large"):
             praeger_xu_direct(r, s)
