@@ -22,7 +22,7 @@ from tetrasym.cosetgraph import (edge_list_text, sphere, to_dot, to_json_obj,
                                  validate_corefree)
 from tetrasym.extragrp import MAX_T, MINUS, PLUS, SIGNS, EVec, extension_group
 from tetrasym.families import FamilySpec, build_family
-from tetrasym.permgrp import PermGroup, Permutation
+from tetrasym.permgrp import PermGroup, Permutation, orbit_labels
 
 SCHEMA_VERSION = 1
 
@@ -150,13 +150,13 @@ def _bound_equality(build):
 
 
 def _cover(build):
-    zperm = build.coset.perm_of(build.group.z)
+    z = build.coset.images_of(build.group.z)
     # the quotient has one vertex per <z>-orbit, each named by its least
     # point: count them before the quotient is built
-    labels = PermGroup([zperm]).orbit_labels()
+    labels = orbit_labels([z], len(z))
     if np.count_nonzero(labels == np.arange(len(labels))) > _ISO_CAP:
         raise _Skip("z-quotient above the %d-vertex isomorphism cap" % _ISO_CAP)
-    rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action, [zperm])
+    rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action, [z])
     t = build.spec.get("t")
     base = families.praeger_xu_coset(2 * t, t)
     iso = graphalg.isomorphic(rep.quotient, base.graph, cap=_ISO_CAP) is not None

@@ -22,11 +22,14 @@ action is formed and checked on arrays: permutations of at most 16 points
 are keyed by one int64 each (one integer product of the image row with the
 powers of 16), the graph keeps the BFS's neighbour array, and the action
 one int32 image array per generator, all made by one product, one
-canonicalisation and one key pass.  The representatives
-as elements (``CosetGraphBuild.reps``), the vertex labels
-(``Graph.labels``), the neighbour tuples (``Graph.adj``) and the
-generators as Permutation objects (``VertexAction.gen_perms``) are made on
-their first read.
+canonicalisation and one key pass.  The representatives as elements
+(``CosetGraphBuild.reps``), the vertex labels (``Graph.labels``) and the
+neighbour tuples (``Graph.adj``) are made on their first read.
+
+A vertex map, whether an automorphism, a relabelling or a quotient map, is
+an int image array; a Permutation given in its place is read through
+``np.asarray``.  ``_carries`` is the one test that a map sends each
+neighbourhood onto the neighbourhood of the image.
 """
 
 from __future__ import annotations
@@ -213,40 +216,39 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.degrees.sum()) // 2
 
-    def relabelled(self, perm: Permutation) -> "Graph":
-        """The isomorphic copy with vertex v renamed perm(v), each label
-        moving with its vertex.  Public: callers relabel a graph with it to
-        check that an isomorphism-invariant computation ignores numbering."""
-        if perm.degree != self.n:
-            raise ValueError("degree mismatch")
-        new_adj = [None] * self.n
-        for u in range(self.n):
-            new_adj[perm(u)] = tuple(sorted(perm(v) for v in self.adj[u]))
-        labels = None
-        if self.labels is not None:
-            lab = [None] * self.n
-            for u in range(self.n):
-                lab[perm(u)] = self.labels[u]
-            labels = tuple(lab)
-        return Graph(self.n, tuple(new_adj), labels)
+    def relabelled(self, perm) -> "Graph":
+        """The isomorphic copy with vertex v renamed perm[v], each label
+        moving with its vertex; perm is an int image array or a
+        Permutation.  Public: callers relabel a graph with it to check that
+        an isomorphism-invariant computation ignores numbering."""
+        n = self.n
+        images = np.asarray(perm, dtype=np.int64)
+        if not np.array_equal(np.sort(images), np.arange(n)):
+            raise ValueError("not a permutation of the %d vertices" % n)
+        # row images[u] holds the images of row u, sorted; the pad n stays
+        rows = np.empty_like(self.rows)
+        rows[images] = np.sort(np.append(images, n)[self.rows], axis=1)
+        adj = tuple(tuple(v for v in row if v < n) for row in rows.tolist())
+        labels = self.labels
+        if labels is not None:
+            labels = tuple(labels[u] for u in np.argsort(images).tolist())
+        return Graph(n, adj, labels)
 
 
 class VertexAction:
     """A group's designated generators realized as automorphisms of a graph.
 
-    The generators are given as Permutation objects or as int image arrays
-    and kept as int32 arrays, ``images``; ``gen_perms``, the same generators
-    as Permutation objects, is made on its first read.  ``group`` is the
-    permutation group they generate, made on first use and then kept, so
-    every check on this action shares one stabiliser chain (point
-    stabilisers are read off it by conjugation).  ``order_bound``, when
-    known, is an upper bound on that group's order; its chain stops as soon
-    as it reaches it.  Actions are immutable.
+    The generators are given as int image arrays (or Permutation objects)
+    and kept as int32 arrays, ``images``.  ``group`` is the permutation
+    group they generate, made on first use and then kept, so every check on
+    this action shares one stabiliser chain (point stabilisers are read off
+    it by conjugation).  ``order_bound``, when known, is an upper bound on
+    that group's order; its chain stops as soon as it reaches it.  Actions
+    are immutable.
     """
 
     def __init__(self, graph: Graph, gens, order_bound: int | None = None):
-        images = tuple(np.array(g.images, dtype=np.int32) if isinstance(g, Permutation)
-                       else np.asarray(g, dtype=np.int32) for g in gens)
+        images = tuple(np.asarray(g, dtype=np.int32) for g in gens)
         self.__dict__.update(graph=graph, images=images, order_bound=order_bound)
         # named as when VertexAction was a dataclass; bench/spans.py times it
         self.__post_init__()
@@ -256,8 +258,8 @@ class VertexAction:
 
     def __post_init__(self):
         # a map of the vertices is an automorphism exactly when it is a
-        # bijection and sends each neighbourhood onto the neighbourhood of
-        # the image: sorted, the images of row u equal row images[u]
+        # bijection that carries each neighbourhood onto the neighbourhood
+        # of the image
         n, rows = self.graph.n, self.graph.rows
         for images in self.images:
             if images.shape != (n,):
@@ -265,24 +267,31 @@ class VertexAction:
             if n and (images.min() < 0 or images.max() >= n
                       or not (np.bincount(images, minlength=n) == 1).all()):
                 raise ValueError("generator is not a bijection of the vertices")
-            # the pad n maps to itself; int64, the dtype every other sort of
-            # neighbour ids uses (a sort's first use per dtype costs memory)
-            padded = np.append(images, n).astype(np.int64, copy=False)
-            for start in range(0, n, _CHUNK):  # in cache-sized chunks
-                part = slice(start, start + _CHUNK)
-                if not np.array_equal(np.sort(padded[rows[part]], axis=1),
-                                      rows[images[part]]):
-                    raise ValueError("generator is not a graph automorphism")
-
-    @cached_property
-    def gen_perms(self) -> tuple:
-        """The generators as Permutation objects."""
-        return tuple(Permutation._unchecked(tuple(g.tolist())) for g in self.images)
+            if not _carries(rows, rows, images):
+                raise ValueError("generator is not a graph automorphism")
 
     @cached_property
     def group(self) -> PermGroup:
         return PermGroup(self.images, degree=self.graph.n,
                          order_bound=self.order_bound)
+
+
+def _carries(rows1: np.ndarray, rows2: np.ndarray, mapping: np.ndarray) -> bool:
+    """True iff the vertex map ``mapping`` (an int image array from graph 1
+    to graph 2) carries the neighbours of each vertex u one to one onto the
+    neighbours of mapping[u]: sorted, the images of row u of rows1 equal row
+    mapping[u] of rows2.  The rows are the graphs' ``Graph.rows``, and graph
+    1's pad maps to graph 2's.  A bijection of a graph onto itself that
+    passes is an automorphism.  In _CHUNK-row slices, which stay in cache."""
+    # int64, the dtype every other sort of neighbour ids uses (a sort's
+    # first use per dtype costs memory)
+    images = np.append(mapping, len(rows2)).astype(np.int64, copy=False)
+    for start in range(0, len(rows1), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        if not np.array_equal(np.sort(images[rows1[part]], axis=1),
+                              rows2[mapping[part]]):
+            return False
+    return True
 
 
 class _CodeForm:
@@ -512,20 +521,22 @@ class CosetGraphBuild:
                               reps).reshape(len(batch), n)
             for i, row in enumerate(keys, start):
                 order = row.argsort()
-                if (row[order] == known).all():
+                # compared a chunk at a time: a full row[order] would be a
+                # third n-long array beside row and order
+                if all(np.array_equal(row[order[j:j + _CHUNK]], known[j:j + _CHUNK])
+                       for j in range(0, n, _CHUNK)):
                     images[i][order] = vids
                 else:
                     images[i] = _lookup(self._index, row)
+            # past _CHUNK vertices these are n long: free them before the
+            # next pass forms its keys
+            del keys, row, order
         return images
 
     def images_of(self, elt) -> np.ndarray:
         """The vertex images under right multiplication with elt, as an
         int32 array (``_images`` of the one element)."""
         return self._images(self.iface.form.pack([elt]))[0]
-
-    def perm_of(self, elt) -> Permutation:
-        """images_of(elt) as a Permutation."""
-        return Permutation._unchecked(tuple(self.images_of(elt).tolist()))
 
 
 def _find(known: np.ndarray, keys: np.ndarray) -> tuple:

@@ -5,8 +5,8 @@ automorphism-group orders at desk scale.
 Girth runs a BFS from one root per vertex orbit of a given action (every
 vertex without one).  Arc-transitivity labels the orbits of the action's
 group on the arcs (``permgrp.orbit_labels``), the arc u -> v numbered as the
-first arc of u plus the count of u's neighbours below v in the padded
-adjacency array that the searches use too.
+first arc of u plus the count of u's neighbours below v in the graph's
+padded rows, which the searches read too.
 
 Isomorphism and automorphism searches individualise and refine with full
 backtracking, so a negative answer is a proof of non-isomorphism, not a
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tetrasym.cosetgraph import Graph, VertexAction, _distinct
+from tetrasym.cosetgraph import Graph, VertexAction, _carries, _distinct
 from tetrasym.permgrp import PermGroup, Permutation, orbit_labels
 
 __all__ = [
@@ -131,16 +131,17 @@ class CoverReport:
 def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
     """Quotient of g by the vertex orbits of N = <normal_gens>.
 
-    normal_gens are vertex permutations; N must be normal in the group
-    generated by the action's designated generators (checked by conjugating
-    each normal generator by each action generator and testing membership in
+    normal_gens are vertex maps, int image arrays or Permutation objects;
+    N must be normal in the group generated by the action's designated
+    generators (checked by conjugating each normal generator q by each
+    action generator s, s^-1 q s = s[q[s^-1]], and testing membership in
     N's stabiliser chain).  Returns the CoverReport.
     """
-    normal_gens = tuple(normal_gens)
     N = PermGroup(normal_gens, degree=g.n)
-    for gen in action.gen_perms:
-        for q in normal_gens:
-            if q.conjugate(gen) not in N:
+    for gen in action.images:
+        inverse = np.argsort(gen)
+        for q in N.arrays():
+            if not N.chain.contains(gen[q[inverse]]):
                 raise ValueError("subgroup is not normal under the action generators")
     # the blocks are numbered in the order of their least vertices
     _, block_of, sizes = np.unique(N.orbit_labels(), return_inverse=True,
@@ -151,13 +152,9 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
     lo, hi = divmod(ends, len(sizes))
     quotient = Graph.from_edges(len(sizes), zip(lo.tolist(), hi.tolist()))
 
-    # each neighbourhood maps one-to-one onto its block's neighbourhood:
-    # the sorted blocks of row v's entries (the padding n going to the
-    # quotient's padding) equal the quotient's row of v's block
+    # each neighbourhood maps one-to-one onto its block's neighbourhood
     uniform = len(set(sizes.tolist())) == 1
-    blocks = np.append(block_of, len(sizes))[g.rows]
-    local_bij = uniform and np.array_equal(np.sort(blocks, axis=1),
-                                           quotient.rows[block_of])
+    local_bij = uniform and _carries(g.rows, quotient.rows, block_of)
     fibre = int(sizes[0]) if uniform else 0
     return CoverReport(is_local_bijection=local_bij, quotient=quotient,
                        fibre_size=fibre)
@@ -167,14 +164,11 @@ def local_group(action: VertexAction, v: int) -> PermGroup:
     """The permutation group induced on the neighbours of v by the
     vertex-stabiliser of v: the generators of ``action.group``'s point
     stabiliser (from the action's one shared chain), restricted to the
-    neighbourhood."""
+    neighbourhood, whose sorted neighbours are numbered 0..degree-1."""
     stab = action.group.point_stabiliser(v)
-    nbrs = action.graph.neighbours(v)
-    index = {w: i for i, w in enumerate(nbrs)}
-    gens = [Permutation([index[w] for w in p[nbrs].tolist()]) for p in stab.arrays()]
-    if not gens:
-        gens = [Permutation.identity(len(nbrs))]
-    return PermGroup(gens, degree=len(nbrs))
+    nbrs = np.array(action.graph.neighbours(v), dtype=np.int64)
+    return PermGroup([nbrs.searchsorted(p[nbrs]) for p in stab.arrays()],
+                     degree=len(nbrs))
 
 
 def is_block(action: VertexAction, S) -> bool:
@@ -191,13 +185,6 @@ def is_block(action: VertexAction, S) -> bool:
 # ---------------------------------------------------------------------------
 # Isomorphism / automorphisms via refinement + backtracking
 # ---------------------------------------------------------------------------
-
-def _padded(g: Graph) -> np.ndarray:
-    """g's adjacency as an (n, maximum degree) int64 array: row u holds u's
-    neighbours in increasing order, padded on the right with n (read-only:
-    the graph's own rows)."""
-    return g.rows
-
 
 def _refine(pad, colours, script=None):
     """Refine a dense colouring (ranks 0..k-1, as an int64 array) until it
@@ -352,14 +339,7 @@ class _Search:
         where = np.empty(len(colours), np.int64)
         where[colours] = np.arange(len(colours))
         mapping = where[self.path[-1].colours]
-        return mapping if _maps_edges(self.pad1, self.pad2, mapping) else None
-
-
-def _maps_edges(pad1, pad2, mapping) -> bool:
-    """True iff the vertex bijection mapping carries the neighbours of each
-    vertex of graph 1 onto those of its image in graph 2."""
-    images = np.append(mapping, len(mapping))[pad1]
-    return np.array_equal(np.sort(images, axis=1), pad2[mapping])
+        return mapping if _carries(self.pad1, self.pad2, mapping) else None
 
 
 class _Node:
@@ -421,7 +401,7 @@ def _automorphisms(pad):
                 continue
             swap = np.arange(n)
             swap[[v, u]] = u, v
-            if _maps_edges(pad, pad, swap):
+            if _carries(pad, pad, swap):
                 found = swap
             else:
                 found = search.extend(k, path[k].colours, prefix[:k], [u])
@@ -446,7 +426,7 @@ def isomorphic(g1: Graph, g2: Graph, cap: int = 5000):
         return None
     if not np.array_equal(np.sort(g1.degrees), np.sort(g2.degrees)):
         return None
-    pad1, pad2 = _padded(g1), _padded(g2)
+    pad1, pad2 = g1.rows, g2.rows
     path = _path(pad1)
     refined = _refine(pad2, np.zeros(g2.n, np.int64), path[0].records)
     if refined is None:
@@ -460,7 +440,7 @@ def automorphism_group_order(g: Graph, cap: int = 100) -> int:
     refinement tree (see _automorphisms)."""
     if g.n > cap:
         raise ValueError("automorphism search capped at %d vertices" % cap)
-    return _automorphisms(_padded(g))[1]
+    return _automorphisms(g.rows)[1]
 
 
 def _arc_numbers(pad, first, tails, heads):
@@ -485,7 +465,7 @@ def verify_arc_transitive(g: Graph, action: VertexAction) -> bool:
     tails, heads = g.arcs
     if not len(tails):
         return False
-    pad = _padded(g)
+    pad = g.rows
     degree = np.count_nonzero(pad < g.n, axis=1)
     first = np.cumsum(degree) - degree
     gens = [_arc_numbers(pad, first, p[tails], p[heads])

@@ -44,7 +44,6 @@ all |G|/|H| cosets, and the action is a homomorphic image of <H, a>.
 from __future__ import annotations
 
 import threading
-from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -100,6 +99,11 @@ class Permutation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
+
+    def __array__(self, dtype=None, copy=None):
+        """The image array: ``np.asarray(p, np.int32)`` is how groups,
+        actions and graphs take a Permutation as a vertex map."""
+        return np.array(self.images, dtype=dtype)
 
     @property
     def degree(self) -> int:
@@ -476,22 +480,18 @@ class _StabChain:
 class PermGroup:
     """Group generated by a set of permutations of {0..degree-1}.
 
-    The generators may be given as Permutation objects or as int image
-    arrays (taken as bijections without a check; ``VertexAction`` checks
-    its own).  The group keeps them as int32 arrays (``arrays()``);
-    ``generators``, the same generators as Permutation objects, is made on
-    its first read when they were given as arrays.
+    The generators may be given as int image arrays or as Permutation
+    objects (taken as bijections without a check; ``VertexAction`` checks
+    its own).  The group keeps them as int32 arrays (``arrays()``).
     ``order_bound``, when given, is an upper bound on the group's order: the
     chain stops once it reaches it (see the module docstring).
     The stabiliser-chain data is built lazily, at most once, behind a lock;
     after that the group is safe to share between threads.
     """
 
-    def __init__(self, generators, degree: int | None = None, base_prefix=(),
+    def __init__(self, generators, degree: int | None = None,
                  order_bound: int | None = None):
-        generators = tuple(generators)
-        arrays = [np.array(g.images, dtype=np.int32) if isinstance(g, Permutation)
-                  else np.asarray(g, dtype=np.int32) for g in generators]
+        arrays = [np.asarray(g, dtype=np.int32) for g in generators]
         if degree is None:
             if not arrays:
                 raise ValueError("degree required for an empty generating set")
@@ -500,21 +500,13 @@ class PermGroup:
             if len(g) != degree:
                 raise ValueError("degree mismatch: %d vs %d" % (len(g), degree))
         self.degree = degree
-        if all(isinstance(g, Permutation) for g in generators):
-            self.generators = generators
         self._arrays = arrays
-        self._base_prefix = tuple(int(b) for b in base_prefix)
         self.order_bound = order_bound
         self._chain: _StabChain | None = None
         self._lock = threading.Lock()
 
     def __repr__(self):
         return "PermGroup(degree=%d, ngens=%d)" % (self.degree, len(self._arrays))
-
-    @cached_property
-    def generators(self) -> tuple:
-        """The generators as Permutation objects."""
-        return tuple(Permutation._unchecked(tuple(g.tolist())) for g in self._arrays)
 
     def arrays(self) -> list[np.ndarray]:
         """The generators as int32 image arrays; callers must not write to
@@ -527,18 +519,20 @@ class PermGroup:
             with self._lock:
                 if self._chain is None:
                     self._chain = _StabChain(self.degree, self.arrays(),
-                                             self._base_prefix, bound=self.order_bound)
+                                             bound=self.order_bound)
         return self._chain
 
     def order(self) -> int:
         return self.chain.order()
 
-    def contains(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            raise ValueError("degree mismatch: %d vs %d" % (p.degree, self.degree))
-        return self.chain.contains(np.array(p.images, dtype=np.int32))
+    def contains(self, p) -> bool:
+        """Membership of p, an int image array or a Permutation."""
+        g = np.asarray(p, dtype=np.int32)
+        if len(g) != self.degree:
+            raise ValueError("degree mismatch: %d vs %d" % (len(g), self.degree))
+        return self.chain.contains(g)
 
-    def __contains__(self, p: Permutation) -> bool:
+    def __contains__(self, p) -> bool:
         return self.contains(p)
 
     def orbit_labels(self) -> np.ndarray:

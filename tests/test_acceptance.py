@@ -73,13 +73,13 @@ def test_criterion_03_stabiliser_orders(fam):
     for t in range(2, 6):
         for sign in SIGNS:
             fb = fam.gamma(t, sign)
-            grp = PermGroup(fb.action.gen_perms)
+            grp = PermGroup(fb.action.images)
             via_index = grp.order() // fb.graph.n
             via_chain = grp.point_stabiliser(0).order()
             if not via_index == via_chain == 2 ** (t + 1):
                 failures.append("gamma(%d,%s): %d/%d" % (t, sign, via_index, via_chain))
     fb = fam.delta()
-    grp = PermGroup(fb.action.gen_perms)
+    grp = PermGroup(fb.action.images)
     if not grp.order() // fb.graph.n == grp.point_stabiliser(0).order() == 16:
         failures.append("delta(2) stabiliser != 16")
     announce(3, "stabiliser orders", failures)
@@ -189,9 +189,9 @@ def test_criterion_08_central_covers(fam):
     for t in (2, 3, 4, 5):
         for sign in SIGNS:
             fb = fam.gamma(t, sign)
-            zperm = fb.coset.perm_of(fb.group.z)
+            z = fb.coset.images_of(fb.group.z)
             rep = graphalg.quotient_by_subgroup_orbits(
-                fb.graph, fb.action, [zperm])
+                fb.graph, fb.action, [z])
             base = fam.crs(2 * t, t).graph
             witness = graphalg.isomorphic(rep.quotient, base)
             ok = (rep.fibre_size == 2 and rep.is_local_bijection
@@ -298,7 +298,7 @@ def test_criterion_13_symmetric_group_suite(fam):
         failures.append("unexpectedly bipartite")
     if not graphalg.verify_arc_transitive(fb.graph, fb.action):
         failures.append("not arc-transitive")
-    grp = PermGroup(fb.action.gen_perms)
+    grp = PermGroup(fb.action.images)
     if grp.order() != 40320:
         failures.append("action group order %d" % grp.order())
     perms = families.delta_permutations(2)

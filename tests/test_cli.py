@@ -416,7 +416,7 @@ def test_matrix_usage_errors(capsys, monkeypatch):
 ])
 def test_one_chain_per_vertex_action(monkeypatch, spec, checks):
     build = build_family(FamilySpec.parse(spec))
-    gens = {p.images for p in build.action.gen_perms}
+    gens = {tuple(p.tolist()) for p in build.action.images}
     built = []
 
     class CountingChain(permgrp._StabChain):

@@ -15,7 +15,7 @@ from tetrasym.cosetgraph import (Graph, GroupIface, VertexAction,
                                  validate_sabidussi)
 from tetrasym.extragrp import PLUS, SIGNS, GElt, extension_group
 from tetrasym.families import FamilySpec, build_family
-from tetrasym.permgrp import Permutation, row_keys
+from tetrasym.permgrp import Permutation, orbit_labels, row_keys
 
 
 def cyc(n, *cycles):
@@ -110,6 +110,15 @@ def test_relabelled_preserves_structure():
     h = g.relabelled(cyc(4, (0, 2)))
     assert h.num_edges == 4
     assert sorted(len(x) for x in h.adj) == [2, 2, 2, 2]
+    # an image array, on a labelled graph of mixed degrees
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)], "abcde")
+    images = np.array([3, 0, 4, 1, 2])
+    h = g.relabelled(images)
+    assert set(h.edges()) == {tuple(sorted((int(images[u]), int(images[v]))))
+                              for u, v in g.edges()}
+    assert all(h.labels[images[v]] == g.labels[v] for v in range(5))
+    with pytest.raises(ValueError, match="not a permutation"):
+        g.relabelled(np.array([0, 0, 1, 2, 3]))
 
 
 def test_lazy_labels_are_made_on_first_read_and_kept():
@@ -326,13 +335,13 @@ def _cached_elements(grp):
     return _EL_MEMO[key]
 
 
-def test_perm_of_right_multiplication():
+def test_images_of_right_multiplication():
     grp, iface = gamma_iface(2, PLUS)
     build = build_coset_graph(iface, grp.a)
     za = grp.z * grp.a
-    p = build.perm_of(za)
+    images = build.images_of(za)
     for v, rep in enumerate(build.reps):
-        assert p(v) == build.vertex_of(rep * za)
+        assert images[v] == build.vertex_of(rep * za)
 
 
 def test_neighbourhood_of_base_vertex_matches_words():
@@ -399,7 +408,8 @@ def test_family_canon_matches_minimum_over_h(spec):
     assert lean.reps == full.reps
     assert lean.graph.adj == full.graph.adj
     assert lean.graph.labels == full.graph.labels
-    assert lean.action.gen_perms == full.action.gen_perms
+    for p, q in zip(lean.action.images, full.action.images, strict=True):
+        assert np.array_equal(p, q)
     n = full.graph.n
     assert [lean.vertex_of(r) for r in full.reps] == list(range(n))
     for v in (0, 1, n // 2, n - 1):
@@ -533,7 +543,7 @@ def test_golden_numbering_at_depth(spec):
     import hashlib
     fb = build_family(FamilySpec.parse(spec))
     texts = (edge_list_text(fb.graph),
-             repr([p.images for p in fb.action.gen_perms]),
+             repr([tuple(p.tolist()) for p in fb.action.images]),
              "\n".join(fb.graph.labels))
     assert tuple(hashlib.sha256(s.encode()).hexdigest()
                  for s in texts) == _DEEP_GOLDENS[spec]
@@ -669,12 +679,12 @@ def test_vertex_action_rejects_a_fold_of_two_copies_onto_one():
     with pytest.raises(ValueError, match="degree"):
         VertexAction(g, (np.arange(9),))
     swap = (np.arange(10) + 5) % 10
-    assert VertexAction(g, (swap,)).gen_perms == (Permutation(swap.tolist()),)
+    assert np.array_equal(VertexAction(g, (swap,)).images[0], swap)
 
 
 def test_vertex_action_from_arrays_equals_from_permutations():
     fb = build_family(FamilySpec.parse("crs:r=6,s=3"))
-    perms = VertexAction(fb.graph, fb.action.gen_perms)
+    perms = VertexAction(fb.graph, [Permutation(p.tolist()) for p in fb.action.images])
     for p, q in zip(perms.images, fb.action.images):
         assert p.dtype == q.dtype == np.int32 and np.array_equal(p, q)
     assert perms.group.order() == fb.action.group.order()
@@ -704,7 +714,6 @@ def test_batched_action_equals_per_element_images(spec):
         assert batched.dtype == np.int32 and batched.shape == (len(elts), build.graph.n)
         for images, elt in zip(batched, elts):
             assert np.array_equal(images, build.images_of(elt))
-            assert build.perm_of(elt).images == tuple(images.tolist())
             assert images.tolist() == _per_vertex_images(build, elt)
         assert len(build.action.images) == len(gens)
         for images, batch in zip(build.action.images, batched):
@@ -769,10 +778,76 @@ def test_index_merge_of_bytewise_keys():
 
 
 @pytest.mark.parametrize("spec", _BUILT)
-def test_checks_read_no_neighbour_tuples_and_no_permutations(spec):
+def test_checks_read_no_neighbour_tuples_and_no_permutations(monkeypatch, spec):
     fb = build_family(FamilySpec.parse(spec))
-    names = [n for n in CHECK_NAMES if n != "cover"]
-    rows = family_checks(fb, names)
+    degrees = []  # of every Permutation made during the checks
+    init, unchecked = Permutation.__init__, Permutation._unchecked
+
+    def counting_init(self, images):
+        init(self, images)
+        degrees.append(self.degree)
+
+    def counting_unchecked(cls, images):
+        degrees.append(len(images))
+        return unchecked(images)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    monkeypatch.setattr(Permutation, "_unchecked", classmethod(counting_unchecked))
+    rows = family_checks(fb, list(CHECK_NAMES))
     assert all(r.get("skipped") or r["pass"] for r in rows)
     assert "adj" not in vars(fb.graph)
-    assert "gen_perms" not in vars(fb.action)
+    assert fb.graph.n not in degrees
+    # the counting does see the checks' own smaller Permutations: elements
+    # of the crs and delta groups, the cover's isomorphism of the z-quotient
+    assert degrees
+
+
+def _carries_oracle(g1, g2, mapping):
+    """Oracle: mapping carries the neighbours of each vertex u of g1 one to
+    one onto the neighbours of mapping[u] in g2, vertex by vertex."""
+    return all(sorted(int(mapping[w]) for w in g1.neighbours(u))
+               == g2.neighbours(int(mapping[u])) for u in range(g1.n))
+
+
+def _quotient_map(graph, gen):
+    """(graph, the graph of the orbits of <gen>, the map onto it): the
+    orbits numbered in the order of their least vertices."""
+    blocks = np.unique(orbit_labels([gen], graph.n), return_inverse=True)[1]
+    edges = {(int(blocks[u]), int(blocks[v])) for u, v in graph.edges()
+             if blocks[u] != blocks[v]}
+    return graph, Graph.from_edges(int(blocks.max()) + 1, edges), blocks
+
+
+def _vertex_maps():
+    """(graph 1, graph 2, map) triples: automorphisms and other self-maps,
+    non-bijective maps, and quotient maps (all maps of a graph to itself or
+    onto graph 2, where the oracle's neighbour lists and the padded rows
+    agree)."""
+    fb = build_family(FamilySpec.parse("gamma:t=3,sign=minus"))
+    g, n = fb.graph, fb.graph.n
+    maps = [(g, g, images) for images in fb.action.images]
+    maps += [(g, g, np.roll(np.arange(n), 1)),  # a bijection, no automorphism
+             (g, g, np.zeros(n, np.int64)),
+             (g, g, fb.action.images[0] % (n // 2))]
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    two = Graph.from_edges(10, c5 + [(u + 5, v + 5) for u, v in c5])
+    maps += [(two, two, np.arange(10) % 5),  # a fold of two copies onto one
+             (two, two, (np.arange(10) + 5) % 10)]
+    # the central cover's quotient map, one to one on neighbourhoods, and the
+    # merging of one wreath fibre, which folds its neighbours' neighbourhoods
+    maps.append(_quotient_map(g, fb.coset.images_of(fb.group.z)))
+    wreath = build_family(FamilySpec.parse("wreath:r=4"))
+    maps.append(_quotient_map(wreath.graph, wreath.action.images[0]))
+    return maps
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_carries_matches_per_vertex_oracle(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(cosetgraph, "_CHUNK", chunk)
+    verdicts = []
+    for g1, g2, mapping in _vertex_maps():
+        verdict = cosetgraph._carries(g1.rows, g2.rows, mapping)
+        assert verdict == _carries_oracle(g1, g2, mapping)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts

@@ -63,8 +63,8 @@ def test_wreath4_is_complete_bipartite(fam):
 @pytest.mark.parametrize("r", (3, 4, 5, 6))
 def test_wreath_action_group_order(fam, r):
     fb = fam.wreath(r)
-    assert len(fb.action.gen_perms) == 3  # x_0, a and b
-    assert PermGroup(fb.action.gen_perms).order() == 2 ** r * 2 * r
+    assert len(fb.action.images) == 3  # x_0, a and b
+    assert PermGroup(fb.action.images).order() == 2 ** r * 2 * r
 
 
 def test_wreath_action_is_arc_transitive(fam):
@@ -270,7 +270,7 @@ def test_gamma_guards():
 
 def test_gamma_vertex_stabiliser(fam):
     fb = fam.gamma(3, MINUS)
-    grp = PermGroup(fb.action.gen_perms)
+    grp = PermGroup(fb.action.images)
     assert grp.order() == fb.expected.group_order
     assert grp.point_stabiliser(0).order() == 2 ** 4
 
@@ -312,7 +312,7 @@ def test_delta2_graph(fam):
 
 def test_delta2_group_and_stabiliser(fam):
     fb = fam.delta()
-    grp = PermGroup(fb.action.gen_perms)
+    grp = PermGroup(fb.action.images)
     assert grp.order() == 40320
     assert grp.point_stabiliser(0).order() == 16
 
@@ -423,7 +423,7 @@ def test_crs_automorphism_orders(fam, r, s, expected):
 
 @pytest.mark.parametrize("r", (4, 5))
 def test_wreath_vertex_stabiliser_order(fam, r):
-    grp = PermGroup(fam.wreath(r).action.gen_perms)
+    grp = PermGroup(fam.wreath(r).action.images)
     assert grp.point_stabiliser(0).order() == 2 ** r
 
 
@@ -520,7 +520,7 @@ def test_action_is_generated_by_h_and_a(fam, member):
     # action of every listed generator of G
     fb = getattr(fam, member[0])(*member[1:])
     coset = fb.coset
-    assert len(fb.action.gen_perms) == len(coset.iface.generators) + 1
-    full = PermGroup([coset.perm_of(g) for g in _full_generators(fb)])
+    assert len(fb.action.images) == len(coset.iface.generators) + 1
+    full = PermGroup([coset.images_of(g) for g in _full_generators(fb)])
     assert fb.action.group.order() == coset.iface.order
     assert full.order() == coset.iface.order

@@ -210,7 +210,7 @@ def test_array_bfs_matches_tuple_bfs_on_matrix_members(spec):
 
 def arc_orbit_oracle(g, action):
     """Oracle: the orbit of one arc, by a BFS on arc pairs under the
-    generators, one Permutation call per arc end."""
+    generators, one image lookup per arc end."""
     arcs_total = sum(len(nbrs) for nbrs in g.adj)
     if arcs_total == 0:
         return False
@@ -219,8 +219,8 @@ def arc_orbit_oracle(g, action):
     queue = deque([start])
     while queue:
         u, v = queue.popleft()
-        for p in action.gen_perms:
-            arc = (p(u), p(v))
+        for p in action.images:
+            arc = (int(p[u]), int(p[v]))
             if arc not in seen:
                 seen.add(arc)
                 queue.append(arc)
@@ -372,7 +372,7 @@ def test_quotient_by_trivial_subgroup():
 
 def test_quotient_of_wreath_by_all_fibre_swaps():
     fb = wreath4()
-    x0, a, _ = fb.action.gen_perms
+    x0, a, _ = map(Permutation, fb.action.images)
     x1, x2, x3 = (x0.conjugate(a ** k) for k in (1, 2, 3))
     total_swap = x0 * x1 * x2 * x3
     rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [total_swap])
@@ -383,9 +383,10 @@ def test_quotient_of_wreath_by_all_fibre_swaps():
 
 def test_quotient_rejects_non_normal_subgroup():
     fb = wreath4()
-    x0 = fb.action.gen_perms[0]
-    with pytest.raises(ValueError):
-        quotient_by_subgroup_orbits(fb.graph, fb.action, [x0])
+    x0 = fb.action.images[0]
+    for gen in (x0, Permutation(x0)):  # an image array and a Permutation
+        with pytest.raises(ValueError, match="not normal"):
+            quotient_by_subgroup_orbits(fb.graph, fb.action, [gen])
 
 
 # -- local groups -----------------------------------------------------------------
@@ -397,6 +398,16 @@ def test_local_group_of_square():
     action = VertexAction(g, (rot, flip))
     lg = local_group(action, 0)
     assert lg.order() == 2
+
+
+def test_local_group_of_a_regular_action_is_trivial():
+    # the rotations alone act regularly: the vertex stabiliser is trivial,
+    # and so is the group it induces on the two neighbours
+    action = VertexAction(cycle_graph(4), (cyc(4, (0, 1, 2, 3)),))
+    lg = local_group(action, 0)
+    assert lg.degree == 2 and lg.arrays() == []
+    assert lg.order() == 1
+    assert not lg.is_transitive()
 
 
 # -- blocks -----------------------------------------------------------------------
@@ -435,14 +446,14 @@ def test_is_block_matches_definition(text):
     # the orbits of a normal subgroup are blocks: here the normal closure of
     # the first action generator (the fibre swaps, or gamma's 2-group part)
     # and, for gamma, the centre <z>
-    x0 = fb.action.gen_perms[0]
+    x0 = Permutation(fb.action.images[0])
     closure = PermGroup([x0.conjugate(g) for g in elements], degree=n)
     blocks = [{0}, set(range(n))] + closure.orbits()
     rng = random.Random(text)
     others = [set(rng.sample(range(n), rng.randint(2, n // 2))) for _ in range(40)]
     others += [group.min_block(rng.sample(range(n), 2)) for _ in range(10)]
     if fb.group is not None:
-        blocks += PermGroup([fb.coset.perm_of(fb.group.z)]).orbits()
+        blocks += PermGroup([fb.coset.images_of(fb.group.z)]).orbits()
         others.append({fb.coset.vertex_of(w) for w in central_block_words(fb.group)})
     for S in blocks:
         assert block_by_definition(elements, frozenset(S))
@@ -549,8 +560,8 @@ def test_arc_numbers_match_binary_search(spec):
         g, perms = star_with_tail()
     else:
         fb = build_family(FamilySpec.parse(spec))
-        g, perms = fb.graph, fb.action.gen_perms
-    pad = graphalg._padded(g)
+        g, perms = fb.graph, fb.action.images
+    pad = g.rows
     tails, heads = g.arcs
     first = np.searchsorted(tails, np.arange(g.n))  # each vertex's first arc
 
@@ -559,15 +570,15 @@ def test_arc_numbers_match_binary_search(spec):
 
     assert np.array_equal(numbers(np.arange(g.n)), np.arange(len(tails)))
     for p in perms:
-        images = np.array(p.images, dtype=np.int64)
+        images = np.asarray(p, dtype=np.int64)
         assert np.array_equal(numbers(images), searchsorted_arc_numbers(g, images))
 
 
 def test_cover_arithmetic_and_quotient_regularity():
     from tetrasym.families import gamma
     fb = gamma(3, "minus")
-    zperm = fb.coset.perm_of(fb.group.z)
-    rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [zperm])
+    z = fb.coset.images_of(fb.group.z)
+    rep = quotient_by_subgroup_orbits(fb.graph, fb.action, [z])
     assert rep.fibre_size * rep.quotient.n == fb.graph.n
     assert rep.is_local_bijection
     assert rep.quotient.is_regular(4)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from tetrasym.cosetgraph import VertexAction
 from tetrasym.families import FamilySpec, build_family
 from tetrasym.graphalg import verify_arc_transitive
-from tetrasym.permgrp import (PermGroup, Permutation, min_rows, mul_rows,
-                              orbit_labels, row_keys)
+from tetrasym.permgrp import (PermGroup, Permutation, _StabChain, min_rows,
+                              mul_rows, orbit_labels, row_keys)
 
 perm_strategy = st.integers(2, 8).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
@@ -28,6 +28,18 @@ def test_composition_order_is_left_to_right():
     q = cyc(3, (1, 2))
     assert (p * q)(0) == q(p(0)) == 2
     assert (p * q).images == (2, 0, 1)
+
+
+def test_array_conversion_honours_dtype():
+    p = cyc(5, (0, 3, 1))
+    for dtype in (np.int32, np.int64, np.uint8):
+        images = np.asarray(p, dtype=dtype)
+        assert images.dtype == dtype and images.tolist() == list(p.images)
+    assert np.asarray(p).tolist() == list(p.images)
+    # groups take Permutations and image arrays alike
+    G = PermGroup([p, np.asarray(p, np.int64)])
+    assert all(g.dtype == np.int32 for g in G.arrays())
+    assert G.contains(p * p) and G.contains(np.asarray(p * p)) and G.order() == 3
 
 
 def test_involution_squares_to_identity():
@@ -138,10 +150,10 @@ def closure_orbits(G):
         orb, queue = {x}, [x]
         while queue:
             p = queue.pop()
-            for g in G.generators:
-                if g(p) not in orb:
-                    orb.add(g(p))
-                    queue.append(g(p))
+            for g in G.arrays():
+                if g[p] not in orb:
+                    orb.add(int(g[p]))
+                    queue.append(int(g[p]))
         for y in orb:
             seen[y] = True
         out.append(orb)
@@ -164,7 +176,7 @@ def check_orbits(G):
 def test_orbits_match_closure_on_seeded_subgroups(spec):
     # groups generated by seeded subsets and products of a vertex action's
     # generators: several orbits of several sizes, and the whole action
-    gens = build_family(FamilySpec.parse(spec)).action.gen_perms
+    gens = [Permutation(g) for g in build_family(FamilySpec.parse(spec)).action.images]
     rng = random.Random(spec)
     groups = [PermGroup(gens)]
     for _ in range(6):
@@ -248,22 +260,22 @@ def test_arc_orbits_of_wreath_20000():
     fb = build_family(FamilySpec.parse("wreath:r=20000"))
     arcs = [(u, v) for u in range(fb.graph.n) for v in fb.graph.adj[u]]
     number = {arc: i for i, arc in enumerate(arcs)}
-    arc_gens = [Permutation([number[p(u), p(v)] for u, v in arcs])
-                for p in fb.action.gen_perms]
+    arc_gens = [Permutation([number[p[u], p[v]] for u, v in arcs])
+                for p in (q.tolist() for q in fb.action.images)]
     G = PermGroup(arc_gens)
     check_orbits(G)
     assert G.is_transitive()
     assert verify_arc_transitive(fb.graph, fb.action)
     H = PermGroup(arc_gens[:2])
     check_orbits(H)
-    assert not verify_arc_transitive(fb.graph, VertexAction(fb.graph, fb.action.gen_perms[:2]))
+    assert not verify_arc_transitive(fb.graph, VertexAction(fb.graph, fb.action.images[:2]))
 
 
 def test_point_stabiliser_orbit_stabiliser_theorem():
     G = sym(4)
     stab = G.point_stabiliser(0)
     assert stab.order() * len(G.orbit(0)) == G.order()
-    assert all(g(0) == 0 for g in stab.generators)
+    assert all(g[0] == 0 for g in stab.arrays())
 
 
 def test_stabiliser_of_regular_action_is_trivial():
@@ -277,8 +289,7 @@ def test_stabiliser_of_regular_action_is_trivial():
 def test_base_independence(images_list, base_point):
     gens = [Permutation(im) for im in images_list]
     G1 = PermGroup(gens)
-    G2 = PermGroup(gens, base_prefix=(base_point,))
-    assert G1.order() == G2.order()
+    assert G1.order() == _StabChain(6, G1.arrays(), (base_point,)).order()
 
 
 @settings(max_examples=25, deadline=None)
@@ -298,7 +309,7 @@ def test_closure_under_products(images_list, data):
 
 def test_every_generator_is_a_member():
     G = sym(5)
-    assert all(G.contains(g) for g in G.generators)
+    assert all(G.contains(g) for g in G.arrays())
 
 
 # -- primitivity and blocks ---------------------------------------------------
@@ -397,7 +408,7 @@ def test_order_invariant_under_base_reordering():
     gens = [Permutation(rng.sample(range(8), 8)) for _ in range(2)]
     G = PermGroup(gens)
     for base in ([3, 1], [7], [0, 5, 2]):
-        assert PermGroup(gens, base_prefix=base).order() == G.order()
+        assert _StabChain(8, G.arrays(), base).order() == G.order()
 
 
 def test_chain_safe_to_force_concurrently():
@@ -423,13 +434,12 @@ def test_chain_safe_to_force_concurrently():
 
 def _assert_stabiliser_matches_oracle(G, x):
     stab = G.point_stabiliser(x)
-    based = PermGroup(G.generators, degree=G.degree, base_prefix=(x,))
-    oracle = PermGroup([Permutation(g) for g in based.chain.strong_gens_fixing_prefix(1)],
-                       degree=G.degree)
-    assert all(g(x) == x for g in stab.generators)
+    based = _StabChain(G.degree, G.arrays(), (x,))
+    oracle = PermGroup(based.strong_gens_fixing_prefix(1), degree=G.degree)
+    assert all(g[x] == x for g in stab.arrays())
     assert stab.order() == oracle.order()
-    assert all(g in oracle for g in stab.generators)
-    assert all(g in stab for g in oracle.generators)
+    assert all(g in oracle for g in stab.arrays())
+    assert all(g in stab for g in oracle.arrays())
 
 
 @pytest.mark.parametrize("member", [
@@ -518,14 +528,15 @@ def _seeded_word(gens, rng, length):
 @pytest.mark.parametrize("spec", _matrix_members())
 def test_bounded_chain_matches_unbounded(spec):
     action = build_family(FamilySpec.parse(spec)).action
-    gens, n = action.gen_perms, action.graph.n
+    gens, n = action.images, action.graph.n
     full = PermGroup(gens, degree=n)
     # the wreath action has no certified bound; its true order is one
     bound = action.order_bound or full.order()
     bounded = PermGroup(gens, degree=n, order_bound=bound)
     assert bounded.order() == full.order() == bound
     rng = random.Random(spec)
-    members = [_seeded_word(gens, rng, rng.randrange(1, 25)) for _ in range(10)]
+    perms = [Permutation(g) for g in gens]
+    members = [_seeded_word(perms, rng, rng.randrange(1, 25)) for _ in range(10)]
     strangers = [Permutation(rng.sample(range(n), n)) for _ in range(10)]
     for p in members + strangers:
         assert bounded.contains(p) == full.contains(p)
@@ -543,18 +554,18 @@ def test_bound_above_the_order_gives_the_true_order():
     iface = GroupIface(generators=tuple(grp.x(i) for i in range(3)) + (grp.b, grp.z),
                        identity=grp.identity, order=grp.order)
     action = build_coset_graph(iface, grp.a).action
-    full = PermGroup(action.gen_perms)
+    full = PermGroup(action.images)
     assert action.order_bound == grp.order
     assert action.group.order() == full.order() == grp.order // 2
     for G in (sym(5), PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4))])):
-        assert PermGroup(G.generators, order_bound=2 * G.order()).order() == G.order()
+        assert PermGroup(G.arrays(), order_bound=2 * G.order()).order() == G.order()
 
 
 def test_bound_below_the_orbit_product_raises():
     # 7 is no product of orbit lengths of at most 5 points, so the chain of
     # Sym(5) passes it without stopping and meets a product above it
     with pytest.raises(ValueError, match="above the bound 7"):
-        PermGroup(sym(5).generators, order_bound=7).order()
+        PermGroup(sym(5).arrays(), order_bound=7).order()
     with pytest.raises(ValueError, match="above the bound 1"):
         PermGroup([cyc(3, (0, 1))], order_bound=1).order()
 
@@ -562,7 +573,7 @@ def test_bound_below_the_orbit_product_raises():
 def test_bounded_chain_is_deterministic():
     def strong_gens(spec):
         action = build_family(FamilySpec.parse(spec)).action
-        group = PermGroup(action.gen_perms, order_bound=action.order_bound)
+        group = PermGroup(action.images, order_bound=action.order_bound)
         return [g.tolist() for g in group.chain.strong_gens_fixing_prefix(0)]
     for spec in ("delta:m=2", "gamma:sign=minus,t=5"):
         assert strong_gens(spec) == strong_gens(spec)
