@@ -62,7 +62,15 @@ def _in_chunks(fn, xs: np.ndarray) -> np.ndarray:
     chain of array operations over millions of rows runs in cache."""
     if len(xs) <= _CHUNK:
         return fn(xs)
-    return np.concatenate([fn(xs[i:i + _CHUNK]) for i in range(0, len(xs), _CHUNK)])
+    # fn gives the same number of rows per input row, so the first chunk's
+    # result sizes the one output that every chunk is written into
+    part = fn(xs[:_CHUNK])
+    per_row = len(part) // _CHUNK
+    out = np.empty((per_row * len(xs),) + part.shape[1:], dtype=part.dtype)
+    out[:len(part)] = part
+    for i in range(_CHUNK, len(xs), _CHUNK):
+        out[i * per_row:(i + _CHUNK) * per_row] = fn(xs[i:i + _CHUNK])
+    return out
 
 
 class Graph:

@@ -11,8 +11,10 @@ padded rows, which the searches read too.
 Isomorphism and automorphism searches individualise and refine with full
 backtracking, so a negative answer is a proof of non-isomorphism, not a
 heuristic.  Refinement works on the whole colouring at once: each round
-ranks every vertex's key (its colour and its neighbours' sorted colours)
-with one argsort, and records the sorted keys exactly, so a second graph
+writes every vertex's key (its colour and its neighbours' sorted colours)
+into one key matrix, folds each row into one int64 by integer products
+(one per round at degree 4 and up to 6,208 vertices), ranks the folds with
+one argsort, and records the sorted keys exactly, so a second graph
 replays a first graph's records and fails at the first round that differs.
 The automorphism order comes from orbit-stabiliser along the first path.
 The isomorphism search prunes with the second graph's automorphisms, which
@@ -198,47 +200,79 @@ def _refine(pad, colours, script=None):
     growing or every vertex has its own.  Ranks depend only on the keys, so
     the colouring is isomorphism invariant.
 
-    The keys are ranked by one argsort of a fold of their columns into one
-    int64 each, in base count + 1; whenever the next fold could overflow,
-    the partial keys are replaced by their ranks, which keeps their order.
-    Each round's record is the bytes of the sorted key rows themselves, not
-    a hash of them, in the smallest unsigned type that holds n.  Returns
-    (colouring, records); given the records of a first graph as script,
-    returns None at the first round that differs, which proves that no
-    isomorphism maps the first graph's colouring onto this one."""
+    The keys are the rows of one (n, degree + 1) int64 matrix, made once
+    per call and overwritten each round.  They are ranked by one argsort of
+    their fold into one int64 each (_fold: at degree 4 and up to 6,208
+    vertices, one integer product per round).  Each round's record is the
+    bytes of the sorted key rows themselves, not a hash of them, in the
+    smallest unsigned type that holds n.  Returns (colouring, records);
+    given the records of a first graph as script, returns None at the
+    first round that differs, which proves that no isomorphism maps the
+    first graph's colouring onto this one."""
     n = len(colours)
     records = []
     count = int(colours.max()) + 1 if n else 0
     shifted = np.zeros(n + 1, np.int64)  # colour + 1; the pad value n reads 0
+    keys = np.empty((n, pad.shape[1] + 1), np.int64)
     small = np.min_scalar_type(n)  # holds every key entry, all <= n
     while count < n:
-        shifted[:n] = colours + 1
-        keys = np.column_stack([colours, np.sort(shifted[pad], axis=1)])
-        base, span = count + 1, count
-        packed = colours
-        for column in keys.T[1:]:
-            if span * base > 1 << 63:
-                packed = np.unique(packed, return_inverse=True)[1]
-                span = int(packed.max()) + 1
-            packed = packed * base + column
-            span *= base
-        order = np.argsort(packed)
-        packed = packed[order]
-        record = keys[order].astype(small).tobytes()
+        np.add(colours, 1, out=shifted[:n])
+        neighbours = shifted[pad]
+        neighbours.sort(axis=1)
+        keys[:, 0] = colours
+        keys[:, 1:] = neighbours
+        colours, order, new_count = _rank(_fold(keys, count + 1))
+        record = keys.take(order, axis=0).astype(small).tobytes()
         if script is not None and (len(records) == len(script)
                                    or script[len(records)] != record):
             return None
         records.append(record)
-        ranks = np.zeros(n, np.int64)
-        np.cumsum(packed[1:] != packed[:-1], out=ranks[1:])
-        colours = np.empty(n, np.int64)
-        colours[order] = ranks
-        if ranks[-1] + 1 == count:
+        if new_count == count:
             break
-        count = int(ranks[-1]) + 1
+        count = new_count
     if script is not None and len(records) != len(script):
         return None
     return colours, records
+
+
+def _fold(keys, base):
+    """The rows of keys, whose entries lie in 0..base-1, as one int64 each
+    in their lexicographic order.  Each integer product folds as many
+    columns m as keep the fold below 2**63, keys[:, j:j+m] @ (base**(m-1),
+    ..., base, 1); between two such products the partial fold is replaced
+    by its ranks, which keep its order and are fewer than n."""
+    width = keys.shape[1]
+    packed, span, j = None, 1, 0  # the partial fold lies in 0..span-1
+    while True:
+        weights = [1]
+        while (j + len(weights) < width
+               and span * weights[0] * base * base < 1 << 63):
+            weights.insert(0, weights[0] * base)
+        m = len(weights)
+        part = keys[:, j:j + m] @ np.array(weights)
+        packed = part if packed is None else packed * (weights[0] * base) + part
+        j += m
+        if j == width:
+            return packed
+        packed, _, span = _rank(packed)
+
+
+def _rank(packed):
+    """(ranks, order, count): the rank of each entry of packed among its
+    distinct values, an order that sorts packed, and the number of distinct
+    values.  The ranks are one cumulative sum of the heads of the runs of
+    equal sorted values, scattered back through the order; the count is
+    the sum's last entry plus one."""
+    n = len(packed)
+    order = packed.argsort()
+    ordered = packed[order]
+    heads = np.zeros(n, bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    sums = np.empty(n, np.int64)
+    np.add.accumulate(heads, dtype=np.int64, out=sums)
+    ranks = np.empty(n, np.int64)
+    ranks[order] = sums
+    return ranks, order, int(sums[-1]) + 1
 
 
 class _Level:
@@ -432,7 +466,9 @@ def isomorphic(g1: Graph, g2: Graph, cap: int = 5000):
     if refined is None:
         return None
     found = _Search(pad1, pad2, path).extend(0, refined[0], [])
-    return None if found is None else Permutation(found.tolist())
+    # where[colours] of two discrete colourings is a bijection, and _leaf
+    # checked it edge by edge
+    return None if found is None else Permutation._unchecked(tuple(found.tolist()))
 
 
 def automorphism_group_order(g: Graph, cap: int = 100) -> int:

@@ -2,7 +2,8 @@
 ``Graph.from_edges``, calls ``graphalg.isomorphic`` and checks its result by
 calling it on each vertex and reading ``Graph.adj``.  Running those helpers
 here makes a change that breaks that use fail this suite instead of every
-benchmark iteration."""
+benchmark iteration.  One iteration of the workload's searches is also run
+here, to bound how often they refine."""
 
 import importlib.util
 import random
@@ -46,3 +47,21 @@ def test_search_workload_helpers_accept_an_isomorphism(workloads, spec):
         assert workloads._is_isomorphism(first, second, mapping)
     # the check is no formality: the identity map is not an isomorphism
     assert not workloads._is_isomorphism(graph, second, lambda v: v)
+
+
+def test_search_workload_refines_at_most_222_times(workloads, monkeypatch):
+    # The searches of one iteration (seed 1, iteration 0) call _refine 222
+    # times: a faster search body must come from cheaper rounds or fewer
+    # calls, never from a search tree that changed shape unnoticed.
+    search = workloads.WORKLOADS["search"]
+    state = search.prepare(1, 0)
+    calls, real_refine = [], graphalg._refine
+
+    def refine(pad, colours, script=None):
+        calls.append(1)
+        return real_refine(pad, colours, script)
+
+    monkeypatch.setattr(graphalg, "_refine", refine)
+    actual, _ = search.body(state)
+    assert all(workloads.judge(search.known(state, actual), actual).values())
+    assert len(calls) <= 222

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -718,6 +719,29 @@ def test_batched_action_equals_per_element_images(spec):
         assert len(build.action.images) == len(gens)
         for images, batch in zip(build.action.images, batched):
             assert np.array_equal(images, batch)
+
+
+@pytest.mark.parametrize("fn", [lambda rs: np.repeat(rs, 3),
+                                lambda rs: np.stack([rs, -rs], axis=1),
+                                lambda rs: (rs[:, None] * np.arange(2)).ravel()],
+                         ids=["three-per-row", "two-columns", "two-per-row"])
+def test_in_chunks_fills_one_output(monkeypatch, fn):
+    # 100,007 rows in chunks of 1,000: a hundred whole chunks and a short
+    # last one.  The chunks go straight into the output, so the traced peak
+    # is the output and one chunk's work, not the output twice.
+    xs = np.arange(100_007, dtype=np.int64)
+    whole = fn(xs)
+    monkeypatch.setattr(cosetgraph, "_CHUNK", 1000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = cosetgraph._in_chunks(fn, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == whole.dtype and np.array_equal(out, whole)
+    assert peak < 1.25 * out.nbytes
+    assert cosetgraph._in_chunks(fn, xs[:1000]).shape == fn(xs[:1000]).shape
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 95, 96, 200, 500])

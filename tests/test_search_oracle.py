@@ -9,6 +9,10 @@ generators), and crs(8,6) (512 vertices, about 30 s of VF2) has its
 isomorphism checked edge by edge with networkx instead.  Larger gamma
 members are checked against the paper's |Aut| = t*2^(2t+3) and the
 pruning of the isomorphism search is pinned by a count of its branches.
+
+The refinement itself has a second oracle, ``reference_refine``, its
+column-at-a-time predecessor: the two must give the same colourings and
+the same records byte for byte, so every search tree stays the same.
 """
 
 import math
@@ -16,6 +20,7 @@ import random
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +30,7 @@ from tetrasym import families, graphalg
 from tetrasym.cosetgraph import Graph
 from tetrasym.extragrp import MINUS, PLUS
 from tetrasym.graphalg import automorphism_group_order, isomorphic
+from tetrasym.permgrp import Permutation
 
 
 def nx_graph(g: Graph, pinned=None) -> nx.Graph:
@@ -69,6 +75,10 @@ def test_crs_direct_vs_coset_agrees_with_vf2(fam, r, s):
     mapping = isomorphic(direct, coset)
     assert mapping is not None
     assert maps_edges_onto(direct, coset, mapping)
+    # isomorphic makes its result without Permutation's point-by-point
+    # check; the checked constructor must accept the same images
+    assert all(type(x) is int for x in mapping.images)
+    assert mapping == Permutation(mapping.images)
     if (r, s) != (8, 6):
         assert nx.is_isomorphic(nx_graph(direct), nx_graph(coset))
 
@@ -288,3 +298,156 @@ def test_aut_order_of_a_wreath_graph_with_many_twins(fam):
     h = shuffled(w, 0)
     mapping = isomorphic(w, h)
     assert mapping is not None and maps_edges_onto(w, h, mapping)
+
+
+# -- the refinement against its whole-array predecessor ----------------------
+
+def reference_refine(pad, colours, script=None):
+    """The refinement as it was before its rounds shared one key matrix and
+    one product fold: a column_stack of the keys each round, folded one
+    column at a time, ranked with np.unique between columns whenever the
+    next column could overflow."""
+    n = len(colours)
+    records = []
+    count = int(colours.max()) + 1 if n else 0
+    shifted = np.zeros(n + 1, np.int64)  # colour + 1; the pad value n reads 0
+    small = np.min_scalar_type(n)  # holds every key entry, all <= n
+    while count < n:
+        shifted[:n] = colours + 1
+        keys = np.column_stack([colours, np.sort(shifted[pad], axis=1)])
+        base, span = count + 1, count
+        packed = colours
+        for column in keys.T[1:]:
+            if span * base > 1 << 63:
+                packed = np.unique(packed, return_inverse=True)[1]
+                span = int(packed.max()) + 1
+            packed = packed * base + column
+            span *= base
+        order = np.argsort(packed)
+        packed = packed[order]
+        record = keys[order].astype(small).tobytes()
+        if script is not None and (len(records) == len(script)
+                                   or script[len(records)] != record):
+            return None
+        records.append(record)
+        ranks = np.zeros(n, np.int64)
+        np.cumsum(packed[1:] != packed[:-1], out=ranks[1:])
+        colours = np.empty(n, np.int64)
+        colours[order] = ranks
+        if ranks[-1] + 1 == count:
+            break
+        count = int(ranks[-1]) + 1
+    if script is not None and len(records) != len(script):
+        return None
+    return colours, records
+
+
+def assert_refines_as_reference(pad, colours, script=None):
+    """_refine and reference_refine agree on the colouring and the records,
+    or both return None; returns the reference's result."""
+    expected = reference_refine(pad, colours, script)
+    got = graphalg._refine(pad, colours, script)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert np.array_equal(got[0], expected[0]) and got[0].dtype == np.int64
+        assert got[1] == expected[1]
+    return expected
+
+
+def assert_path_refines_as_reference(pad):
+    """Both refinements along the reference's first path (each level
+    individualises the least vertex of the least largest colour class);
+    returns the path's records."""
+    colours = np.zeros(len(pad), np.int64)
+    records = []
+    while True:
+        colours, level = assert_refines_as_reference(pad, colours)
+        records.append(level)
+        sizes = np.bincount(colours)
+        if sizes.max() == 1:
+            return records
+        target = int(sizes.argmax())
+        colours = graphalg._individualise(colours, int(np.flatnonzero(colours == target)[0]))
+
+
+def search_workload_pairs(fam):
+    """The graphs of the benchmark's search workload: each criterion-11 aut
+    target relabelled, and each criterion-12 pair with its second graph
+    relabelled."""
+    aut = [fam.wreath(4).graph] + [fam.gamma(t, sign).graph
+                                   for t in (2, 3) for sign in (PLUS, MINUS)]
+    pairs = [(fam.gamma(2, PLUS).graph, fam.crs(4, 3).graph)]
+    pairs += [(fam.gamma(t, PLUS).graph, fam.gamma(t, MINUS).graph) for t in (2, 3, 4)]
+    pairs += [(families.praeger_xu_direct(r, s), fam.crs(r, s).graph) for r, s in CRS_PAIRS]
+    return [(g, shuffled(g, i)) for i, g in enumerate(aut)] + [
+        (g1, shuffled(g2, i)) for i, (g1, g2) in enumerate(pairs)]
+
+
+def test_refine_matches_reference_on_the_search_workload(fam):
+    # every first path of both graphs of each pair, and the second graph's
+    # replay of the first graph's records at each level of its path
+    for g1, g2 in search_workload_pairs(fam):
+        path = assert_path_refines_as_reference(g1.rows)
+        assert_path_refines_as_reference(g2.rows)
+        zeros = np.zeros(g2.n, np.int64)
+        for records in path:
+            assert_refines_as_reference(g2.rows, zeros, records)
+
+
+def test_refine_matches_reference_on_seeded_colourings(fam):
+    members = [fam.gamma(3, PLUS).graph, fam.gamma(4, MINUS).graph, fam.crs(6, 3).graph,
+               fam.wreath(4).graph, families.praeger_xu_direct(8, 6)]
+    for g in members:
+        rng = np.random.default_rng(g.n)
+        for _ in range(20):
+            drawn = rng.integers(0, rng.integers(1, g.n + 1), g.n)
+            colours = np.unique(drawn, return_inverse=True)[1].astype(np.int64)
+            assert_refines_as_reference(g.rows, colours)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_refine_matches_reference_on_dense_complements(fam, t):
+    # degree n - 5: once there are more than a few colours, a key of n - 4
+    # columns takes several integer products with a rank between each two
+    for sign in (PLUS, MINUS):
+        g = complement(fam.gamma(t, sign).graph)
+        assert g.n ** (g.n - 4) > 2 ** 63
+        assert_path_refines_as_reference(g.rows)
+
+
+def test_refine_matches_reference_past_one_product(fam):
+    # A 4-regular circulant with more than 6,208 colours: base**5 > 2**63,
+    # so the five key columns take two products and a rank between them.
+    n = 6300
+    g = from_nx(nx.circulant_graph(n, [1, 7]))
+    colours = np.arange(n, dtype=np.int64) % 6250
+    assert (int(colours.max()) + 2) ** 5 > 2 ** 63
+    assert_refines_as_reference(g.rows, colours)
+    assert_refines_as_reference(g.rows, graphalg._individualise(colours, 0))
+
+
+def test_refine_replay_stops_at_the_reference_round(fam, monkeypatch):
+    # A script whose record k alone differs fails at round k; one cut after
+    # record k fails at round k + 1, which finds no record to match; one
+    # record too many fails after the last round.  A degree-4 round of at
+    # most 6,208 vertices ranks once, so _rank counts the rounds.
+    g = shuffled(fam.gamma(3, MINUS).graph, 1)
+    colours = graphalg._individualise(np.zeros(g.n, np.int64), 5)
+    records = reference_refine(g.rows, colours)[1]
+    assert len(records) > 2
+    rounds, real_rank = [], graphalg._rank
+
+    def rank(packed):
+        rounds.append(1)
+        return real_rank(packed)
+
+    monkeypatch.setattr(graphalg, "_rank", rank)
+    cases = [(records[:k] + [b"?"] + records[k + 1:], k + 1) for k in range(len(records))]
+    cases += [(records[:k], k + 1) for k in range(len(records))]
+    cases += [(records + [b"?"], len(records))]
+    for script, stop in cases:
+        rounds.clear()
+        assert assert_refines_as_reference(g.rows, colours, script) is None
+        assert len(rounds) == stop
