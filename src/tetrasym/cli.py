@@ -341,6 +341,23 @@ def assoc_sample_failures(t: int, sign: str, samples: int, seed: int = 12345) ->
     return bad
 
 
+def mul_codes_mismatches(t: int, sign: str) -> int:
+    """The products on which the array kernel ``mul_codes`` and the scalar
+    ``mul_code`` disagree, over 64 x 64 seeded pairs: each of 64 random
+    codes times each of 64 more, as one array product in the (1, 64) x
+    (64, 1) shape of the coset explorer's."""
+    grp = extension_group(t, sign)
+    rng = random.Random(12345 + t)
+
+    def codes():
+        return [rng.randrange(1 << (grp.two_t + 1)) | rng.randrange(grp.two_t) << grp.kshift
+                | rng.randrange(2) << grp.bshift for _ in range(64)]
+    ps, qs = codes(), codes()
+    table = grp.mul_codes(np.array(ps)[None, :], np.array(qs)[:, None]).tolist()
+    return sum(out != grp.mul_code(p, q)
+               for q, row in zip(qs, table) for p, out in zip(ps, row))
+
+
 def evec_exhaustive_failures(t: int) -> int:
     vecs = [EVec(t, v, zz) for v in range(1 << (2 * t)) for zz in (0, 1)]
     bad = 0
@@ -370,6 +387,9 @@ def _engine_rows():
             t0 = time.perf_counter()
             yield _check("relations-t%d-%s" % (t, sign), "paper", True,
                          relation_suite(t, sign), t0)
+            t0 = time.perf_counter()
+            yield _check("mul-codes-t%d-%s" % (t, sign), "derived", 0,
+                         mul_codes_mismatches(t, sign), t0)
             if t > 4:
                 continue
             t0 = time.perf_counter()

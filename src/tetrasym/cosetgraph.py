@@ -631,7 +631,9 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
     distinct key is looked up by binary search in the sorted keys of the
     known cosets; a new key's first probe is the least probe index of its
     run.  New vertices get ids in (least parent id, key) order (see the
-    module docstring).
+    module docstring).  Once the BFS ends, one pass over the neighbour
+    array, _CHUNK rows at a time, sorts each row and checks its neighbour
+    count, so a bad triple raises at its least bad vertex.
     Returns (reps, (sorted keys, their vertices), adj): the array form of
     the representatives and an (n, valency) array of sorted neighbour ids.
     With require_valency=None the exploration tolerates any neighbour count
@@ -644,7 +646,7 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
     frontier = canon(form.pack([iface.identity]))
     known, vids = form.keys(frontier), np.zeros(1, dtype=np.int32)
     reps, adj = [frontier], []
-    first_vid, n = 0, 1
+    n = 1
     while len(frontier):
         probes = _in_chunks(lambda rows: canon(form.outer(steps, rows)), frontier)
         keys = _in_chunks(form.keys, probes)
@@ -664,7 +666,14 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
         run_vids[new] = new_vids
         nbrs = np.empty(len(keys), dtype=np.int64)
         nbrs[by_key] = np.repeat(run_vids, np.diff(runs, append=len(keys)))
-        rows = nbrs.reshape(len(frontier), len(steps))
+        adj.append(nbrs.reshape(len(frontier), len(steps)))
+        known, vids = _merge(known, vids, at[new], distinct[new], new_vids)
+        frontier = probes[first[order]]
+        reps.append(frontier)
+        n += len(order)
+    adj = _drain(adj)
+    for start in range(0, n, _CHUNK):
+        rows = adj[start:start + _CHUNK]
         rows.sort(axis=1)
         if require_valency is not None:
             valency = 1 + (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
@@ -673,13 +682,8 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
                 raise ValueError("neighbour count %d != %d at vertex %d: "
                                  "bad (G, H, a) triple" % (
                                      valency[bad[0]], require_valency,
-                                     first_vid + bad[0]))
-        adj.append(rows)
-        known, vids = _merge(known, vids, at[new], distinct[new], new_vids)
-        frontier = probes[first[order]]
-        reps.append(frontier)
-        first_vid, n = n, n + len(order)
-    return _drain(reps), (known, vids), _drain(adj)
+                                     start + bad[0]))
+    return _drain(reps), (known, vids), adj
 
 
 # bench/spans.py wraps this name on every benchmark run; it stays an alias

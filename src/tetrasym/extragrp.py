@@ -25,12 +25,39 @@ exponent bits v (bit i for x_i) for every t:
   present.  Over r steps, z flips once for every j < t with
   v_j = v_{j+t} = 1 whose x_j lands in [t, 2t): the bits [t-r, t) of
   v & (v >> t) when r <= t, and the bits [0, 2t-r) otherwise.
+
+A code packs v in bits [0, 2t), z in bit 2t, k in the six bits from
+kshift = 2t+1 and beta in bit bshift = 2t+7.  ``mul_code`` applies the closed
+form above to one pair of codes.  ``mul_codes``, its array form, reads it
+from five flat int64 tables made once per group.  The left factor p picks a
+row s = p >> kshift = k1 | b1 << 6; only the rows with k1 < 2t are filled.
+The right factor q is read as lo = q & tmask, its low half, and
+hi = (q >> t) & (2^(t+1) - 1), its high half with z2 above it:
+
+- LO[s][lo] and HI[s][hi] are the two halves of v conjugated by
+  (a^k1 b^b1)^-1: lo in bits [0, t) and hi in bits [t, 2t), each reversed
+  if b1, then rotated left by -k1 mod 2t.  HI also carries z2 in bit 2t.
+  Their bits are disjoint, and v2 = LO[s][lo] | HI[s][hi] is the conjugate
+  e2' together with z2.
+- WZ[s][lo & hi] is the z that the rotation's wraps cost, in bit 2t.
+  Reversal commutes with &, so one index serves both b1.
+- PAR[c] is the parity of the t-bit value c, in bit 2t: the z of sorting
+  e1 e2', with c = (p >> t) & tmask & v2 (as in evec_mul).
+- HK[s][q >> kshift] holds the top bits of the product: k and beta of
+  a^k1 b^b1 a^k2 b^b2, and the z that a^(2t) carries in the minus group.
+  It is stored XORed with s << kshift, so that XOR with p swaps p's top
+  bits for them.
+
+So p*q = p ^ v2 ^ WZ ^ PAR ^ HK.  PAR and each row of LO and WZ have 2^t
+entries, a row of HI 2^(t+1) and one of HK 128; every entry is below
+2^(2t+8).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -235,27 +262,64 @@ class ExtensionGroup:
         self.minus = sign == MINUS
         self.order = t << (self.two_t + 3)
         self.identity = GElt(self, 0)
-        # _rev[v] reverses the t bits of v; _pmask[r] marks the j < t whose
-        # x_j a left rotation by r carries into [t, 2t).
-        self._rev = [int(format(v, "0%db" % t)[::-1], 2) for v in range(1 << t)]
+        # mul_code reads _rev[v], the t bits of v reversed, and _pmask[r],
+        # which marks the j < t whose x_j a left rotation by r carries into
+        # [t, 2t); mul_codes reads the tables made from them
+        half = np.arange(1 << t)
+        rev = np.zeros_like(half)
+        for i in range(t):
+            rev |= (half >> i & 1) << (t - 1 - i)
+        self._rev = rev.tolist()
         self._pmask = [(1 << t) - (1 << (t - r)) if r <= t
                        else (1 << (self.two_t - r)) - 1 for r in range(self.two_t)]
-        # mul_codes reads them as arrays, with the parity of each t-bit value
-        self._rev_arr = np.array(self._rev, dtype=np.int64)
-        self._pmask_arr = np.array(self._pmask, dtype=np.int64)
-        self._parity_arr = np.array([v.bit_count() & 1 for v in range(1 << t)],
-                                    dtype=np.int64)
-        # word() reads three tables: the letters of x_0..x_{t-1} and of
-        # x_t..x_{2t-1} by the value of their t bits, and those of z a^k b
-        # by the value of the 8 bits above them
-        self._words = [["*".join("x%d" % (i + off) for i in range(t) if v >> i & 1)
-                        for v in range(1 << t)] for off in (0, t)]
+        self._lo, self._hi, self._wz, self._par, self._hk = self._tables(half, rev)
+
+    def _tables(self, half: np.ndarray, rev: np.ndarray) -> tuple:
+        """LO, HI, WZ, PAR and HK of mul_codes (see the module docstring),
+        from the t-bit values ``half`` and their reversals ``rev``.  The
+        rows of the used s = k | beta << 6 are made as one array each, then
+        spread over the rows s = 0 .. 63 + 2t of a flat table, the unused
+        rows zero.  HI's row is its half without z2, then with it."""
+        t, two_t, kshift = self.t, self.two_t, self.kshift
+        s = np.concatenate((np.arange(two_t), 64 + np.arange(two_t)))[:, None]
+        k, beta = s & 63, s >> 6
+        r = -k % two_t
+        halves = np.where(beta, rev, half)
+
+        def rot(x):
+            return ((x << r) | (x >> (two_t - r))) & self.vmask
+        high = rot(halves << t)
+        par = (np.bitwise_count(half) & 1).astype(np.int64) << two_t
+        wz = par[halves & np.array(self._pmask)[r]]
+        top = np.arange(128)  # q >> kshift = k2 | b2 << 6
+        k2 = top & 63
+        big_k = np.where(beta, k - k2, k + k2)
+        k_out = big_k % two_t
+        z = (big_k - k_out) // two_t & 1 if self.minus else 0
+        hk = (z << two_t | k_out << kshift | (beta ^ top >> 6) << self.bshift) ^ s << kshift
+
+        def flat(rows):
+            out = np.zeros((64 + two_t, rows.shape[1]), dtype=np.int64)
+            out[s[:, 0]] = rows
+            return out.ravel()
+        return (flat(rot(halves)), flat(np.hstack((high, high | 1 << two_t))),
+                flat(wz), par, flat(hk))
+
+    @cached_property
+    def _words(self) -> list:
+        """word()'s three tables: the letters of x_0..x_{t-1} and of
+        x_t..x_{2t-1} by the value of their t bits, and those of z a^k b by
+        the value of the 8 bits above them."""
+        t = self.t
+        words = [["*".join("x%d" % (i + off) for i in range(t) if v >> i & 1)
+                  for v in range(1 << t)] for off in (0, t)]
         tops = []
         for top in range(1 << 8):
             k = (top >> 1) & 63
             tops.append("*".join(["z"] * (top & 1) + ["a"] * (k == 1)
                                  + ["a^%d" % k] * (k > 1) + ["b"] * (top >> 7)))
-        self._words.append(tops)
+        words.append(tops)
+        return words
 
     def __repr__(self):
         return "ExtensionGroup(t=%d, %s)" % (self.t, self.sign)
@@ -323,27 +387,21 @@ class ExtensionGroup:
 
     def mul_codes(self, p, q) -> np.ndarray:
         """mul_code over int64 arrays of packed codes, broadcast like any
-        numpy operation, so either factor may be a single code."""
+        numpy operation, so either factor may be a single code: p ^ v2 ^ WZ
+        ^ PAR ^ HK, read from the tables of the module docstring."""
         p = np.asarray(p, dtype=np.int64)
         q = np.asarray(q, dtype=np.int64)
-        t, two_t, vmask = self.t, self.two_t, self.vmask
-        k1 = (p >> self.kshift) & 63
-        b1 = p >> self.bshift
-        k2 = (q >> self.kshift) & 63
-        b2 = q >> self.bshift
-        v = q & vmask
-        rev = self._rev_arr
-        v = np.where(b1, rev[v & self.tmask] | (rev[v >> t] << t), v)
-        r = -k1 % two_t
-        v2 = ((v << r) | (v >> (two_t - r))) & vmask
-        v1 = p & vmask
-        cross = (v & (v >> t) & self._pmask_arr[r]) ^ ((v1 >> t) & v2 & self.tmask)
-        z = (((p ^ q) >> two_t) & 1) ^ self._parity_arr[cross]
-        big_k = np.where(b1, k1 - k2, k1 + k2)
-        k = big_k % two_t
-        if self.minus:
-            z ^= ((big_k - k) // two_t) & 1
-        return (v1 ^ v2) | (z << two_t) | (k << self.kshift) | ((b1 ^ b2) << self.bshift)
+        t, tmask = self.t, self.tmask
+        s = p >> self.kshift
+        row = s << t
+        lo = q & tmask
+        hi = (q >> t) & (tmask << 1 | 1)
+        v2 = self._lo.take(row | lo) | self._hi.take(row << 1 | hi)
+        out = p ^ v2
+        out ^= self._wz.take(row | (lo & hi))
+        out ^= self._par.take((p >> t) & tmask & v2)
+        out ^= self._hk.take(s << 7 | q >> self.kshift)
+        return out
 
     def inv_code(self, p: int) -> int:
         # (e a^k b^beta)^-1 = b^beta * a^-k * e^-1

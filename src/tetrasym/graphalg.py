@@ -27,6 +27,7 @@ candidate per orbit of those that fix the branch's individualised vertices
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -240,21 +241,28 @@ def _fold(keys, base):
     in their lexicographic order.  Each integer product folds as many
     columns m as keep the fold below 2**63, keys[:, j:j+m] @ (base**(m-1),
     ..., base, 1); between two such products the partial fold is replaced
-    by its ranks, which keep its order and are fewer than n."""
+    by its ranks, which keep its order and are fewer than n.  The weights
+    of a base are made once (_weights)."""
     width = keys.shape[1]
     packed, span, j = None, 1, 0  # the partial fold lies in 0..span-1
     while True:
-        weights = [1]
-        while (j + len(weights) < width
-               and span * weights[0] * base * base < 1 << 63):
-            weights.insert(0, weights[0] * base)
-        m = len(weights)
-        part = keys[:, j:j + m] @ np.array(weights)
-        packed = part if packed is None else packed * (weights[0] * base) + part
+        m = width - j
+        while m > 1 and span * base ** m >= 1 << 63:
+            m -= 1
+        part = keys[:, j:j + m] @ _weights(base, m)
+        packed = part if packed is None else packed * base ** m + part
         j += m
         if j == width:
             return packed
         packed, _, span = _rank(packed)
+
+
+@lru_cache(maxsize=1024)
+def _weights(base, m):
+    """The read-only int64 array (base**(m-1), ..., base, 1)."""
+    weights = base ** np.arange(m - 1, -1, -1)
+    weights.flags.writeable = False
+    return weights
 
 
 def _rank(packed):

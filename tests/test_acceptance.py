@@ -16,7 +16,7 @@ import time
 
 from tetrasym import families, graphalg
 from tetrasym.cli import (assoc_sample_failures, evec_exhaustive_failures,
-                          relation_suite)
+                          mul_codes_mismatches, relation_suite)
 from tetrasym.cosetgraph import sphere, validate_corefree, validate_sabidussi
 from tetrasym.extragrp import (MINUS, PLUS, SIGNS, double_coset_contains,
                                extension_group)
@@ -42,6 +42,9 @@ def test_criterion_01_extraspecial_engine_soundness():
         for sign in SIGNS:
             if not relation_suite(t, sign):
                 failures.append("relation suite failed at t=%d %s" % (t, sign))
+            bad = mul_codes_mismatches(t, sign)
+            if bad:
+                failures.append("%d array products differ at t=%d %s" % (bad, t, sign))
             if t > 4:
                 continue
             els = list(extension_group(t, sign).elements())

@@ -240,8 +240,34 @@ def test_degenerate_cyclic_triple_fails_valency():
     report = validate_sabidussi(iface, a)
     assert report.valency == 1
     assert not report.tetravalent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         build_coset_graph(iface, a)
+    assert str(err.value) == "neighbour count 1 != 4 at vertex 0: bad (G, H, a) triple"
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 4])
+def test_valency_check_names_the_least_bad_vertex(monkeypatch, chunk):
+    # <a, h> = C8 x C2 with H = <h> and a canon that is not constant on
+    # cosets: it sends a^5*h to a^5, so the two probes of vertices 7 and 8,
+    # two BFS levels down, fall on one vertex.  Four rows a chunk put
+    # vertex 7 in the second one.
+    monkeypatch.setattr(cosetgraph, "_CHUNK", chunk)
+    a = Permutation((1, 2, 3, 4, 5, 6, 7, 0, 8, 9))
+    h = Permutation((0, 1, 2, 3, 4, 5, 6, 7, 9, 8))
+    merged, into = (a ** 5 * h).images, (a ** 5).images
+
+    def canon(rows):
+        rows = rows.copy()
+        rows[(rows == merged).all(axis=1)] = into
+        return rows
+    iface = GroupIface(generators=(h,), identity=Permutation.identity(10),
+                       order=16, canon=canon)
+    reps, _, adj = cosetgraph._explore(iface, a, None)
+    assert len(reps) == 15
+    assert [u for u, row in enumerate(adj.tolist()) if row[0] == row[1]] == [7, 8]
+    with pytest.raises(ValueError) as err:
+        cosetgraph._explore(iface, a, 2)
+    assert str(err.value) == "neighbour count 1 != 2 at vertex 7: bad (G, H, a) triple"
 
 
 def test_asymmetric_triple_reported():

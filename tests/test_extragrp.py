@@ -405,6 +405,55 @@ def test_mul_codes_matches_mul_code(t, sign):
     assert grp.mul_codes(P, qs[0]).tolist() == [grp.mul_code(p, qs[0]) for p in ps]
 
 
+@pytest.mark.parametrize("sign", SIGNS)
+def test_mul_codes_matches_mul_code_on_all_pairs_t2(sign):
+    grp = extension_group(2, sign)
+    codes = [g.code for g in grp.elements()]
+    P, Q = np.array(codes), np.array(codes)
+    table = grp.mul_codes(P[:, None], Q[None, :])
+    assert table.shape == (256, 256)
+    assert table.tolist() == [[grp.mul_code(p, q) for q in codes] for p in codes]
+
+
+@pytest.mark.parametrize("t", (2, 6, 10))
+@pytest.mark.parametrize("sign", SIGNS)
+def test_mul_codes_outer_shape(t, sign):
+    # the (1, k) x (m, 1) shape of _CodeForm.outer: row i holds qs[i] after
+    # each of ps, as the coset explorer reads it
+    grp = extension_group(t, sign)
+    rng = random.Random(500 + t)
+    ps = [random_code(grp, rng) for _ in range(4)]
+    qs = [random_code(grp, rng) for _ in range(300)]
+    out = grp.mul_codes(np.array(ps)[None, :], np.array(qs)[:, None])
+    assert out.shape == (300, 4) and out.dtype == np.int64
+    assert out.tolist() == [[grp.mul_code(p, q) for p in ps] for q in qs]
+
+
+@pytest.mark.parametrize("t", range(2, 11))
+@pytest.mark.parametrize("sign", SIGNS)
+def test_mul_codes_on_boundary_codes(t, sign):
+    # every combination of the extreme field values: k in {0, 1, 2t-1},
+    # beta and z in {0, 1}, and v empty, all ones, or one half full
+    grp = extension_group(t, sign)
+    vs = (0, grp.tmask, grp.tmask << t, grp.vmask)
+    codes = [v | z << grp.two_t | k << grp.kshift | beta << grp.bshift
+             for v in vs for z in (0, 1) for k in (0, 1, grp.two_t - 1)
+             for beta in (0, 1)]
+    C = np.array(codes)
+    assert grp.mul_codes(C[:, None], C[None, :]).tolist() == [
+        [grp.mul_code(p, q) for q in codes] for p in codes]
+
+
+def test_mul_codes_tables_stay_small():
+    # at t=10 the product tables of one group hold 2,846,720 bytes of int64:
+    # LO and WZ of 84 rows of 1024, HI of 84 rows of 2048, HK of 84 rows of
+    # 128 and PAR of 1024; the group keeps no other array
+    grp = extension_group(10, MINUS)
+    arrays = [x for x in vars(grp).values() if isinstance(x, np.ndarray)]
+    assert len(arrays) == 5
+    assert sum(x.nbytes for x in arrays) <= 2_900_000
+
+
 def _evec_word(g):
     """g's word spelled out through EVec, as word() did before it read the
     packed code's bits."""
