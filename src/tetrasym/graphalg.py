@@ -3,10 +3,18 @@ quotients and covers, local groups, blocks of imprimitivity, isomorphism and
 automorphism-group orders at desk scale.
 
 Girth runs a BFS from one root per vertex orbit of a given action (every
-vertex without one).  Arc-transitivity labels the orbits of the action's
-group on the arcs (``permgrp.orbit_labels``), the arc u -> v numbered as the
-first arc of u plus the count of u's neighbours below v in the graph's
-padded rows, which the searches read too.
+vertex without one).  Arc-transitivity is certified locally when it can be:
+a group that is transitive on the vertices, and whose generators fixing
+vertex 0 are transitive on its neighbours, maps every arc to an arc at 0
+and that onto 0's first arc, so it has one orbit on the arcs.  The
+vertex-transitivity reads the group's kept orbit labels, which girth's
+roots read too.  Every other case, every False answer among them, labels
+the orbits of the group on the arcs themselves (``permgrp.orbit_labels``),
+the arc u -> v numbered as the first arc of u plus the count of u's
+neighbours below v in the graph's padded rows, which the searches read too.
+The coset graphs always take the certificate (H fixes vertex 0 and is
+transitive on its neighbours Hah); the wreath actions take the arc orbit,
+since of their generators only b fixes vertex 0.
 
 Isomorphism and automorphism searches individualise and refine with full
 backtracking, so a negative answer is a proof of non-isomorphism, not a
@@ -501,17 +509,40 @@ def _arc_numbers(pad, first, tails, heads):
 def verify_arc_transitive(g: Graph, action: VertexAction) -> bool:
     """True iff the action's group has one orbit on the arcs of g.
 
-    Arcs are numbered in (tail, head) order, which is adjacency order
-    (_arc_numbers).  A generator, an automorphism, maps the arcs onto the
-    arcs, so it permutes their numbers, and every number must share arc
-    0's orbit label."""
+    The local certificate (_locally_arc_transitive) answers True when it
+    applies: a vertex-transitive group whose generators fixing vertex 0 are
+    transitive on its neighbours.  Every other case, every False answer
+    among them, is decided by the orbit of the arcs themselves
+    (_arc_orbit)."""
     _check_on(g, action)
+    return _locally_arc_transitive(g, action.group) or _arc_orbit(g, action.group)
+
+
+def _locally_arc_transitive(g: Graph, group: PermGroup) -> bool:
+    """True if group is transitive on the vertices and the generators that
+    fix vertex 0, which has a neighbour, are transitive on its neighbours;
+    False says nothing.  Then the group has one orbit on the arcs
+    (Godsil & Royle, *Algebraic Graph Theory*, 2001, ch. 4): an element
+    maps any arc to an arc at vertex 0, and the stabiliser of 0 maps that
+    onto 0's first arc.  A generator fixing 0 is an automorphism, so it
+    permutes 0's sorted neighbours, as the index map searchsorted gives."""
+    if not g.n or not g.degrees[0]:
+        return False
+    nbrs = g.rows[0, :g.degrees[0]]
+    local = [nbrs.searchsorted(p[nbrs]) for p in group.arrays() if p[0] == 0]
+    return not orbit_labels(local, len(nbrs)).any() and group.is_transitive()
+
+
+def _arc_orbit(g: Graph, group: PermGroup) -> bool:
+    """True iff group has one orbit on the arcs of g, from the arcs' own
+    orbit labels.  Arcs are numbered in (tail, head) order, which is
+    adjacency order (_arc_numbers).  A generator, an automorphism, maps the
+    arcs onto the arcs, so it permutes their numbers, and every number must
+    share arc 0's orbit label."""
     tails, heads = g.arcs
     if not len(tails):
         return False
-    pad = g.rows
-    degree = np.count_nonzero(pad < g.n, axis=1)
-    first = np.cumsum(degree) - degree
-    gens = [_arc_numbers(pad, first, p[tails], p[heads])
-            for p in (q.astype(np.int64) for q in action.group.arrays())]
+    first = np.cumsum(g.degrees) - g.degrees
+    gens = [_arc_numbers(g.rows, first, p[tails], p[heads])
+            for p in (q.astype(np.int64) for q in group.arrays())]
     return not orbit_labels(gens, len(tails)).any()

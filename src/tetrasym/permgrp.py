@@ -8,11 +8,13 @@ class's least point to the least class a generator joins it to, then follows
 the hooks to their ends.  A class joined to another merges within two
 rounds (if all its neighbours hook below it, it hooks to them next), so an
 orbit of n points takes O(log n) rounds of O(log n) jumps, each a few
-gathers per generator.  A group's orbits, the orbit of a point, its
-transitivity and the graph checks' arc orbit all read these labels.  The
-chain grows its basic orbits by a BFS instead, because its Schreier vectors
-need the BFS tree.  ``PermGroup.min_block`` keeps Atkinson's union-find: its
-merges cascade one pair at a time, which array rounds do slowly.
+gathers per generator.  A group labels its points once and keeps the
+labels, which its orbits, the orbit of a point, its transitivity and the
+graph checks (girth's roots, the arc certificate) all read; the arc orbit
+labels the arcs with the same routine.  The chain grows its basic orbits by
+a BFS instead, because its Schreier vectors need the BFS tree.
+``PermGroup.min_block`` keeps Atkinson's union-find: its merges cascade one
+pair at a time, which array rounds do slowly.
 
 Group data is computed through a deterministic (non-randomised)
 Schreier-Sims stabiliser chain so that any failure reproduces
@@ -503,6 +505,7 @@ class PermGroup:
         self._arrays = arrays
         self.order_bound = order_bound
         self._chain: _StabChain | None = None
+        self._labels: np.ndarray | None = None
         self._lock = threading.Lock()
 
     def __repr__(self):
@@ -536,8 +539,16 @@ class PermGroup:
         return self.contains(p)
 
     def orbit_labels(self) -> np.ndarray:
-        """The least point of each point's orbit, as an int64 array."""
-        return orbit_labels(self.arrays(), self.degree)
+        """The least point of each point's orbit, as a read-only int64
+        array, labelled on the first call and then kept: the group's
+        orbits, its transitivity and the graph checks share one labelling.
+        Two threads that make the first call together each label the
+        orbits and keep the same array."""
+        if self._labels is None:
+            labels = orbit_labels(self.arrays(), self.degree)
+            labels.flags.writeable = False
+            self._labels = labels
+        return self._labels
 
     def orbit(self, x: int) -> set:
         """The orbit of point x."""

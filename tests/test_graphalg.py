@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetrasym import graphalg
+from tetrasym import graphalg, permgrp
 from tetrasym.cosetgraph import Graph, VertexAction, sphere
 from tetrasym.families import (FamilySpec, build_family, central_block_words,
                                praeger_xu_direct)
@@ -209,12 +209,12 @@ def test_array_bfs_matches_tuple_bfs_on_matrix_members(spec):
 
 
 def arc_orbit_oracle(g, action):
-    """Oracle: the orbit of one arc, by a BFS on arc pairs under the
-    generators, one image lookup per arc end."""
+    """Oracle: the orbit of one arc, the first in adjacency order, by a BFS
+    on arc pairs under the generators, one image lookup per arc end."""
     arcs_total = sum(len(nbrs) for nbrs in g.adj)
     if arcs_total == 0:
         return False
-    start = (0, g.adj[0][0])
+    start = next((u, nbrs[0]) for u, nbrs in enumerate(g.adj) if nbrs)
     seen = {start}
     queue = deque([start])
     while queue:
@@ -535,6 +535,133 @@ def test_cycle_graph_arc_transitive_with_dihedral_action():
     g = cycle_graph(5)
     action = VertexAction(g, (cyc(5, (0, 1, 2, 3, 4)), cyc(5, (1, 4), (2, 3))))
     assert verify_arc_transitive(g, action)
+
+
+def test_coset_members_are_certified_without_arc_numbers(fam, monkeypatch):
+    # a coset graph's H fixes vertex 0 and is transitive on its neighbours,
+    # so the local certificate answers without numbering an arc
+    def refuse(*args):
+        raise AssertionError("the arc orbit ran")
+
+    monkeypatch.setattr(graphalg, "_arc_numbers", refuse)
+    for spec, fb in matrix_members(fam).items():
+        if not spec.startswith("wreath"):
+            assert verify_arc_transitive(fb.graph, fb.action), spec
+
+
+def counting_arc_orbit(monkeypatch):
+    """Wrap graphalg._arc_orbit; returns the list of its answers."""
+    answers = []
+    arc_orbit = graphalg._arc_orbit
+
+    def counting(g, group):
+        answers.append(arc_orbit(g, group))
+        return answers[-1]
+
+    monkeypatch.setattr(graphalg, "_arc_orbit", counting)
+    return answers
+
+
+@pytest.mark.parametrize("r", [4, 3000])
+def test_wreath_actions_reach_the_arc_orbit(fam, monkeypatch, r):
+    # of the wreath generators only b fixes vertex 0, and it is not
+    # transitive on vertex 0's neighbours
+    fb = fam.wreath(r)
+    answers = counting_arc_orbit(monkeypatch)
+    assert verify_arc_transitive(fb.graph, fb.action)
+    assert answers == [arc_orbit_oracle(fb.graph, fb.action)]
+
+
+@pytest.mark.parametrize("t", range(7, 11))
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_certificate_and_arc_orbit_agree_on_large_gamma(fam, t, sign):
+    fb = fam.gamma(t, sign)
+    group = fb.action.group
+    assert graphalg._locally_arc_transitive(fb.graph, group)
+    assert graphalg._arc_orbit(fb.graph, group)
+
+
+def c5_with_isolated_vertex(isolated):
+    """A 5-cycle on five of six vertices, the other one isolated, under the
+    dihedral group of the cycle (whose reflection fixes the cycle's least
+    vertex)."""
+    cycle = [v for v in range(6) if v != isolated]
+    g = Graph.from_edges(6, [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)])
+    reflection = cyc(6, (cycle[1], cycle[4]), (cycle[2], cycle[3]))
+    return g, VertexAction(g, (cyc(6, tuple(cycle)), reflection))
+
+
+def rotated_cycle(n):
+    g = cycle_graph(n)
+    return g, VertexAction(g, (Permutation([(i + 1) % n for i in range(n)]),))
+
+
+def edgeless():
+    g = Graph.from_edges(4, [])
+    return g, VertexAction(g, (cyc(4, (0, 1, 2, 3)),))
+
+
+def k4_with_intransitive_fixer():
+    """K4 under (0 1 2 3) and (2 3): S4, arc-transitive, but its one
+    generator fixing vertex 0 splits 0's neighbours into {1} and {2, 3}."""
+    g = Graph.from_edges(4, list(itertools.combinations(range(4), 2)))
+    return g, VertexAction(g, (cyc(4, (0, 1, 2, 3)), cyc(4, (2, 3))))
+
+
+def c5_and_c4_reflected():
+    """c5_and_c4 with the C5's reflection fixing vertex 0 added: the
+    generators fixing 0 are transitive on its neighbours, but the group is
+    not vertex-transitive and has two orbits on the arcs."""
+    g, action = c5_and_c4()
+    return g, VertexAction(g, action.images + (cyc(9, (1, 4), (2, 3)),))
+
+
+def dihedral_c5():
+    g = cycle_graph(5)
+    return g, VertexAction(g, (cyc(5, (0, 1, 2, 3, 4)), cyc(5, (1, 4), (2, 3))))
+
+
+# (graph and action, one orbit on the arcs, decided by the arc orbit)
+_ARC_EDGE_CASES = {
+    "c5+isolated-0": (lambda: c5_with_isolated_vertex(0), True, True),
+    "c5+isolated-5": (lambda: c5_with_isolated_vertex(5), True, True),
+    "c5-and-c4": (c5_and_c4, False, True),
+    "c5-and-c4-reflected": (c5_and_c4_reflected, False, True),
+    "c7-rotation": (lambda: rotated_cycle(7), False, True),
+    "edgeless": (edgeless, False, True),
+    "k4-intransitive-fixer": (k4_with_intransitive_fixer, True, True),
+    "c5-dihedral": (dihedral_c5, True, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ARC_EDGE_CASES))
+def test_arc_transitivity_edge_cases(monkeypatch, case):
+    make, expected, by_arc_orbit = _ARC_EDGE_CASES[case]
+    g, action = make()
+    answers = counting_arc_orbit(monkeypatch)
+    assert verify_arc_transitive(g, action) == expected
+    assert arc_orbit_oracle(g, action) == expected
+    assert answers == ([expected] if by_arc_orbit else [])
+
+
+def test_a_group_labels_its_vertex_orbits_once(monkeypatch):
+    fb = build_family(FamilySpec.parse("gamma:sign=minus,t=3"))
+    calls = []
+    label = permgrp.orbit_labels
+
+    def counting(gens, degree):
+        calls.append(degree)
+        return label(gens, degree)
+
+    monkeypatch.setattr(permgrp, "orbit_labels", counting)
+    group = fb.action.group
+    assert girth(fb.graph, fb.action) == 8
+    assert verify_arc_transitive(fb.graph, fb.action)
+    assert group.is_transitive()
+    assert len(group.orbits()) == 1
+    assert calls == [fb.graph.n]
+    with pytest.raises(ValueError):
+        group.orbit_labels()[0] = 1
 
 
 def searchsorted_arc_numbers(g, p):

@@ -256,7 +256,8 @@ def test_orbit_labels_of_a_40960_point_cycle():
 def test_arc_orbits_of_wreath_20000():
     # the arcs of wreath:r=20000 (160,000 of them) under its action, as a
     # permutation group on arcs numbered in a dictionary, against the
-    # closure; verify_arc_transitive numbers them by binary search instead
+    # closure; verify_arc_transitive's arc orbit, which the wreath actions
+    # reach, numbers them from the graph's padded rows instead
     fb = build_family(FamilySpec.parse("wreath:r=20000"))
     arcs = [(u, v) for u in range(fb.graph.n) for v in fb.graph.adj[u]]
     number = {arc: i for i, arc in enumerate(arcs)}
