@@ -28,7 +28,7 @@ SCHEMA_VERSION = 1
 
 # gamma t=7, the largest member with a live criterion-11 row.  The wreath
 # graphs bound it: their search is one level per fibre, and wreath:r=1792
-# at this cap takes about 3 s and 300 MB.
+# at this cap takes about 6 s and 320 MB.
 _AUT_CAP = 3584
 _ISO_CAP = 5000  # vertex cap of the isomorphism searches (criteria 8 and 12)
 _CHAIN_CAP = 4000  # vertex cap of the chain checks on actions of no known order
@@ -328,17 +328,28 @@ def relation_suite(t: int, sign: str) -> bool:
     return ok
 
 
+def _cayley_table(elements, mul) -> np.ndarray:
+    """table[i, j] = the index in elements of mul(elements[i], elements[j])."""
+    index = {e: i for i, e in enumerate(elements)}
+    return np.array([[index[mul(x, y)] for y in elements] for x in elements])
+
+
+def _failing_triples(table: np.ndarray) -> np.ndarray:
+    """bad[i, j, k] = whether (i j) k != i (j k) in the Cayley table.  For
+    row = table[i], table[row] is (i j) k and row[table] is i (j k)."""
+    return np.array([table[row] != row[table] for row in table])
+
+
 def assoc_sample_failures(t: int, sign: str, samples: int, seed: int = 12345) -> int:
+    """The non-associative triples among ``samples`` seeded draws of three
+    elements each, read from the Cayley table of ``mul_code``."""
     grp = extension_group(t, sign)
     codes = [g.code for g in grp.elements()]
+    bad = _failing_triples(_cayley_table(codes, grp.mul_code))
     rng = random.Random(seed)
-    mul = grp.mul_code
-    bad = 0
-    for _ in range(samples):
-        p, q, r = rng.choice(codes), rng.choice(codes), rng.choice(codes)
-        if mul(mul(p, q), r) != mul(p, mul(q, r)):
-            bad += 1
-    return bad
+    draws = np.array([rng.randrange(len(codes)) for _ in range(3 * samples)])
+    p, q, r = draws.reshape(samples, 3).T
+    return int(bad[p, q, r].sum())
 
 
 def mul_codes_mismatches(t: int, sign: str) -> int:
@@ -360,14 +371,7 @@ def mul_codes_mismatches(t: int, sign: str) -> int:
 
 def evec_exhaustive_failures(t: int) -> int:
     vecs = [EVec(t, v, zz) for v in range(1 << (2 * t)) for zz in (0, 1)]
-    bad = 0
-    for u in vecs:
-        for w in vecs:
-            uw = u * w
-            for y in vecs:
-                if (uw * y) != (u * (w * y)):
-                    bad += 1
-    return bad
+    return int(_failing_triples(_cayley_table(vecs, EVec.__mul__)).sum())
 
 
 # ---------------------------------------------------------------------------

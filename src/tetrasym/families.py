@@ -342,7 +342,7 @@ def second_sphere_words(grp: extragrp.ExtensionGroup) -> list:
         for e2 in (0, 1):
             words.append(x(t) ** e1 * x(t + 1) ** e2 * ai * ai)
     words += [x(t), x(t) * z, x(2 * t - 1), x(2 * t - 1) * z]
-    return _dedupe(words)
+    return list(dict.fromkeys(words))
 
 
 def third_sphere_words(grp: extragrp.ExtensionGroup) -> list:
@@ -364,7 +364,7 @@ def third_sphere_words(grp: extragrp.ExtensionGroup) -> list:
         for e2 in (0, 1):
             words.append(x(2 * t - 2) * x(2 * t - 1) ** e1 * z ** e2 * a)
             words.append(x(t) ** e1 * x(2 * t - 1) * z ** e2 * a)
-    return _dedupe(words)
+    return list(dict.fromkeys(words))
 
 
 def central_block_words(grp: extragrp.ExtensionGroup) -> list:
@@ -373,16 +373,6 @@ def central_block_words(grp: extragrp.ExtensionGroup) -> list:
     t = grp.t
     w = grp.x(t) * grp.x(2 * t - 1)
     return [grp.identity, w, grp.z, w * grp.z]
-
-
-def _dedupe(words: list) -> list:
-    out = []
-    seen = set()
-    for w in words:
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
 
 
 # ---------------------------------------------------------------------------

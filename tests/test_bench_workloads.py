@@ -3,7 +3,8 @@
 calling it on each vertex and reading ``Graph.adj``.  Running those helpers
 here makes a change that breaks that use fail this suite instead of every
 benchmark iteration.  One iteration of the workload's searches is also run
-here, to bound how often they refine."""
+here, to bound how often they refine, and one of the `matrix` workload, to
+judge the default matrix against its golden rows."""
 
 import importlib.util
 import random
@@ -65,3 +66,13 @@ def test_search_workload_refines_at_most_222_times(workloads, monkeypatch):
     actual, _ = search.body(state)
     assert all(workloads.judge(search.known(state, actual), actual).values())
     assert len(calls) <= 222
+
+
+def test_matrix_workload_matches_the_golden(workloads):
+    # the default matrix against bench/matrix_golden.json: a renamed,
+    # dropped or flipped row fails here
+    matrix = workloads.WORKLOADS["matrix"]
+    golden = matrix.prepare(1, 0)
+    actual, _ = matrix.body(golden)
+    verdicts = workloads.judge(matrix.known(golden, actual), actual)
+    assert [name for name, ok in verdicts.items() if not ok] == []

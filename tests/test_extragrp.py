@@ -1,6 +1,5 @@
 import functools
 import itertools
-import os
 import random
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetrasym import cli
 from tetrasym.extragrp import (MINUS, PLUS, SIGNS, EVec, GElt, conj_by_a,
                                conj_by_b, double_coset_contains, evec_inv,
                                evec_mul, extension_group)
@@ -115,16 +115,6 @@ def test_group_identity_laws(sign):
         assert (p.inverse() * p).is_identity()
 
 
-@pytest.mark.parametrize("sign", SIGNS)
-def test_group_associativity_sampled(sign):
-    grp = extension_group(2, sign)
-    els = list(grp.elements())
-    rng = random.Random(1)
-    for _ in range(3000):
-        p, q, r = (rng.choice(els) for _ in range(3))
-        assert (p * q) * r == p * (q * r)
-
-
 @pytest.mark.parametrize("t", (3, 4))
 @pytest.mark.parametrize("sign", SIGNS)
 def test_group_associativity_sampled_larger_t(t, sign):
@@ -137,18 +127,65 @@ def test_group_associativity_sampled_larger_t(t, sign):
         assert mul(mul(p, q), r) == mul(p, mul(q, r))
 
 
-@pytest.mark.skipif(not os.environ.get("TETRASYM_EXHAUSTIVE"),
-                    reason="16.7M-triple sweep; set TETRASYM_EXHAUSTIVE=1")
+def scalar_table(grp):
+    """The group's codes, ascending, and the table of mul_code(p, q) with
+    p running down the rows and q across."""
+    codes = [g.code for g in grp.elements()]
+    return np.array(codes), np.array([[grp.mul_code(p, q) for q in codes] for p in codes])
+
+
+@functools.cache
+def scalar_table_t2(sign):
+    return scalar_table(extension_group(2, sign))
+
+
+def nonassociative_triples(codes, table):
+    """The number of triples (p, q, r) with (pq)r != p(qr) in a
+    closed table.  The products become indices into codes; for the row of
+    p, index[row] holds (pq)r and row[index] holds p(qr)."""
+    index = np.searchsorted(codes, table)
+    assert (codes[index] == table).all()
+    return sum(int((index[row] != row[index]).sum()) for row in index)
+
+
 @pytest.mark.parametrize("sign", SIGNS)
 def test_group_associativity_exhaustive_t2(sign):
-    grp = extension_group(2, sign)
+    # all 16.7M triples of the t=2 group
+    assert nonassociative_triples(*scalar_table_t2(sign)) == 0
+
+
+def sample_loop(t, sign, samples, seed=12345):
+    # the reference for assoc_sample_failures: four mul_code calls for each
+    # of its seeded triples
+    grp = extension_group(t, sign)
     codes = [g.code for g in grp.elements()]
+    rng = random.Random(seed)
     mul = grp.mul_code
-    for p in codes:
-        for q in codes:
-            pq = mul(p, q)
-            for r in codes:
-                assert mul(pq, r) == mul(p, mul(q, r))
+    bad = 0
+    for _ in range(samples):
+        p, q, r = rng.choice(codes), rng.choice(codes), rng.choice(codes)
+        if mul(mul(p, q), r) != mul(p, mul(q, r)):
+            bad += 1
+    return bad
+
+
+def test_assoc_checks_see_one_wrong_product(monkeypatch):
+    # mul_code with the product a * b multiplied by x_0 (1,018 failing
+    # triples in all): the sweep must see it, and the sampled count must be
+    # the per-sample loop's on the same draws; EVec products are untouched
+    grp = extension_group(2, MINUS)
+    real, a, b, x0 = grp.mul_code, grp.a.code, grp.b.code, grp.x(0).code
+
+    def mul_code(p, q):
+        pq = real(p, q)
+        return real(pq, x0) if (p, q) == (a, b) else pq
+
+    monkeypatch.setattr(grp, "mul_code", mul_code)
+    assert nonassociative_triples(*scalar_table(grp)) > 0
+    counts = [cli.assoc_sample_failures(2, MINUS, n) for n in (1000, 200_000)]
+    assert counts == [sample_loop(2, MINUS, n) for n in (1000, 200_000)]
+    assert counts[1] > 0
+    assert cli.evec_exhaustive_failures(2) == 0
 
 
 @pytest.mark.parametrize("t", (2, 3, 4))
@@ -407,12 +444,10 @@ def test_mul_codes_matches_mul_code(t, sign):
 
 @pytest.mark.parametrize("sign", SIGNS)
 def test_mul_codes_matches_mul_code_on_all_pairs_t2(sign):
-    grp = extension_group(2, sign)
-    codes = [g.code for g in grp.elements()]
-    P, Q = np.array(codes), np.array(codes)
-    table = grp.mul_codes(P[:, None], Q[None, :])
-    assert table.shape == (256, 256)
-    assert table.tolist() == [[grp.mul_code(p, q) for q in codes] for p in codes]
+    codes, table = scalar_table_t2(sign)
+    out = extension_group(2, sign).mul_codes(codes[:, None], codes[None, :])
+    assert out.shape == (256, 256)
+    assert out.tolist() == table.tolist()
 
 
 @pytest.mark.parametrize("t", (2, 6, 10))
