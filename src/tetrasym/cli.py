@@ -73,8 +73,11 @@ def _paper_or_derived(expected):
 
 
 def _with_chain(build):
-    # A chain bounded by a known order stops once it reaches it; an unbounded
-    # one keeps a transversal element per point of its first basic orbit.
+    # A chain bounded by a known order stops once it reaches it: its base
+    # starts at vertex 0, which H fixes, so H's generators reach the bound
+    # with no Schreier generator of the first level sifted, and the
+    # stabiliser of vertex 0 is bounded by |G|/n.  An unbounded chain keeps
+    # a transversal element per point of its first basic orbit.
     if build.action.order_bound is None and build.graph.n > _CHAIN_CAP:
         raise _Skip("above stabiliser-chain cap")
     return build.action.group
@@ -340,14 +343,37 @@ def _failing_triples(table: np.ndarray) -> np.ndarray:
     return np.array([table[row] != row[table] for row in table])
 
 
+def _randrange_draws(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """``[rng.randrange(n) for _ in range(count)]`` as an int64 array, drawn
+    in whole Mersenne Twister words, leaving rng in the same state.
+
+    ``randrange(n)`` takes ``getrandbits(k)``, k = n.bit_length(), until it
+    falls below n, and for k <= 32 that is one 32-bit word shifted right by
+    32 - k.  One ``getrandbits(32 * m)`` is m such words, least significant
+    first, so shifting and filtering them gives the same draws in order.
+    Each word gives at most one draw, so asking for as many words as draws
+    are missing never draws past the last."""
+    k = n.bit_length()
+    if not 1 <= k <= 32:
+        raise ValueError("_randrange_draws takes 1 <= n < 2**32, not %d" % n)
+    draws = [np.zeros(0, np.int64)]
+    missing = count
+    while missing:
+        bits = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        words = np.frombuffer(bits, dtype="<u4") >> (32 - k)
+        kept = words[words < n]
+        draws.append(kept)
+        missing -= len(kept)
+    return np.concatenate(draws)
+
+
 def assoc_sample_failures(t: int, sign: str, samples: int, seed: int = 12345) -> int:
     """The non-associative triples among ``samples`` seeded draws of three
     elements each, read from the Cayley table of ``mul_code``."""
     grp = extension_group(t, sign)
     codes = [g.code for g in grp.elements()]
     bad = _failing_triples(_cayley_table(codes, grp.mul_code))
-    rng = random.Random(seed)
-    draws = np.array([rng.randrange(len(codes)) for _ in range(3 * samples)])
+    draws = _randrange_draws(random.Random(seed), len(codes), 3 * samples)
     p, q, r = draws.reshape(samples, 3).T
     return int(bad[p, q, r].sum())
 

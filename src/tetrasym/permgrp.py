@@ -41,6 +41,15 @@ one.  A bound must be a true upper bound: one below |G| that equals some
 partial product would stop the run early.  The coset-graph builder supplies
 the bound for its vertex actions: it certifies |<H, a>| = |G| by reaching
 all |G|/|H| cosets, and the action is a homomorphic image of <H, a>.
+
+Base at the least moved point.  A chain given no base starts it at the
+least point that some generator moves, which is vertex 0 of a transitive
+action.  In a coset action H fixes vertex 0, so H's generators build the
+levels below the first by themselves; the run works from the deepest level
+up, their chain brings the product to n·|H| = |G|, and the known-order stop
+ends the run before any Schreier generator of the first level is sifted.
+A complete chain also gives its point stabilisers an exact order: for x in
+the first basic orbit, |G_x| = |G| / |b^G| (see ``point_stabiliser``).
 """
 
 from __future__ import annotations
@@ -349,7 +358,8 @@ class _Level:
 
 
 class _StabChain:
-    """A deterministic Schreier-Sims chain of <gens>.
+    """A deterministic Schreier-Sims chain of <gens>, its base starting
+    with ``base_prefix`` or, if that is empty, the least moved point.
 
     With ``bound`` (an upper bound on |<gens>|) the run stops as soon as the
     product of the basic orbit lengths reaches it, and raises if the product
@@ -361,9 +371,13 @@ class _StabChain:
         self.bound = bound
         self.identity = np.arange(degree, dtype=np.int32)
         self.levels: list[_Level] = [_Level(b, self.identity) for b in base_prefix]
+        gens = [g for g in gens if not self._is_id(g)]
+        if not self.levels and gens:
+            # the least moved point: vertex 0 of a transitive action
+            first = min(int(np.argmax(g != self.identity)) for g in gens)
+            self.levels.append(_Level(first, self.identity))
         for g in gens:
-            if not self._is_id(g):
-                self._insert_gen(g, 0)
+            self._insert_gen(g, 0)
         self._run()
 
     def _is_id(self, g: np.ndarray) -> bool:
@@ -577,11 +591,14 @@ class PermGroup:
         For x in the first basic orbit, G_x = u^-1 G_b u, where b is the
         first base point and u the transversal element mapping b to x
         (Seress, *Permutation Group Algorithms*, 2003): the strong
-        generators fixing b are conjugated by u.  When every generator fixes
-        x the stabiliser is the whole group.  Only for any other x is a
-        second chain built, with base starting at x, bounded by this
-        chain's (exact) order.  The stabiliser gets no order bound, so its
-        own chain counts its order independently.
+        generators fixing b are conjugated by u, and the stabiliser is
+        bounded by its exact order |G| / |b^G|, since this chain is
+        complete.  Its own chain must still reach that bound from the
+        conjugated generators; had they generated less, it would complete
+        and report the smaller order.  When every generator fixes x the
+        stabiliser is the whole group.  Only for any other x is a second
+        chain built, with base starting at x, bounded by this chain's
+        (exact) order; that stabiliser gets no order bound.
         """
         if not 0 <= x < self.degree:
             raise ValueError("point %d out of range" % x)
@@ -590,13 +607,16 @@ class PermGroup:
         chain = self.chain
         top = chain.levels[0]
         if x in top:
-            u, u_inv = top.u(x), top.u_inv(x)
-            arrays = [_compose(_compose(u_inv, s), u)
-                      for s in chain.strong_gens_fixing_prefix(1)]
+            arrays = chain.strong_gens_fixing_prefix(1)
+            if x != top.point:  # u is the identity at the base point
+                u, u_inv = top.u(x), top.u_inv(x)
+                arrays = [_compose(_compose(u_inv, s), u) for s in arrays]
+            bound = chain.order() // len(top.orbit)
         else:
             arrays = _StabChain(self.degree, self.arrays(), (x,),
                                 bound=chain.order()).strong_gens_fixing_prefix(1)
-        return PermGroup(arrays, degree=self.degree)
+            bound = None
+        return PermGroup(arrays, degree=self.degree, order_bound=bound)
 
     def is_primitive(self) -> bool:
         """True iff the (transitive) action admits no nontrivial block system.

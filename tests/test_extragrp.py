@@ -188,6 +188,21 @@ def test_assoc_checks_see_one_wrong_product(monkeypatch):
     assert cli.evec_exhaustive_failures(2) == 0
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 255, 256, 257, 1000, 2 ** 31, 2 ** 32 - 1))
+def test_randrange_draws_match_the_randrange_loop(n):
+    # the same draws in the same order, and the generator left where the
+    # loop leaves it; n both a power of two and not
+    for seed in (12345, 0, 7):
+        fast, slow = random.Random(seed), random.Random(seed)
+        draws = cli._randrange_draws(fast, n, 3000)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == [slow.randrange(n) for _ in range(3000)]
+        assert fast.getstate() == slow.getstate()
+    assert cli._randrange_draws(random.Random(1), n, 0).tolist() == []
+    with pytest.raises(ValueError):
+        cli._randrange_draws(random.Random(1), 2 ** 32, 1)
+
+
 @pytest.mark.parametrize("t", (2, 3, 4))
 @pytest.mark.parametrize("sign", SIGNS)
 def test_group_relations(t, sign):

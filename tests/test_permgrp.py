@@ -428,10 +428,22 @@ def test_chain_safe_to_force_concurrently():
     assert results[0] == G.order()
 
 
+def test_base_starts_at_the_least_moved_point():
+    # the first generator fixes 0 and 1; the chain's base still starts at
+    # 0, and that generator lands on the deeper levels as well
+    G = PermGroup([cyc(6, (2, 3)), cyc(6, (4, 5)), cyc(6, (0, 1, 2, 3, 4, 5))])
+    assert G.chain.levels[0].point == 0
+    assert G.chain.levels[1].point == 2
+    assert G.order() == 720  # an adjacent transposition and a 6-cycle: Sym(6)
+    assert PermGroup([cyc(7, (5, 6)), cyc(7, (3, 4, 5))]).chain.levels[0].point == 3
+    assert _StabChain(6, G.arrays(), (4,)).levels[0].point == 4
+
+
 # -- point stabilisers from one chain ----------------------------------------
-# point_stabiliser conjugates the chain's stabiliser of its first base point;
-# the oracle builds a second chain whose base starts at x and takes that
-# chain's strong generators fixing x.
+# point_stabiliser conjugates the chain's stabiliser of its first base point
+# and bounds it by |G| over the first basic orbit's length; the oracle builds
+# a second chain whose base starts at x and takes that chain's strong
+# generators fixing x.
 
 def _assert_stabiliser_matches_oracle(G, x):
     stab = G.point_stabiliser(x)
@@ -441,6 +453,10 @@ def _assert_stabiliser_matches_oracle(G, x):
     assert stab.order() == oracle.order()
     assert all(g in oracle for g in stab.arrays())
     assert all(g in stab for g in oracle.arrays())
+    if G.chain.levels and x in G.chain.levels[0]:
+        assert stab.order_bound == oracle.order()
+    elif stab is not G:
+        assert stab.order_bound is None
 
 
 @pytest.mark.parametrize("member", [
@@ -544,6 +560,27 @@ def test_bounded_chain_matches_unbounded(spec):
     assert all(bounded.contains(p) for p in members)
     for x in (0, n - 1, rng.randrange(n)):
         assert bounded.point_stabiliser(x).order() == full.point_stabiliser(x).order()
+
+
+@pytest.mark.parametrize("spec", _matrix_members())
+def test_bounded_chain_sifts_no_first_level_schreier_generator(spec, monkeypatch):
+    # The base starts at vertex 0, which H's generators fix, so they build
+    # levels 1.. on their own, and the run, deepest level first, reaches
+    # n|H| = |G| before it sifts a Schreier generator of level 0.  The
+    # wreath action has no bound and must finish level 0.
+    action = build_family(FamilySpec.parse(spec)).action
+    processed = []
+    process = _StabChain._process_level
+
+    def counted(chain, i):
+        processed.append(i)
+        return process(chain, i)
+    monkeypatch.setattr(_StabChain, "_process_level", counted)
+    chain = PermGroup(action.images, degree=action.graph.n,
+                      order_bound=action.order_bound).chain
+    assert chain.levels[0].point == 0
+    assert len(chain.levels[0].orbit) == action.graph.n
+    assert (0 in processed) == (action.order_bound is None)
 
 
 def test_bound_above_the_order_gives_the_true_order():
