@@ -1,6 +1,11 @@
 """Command-line front end: generate family members, export graphs, run the
 verification matrix, emit machine-readable JSON reports.
 
+Criterion 1 checks the engine on whole Cayley tables at t=2: it counts every
+non-associative triple of the 2-group part and of each extension group's
+``mul_code``, one row of the table at a time.  The central-cover check
+compares the z-quotient with crs(2t, t) built from its closed-form rows.
+
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage error.
 """
 
@@ -161,8 +166,8 @@ def _cover(build):
         raise _Skip("z-quotient above the %d-vertex isomorphism cap" % _ISO_CAP)
     rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action, [z])
     t = build.spec.get("t")
-    base = families.praeger_xu_coset(2 * t, t)
-    iso = graphalg.isomorphic(rep.quotient, base.graph, cap=_ISO_CAP) is not None
+    base = families.praeger_xu_direct(2 * t, t)
+    iso = graphalg.isomorphic(rep.quotient, base, cap=_ISO_CAP) is not None
     return "paper", (2, True, True), (rep.fibre_size, rep.is_local_bijection, iso)
 
 
@@ -337,45 +342,19 @@ def _cayley_table(elements, mul) -> np.ndarray:
     return np.array([[index[mul(x, y)] for y in elements] for x in elements])
 
 
-def _failing_triples(table: np.ndarray) -> np.ndarray:
-    """bad[i, j, k] = whether (i j) k != i (j k) in the Cayley table.  For
-    row = table[i], table[row] is (i j) k and row[table] is i (j k)."""
-    return np.array([table[row] != row[table] for row in table])
+def _failing_triples(table: np.ndarray) -> int:
+    """The number of triples (i, j, k) with (i j) k != i (j k) in the Cayley
+    table, one row i at a time: for row = table[i], table[row] is (i j) k
+    and row[table] is i (j k)."""
+    return sum(int((table[row] != row[table]).sum()) for row in table)
 
 
-def _randrange_draws(rng: random.Random, n: int, count: int) -> np.ndarray:
-    """``[rng.randrange(n) for _ in range(count)]`` as an int64 array, drawn
-    in whole Mersenne Twister words, leaving rng in the same state.
-
-    ``randrange(n)`` takes ``getrandbits(k)``, k = n.bit_length(), until it
-    falls below n, and for k <= 32 that is one 32-bit word shifted right by
-    32 - k.  One ``getrandbits(32 * m)`` is m such words, least significant
-    first, so shifting and filtering them gives the same draws in order.
-    Each word gives at most one draw, so asking for as many words as draws
-    are missing never draws past the last."""
-    k = n.bit_length()
-    if not 1 <= k <= 32:
-        raise ValueError("_randrange_draws takes 1 <= n < 2**32, not %d" % n)
-    draws = [np.zeros(0, np.int64)]
-    missing = count
-    while missing:
-        bits = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
-        words = np.frombuffer(bits, dtype="<u4") >> (32 - k)
-        kept = words[words < n]
-        draws.append(kept)
-        missing -= len(kept)
-    return np.concatenate(draws)
-
-
-def assoc_sample_failures(t: int, sign: str, samples: int, seed: int = 12345) -> int:
-    """The non-associative triples among ``samples`` seeded draws of three
-    elements each, read from the Cayley table of ``mul_code``."""
+def gelt_exhaustive_failures(t: int, sign: str) -> int:
+    """The non-associative triples of ``mul_code``, over every triple of
+    the extension group's Cayley table."""
     grp = extension_group(t, sign)
     codes = [g.code for g in grp.elements()]
-    bad = _failing_triples(_cayley_table(codes, grp.mul_code))
-    draws = _randrange_draws(random.Random(seed), len(codes), 3 * samples)
-    p, q, r = draws.reshape(samples, 3).T
-    return int(bad[p, q, r].sum())
+    return _failing_triples(_cayley_table(codes, grp.mul_code))
 
 
 def mul_codes_mismatches(t: int, sign: str) -> int:
@@ -397,7 +376,7 @@ def mul_codes_mismatches(t: int, sign: str) -> int:
 
 def evec_exhaustive_failures(t: int) -> int:
     vecs = [EVec(t, v, zz) for v in range(1 << (2 * t)) for zz in (0, 1)]
-    return int(_failing_triples(_cayley_table(vecs, EVec.__mul__)).sum())
+    return _failing_triples(_cayley_table(vecs, EVec.__mul__))
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +388,11 @@ def _engine_rows():
     yield _check("evec-assoc-exhaustive-t2", "derived", 0,
                  evec_exhaustive_failures(2), t0)
     for sign in SIGNS:
+        # every triple is counted; the row keeps the name that
+        # bench/matrix_golden.json pins until the benchmark's next change
         t0 = time.perf_counter()
         yield _check("gelt-assoc-sampled-t2-%s" % sign, "derived", 0,
-                     assoc_sample_failures(2, sign, 500_000), t0)
+                     gelt_exhaustive_failures(2, sign), t0)
     for t in range(2, 11):
         for sign in SIGNS:
             t0 = time.perf_counter()

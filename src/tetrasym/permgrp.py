@@ -48,8 +48,9 @@ action.  In a coset action H fixes vertex 0, so H's generators build the
 levels below the first by themselves; the run works from the deepest level
 up, their chain brings the product to n·|H| = |G|, and the known-order stop
 ends the run before any Schreier generator of the first level is sifted.
-A complete chain also gives its point stabilisers an exact order: for x in
-the first basic orbit, |G_x| = |G| / |b^G| (see ``point_stabiliser``).
+A complete chain also gives its point stabilisers an exact order,
+|G_x| = |G| / |b^G| for x in the first basic orbit; for any other x a second
+chain is based at x and gives |G_x| the same way (see ``point_stabiliser``).
 """
 
 from __future__ import annotations
@@ -283,18 +284,16 @@ class _Level:
     """One level of the chain: a base point, the strong generators that fix
     the earlier base points, and the basic orbit as a Schreier vector."""
 
-    __slots__ = ("point", "gens", "orbit", "seen", "sv", "_u", "_u_inv",
-                 "done", "cursor")
+    __slots__ = ("point", "gens", "orbit", "sv", "_u", "_u_inv", "done",
+                 "cursor")
 
     def __init__(self, point: int, identity: np.ndarray):
         self.point = point
         self.gens: list[np.ndarray] = []
         self.orbit = np.array([point])  # in discovery order
-        self.seen = np.zeros(len(identity), dtype=bool)
-        self.seen[point] = True
         # Schreier vector: sv[q] = (p, i) with q = gens[i](p), so that
         # u_q = u_p * gens[i]; (-1, -1) off the orbit, (point, -1) at the
-        # base point.
+        # base point.  So q lies in the orbit exactly when sv[q, 0] >= 0.
         self.sv = np.full((len(identity), 2), -1, dtype=np.int32)
         self.sv[point, 0] = point
         self._u = {point: identity}  # the transversal elements built so far
@@ -305,7 +304,7 @@ class _Level:
         self.cursor = 0
 
     def __contains__(self, q: int) -> bool:
-        return bool(self.seen[q])
+        return bool(self.sv[q, 0] >= 0)
 
     def add_gen(self, g: np.ndarray):
         """Append g and close the orbit, extend-only: Schreier-vector
@@ -325,13 +324,12 @@ class _Level:
         """Append the images of points under gens (numbered from first) that
         are not yet in the orbit; returns them."""
         images = np.stack([np.take(g, points) for g in gens], axis=1).ravel()
-        fresh = np.flatnonzero(~self.seen[images])
+        fresh = np.flatnonzero(self.sv[images, 0] < 0)
         # each new point once, at its first place in the point-major
         # (point, generator) image array
         _, once = np.unique(images[fresh], return_index=True)
         at = fresh[np.sort(once)]
         new = images[at]
-        self.seen[new] = True
         self.sv[new, 0] = points[at // len(gens)]
         self.sv[new, 1] = first + at % len(gens)
         self.orbit = np.concatenate((self.orbit, new))
@@ -467,16 +465,10 @@ class _StabChain:
         return self._is_id(residue)
 
     def strong_gens_fixing_prefix(self, k: int) -> list[np.ndarray]:
-        """Strong generators of the stabiliser of the first k base points."""
-        out = []
-        seen = set()
-        for lv in self.levels[k:]:
-            for g in lv.gens:
-                key = g.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(g)
-        return out
+        """Strong generators of the stabiliser of the first k base points,
+        in order of first appearance.  ``_insert_gen`` appends one array
+        object to every level that holds it, so identity deduplicates."""
+        return list({id(g): g for lv in self.levels[k:] for g in lv.gens}.values())
 
     def iter_elements(self):
         """Every group element exactly once (products along the chain)."""
@@ -586,37 +578,35 @@ class PermGroup:
         return self.degree > 0 and not self.orbit_labels().any()
 
     def point_stabiliser(self, x: int) -> "PermGroup":
-        """The stabiliser of x, read off this group's own chain.
+        """The stabiliser of x, read off a complete chain whose first basic
+        orbit holds x: this group's own chain, or, for x outside its first
+        basic orbit, a second chain with base starting at x, bounded by the
+        first chain's (exact) order.
 
-        For x in the first basic orbit, G_x = u^-1 G_b u, where b is the
-        first base point and u the transversal element mapping b to x
-        (Seress, *Permutation Group Algorithms*, 2003): the strong
-        generators fixing b are conjugated by u, and the stabiliser is
-        bounded by its exact order |G| / |b^G|, since this chain is
-        complete.  Its own chain must still reach that bound from the
-        conjugated generators; had they generated less, it would complete
-        and report the smaller order.  When every generator fixes x the
-        stabiliser is the whole group.  Only for any other x is a second
-        chain built, with base starting at x, bounded by this chain's
-        (exact) order; that stabiliser gets no order bound.
+        G_x = u^-1 G_b u, where b is the chain's first base point and u the
+        transversal element mapping b to x (Seress, *Permutation Group
+        Algorithms*, 2003): the strong generators fixing b are conjugated
+        by u (u is the identity when x = b), and the stabiliser is bounded
+        by its exact order |G| / |b^G|, since the chain is complete.  Its
+        own chain must still reach that bound from the conjugated
+        generators; had they generated less, it would complete and report
+        the smaller order.  When every generator fixes x the stabiliser is
+        the whole group.
         """
         if not 0 <= x < self.degree:
             raise ValueError("point %d out of range" % x)
         if all(g[x] == x for g in self._arrays):
             return self
         chain = self.chain
+        if x not in chain.levels[0]:
+            chain = _StabChain(self.degree, self.arrays(), (x,), bound=chain.order())
         top = chain.levels[0]
-        if x in top:
-            arrays = chain.strong_gens_fixing_prefix(1)
-            if x != top.point:  # u is the identity at the base point
-                u, u_inv = top.u(x), top.u_inv(x)
-                arrays = [_compose(_compose(u_inv, s), u) for s in arrays]
-            bound = chain.order() // len(top.orbit)
-        else:
-            arrays = _StabChain(self.degree, self.arrays(), (x,),
-                                bound=chain.order()).strong_gens_fixing_prefix(1)
-            bound = None
-        return PermGroup(arrays, degree=self.degree, order_bound=bound)
+        arrays = chain.strong_gens_fixing_prefix(1)
+        if x != top.point:
+            u, u_inv = top.u(x), top.u_inv(x)
+            arrays = [_compose(_compose(u_inv, s), u) for s in arrays]
+        return PermGroup(arrays, degree=self.degree,
+                         order_bound=chain.order() // len(top.orbit))
 
     def is_primitive(self) -> bool:
         """True iff the (transitive) action admits no nontrivial block system.

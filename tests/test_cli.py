@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tetrasym import cli, extragrp, families, graphalg, permgrp
+from tetrasym import cli, cosetgraph, extragrp, families, graphalg, permgrp
 from tetrasym.cli import family_checks, main
 from tetrasym.cosetgraph import edge_list_text
 from tetrasym.families import FamilySpec, build_family
@@ -315,6 +315,21 @@ def test_cover_skip_never_builds_the_quotient(monkeypatch):
     assert [(r["name"], r["actual"], r["pass"]) for r in rows] == [
         ("cover", (2, True, True), True)]
     assert len(built) == 1
+
+
+def test_cover_builds_no_coset_graph_for_its_base(monkeypatch):
+    # the base crs(2t, t) is read from its closed-form rows: once the member
+    # is built, the check runs no coset build at all
+    build = build_family(FamilySpec.parse("gamma:t=3,sign=minus"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset build in the cover check")
+    monkeypatch.setattr(families, "praeger_xu_coset", refuse)
+    monkeypatch.setattr(families, "build_coset_graph", refuse)
+    monkeypatch.setattr(cosetgraph, "build_coset_graph", refuse)
+    rows = family_checks(build, ["cover"])
+    assert [(r["name"], r["actual"], r["pass"]) for r in rows] == [
+        ("cover", (2, True, True), True)]
 
 
 def test_chain_checks_above_the_cap_on_a_bounded_action(capsys):
