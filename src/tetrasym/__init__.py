@@ -3,7 +3,7 @@ arc-transitive graphs with large vertex-stabilisers."""
 
 from tetrasym.cosetgraph import (Graph, GroupIface, VertexAction,
                                  build_coset_graph, sphere,
-                                 validate_corefree, validate_sabidussi)
+                                 validate_corefree)
 from tetrasym.extragrp import (EVec, ExtensionGroup, GElt, SubgroupH,
                                extension_group)
 from tetrasym.families import (FamilySpec, build_family, delta, gamma,
@@ -21,7 +21,7 @@ __all__ = [
     "Permutation", "PermGroup",
     "EVec", "GElt", "ExtensionGroup", "SubgroupH", "extension_group",
     "Graph", "GroupIface", "VertexAction", "build_coset_graph", "sphere",
-    "validate_corefree", "validate_sabidussi",
+    "validate_corefree",
     "FamilySpec", "build_family", "wreath_graph", "praeger_xu_direct",
     "praeger_xu_coset", "gamma", "delta",
     "girth", "is_bipartite", "isomorphic", "automorphism_group_order",

@@ -81,8 +81,9 @@ def _with_chain(build):
     # A chain bounded by a known order stops once it reaches it: its base
     # starts at vertex 0, which H fixes, so H's generators reach the bound
     # with no Schreier generator of the first level sifted, and the
-    # stabiliser of vertex 0 is bounded by |G|/n.  An unbounded chain keeps
-    # a transversal element per point of its first basic orbit.
+    # stabiliser of vertex 0 is the chain's levels below the first.  An
+    # unbounded chain keeps a transversal element per point of its first
+    # basic orbit.
     if build.action.order_bound is None and build.graph.n > _CHAIN_CAP:
         raise _Skip("above stabiliser-chain cap")
     return build.action.group

@@ -46,7 +46,7 @@ from tetrasym.permgrp import (PermGroup, Permutation, min_rows, mul_rows,
 
 __all__ = [
     "Graph", "VertexAction", "GroupIface", "CosetGraphBuild",
-    "build_coset_graph", "validate_sabidussi", "validate_corefree",
+    "build_coset_graph", "validate_corefree",
     "SabidussiReport", "sphere", "edge_list_text", "to_dot", "to_json_obj",
 ]
 
@@ -197,6 +197,8 @@ class Graph:
 
     def neighbours(self, u: int) -> list:
         """The neighbours of u, in increasing order."""
+        if not 0 <= u < self.n:
+            raise ValueError("vertex %d out of range" % u)
         row = self.rows[u]
         return row[row < self.n].tolist()
 
@@ -249,10 +251,10 @@ class VertexAction:
     The generators are given as int image arrays (or Permutation objects)
     and kept as int32 arrays, ``images``.  ``group`` is the permutation
     group they generate, made on first use and then kept, so every check on
-    this action shares one stabiliser chain (point stabilisers are read off
-    it by conjugation).  ``order_bound``, when known, is an upper bound on
-    that group's order; its chain stops as soon as it reaches it.  Actions
-    are immutable.
+    this action shares one stabiliser chain (the stabiliser of vertex 0,
+    its first base point, shares the chain's lower levels).  ``order_bound``,
+    when known, is an upper bound on that group's order; its chain stops as
+    soon as it reaches it.  Actions are immutable.
     """
 
     def __init__(self, graph: Graph, gens, order_bound: int | None = None):
@@ -449,12 +451,8 @@ class SabidussiReport:
     valency: int
 
     @property
-    def tetravalent(self) -> bool:
-        return self.valency == 4
-
-    @property
     def ok(self) -> bool:
-        return self.connected and self.symmetric and self.tetravalent
+        return self.connected and self.symmetric and self.valency == 4
 
 
 class CosetGraphBuild:
@@ -503,10 +501,15 @@ class CosetGraphBuild:
         return self.vertices_of([elt])[0]
 
     def sabidussi(self) -> SabidussiReport:
-        """validate_sabidussi of this build's triple.  The build reached all
-        |G|/|H| cosets (it raises otherwise), so <H, a> = G is known and the
-        coset space is not explored again."""
-        return _sabidussi_report(self.iface, self.a_elt, connected=True)
+        """The three coset-graph hypotheses of this build's triple.  The
+        build reached all |G|/|H| cosets (it raises otherwise), so <H, a> =
+        G; a^-1 is in HaH when its coset is one of the cosets H*a*h."""
+        keys, _ = _arc_transversal(self.iface, self.a_elt)
+        form = self.iface.form
+        a_inv = form.keys(self._canon(form.pack([self.a_elt.inverse()])))
+        return SabidussiReport(connected=True,
+                               symmetric=bool(np.isin(a_inv, keys)[0]),
+                               valency=len(keys))
 
     def _images(self, xs: np.ndarray) -> np.ndarray:
         """The vertex images under right multiplication with each element
@@ -622,8 +625,8 @@ def _arc_transversal(iface: GroupIface, a_elt) -> tuple:
     return keys, subgroup[first]
 
 
-def _explore(iface: GroupIface, a_elt, require_valency: int | None):
-    """Deterministic coset BFS shared by the builder and the validator.
+def _explore(iface: GroupIface, a_elt):
+    """Deterministic coset BFS of the coset graph builder.
 
     One BFS level at a time: each frontier vertex Hr is probed once per
     arc-stabiliser class, at a*h*r, all probes of the level as one array
@@ -632,13 +635,12 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
     known cosets; a new key's first probe is the least probe index of its
     run.  New vertices get ids in (least parent id, key) order (see the
     module docstring).  Once the BFS ends, one pass over the neighbour
-    array, _CHUNK rows at a time, sorts each row and checks its neighbour
-    count, so a bad triple raises at its least bad vertex.
+    array, _CHUNK rows at a time, sorts each row and checks that it holds
+    |HaH|/|H| distinct neighbours, so a bad triple raises at its least bad
+    vertex.
     Returns (reps, (sorted keys, their vertices), adj): the array form of
     the representatives and an (n, valency) array of sorted neighbour ids.
-    With require_valency=None the exploration tolerates any neighbour count
-    (used for validation).  It explores whatever it is given: the families
-    decide what may be built.
+    It explores whatever it is given: the families decide what may be built.
     """
     form, canon = iface.form, _canon_of(iface)
     _, hs = _arc_transversal(iface, a_elt)
@@ -675,14 +677,12 @@ def _explore(iface: GroupIface, a_elt, require_valency: int | None):
     for start in range(0, n, _CHUNK):
         rows = adj[start:start + _CHUNK]
         rows.sort(axis=1)
-        if require_valency is not None:
-            valency = 1 + (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
-            bad = np.flatnonzero(valency != require_valency)
-            if len(bad):
-                raise ValueError("neighbour count %d != %d at vertex %d: "
-                                 "bad (G, H, a) triple" % (
-                                     valency[bad[0]], require_valency,
-                                     start + bad[0]))
+        valency = 1 + (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
+        bad = np.flatnonzero(valency != len(steps))
+        if len(bad):
+            raise ValueError("neighbour count %d != %d at vertex %d: "
+                             "bad (G, H, a) triple" % (
+                                 valency[bad[0]], len(steps), start + bad[0]))
     return _drain(reps), (known, vids), adj
 
 
@@ -696,33 +696,18 @@ def build_coset_graph(iface: GroupIface, a_elt) -> CosetGraphBuild:
 
     Raises if any vertex ends up with a neighbour count other than 4 or if
     the explored vertex count differs from |G|/|H| (either one signals a bad
-    triple, or an ``iface.canon`` that is not constant on cosets)."""
-    reps, index, adj = _explore(iface, a_elt, 4)
+    triple, or an ``iface.canon`` that is not constant on cosets), or if
+    a^-1 is not in HaH (the graph then has an edge that is not symmetric)."""
+    reps, index, adj = _explore(iface, a_elt)
+    if adj.shape[1] != 4:
+        raise ValueError("neighbour count %d != 4 at vertex 0: bad (G, H, a) "
+                         "triple" % adj.shape[1])
     n_expected = iface.order // len(iface.subgroup_array)
     if len(reps) != n_expected:
         raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
                          "proper subgroup, or canon is not constant on cosets"
                          % (len(reps), n_expected))
     return CosetGraphBuild(iface, a_elt, reps, index, adj)
-
-
-def _sabidussi_report(iface: GroupIface, a_elt, connected: bool) -> SabidussiReport:
-    keys, _ = _arc_transversal(iface, a_elt)
-    form = iface.form
-    a_inv = form.keys(_canon_of(iface)(form.pack([a_elt.inverse()])))
-    return SabidussiReport(connected=connected,
-                           symmetric=bool(np.isin(a_inv, keys)[0]),
-                           valency=len(keys))
-
-
-def validate_sabidussi(iface: GroupIface, a_elt) -> SabidussiReport:
-    """Check the three coset-graph hypotheses: <H,a> = G (via the explored
-    vertex count), a^(-1) in HaH, and |HaH|/|H| = 4.  For a triple that has
-    been built, CosetGraphBuild.sabidussi gives the same report without
-    exploring again."""
-    reps, _, _ = _explore(iface, a_elt, None)
-    connected = len(reps) == iface.order // len(iface.subgroup_array)
-    return _sabidussi_report(iface, a_elt, connected)
 
 
 def validate_corefree(build: CosetGraphBuild) -> bool:
@@ -750,6 +735,8 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def sphere(g: Graph, v: int, i: int) -> set:
     """The set of vertices at distance exactly i from v: a BFS one level at
     a time over the graph's rows."""
+    if not 0 <= v < g.n:
+        raise ValueError("vertex %d out of range" % v)
     if i < 0:
         raise ValueError("negative radius")
     seen = np.zeros(g.n + 1, dtype=bool)

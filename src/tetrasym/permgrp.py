@@ -48,9 +48,10 @@ action.  In a coset action H fixes vertex 0, so H's generators build the
 levels below the first by themselves; the run works from the deepest level
 up, their chain brings the product to n·|H| = |G|, and the known-order stop
 ends the run before any Schreier generator of the first level is sifted.
-A complete chain also gives its point stabilisers an exact order,
-|G_x| = |G| / |b^G| for x in the first basic orbit; for any other x a second
-chain is based at x and gives |G_x| the same way (see ``point_stabiliser``).
+Levels 1.. of a complete chain are a complete chain of the stabiliser of
+its first base point (Seress §4.1), so the stabiliser of vertex 0 shares
+them and runs no Schreier-Sims of its own; the stabiliser of any other
+point is read off a chain based at that point (see ``point_stabiliser``).
 """
 
 from __future__ import annotations
@@ -470,6 +471,16 @@ class _StabChain:
         object to every level that holds it, so identity deduplicates."""
         return list({id(g): g for lv in self.levels[k:] for g in lv.gens}.values())
 
+    def tail(self, k: int) -> "_StabChain":
+        """Levels k.. of this chain, shared, as a chain of their own.  Of a
+        complete chain they are a complete chain of the stabiliser of the
+        first k base points, so the tail is not run."""
+        tail = object.__new__(type(self))
+        tail.degree, tail.identity = self.degree, self.identity
+        tail.levels = self.levels[k:]
+        tail.bound = tail.order()
+        return tail
+
     def iter_elements(self):
         """Every group element exactly once (products along the chain)."""
 
@@ -578,35 +589,24 @@ class PermGroup:
         return self.degree > 0 and not self.orbit_labels().any()
 
     def point_stabiliser(self, x: int) -> "PermGroup":
-        """The stabiliser of x, read off a complete chain whose first basic
-        orbit holds x: this group's own chain, or, for x outside its first
-        basic orbit, a second chain with base starting at x, bounded by the
-        first chain's (exact) order.
-
-        G_x = u^-1 G_b u, where b is the chain's first base point and u the
-        transversal element mapping b to x (Seress, *Permutation Group
-        Algorithms*, 2003): the strong generators fixing b are conjugated
-        by u (u is the identity when x = b), and the stabiliser is bounded
-        by its exact order |G| / |b^G|, since the chain is complete.  Its
-        own chain must still reach that bound from the conjugated
-        generators; had they generated less, it would complete and report
-        the smaller order.  When every generator fixes x the stabiliser is
-        the whole group.
+        """The stabiliser of x: levels 1.. of a complete chain based at x,
+        shared with it (Seress, *Permutation Group Algorithms*, 2003,
+        §4.1).  That chain is this group's own when x is its first base
+        point (vertex 0 of a transitive action), and otherwise a chain with
+        base starting at x, bounded by this group's exact order.  When every
+        generator fixes x the stabiliser is the whole group.
         """
         if not 0 <= x < self.degree:
             raise ValueError("point %d out of range" % x)
         if all(g[x] == x for g in self._arrays):
             return self
         chain = self.chain
-        if x not in chain.levels[0]:
+        if chain.levels[0].point != x:
             chain = _StabChain(self.degree, self.arrays(), (x,), bound=chain.order())
-        top = chain.levels[0]
-        arrays = chain.strong_gens_fixing_prefix(1)
-        if x != top.point:
-            u, u_inv = top.u(x), top.u_inv(x)
-            arrays = [_compose(_compose(u_inv, s), u) for s in arrays]
-        return PermGroup(arrays, degree=self.degree,
-                         order_bound=chain.order() // len(top.orbit))
+        tail = chain.tail(1)
+        stab = PermGroup(tail.strong_gens_fixing_prefix(0), degree=self.degree)
+        stab._chain = tail
+        return stab
 
     def is_primitive(self) -> bool:
         """True iff the (transitive) action admits no nontrivial block system.

@@ -17,7 +17,7 @@ import time
 from tetrasym import families, graphalg
 from tetrasym.cli import (evec_exhaustive_failures, gelt_exhaustive_failures,
                           mul_codes_mismatches, relation_suite)
-from tetrasym.cosetgraph import sphere, validate_corefree, validate_sabidussi
+from tetrasym.cosetgraph import sphere, validate_corefree
 from tetrasym.extragrp import (MINUS, PLUS, SIGNS, double_coset_contains,
                                extension_group)
 from tetrasym.permgrp import PermGroup
@@ -315,7 +315,7 @@ def test_criterion_13_symmetric_group_suite(fam):
         failures.append("conjugation by h")  # x_i^h = x_{4-i} at m=2
     if not (xs[0].conjugate(g) == xs[1] and xs[1].conjugate(g) == xs[2]):
         failures.append("conjugation by g")
-    rep = validate_sabidussi(fb.coset.iface, fb.coset.a_elt)
+    rep = fb.coset.sabidussi()
     if not (rep.ok and validate_corefree(fb.coset)):
         failures.append("coset-graph hypotheses")
     elapsed = time.time() - t0

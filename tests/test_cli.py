@@ -447,6 +447,39 @@ def test_one_chain_per_vertex_action(monkeypatch, spec, checks):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("spec", ["delta:m=2", "gamma:sign=minus,t=3",
+                                  "crs:r=6,s=3", "wreath:r=4"])
+def test_stabiliser_of_vertex_0_runs_no_second_chain(monkeypatch, spec):
+    # vertex 0 is the first base point of the action's chain, so its
+    # stabiliser is that chain's levels 1.., shared, and no chain on the
+    # vertices is built after it (the local group's chain is on the four
+    # neighbours of vertex 0)
+    build = build_family(FamilySpec.parse(spec))
+    G = build.action.group
+    chain = G.chain
+    built = []
+    init = permgrp._StabChain.__init__
+
+    def counting(self, degree, *args, **kwargs):
+        if degree == build.graph.n:
+            built.append(args)
+        init(self, degree, *args, **kwargs)
+
+    monkeypatch.setattr(permgrp._StabChain, "__init__", counting)
+    stab = G.point_stabiliser(0)
+    assert stab.order() == G.order() // build.graph.n
+    assert all(stab.contains(g) for g in stab.arrays())
+    assert not stab.contains(next(g for g in build.action.images if g[0] != 0))
+    assert graphalg.local_group(build.action, 0).is_transitive()
+    rows = family_checks(build, ["stabiliser", "local-group"])
+    assert [r["name"] for r in rows] == ["stabiliser", "local-group"]
+    assert all(r["pass"] for r in rows)
+    assert built == []
+    assert len(stab.chain.levels) == len(chain.levels) - 1
+    assert all(level is chain.levels[i + 1]
+               for i, level in enumerate(stab.chain.levels))
+
+
 def test_girth_check_runs_one_bfs_on_a_transitive_action(monkeypatch):
     build = build_family(FamilySpec.parse("gamma:t=10,sign=minus"))
     roots = []

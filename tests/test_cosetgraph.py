@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from tetrasym import cosetgraph
 from tetrasym.cli import CHECK_NAMES, family_checks
-from tetrasym.cosetgraph import (Graph, GroupIface, VertexAction,
-                                 build_coset_graph, edge_list_text, sphere,
-                                 to_dot, to_json_obj, validate_corefree,
-                                 validate_sabidussi)
+from tetrasym.cosetgraph import (Graph, GroupIface, SabidussiReport,
+                                 VertexAction, build_coset_graph,
+                                 edge_list_text, sphere, to_dot, to_json_obj,
+                                 validate_corefree)
 from tetrasym.extragrp import PLUS, SIGNS, GElt, extension_group
 from tetrasym.families import FamilySpec, build_family
 from tetrasym.permgrp import Permutation, orbit_labels, row_keys
@@ -162,6 +162,35 @@ def test_sphere_basics():
         sphere(path, 0, -1)
 
 
+# a negative vertex would index the rows from the end, and one past the
+# last would index the padding's place: both are refused
+
+def _four_cycle():
+    return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def test_sphere_refuses_a_negative_vertex():
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        sphere(_four_cycle(), -1, 1)
+
+
+def test_sphere_of_radius_zero_refuses_a_negative_vertex():
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        sphere(_four_cycle(), -1, 0)
+
+
+def test_sphere_refuses_a_vertex_past_the_last():
+    with pytest.raises(ValueError, match="vertex 4 out of range"):
+        sphere(_four_cycle(), 4, 1)
+
+
+def test_neighbours_refuses_a_negative_vertex():
+    g = _four_cycle()
+    assert g.neighbours(3) == [0, 2]
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        g.neighbours(-1)
+
+
 # -- GroupIface validation -------------------------------------------------------
 
 def test_iface_requires_closed_subgroup():
@@ -237,9 +266,6 @@ def test_iface_rejects_permutations_beyond_byte_rows():
 def test_degenerate_cyclic_triple_fails_valency():
     a = cyc(4, (0, 1, 2, 3))
     iface = GroupIface(generators=(), identity=Permutation.identity(4), order=4)
-    report = validate_sabidussi(iface, a)
-    assert report.valency == 1
-    assert not report.tetravalent
     with pytest.raises(ValueError) as err:
         build_coset_graph(iface, a)
     assert str(err.value) == "neighbour count 1 != 4 at vertex 0: bad (G, H, a) triple"
@@ -262,29 +288,35 @@ def test_valency_check_names_the_least_bad_vertex(monkeypatch, chunk):
         return rows
     iface = GroupIface(generators=(h,), identity=Permutation.identity(10),
                        order=16, canon=canon)
-    reps, _, adj = cosetgraph._explore(iface, a, None)
-    assert len(reps) == 15
-    assert [u for u, row in enumerate(adj.tolist()) if row[0] == row[1]] == [7, 8]
     with pytest.raises(ValueError) as err:
-        cosetgraph._explore(iface, a, 2)
+        cosetgraph._explore(iface, a)
     assert str(err.value) == "neighbour count 1 != 2 at vertex 7: bad (G, H, a) triple"
 
 
 def test_asymmetric_triple_reported():
-    # Z_5 with H trivial: HaH = {a} does not hold a^-1 = a^4
-    a = cyc(5, (0, 1, 2, 3, 4))
-    iface = GroupIface(generators=(), identity=Permutation.identity(5), order=5)
-    report = validate_sabidussi(iface, a)
-    assert (report.connected, report.symmetric, report.valency) == (True, False, 1)
-    assert not report.ok
+    # Sym(5) with H = <(0 1), (2 3)> and a = (1 2 3 4): the valency is 4 and
+    # <H, a> = Sym(5), but a^-1 is not in HaH, so the coset relation is not
+    # symmetric and the graph's validation refuses an arc with no reverse
+    a = cyc(5, (1, 2, 3, 4))
+    iface = GroupIface(generators=(cyc(5, (0, 1)), cyc(5, (2, 3))),
+                       identity=Permutation.identity(5), order=120)
+    double_coset = {h * a * k for h in iface.subgroup for k in iface.subgroup}
+    assert len(double_coset) == 4 * len(iface.subgroup)
+    assert a.inverse() not in double_coset
+    with pytest.raises(ValueError, match="^edge 0-1 not symmetric$"):
+        build_coset_graph(iface, a)
+    # Z_5 with H trivial: HaH = {a} does not hold a^-1 = a^4 either, and
+    # the valency 1 is refused first
+    z5 = GroupIface(generators=(), identity=Permutation.identity(5), order=5)
+    with pytest.raises(ValueError, match="^neighbour count 1 != 4 at vertex 0"):
+        build_coset_graph(z5, cyc(5, (0, 1, 2, 3, 4)))
 
 
 @pytest.mark.parametrize("t,sign", [(2, s) for s in SIGNS] + [(3, s) for s in SIGNS])
 def test_gamma_triples_satisfy_hypotheses(t, sign):
     grp, iface = gamma_iface(t, sign)
-    report = validate_sabidussi(iface, grp.a)
-    assert report.ok
     build = build_coset_graph(iface, grp.a)
+    assert build.sabidussi().ok
     assert validate_corefree(build)
     assert build.graph.n * len(iface.subgroup) == iface.order
 
@@ -430,8 +462,7 @@ def test_family_canon_matches_minimum_over_h(spec):
     # the family canon and the generic minimum over H must give the same
     # graph, numbering, coset lookups and vertex action
     full, lean = _family_and_generic(spec)
-    iface, a = full.iface, full.a_elt
-    full_report = validate_sabidussi(iface, a)
+    iface = full.iface
     assert lean.reps == full.reps
     assert lean.graph.adj == full.graph.adj
     assert lean.graph.labels == full.graph.labels
@@ -443,7 +474,7 @@ def test_family_canon_matches_minimum_over_h(spec):
         members = [h * full.reps[v] for h in iface.subgroup]
         assert {full.vertex_of(m) for m in members} == {v}
         assert {lean.vertex_of(m) for m in members} == {v}
-    assert validate_sabidussi(lean.iface, a) == full_report
+    assert lean.sabidussi() == full.sabidussi() == SabidussiReport(True, True, 4)
 
 
 def _sequential_bfs(iface, a):
@@ -486,16 +517,14 @@ def test_batched_bfs_numbers_as_sequential_bfs(spec):
 @pytest.mark.parametrize("spec", ["gamma:t=2,sign=minus", "crs:r=6,s=3", "delta:m=2"])
 def test_build_sabidussi_matches_validation(spec, monkeypatch):
     # a build knows <H, a> = G from its coset count, so its report needs no
-    # second exploration and equals the one validate_sabidussi explores for
+    # second exploration: every hypothesis holds
     coset = build_family(FamilySpec.parse(spec)).coset
-    explored = validate_sabidussi(coset.iface, coset.a_elt)
-    assert explored.ok
 
     def no_exploration(*args):
         raise AssertionError("explored again")
 
     monkeypatch.setattr(cosetgraph, "_explore", no_exploration)
-    assert coset.sabidussi() == explored
+    assert coset.sabidussi() == SabidussiReport(True, True, 4)
 
 
 # -- exports -----------------------------------------------------------------

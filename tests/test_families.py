@@ -4,8 +4,7 @@ import re
 import pytest
 
 from tetrasym import families, graphalg
-from tetrasym.cosetgraph import (Graph, sphere, validate_corefree,
-                                 validate_sabidussi)
+from tetrasym.cosetgraph import Graph, sphere, validate_corefree
 from tetrasym.extragrp import MINUS, PLUS, SIGNS
 from tetrasym.families import (FamilySpec, build_family, central_block_words,
                                delta, delta_permutations, first_sphere_words,
@@ -170,7 +169,7 @@ def test_crs_r3_members_have_triangles(fam):
 def test_crs_sabidussi_and_corefree(fam):
     for r, s in ((5, 2), (6, 3), (4, 3)):
         fb = fam.crs(r, s)
-        rep = validate_sabidussi(fb.coset.iface, fb.coset.a_elt)
+        rep = fb.coset.sabidussi()
         assert rep.ok
         assert validate_corefree(fb.coset)
 
@@ -200,7 +199,7 @@ def test_gamma_counts_and_regularity(fam, t, sign):
 @pytest.mark.parametrize("t,sign", [(2, PLUS), (2, MINUS), (3, PLUS), (3, MINUS)])
 def test_gamma_hypotheses(fam, t, sign):
     fb = fam.gamma(t, sign)
-    rep = validate_sabidussi(fb.coset.iface, fb.coset.a_elt)
+    rep = fb.coset.sabidussi()
     assert rep.ok
     assert validate_corefree(fb.coset)
     assert graphalg.verify_arc_transitive(fb.graph, fb.action)

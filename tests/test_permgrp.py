@@ -440,11 +440,10 @@ def test_base_starts_at_the_least_moved_point():
 
 
 # -- point stabilisers from one chain ----------------------------------------
-# point_stabiliser conjugates the stabiliser of the first base point of a
-# chain whose first basic orbit holds x (the group's own, or one based at x)
-# and bounds it by |G| over that orbit's length; the oracle builds a second
-# chain whose base starts at x and takes that chain's strong generators
-# fixing x.
+# point_stabiliser shares levels 1.. of a complete chain based at x: the
+# group's own when x is its first base point, otherwise one based at x and
+# bounded by |G|; the oracle builds an unbounded chain whose base starts at
+# x and takes that chain's strong generators fixing x.
 
 def _assert_stabiliser_matches_oracle(G, x):
     stab = G.point_stabiliser(x)
@@ -454,8 +453,10 @@ def _assert_stabiliser_matches_oracle(G, x):
     assert stab.order() == oracle.order()
     assert all(g in oracle for g in stab.arrays())
     assert all(g in stab for g in oracle.arrays())
-    if stab is not G:
-        assert stab.order_bound == oracle.order()
+    if stab is not G and x == G.chain.levels[0].point:
+        assert len(stab.chain.levels) == len(G.chain.levels) - 1
+        assert all(level is G.chain.levels[i + 1]
+                   for i, level in enumerate(stab.chain.levels))
 
 
 @pytest.mark.parametrize("member", [
