@@ -81,9 +81,10 @@ def _with_chain(build):
     # A chain bounded by a known order stops once it reaches it: its base
     # starts at vertex 0, which H fixes, so H's generators reach the bound
     # with no Schreier generator of the first level sifted, and the
-    # stabiliser of vertex 0 is the chain's levels below the first.  An
-    # unbounded chain keeps a transversal element per point of its first
-    # basic orbit.
+    # stabiliser of vertex 0 is the chain's levels below the first.  The
+    # coset build proved the action transitive, so that first level is all
+    # the vertices, and no check here runs its BFS.  An unbounded chain
+    # keeps a transversal element per point of its first basic orbit.
     if build.action.order_bound is None and build.graph.n > _CHAIN_CAP:
         raise _Skip("above stabiliser-chain cap")
     return build.action.group
@@ -470,7 +471,8 @@ def matrix_report(families_filter=None, max_t: int = 6) -> dict:
         unknown = sorted(set(families_filter) - set(families.FAMILIES))
         if unknown:
             raise ValueError("unknown families %s (choose from %s)"
-                             % (", ".join(unknown), ", ".join(families.FAMILIES)))
+                             % (", ".join(map(repr, unknown)),
+                                ", ".join(families.FAMILIES)))
 
     def on(name):
         return families_filter is None or name in families_filter
@@ -595,7 +597,7 @@ def cmd_verify(args) -> int:
 def cmd_matrix(args) -> int:
     if not 2 <= args.max_t <= MAX_T:
         raise ValueError("--max-t must be between 2 and %d" % MAX_T)
-    fams = args.families.split(",") if args.families else None
+    fams = args.families.split(",") if args.families is not None else None
     with _output(args.out) as write:
         report = matrix_report(families_filter=fams, max_t=args.max_t)
         for crit in report["criteria"]:

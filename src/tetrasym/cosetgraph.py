@@ -254,7 +254,10 @@ class VertexAction:
     this action shares one stabiliser chain (the stabiliser of vertex 0,
     its first base point, shares the chain's lower levels).  ``order_bound``,
     when known, is an upper bound on that group's order; its chain stops as
-    soon as it reaches it.  Actions are immutable.
+    soon as it reaches it.  The action of a coset build has its group take
+    the build's proof that it is transitive, so its orbits are never
+    labelled and its chain's first level is made only when read.  Actions
+    are immutable.
     """
 
     def __init__(self, graph: Graph, gens, order_bound: int | None = None):
@@ -463,7 +466,12 @@ class CosetGraphBuild:
     The representatives are kept in array form (``_reps``, in vertex order).
     ``reps``, the same representatives as GElt or Permutation objects, and
     the graph's labels, ``iface.label`` of each representative, are made on
-    their first read; the build and the checks read neither."""
+    their first read; the build and the checks read neither.
+
+    The build has reached every coset from H, which proves the action
+    transitive; the action's group takes that as given
+    (``PermGroup._take_as_transitive``): its orbit labels are all zero and
+    its chain's first level is the whole vertex set."""
 
     def __init__(self, iface: GroupIface, a_elt, reps, index: tuple, adj):
         self.iface = iface
@@ -477,10 +485,13 @@ class CosetGraphBuild:
                 return tuple(map(iface.label, iface.form.unpack(reps)))
         self.graph = Graph(len(reps), adj, labels)
         # build_coset_graph reached |G|/|H| cosets, so <H, a> has order
-        # iface.order, and the action is a homomorphic image of <H, a>
+        # iface.order, and the action is a homomorphic image of <H, a>; it
+        # reached them all from H by right multiplication with H's
+        # generators and a, so the action is transitive
         self.action = VertexAction(
             self.graph, self._images(iface.form.pack(iface.generators + (a_elt,))),
             order_bound=iface.order)
+        self.action.group._take_as_transitive()
 
     @cached_property
     def reps(self) -> tuple:

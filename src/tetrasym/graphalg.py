@@ -3,15 +3,18 @@ quotients and covers, local groups, blocks of imprimitivity, isomorphism and
 automorphism-group orders at desk scale.
 
 Girth runs a BFS from one root per vertex orbit of a given action (every
-vertex without one).  Arc-transitivity is certified locally when it can be:
-a group that is transitive on the vertices, and whose generators fixing
-vertex 0 are transitive on its neighbours, maps every arc to an arc at 0
-and that onto 0's first arc, so it has one orbit on the arcs.  The
-vertex-transitivity reads the group's kept orbit labels, which girth's
-roots read too.  Every other case, every False answer among them, labels
-the orbits of the group on the arcs themselves (``permgrp.orbit_labels``),
-the arc u -> v numbered as the first arc of u plus the count of u's
-neighbours below v in the graph's padded rows, which the searches read too.
+vertex without one): from vertex 0 alone for a coset graph, whose build
+has proved its action transitive.  Arc-transitivity is certified locally
+when it can be: a group that is transitive on the vertices, and whose
+generators fixing vertex 0 are transitive on its neighbours, maps every
+arc to an arc at 0 and that onto 0's first arc, so it has one orbit on the
+arcs.  The vertex-transitivity reads the group's kept orbit labels, which
+girth's roots read too; those of a coset build's action start all zero,
+so neither labels anything.  Every other case, every False answer among
+them, labels the orbits of the group on the arcs themselves
+(``permgrp.orbit_labels``), the arc u -> v numbered as the first arc of u
+plus the count of u's neighbours below v in the graph's padded rows, which
+the searches read too.
 The coset graphs always take the certificate (H fixes vertex 0 and is
 transitive on its neighbours Hah); the wreath actions take the arc orbit,
 since of their generators only b fixes vertex 0.
@@ -64,7 +67,8 @@ def girth(g: Graph, action: VertexAction | None = None) -> int:
     automorphisms (VertexAction checks that), so an element mapping a
     vertex on a shortest cycle to its orbit's root maps that cycle onto one
     through the root, and the minimum over one root per orbit is exactly
-    the girth."""
+    the girth.  The orbits are the group's kept labels: all zero for the
+    action of a coset build, which roots at vertex 0 alone."""
     if action is None:
         roots = range(g.n)
     else:
@@ -526,9 +530,12 @@ def _locally_arc_transitive(g: Graph, group: PermGroup) -> bool:
     maps any arc to an arc at vertex 0, and the stabiliser of 0 maps that
     onto 0's first arc.  A generator fixing 0 is an automorphism, so it
     permutes 0's sorted neighbours, as the index map searchsorted gives."""
-    if not g.n or not g.degrees[0]:
+    if not g.n:
         return False
-    nbrs = g.rows[0, :g.degrees[0]]
+    # row 0 alone: ``g.degrees`` would count the neighbours of every vertex
+    nbrs = g.rows[0][g.rows[0] < g.n]
+    if not len(nbrs):
+        return False
     local = [nbrs.searchsorted(p[nbrs]) for p in group.arrays() if p[0] == 0]
     return not orbit_labels(local, len(nbrs)).any() and group.is_transitive()
 

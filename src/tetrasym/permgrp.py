@@ -11,8 +11,12 @@ orbit of n points takes O(log n) rounds of O(log n) jumps, each a few
 gathers per generator.  A group labels its points once and keeps the
 labels, which its orbits, the orbit of a point, its transitivity and the
 graph checks (girth's roots, the arc certificate) all read; the arc orbit
-labels the arcs with the same routine.  The chain grows its basic orbits by
-a BFS instead, because its Schreier vectors need the BFS tree.
+labels the arcs with the same routine.  A group whose caller has proved it
+transitive (a coset build, which reaches every coset from H) starts with
+the labels all zero and labels nothing.  The chain grows its basic orbits
+by a BFS instead, because its Schreier vectors need the BFS tree; the first
+level of a group known to be transitive runs that BFS only when something
+reads the tree (see below).
 ``PermGroup.min_block`` keeps Atkinson's union-find: its merges cascade one
 pair at a time, which array rounds do slowly.
 
@@ -52,6 +56,16 @@ Levels 1.. of a complete chain are a complete chain of the stabiliser of
 its first base point (Seress §4.1), so the stabiliser of vertex 0 shares
 them and runs no Schreier-Sims of its own; the stabiliser of any other
 point is read off a chain based at that point (see ``point_stabiliser``).
+
+A whole first level.  The first basic orbit of a transitive group is every
+point, so a chain of a group known to be transitive (``_WholeLevel``) has
+the size n of its first level, and membership in it, without a search.
+Order, the stabiliser of the first base point and its local action read
+nothing else of that level; only sifting through it (``contains``, the
+first level's Schreier generators when the bound is never reached, a
+chain based at another point) and enumeration need its Schreier vector.
+That vector is made on first use by replaying the level's generators in
+the order they were added, so it equals the one a chain grows as it goes.
 """
 
 from __future__ import annotations
@@ -283,7 +297,9 @@ def _invert(p: np.ndarray) -> np.ndarray:
 
 class _Level:
     """One level of the chain: a base point, the strong generators that fix
-    the earlier base points, and the basic orbit as a Schreier vector."""
+    the earlier base points, and the basic orbit as a Schreier vector,
+    grown by a BFS as each generator is added (a ``_WholeLevel`` makes it
+    only when it is read)."""
 
     __slots__ = ("point", "gens", "orbit", "sv", "_u", "_u_inv", "done",
                  "cursor")
@@ -306,6 +322,15 @@ class _Level:
 
     def __contains__(self, q: int) -> bool:
         return bool(self.sv[q, 0] >= 0)
+
+    @property
+    def size(self) -> int:
+        """The length of the basic orbit."""
+        return len(self.orbit)
+
+    def grown(self) -> "_Level":
+        """This level, with its orbit and Schreier vector made."""
+        return self
 
     def add_gen(self, g: np.ndarray):
         """Append g and close the orbit, extend-only: Schreier-vector
@@ -356,25 +381,79 @@ class _Level:
         return inv
 
 
+class _WholeLevel(_Level):
+    """The first level of a chain of a group known to be transitive: its
+    basic orbit is all ``degree`` points.  Its size and its membership need
+    no search, and ``add_gen`` only records the generator.  The orbit, the
+    Schreier vector and the transversal are made on first use (``grown``,
+    which ``u`` and ``u_inv`` call) by replaying the recorded ``add_gen``
+    calls in order on an ordinary level, so they equal those of a level
+    grown as it went: every generator the chain inserts after its
+    ``__init__`` starts at level 1 or deeper, so the replay has them all."""
+
+    __slots__ = ("_identity", "_lock")
+
+    def __init__(self, point: int, identity: np.ndarray):
+        self.point, self.gens, self._identity = point, [], identity
+        self.orbit = None
+        self._lock = threading.Lock()
+
+    def __contains__(self, q: int) -> bool:
+        return True
+
+    @property
+    def size(self) -> int:
+        return len(self._identity)
+
+    def add_gen(self, g: np.ndarray):
+        self.gens.append(g)
+
+    def grown(self) -> "_Level":
+        with self._lock:
+            if self.orbit is None:
+                level = _Level(self.point, self._identity)
+                for g in self.gens:
+                    level.add_gen(g)
+                if len(level.orbit) != self.size:
+                    raise ValueError("a group taken as transitive has an orbit "
+                                     "of %d of its %d points"
+                                     % (len(level.orbit), self.size))
+                for name in ("gens", "sv", "_u", "_u_inv", "done", "cursor",
+                             "orbit"):
+                    setattr(self, name, getattr(level, name))
+        return self
+
+    def u(self, q: int) -> np.ndarray:
+        self.grown()
+        return super().u(q)
+
+    def u_inv(self, q: int) -> np.ndarray:
+        self.grown()
+        return super().u_inv(q)
+
+
 class _StabChain:
     """A deterministic Schreier-Sims chain of <gens>, its base starting
     with ``base_prefix`` or, if that is empty, the least moved point.
 
     With ``bound`` (an upper bound on |<gens>|) the run stops as soon as the
     product of the basic orbit lengths reaches it, and raises if the product
-    goes above it; see the module docstring."""
+    goes above it; see the module docstring.  With ``transitive`` (the
+    caller knows <gens> to be transitive on all ``degree`` points) the first
+    level is a ``_WholeLevel``."""
 
     def __init__(self, degree: int, gens: list[np.ndarray], base_prefix=(),
-                 bound: int | None = None):
+                 bound: int | None = None, transitive: bool = False):
         self.degree = degree
         self.bound = bound
         self.identity = np.arange(degree, dtype=np.int32)
-        self.levels: list[_Level] = [_Level(b, self.identity) for b in base_prefix]
         gens = [g for g in gens if not self._is_id(g)]
-        if not self.levels and gens:
+        if not base_prefix and gens:
             # the least moved point: vertex 0 of a transitive action
-            first = min(int(np.argmax(g != self.identity)) for g in gens)
-            self.levels.append(_Level(first, self.identity))
+            base_prefix = (min(int(np.argmax(g != self.identity)) for g in gens),)
+        self.levels: list[_Level] = [
+            (_WholeLevel if transitive and not k else _Level)(b, self.identity)
+            for k, b in enumerate(base_prefix)]
         for g in gens:
             self._insert_gen(g, 0)
         self._run()
@@ -436,7 +515,7 @@ class _StabChain:
     def _process_level(self, i: int):
         """Sift the Schreier generators u_p * s * u_q^-1 of level i, in orbit
         then generator order, until one leaves a non-identity residue."""
-        lv = self.levels[i]
+        lv = self.levels[i].grown()
         gens, done = lv.gens, lv.done
         while lv.cursor < len(lv.orbit):
             k = lv.cursor
@@ -458,7 +537,7 @@ class _StabChain:
     def order(self) -> int:
         n = 1
         for lv in self.levels:
-            n *= len(lv.orbit)
+            n *= lv.size
         return n
 
     def contains(self, g: np.ndarray) -> bool:
@@ -488,7 +567,7 @@ class _StabChain:
             if k == len(self.levels):
                 yield self.identity
                 return
-            lv = self.levels[k]
+            lv = self.levels[k].grown()
             for h in rec(k + 1):
                 for p in lv.orbit.tolist():
                     yield _compose(h, lv.u(p))
@@ -523,6 +602,7 @@ class PermGroup:
         self.order_bound = order_bound
         self._chain: _StabChain | None = None
         self._labels: np.ndarray | None = None
+        self._transitive = False
         self._lock = threading.Lock()
 
     def __repr__(self):
@@ -539,8 +619,16 @@ class PermGroup:
             with self._lock:
                 if self._chain is None:
                     self._chain = _StabChain(self.degree, self.arrays(),
-                                             bound=self.order_bound)
+                                             bound=self.order_bound,
+                                             transitive=self._transitive)
         return self._chain
+
+    def _take_as_transitive(self):
+        """Take the group as transitive, which the caller has proved (a
+        coset build reaches every coset from H), before the orbit labels
+        or the chain are made: the labels are then the read-only all-zero
+        array, and the chain's first level is a ``_WholeLevel``."""
+        self._transitive = True
 
     def order(self) -> int:
         return self.chain.order()
@@ -559,11 +647,16 @@ class PermGroup:
         """The least point of each point's orbit, as a read-only int64
         array, labelled on the first call and then kept: the group's
         orbits, its transitivity and the graph checks share one labelling.
-        Two threads that make the first call together each label the
-        orbits and keep the same array."""
+        A group known to be transitive labels nothing: its labels are the
+        all-zero array, one value broadcast, which takes no memory.  Two
+        threads that make the first call together each label the orbits and
+        keep the same array."""
         if self._labels is None:
-            labels = orbit_labels(self.arrays(), self.degree)
-            labels.flags.writeable = False
+            if self._transitive:
+                labels = np.broadcast_to(np.int64(0), (self.degree,))
+            else:
+                labels = orbit_labels(self.arrays(), self.degree)
+                labels.flags.writeable = False
             self._labels = labels
         return self._labels
 
@@ -593,8 +686,9 @@ class PermGroup:
         shared with it (Seress, *Permutation Group Algorithms*, 2003,
         §4.1).  That chain is this group's own when x is its first base
         point (vertex 0 of a transitive action), and otherwise a chain with
-        base starting at x, bounded by this group's exact order.  When every
-        generator fixes x the stabiliser is the whole group.
+        base starting at x, bounded by this group's exact order (with a
+        whole first level when the group is known to be transitive).  When
+        every generator fixes x the stabiliser is the whole group.
         """
         if not 0 <= x < self.degree:
             raise ValueError("point %d out of range" % x)
@@ -602,7 +696,8 @@ class PermGroup:
             return self
         chain = self.chain
         if chain.levels[0].point != x:
-            chain = _StabChain(self.degree, self.arrays(), (x,), bound=chain.order())
+            chain = _StabChain(self.degree, self.arrays(), (x,), bound=chain.order(),
+                               transitive=self._transitive)
         tail = chain.tail(1)
         stab = PermGroup(tail.strong_gens_fixing_prefix(0), degree=self.degree)
         stab._chain = tail

@@ -423,6 +423,22 @@ def test_matrix_usage_errors(capsys, monkeypatch):
     assert "wreth" in err and "wreath, crs, gamma, delta" in err
 
 
+def test_matrix_empty_family_name_is_a_usage_error(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built with an empty family name")
+
+    monkeypatch.setattr(cli, "build_family", no_build)
+    code, out, err = run(capsys, "matrix", "--families", "")
+    assert (code, out) == (2, "")
+    assert "unknown families '' (choose from wreath, crs, gamma, delta)" in err
+    code, out, err = run(capsys, "matrix", "--families", "wreath,")
+    assert (code, out) == (2, "")
+    assert "unknown families '' (choose from" in err
+    code, out, err = run(capsys, "matrix", "--families", "wreth,,delta")
+    assert (code, out) == (2, "")
+    assert "unknown families '', 'wreth' (choose from" in err
+
+
 # -- one stabiliser chain per vertex action -------------------------------------
 
 @pytest.mark.parametrize("spec, checks", [
@@ -435,16 +451,55 @@ def test_one_chain_per_vertex_action(monkeypatch, spec, checks):
     built = []
 
     class CountingChain(permgrp._StabChain):
-        def __init__(self, degree, arrays, base_prefix=(), bound=None):
+        def __init__(self, degree, arrays, base_prefix=(), bound=None,
+                     transitive=False):
             if degree == build.graph.n and {tuple(a.tolist()) for a in arrays} == gens:
                 built.append(base_prefix)
-            super().__init__(degree, arrays, base_prefix, bound)
+            super().__init__(degree, arrays, base_prefix, bound, transitive)
 
     monkeypatch.setattr(permgrp, "_StabChain", CountingChain)
     rows = family_checks(build, checks)
     assert [r["name"] for r in rows] == checks
     assert all(r["pass"] for r in rows)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("spec, checks, labellings", [
+    ("delta:m=2", ["group-order", "stabiliser", "arc-transitive"], 0),
+    ("gamma:sign=minus,t=3", ["girth", "arc-transitive"], 0),
+    ("wreath:r=4", ["girth", "group-order", "arc-transitive"], 1),
+])
+def test_checks_repeat_no_proof_of_transitivity(monkeypatch, spec, checks,
+                                                labellings):
+    # a coset build has reached every coset from H: the checks label no
+    # vertex orbits and run no BFS for the first level of the chain, whose
+    # orbit is all the vertices.  The wreath action labels them once and
+    # grows its first level.
+    build = build_family(FamilySpec.parse(spec))
+    labelled, grown = [], []
+    label, grow = permgrp.orbit_labels, permgrp._Level._grow
+
+    def counting_label(gens, degree):
+        labelled.append(degree)
+        return label(gens, degree)
+
+    def counting_grow(level, *args):
+        grown.append(level)
+        return grow(level, *args)
+
+    monkeypatch.setattr(permgrp, "orbit_labels", counting_label)
+    monkeypatch.setattr(permgrp._Level, "_grow", counting_grow)
+    rows = family_checks(build, checks)
+    assert sorted(r["name"] for r in rows) == sorted(checks)
+    assert all(r["pass"] for r in rows)
+    assert labelled.count(build.graph.n) == labellings
+    chain = build.action.group._chain
+    assert (chain is not None) == ("group-order" in checks)
+    if chain is not None:
+        # the base points are distinct, so a level grown at the first one
+        # is level 0 or its replay
+        first = chain.levels[0].point
+        assert any(lv.point == first for lv in grown) == bool(labellings)
 
 
 @pytest.mark.parametrize("spec", ["delta:m=2", "gamma:sign=minus,t=3",

@@ -644,8 +644,10 @@ def test_arc_transitivity_edge_cases(monkeypatch, case):
     assert answers == ([expected] if by_arc_orbit else [])
 
 
-def test_a_group_labels_its_vertex_orbits_once(monkeypatch):
-    fb = build_family(FamilySpec.parse("gamma:sign=minus,t=3"))
+def _vertex_labellings(monkeypatch, spec, girth_):
+    """How often the vertex orbits of spec's action are labelled while the
+    girth, the arc certificate and the group's orbit queries read them."""
+    fb = build_family(FamilySpec.parse(spec))
     calls = []
     label = permgrp.orbit_labels
 
@@ -655,13 +657,26 @@ def test_a_group_labels_its_vertex_orbits_once(monkeypatch):
 
     monkeypatch.setattr(permgrp, "orbit_labels", counting)
     group = fb.action.group
-    assert girth(fb.graph, fb.action) == 8
+    assert girth(fb.graph, fb.action) == girth_
     assert verify_arc_transitive(fb.graph, fb.action)
     assert group.is_transitive()
     assert len(group.orbits()) == 1
-    assert calls == [fb.graph.n]
+    assert group.orbit(3) == set(range(fb.graph.n))
     with pytest.raises(ValueError):
         group.orbit_labels()[0] = 1
+    return calls.count(fb.graph.n)
+
+
+def test_a_group_labels_its_vertex_orbits_once(monkeypatch):
+    # a wreath action carries no proof of transitivity: its group labels
+    # its vertex orbits on first use and keeps the labels
+    assert _vertex_labellings(monkeypatch, "wreath:r=4", 4) == 1
+
+
+def test_a_coset_action_labels_no_vertex_orbits(monkeypatch):
+    # a coset build has reached every coset from H, so its action's group
+    # starts with the labels all zero
+    assert _vertex_labellings(monkeypatch, "gamma:sign=minus,t=3", 8) == 0
 
 
 def searchsorted_arc_numbers(g, p):

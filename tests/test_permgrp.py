@@ -631,3 +631,119 @@ def test_strong_gens_deduplicate_as_their_bytes(spec):
                     oracle.append(g)
         got = chain.strong_gens_fixing_prefix(k)
         assert [g.tolist() for g in got] == [g.tolist() for g in oracle]
+
+
+# -- chains of groups known to be transitive ----------------------------------
+# A coset build reaches every coset from H, so it hands its action's group
+# the fact that it is transitive: the orbit labels start all zero, and the
+# chain's first level is the whole point set, its orbit and Schreier vector
+# made on first use.  The oracles are the orbit labelling of the generators
+# and the chain of the same generators and bound with no certificate.
+
+_CERTIFIED = (["gamma:sign=%s,t=%d" % (sign, t) for t in (2, 3, 4)
+               for sign in ("plus", "minus")]
+              + ["crs:r=6,s=3", "crs:r=8,s=4", "delta:m=2"])
+
+
+def _first_levels_agree(lazy: _StabChain, eager: _StabChain):
+    first, oracle = lazy.levels[0], eager.levels[0]
+    assert first.point == oracle.point
+    assert np.array_equal(first.orbit, oracle.orbit)
+    assert np.array_equal(first.sv, oracle.sv)
+    assert len(first.orbit) == first.size == lazy.degree
+    assert lazy.order() == eager.order()
+    assert ([g.tolist() for g in lazy.strong_gens_fixing_prefix(0)]
+            == [g.tolist() for g in eager.strong_gens_fixing_prefix(0)])
+
+
+@pytest.mark.parametrize("spec", _CERTIFIED)
+def test_coset_action_is_transitive_by_its_generators_labels(spec):
+    action = build_family(FamilySpec.parse(spec)).action
+    assert not orbit_labels(list(action.images), action.graph.n).any()
+    labels = action.group.orbit_labels()
+    assert not labels.any() and labels.shape == (action.graph.n,)
+
+
+@pytest.mark.parametrize("spec", _CERTIFIED)
+def test_whole_first_level_equals_the_grown_one(spec):
+    action = build_family(FamilySpec.parse(spec)).action
+    G, n = action.group, action.graph.n
+    assert G.chain.levels[0].orbit is None  # the run never read it
+    eager = _StabChain(n, list(action.images), bound=action.order_bound)
+    mover = next(g for g in action.images if g[0] != 0)
+    assert G.contains(mover) and eager.contains(mover)
+    _first_levels_agree(G.chain, eager)
+    # the chain that point_stabiliser(5) bases at 5 has a whole first
+    # level too; forced, it equals the one grown as it went
+    lazy5 = _StabChain(n, list(action.images), (5,), bound=G.order(),
+                       transitive=True)
+    eager5 = _StabChain(n, list(action.images), (5,), bound=G.order())
+    mover = next(g for g in action.images if g[5] != 5)
+    assert lazy5.contains(mover) and eager5.contains(mover)
+    _first_levels_agree(lazy5, eager5)
+    stab = G.point_stabiliser(5)
+    assert stab.order() == eager5.order() // n
+    assert ([g.tolist() for g in stab.arrays()]
+            == [g.tolist() for g in eager5.strong_gens_fixing_prefix(1)])
+
+
+@pytest.mark.parametrize("spec", _CERTIFIED)
+def test_whole_first_level_under_a_bound_never_reached(spec):
+    # twice the true order is never a product of orbit lengths, so the run
+    # must sift level 0's Schreier generators and make its orbit
+    action = build_family(FamilySpec.parse(spec)).action
+    n, order = action.graph.n, action.group.order()
+    group = PermGroup(action.images, degree=n, order_bound=2 * order)
+    group._take_as_transitive()
+    assert group.order() == order
+    eager = _StabChain(n, list(action.images), bound=2 * order)
+    _first_levels_agree(group.chain, eager)
+
+
+@pytest.mark.parametrize("spec", ["gamma:sign=minus,t=2", "crs:r=6,s=3"])
+def test_whole_first_level_enumerates_the_group(spec):
+    action = build_family(FamilySpec.parse(spec)).action
+    oracle = PermGroup(action.images, degree=action.graph.n)
+    assert sorted(action.group.elements()) == sorted(oracle.elements())
+
+
+def test_a_wrong_transitivity_certificate_is_caught_when_level_0_is_made():
+    # orbits {0, 1, 2}, {3, 4} and {5}: the run cannot reach the bound, so
+    # it makes level 0's orbit and finds 3 points, not 6
+    group = PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4))], order_bound=24)
+    group._take_as_transitive()
+    with pytest.raises(ValueError, match="taken as transitive"):
+        group.order()
+
+
+def test_whole_first_level_safe_to_make_concurrently():
+    # sixteen threads on two cores sift through the first level at once;
+    # each must see it whole, made once
+    import sys
+    import threading
+    action = build_family(FamilySpec.parse("delta:m=2")).action
+    G, n = action.group, action.graph.n
+    eager = _StabChain(n, list(action.images), bound=G.order())
+    rng = random.Random(5)
+    perms = [Permutation(g) for g in action.images]
+    probes = ([_seeded_word(perms, rng, 30) for _ in range(8)]
+              + [Permutation(rng.sample(range(n), n)) for _ in range(8)])
+    results = [None] * len(probes)
+
+    def probe(i):
+        results[i] = G.contains(probes[i])
+
+    threads = [threading.Thread(target=probe, args=(i,)) for i in range(len(probes))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [eager.contains(np.asarray(p, np.int32)) for p in probes]
+    assert results[:8] == [True] * 8
+    _first_levels_agree(G.chain, eager)
