@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -747,3 +750,48 @@ def test_whole_first_level_safe_to_make_concurrently():
     assert results == [eager.contains(np.asarray(p, np.int32)) for p in probes]
     assert results[:8] == [True] * 8
     _first_levels_agree(G.chain, eager)
+
+
+# -- the chains of the chain-checked members, pinned ---------------------------
+# tests/data/chains.json holds, for every member whose chain the checks
+# read, its group's chain after ``point_stabiliser(0).order()``: per level
+# the base point, the basic orbit's size and the number of generators, and
+# for a level whose orbit has been grown a sha256 of its orbit (as int64)
+# and of its Schreier vector (as int32).  Regenerate with
+# ``python tests/test_permgrp.py`` only when a chain is meant to change.
+
+_CHAINS = Path(__file__).parent / "data" / "chains.json"
+_CHAIN_MEMBERS = (["crs:r=%d,s=%d" % (r, s) for r in range(3, 9) for s in range(1, r)]
+                  + ["gamma:sign=%s,t=%d" % (sign, t) for t in range(2, 7)
+                     for sign in ("plus", "minus")]
+                  + ["delta:m=2"] + ["wreath:r=%d" % r for r in range(3, 9)])
+
+
+def _is_grown(level) -> bool:
+    return level.orbit is not None
+
+
+def _sha(array, dtype) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype).tobytes()).hexdigest()
+
+
+def _chain_record(spec: str) -> list:
+    group = build_family(FamilySpec.parse(spec)).action.group
+    group.point_stabiliser(0).order()
+    record = []
+    for level in group.chain.levels:
+        row = {"point": level.point, "size": level.size, "gens": len(level.gens)}
+        if _is_grown(level):
+            row.update(orbit=_sha(level.orbit, np.int64), sv=_sha(level.sv, np.int32))
+        record.append(row)
+    return record
+
+
+@pytest.mark.parametrize("spec", _CHAIN_MEMBERS)
+def test_chain_matches_its_pin(spec):
+    assert _chain_record(spec) == json.loads(_CHAINS.read_text())[spec]
+
+
+if __name__ == "__main__":
+    _CHAINS.write_text(json.dumps({spec: _chain_record(spec) for spec in _CHAIN_MEMBERS},
+                                  indent=1, sort_keys=True) + "\n")
