@@ -466,8 +466,15 @@ def _census_rows():
 def matrix_report(families_filter=None, max_t: int = 6) -> dict:
     """The acceptance matrix: each criterion's rows over the family members
     that families_filter (all when None) and max_t select, with each
-    member's build time and the process's peak RSS at the end."""
+    member's build time and the process's peak RSS at the end.  Refuses
+    a max_t outside 2..MAX_T and an empty or unknown family filter before
+    it builds anything."""
+    if not 2 <= max_t <= MAX_T:
+        raise ValueError("--max-t must be between 2 and %d" % MAX_T)
     if families_filter is not None:
+        if not families_filter:
+            raise ValueError("no families chosen (choose from %s)"
+                             % ", ".join(families.FAMILIES))
         unknown = sorted(set(families_filter) - set(families.FAMILIES))
         if unknown:
             raise ValueError("unknown families %s (choose from %s)"
@@ -595,8 +602,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    if not 2 <= args.max_t <= MAX_T:
-        raise ValueError("--max-t must be between 2 and %d" % MAX_T)
     fams = args.families.split(",") if args.families is not None else None
     with _output(args.out) as write:
         report = matrix_report(families_filter=fams, max_t=args.max_t)

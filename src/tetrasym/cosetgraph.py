@@ -256,8 +256,8 @@ class VertexAction:
     when known, is an upper bound on that group's order; its chain stops as
     soon as it reaches it.  The action of a coset build has its group take
     the build's proof that it is transitive, so its orbits are never
-    labelled and its chain's first level is made only when read.  Actions
-    are immutable.
+    labelled and its chain's first level grows its orbit only when read.
+    Actions are immutable.
     """
 
     def __init__(self, graph: Graph, gens, order_bound: int | None = None):
@@ -528,10 +528,11 @@ class CosetGraphBuild:
         elements as fit in _CHUNK products share a pass: one product, one
         canonicalisation and one key pass over all of them (past _CHUNK
         vertices, one element a pass, in chunks of representatives).  Right
-        multiplication permutes the cosets, so the sorted keys of an
-        element's images equal the sorted keys of the known cosets, and
-        one argsort per element matches them; otherwise each key is looked
-        up."""
+        multiplication by an element of G permutes the cosets, so the
+        sorted keys of its images equal the sorted keys of the known
+        cosets, and one argsort per element matches them.  An element
+        outside G takes no coset to a known one, so keys that differ from
+        the known ones raise ValueError."""
         form, canon, reps = self.iface.form, self._canon, self._reps
         known, vids = self._index
         n = len(reps)
@@ -545,11 +546,10 @@ class CosetGraphBuild:
                 order = row.argsort()
                 # compared a chunk at a time: a full row[order] would be a
                 # third n-long array beside row and order
-                if all(np.array_equal(row[order[j:j + _CHUNK]], known[j:j + _CHUNK])
-                       for j in range(0, n, _CHUNK)):
-                    images[i][order] = vids
-                else:
-                    images[i] = _lookup(self._index, row)
+                if not all(np.array_equal(row[order[j:j + _CHUNK]], known[j:j + _CHUNK])
+                           for j in range(0, n, _CHUNK)):
+                    raise ValueError("element does not belong to any registered coset")
+                images[i][order] = vids
             # past _CHUNK vertices these are n long: free them before the
             # next pass forms its keys
             del keys, row, order

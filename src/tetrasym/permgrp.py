@@ -57,15 +57,19 @@ its first base point (Seress §4.1), so the stabiliser of vertex 0 shares
 them and runs no Schreier-Sims of its own; the stabiliser of any other
 point is read off a chain based at that point (see ``point_stabiliser``).
 
-A whole first level.  The first basic orbit of a transitive group is every
-point, so a chain of a group known to be transitive (``_WholeLevel``) has
-the size n of its first level, and membership in it, without a search.
+Levels grow when read.  A level records the generators the run gives it
+and closes its basic orbit under them when something reads the orbit: its
+size, membership in it or a transversal element.  It takes the pending
+generators in the order they were added, each by the same extend-only BFS
+steps, so its orbit and Schreier vector equal those of a level grown as
+each generator came.  The first basic orbit of a transitive group is every
+point, so the first level of a chain of a group known to be transitive is
+``whole``: its size is n and it holds every point without a search.
 Order, the stabiliser of the first base point and its local action read
 nothing else of that level; only sifting through it (``contains``, the
 first level's Schreier generators when the bound is never reached, a
-chain based at another point) and enumeration need its Schreier vector.
-That vector is made on first use by replaying the level's generators in
-the order they were added, so it equals the one a chain grows as it goes.
+chain based at another point) and enumeration grow it, and growing it
+checks that the orbit is every point.
 """
 
 from __future__ import annotations
@@ -295,56 +299,89 @@ def _invert(p: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _blank_sv(point: int, degree: int) -> np.ndarray:
+    sv = np.full((degree, 2), -1, dtype=np.int32)
+    sv[point, 0] = point
+    return sv
+
+
 class _Level:
     """One level of the chain: a base point, the strong generators that fix
-    the earlier base points, and the basic orbit as a Schreier vector,
-    grown by a BFS as each generator is added (a ``_WholeLevel`` makes it
-    only when it is read)."""
+    the earlier base points, and the basic orbit as a Schreier vector.
 
-    __slots__ = ("point", "gens", "orbit", "sv", "_u", "_u_inv", "done",
-                 "cursor")
+    ``add_gen`` only records a generator.  The orbit takes in the pending
+    generators when it is next read (``grown``, which ``size`` and
+    membership call, and ``u``, so ``u_inv``, before it traces the Schreier
+    vector), one at a time in the order they were added, so it equals the
+    orbit of a level grown as each generator came.  A
+    ``whole`` level (the first of a chain of a group known to be transitive)
+    has every point in its orbit: its size and membership need no search,
+    and its Schreier vector is made only when something reads it."""
 
-    def __init__(self, point: int, identity: np.ndarray):
-        self.point = point
+    __slots__ = ("point", "whole", "gens", "applied", "orbit", "sv", "_u",
+                 "_u_inv", "done", "cursor", "_lock")
+
+    def __init__(self, point: int, identity: np.ndarray, whole: bool = False):
+        self.point, self.whole = point, whole
         self.gens: list[np.ndarray] = []
+        self.applied = 0  # the orbit is closed under gens[:applied]
         self.orbit = np.array([point])  # in discovery order
         # Schreier vector: sv[q] = (p, i) with q = gens[i](p), so that
         # u_q = u_p * gens[i]; (-1, -1) off the orbit, (point, -1) at the
         # base point.  So q lies in the orbit exactly when sv[q, 0] >= 0.
-        self.sv = np.full((len(identity), 2), -1, dtype=np.int32)
-        self.sv[point, 0] = point
+        # A whole level makes it when it first grows.
+        self.sv = None if whole else _blank_sv(point, len(identity))
         self._u = {point: identity}  # the transversal elements built so far
         self._u_inv = {point: identity}
         # done[k]: how many generators have been paired with orbit[k]
         # as Schreier generators; cursor: the first point with one left.
         self.done = [0]
         self.cursor = 0
+        self._lock = threading.Lock()
 
     def __contains__(self, q: int) -> bool:
+        if self.whole:
+            return True
+        if self.applied < len(self.gens):
+            self.grown()
         return bool(self.sv[q, 0] >= 0)
 
     @property
     def size(self) -> int:
-        """The length of the basic orbit."""
-        return len(self.orbit)
-
-    def grown(self) -> "_Level":
-        """This level, with its orbit and Schreier vector made."""
-        return self
+        """The length of the basic orbit: of a whole level, the degree (the
+        length of the identity, u of the base point)."""
+        return len(self._u[self.point]) if self.whole else len(self.grown().orbit)
 
     def add_gen(self, g: np.ndarray):
-        """Append g and close the orbit, extend-only: Schreier-vector
-        entries are never rewritten, which keeps already-processed Schreier
-        pairs valid.  The old orbit was closed under the old generators, so
-        it is probed with g alone, then the new points with every
-        generator, one BFS level at a time.  New points are appended in
-        (discoverer, generator) order, as a one-point-at-a-time BFS would."""
+        """Append g; the orbit takes it in when next read."""
         self.gens.append(g)
         self.cursor = 0
-        frontier = self._grow(self.orbit, [g], len(self.gens) - 1)
-        while len(frontier):
-            frontier = self._grow(frontier, self.gens, 0)
-        self.done.extend([0] * (len(self.orbit) - len(self.done)))
+
+    def grown(self) -> "_Level":
+        """This level, its orbit closed under every generator, under the
+        level's lock.  Extend-only: Schreier-vector entries are never
+        rewritten, which keeps already-processed Schreier pairs valid.  For
+        each pending generator g in turn, the orbit (closed under the
+        generators before g) is probed with g alone, then the new points
+        with every generator up to g, one BFS level at a time.  New points
+        are appended in (discoverer, generator) order, as a
+        one-point-at-a-time BFS would."""
+        if self.applied < len(self.gens):
+            with self._lock:
+                if self.sv is None:
+                    self.sv = _blank_sv(self.point, self.size)
+                gens = self.gens
+                for k in range(self.applied, len(gens)):
+                    frontier = self._grow(self.orbit, gens[k:k + 1], k)
+                    while len(frontier):
+                        frontier = self._grow(frontier, gens[:k + 1], 0)
+                if self.whole and len(self.orbit) != len(self.sv):
+                    raise ValueError("a group taken as transitive has an orbit "
+                                     "of %d of its %d points"
+                                     % (len(self.orbit), len(self.sv)))
+                self.done.extend([0] * (len(self.orbit) - len(self.done)))
+                self.applied = len(gens)
+        return self
 
     def _grow(self, points: np.ndarray, gens: list, first: int) -> np.ndarray:
         """Append the images of points under gens (numbered from first) that
@@ -366,7 +403,7 @@ class _Level:
         tracing the Schreier vector back to the nearest element built."""
         path = []
         while q not in self._u:
-            p, gi = self.sv[q].tolist()
+            p, gi = self.grown().sv[q].tolist()
             path.append((q, gi))
             q = p
         up = self._u[q]
@@ -381,57 +418,6 @@ class _Level:
         return inv
 
 
-class _WholeLevel(_Level):
-    """The first level of a chain of a group known to be transitive: its
-    basic orbit is all ``degree`` points.  Its size and its membership need
-    no search, and ``add_gen`` only records the generator.  The orbit, the
-    Schreier vector and the transversal are made on first use (``grown``,
-    which ``u`` and ``u_inv`` call) by replaying the recorded ``add_gen``
-    calls in order on an ordinary level, so they equal those of a level
-    grown as it went: every generator the chain inserts after its
-    ``__init__`` starts at level 1 or deeper, so the replay has them all."""
-
-    __slots__ = ("_identity", "_lock")
-
-    def __init__(self, point: int, identity: np.ndarray):
-        self.point, self.gens, self._identity = point, [], identity
-        self.orbit = None
-        self._lock = threading.Lock()
-
-    def __contains__(self, q: int) -> bool:
-        return True
-
-    @property
-    def size(self) -> int:
-        return len(self._identity)
-
-    def add_gen(self, g: np.ndarray):
-        self.gens.append(g)
-
-    def grown(self) -> "_Level":
-        with self._lock:
-            if self.orbit is None:
-                level = _Level(self.point, self._identity)
-                for g in self.gens:
-                    level.add_gen(g)
-                if len(level.orbit) != self.size:
-                    raise ValueError("a group taken as transitive has an orbit "
-                                     "of %d of its %d points"
-                                     % (len(level.orbit), self.size))
-                for name in ("gens", "sv", "_u", "_u_inv", "done", "cursor",
-                             "orbit"):
-                    setattr(self, name, getattr(level, name))
-        return self
-
-    def u(self, q: int) -> np.ndarray:
-        self.grown()
-        return super().u(q)
-
-    def u_inv(self, q: int) -> np.ndarray:
-        self.grown()
-        return super().u_inv(q)
-
-
 class _StabChain:
     """A deterministic Schreier-Sims chain of <gens>, its base starting
     with ``base_prefix`` or, if that is empty, the least moved point.
@@ -440,7 +426,7 @@ class _StabChain:
     product of the basic orbit lengths reaches it, and raises if the product
     goes above it; see the module docstring.  With ``transitive`` (the
     caller knows <gens> to be transitive on all ``degree`` points) the first
-    level is a ``_WholeLevel``."""
+    level is marked ``whole``."""
 
     def __init__(self, degree: int, gens: list[np.ndarray], base_prefix=(),
                  bound: int | None = None, transitive: bool = False):
@@ -452,7 +438,7 @@ class _StabChain:
             # the least moved point: vertex 0 of a transitive action
             base_prefix = (min(int(np.argmax(g != self.identity)) for g in gens),)
         self.levels: list[_Level] = [
-            (_WholeLevel if transitive and not k else _Level)(b, self.identity)
+            _Level(b, self.identity, whole=transitive and not k)
             for k, b in enumerate(base_prefix)]
         for g in gens:
             self._insert_gen(g, 0)
@@ -461,32 +447,33 @@ class _StabChain:
     def _is_id(self, g: np.ndarray) -> bool:
         return bool((g == self.identity).all())
 
-    def _insert_gen(self, g: np.ndarray, lo: int):
-        """Add strong generator g to levels lo..j, j the first base point moved."""
-        j = None
-        for k in range(lo, len(self.levels)):
-            if g[self.levels[k].point] != self.levels[k].point:
-                j = k
-                break
-        if j is None:
-            moved = int(np.nonzero(g != self.identity)[0][0])
-            self.levels.append(_Level(moved, self.identity))
-            j = len(self.levels) - 1
-        for k in range(lo, j + 1):
-            self.levels[k].add_gen(g)
+    def _insert_gen(self, g: np.ndarray, lo: int) -> int:
+        """Add strong generator g to levels lo..j and return j: the first
+        level whose base point g moves, or a new last level based at g's
+        least moved point when g fixes them all.  Only here are levels
+        added below those of the base prefix."""
+        j = next((k for k in range(lo, len(self.levels))
+                  if g[self.levels[k].point] != self.levels[k].point),
+                 len(self.levels))
+        if j == len(self.levels):
+            self.levels.append(_Level(int(np.argmax(g != self.identity)),
+                                      self.identity))
+        for lv in self.levels[lo:j + 1]:
+            lv.add_gen(g)
         return j
 
-    def _strip(self, g: np.ndarray, start: int):
-        """Sift g through levels start.., returning (residue, stuck_level)."""
-        for k in range(start, len(self.levels)):
-            lv = self.levels[k]
-            beta = int(g[lv.point])
+    def _strip(self, g: np.ndarray, start: int) -> np.ndarray:
+        """Sift g through levels start.., returning the residue: the
+        identity, or an element that moves the base point of the level it
+        stopped at (or of no level) and fixes those before it."""
+        for lv in self.levels[start:]:
+            beta = g.item(lv.point)
             if beta == lv.point:
                 continue
             if beta not in lv:
-                return g, k
+                return g
             g = _compose(g, lv.u_inv(beta))
-        return g, len(self.levels)
+        return g
 
     def _complete(self) -> bool:
         """True once the orbit product reaches the bound: then the chain is
@@ -502,15 +489,11 @@ class _StabChain:
     def _run(self):
         i = len(self.levels) - 1
         while not self._complete() and i >= 0:
-            found = self._process_level(i)
-            if found is None:
+            residue = self._process_level(i)
+            if residue is None:
                 i -= 1
-                continue
-            h, j_stuck = found
-            if j_stuck == len(self.levels):
-                moved = int(np.nonzero(h != self.identity)[0][0])
-                self.levels.append(_Level(moved, self.identity))
-            i = self._insert_gen(h, i + 1)
+            else:
+                i = self._insert_gen(residue, i + 1)
 
     def _process_level(self, i: int):
         """Sift the Schreier generators u_p * s * u_q^-1 of level i, in orbit
@@ -527,10 +510,10 @@ class _StabChain:
                 q = int(s[p])
                 if lv.sv[q].tolist() == [p, gi]:
                     continue  # u_q = u_p * s: a trivial Schreier generator
-                residue, j = self._strip(
+                residue = self._strip(
                     _compose(_compose(lv.u(p), s), lv.u_inv(q)), i + 1)
                 if not self._is_id(residue):
-                    return residue, j
+                    return residue
             lv.cursor += 1
         return None
 
@@ -541,8 +524,7 @@ class _StabChain:
         return n
 
     def contains(self, g: np.ndarray) -> bool:
-        residue, _ = self._strip(g, 0)
-        return self._is_id(residue)
+        return self._is_id(self._strip(g, 0))
 
     def strong_gens_fixing_prefix(self, k: int) -> list[np.ndarray]:
         """Strong generators of the stabiliser of the first k base points,
@@ -627,7 +609,8 @@ class PermGroup:
         """Take the group as transitive, which the caller has proved (a
         coset build reaches every coset from H), before the orbit labels
         or the chain are made: the labels are then the read-only all-zero
-        array, and the chain's first level is a ``_WholeLevel``."""
+        array, and the chain's first level is whole (see the module
+        docstring)."""
         self._transitive = True
 
     def order(self) -> int:

@@ -439,6 +439,22 @@ def test_matrix_empty_family_name_is_a_usage_error(capsys, monkeypatch):
     assert "unknown families '', 'wreth' (choose from" in err
 
 
+def test_matrix_report_checks_its_inputs_before_any_build(monkeypatch):
+    # called directly, not through the command line: a max_t out of range
+    # or an empty family filter would otherwise build members (max_t=11
+    # builds every member up to t=10) or pass criteria with no rows
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the inputs were checked")
+
+    monkeypatch.setattr(cli, "build_family", no_build)
+    for kwargs in ({"max_t": 1}, {"max_t": 11}, {"max_t": 1, "families_filter": ["gamma"]},
+                   {"max_t": 11, "families_filter": ["delta"]}):
+        with pytest.raises(ValueError, match="--max-t must be between 2 and 10"):
+            cli.matrix_report(**kwargs)
+    with pytest.raises(ValueError, match=r"no families chosen \(choose from wreath, "):
+        cli.matrix_report(families_filter=[])
+
+
 # -- one stabiliser chain per vertex action -------------------------------------
 
 @pytest.mark.parametrize("spec, checks", [
@@ -497,7 +513,7 @@ def test_checks_repeat_no_proof_of_transitivity(monkeypatch, spec, checks,
     assert (chain is not None) == ("group-order" in checks)
     if chain is not None:
         # the base points are distinct, so a level grown at the first one
-        # is level 0 or its replay
+        # is level 0
         first = chain.levels[0].point
         assert any(lv.point == first for lv in grown) == bool(labellings)
 

@@ -403,6 +403,14 @@ def test_images_of_right_multiplication():
         assert images[v] == build.vertex_of(rep * za)
 
 
+def test_images_of_an_element_outside_the_group_raise():
+    # (0 2) is a permutation of crs(6, 3)'s 12 points outside G: it takes
+    # no coset of H to a coset of H in G
+    build = build_family(FamilySpec.parse("crs:r=6,s=3")).coset
+    with pytest.raises(ValueError, match="does not belong to any registered coset"):
+        build.images_of(Permutation.from_cycles(12, [(0, 2)]))
+
+
 def test_neighbourhood_of_base_vertex_matches_words():
     grp, iface = gamma_iface(3, PLUS)
     build = build_coset_graph(iface, grp.a)

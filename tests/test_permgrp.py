@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetrasym import permgrp
 from tetrasym.cosetgraph import VertexAction
 from tetrasym.families import FamilySpec, build_family
 from tetrasym.graphalg import verify_arc_transitive
@@ -641,19 +642,42 @@ def test_strong_gens_deduplicate_as_their_bytes(spec):
 # the fact that it is transitive: the orbit labels start all zero, and the
 # chain's first level is the whole point set, its orbit and Schreier vector
 # made on first use.  The oracles are the orbit labelling of the generators
-# and the chain of the same generators and bound with no certificate.
+# and the chain of the same generators and bound with no certificate, whose
+# levels grow at once as each generator comes (``_EagerLevel``), where a
+# chain's own levels grow when read.
 
 _CERTIFIED = (["gamma:sign=%s,t=%d" % (sign, t) for t in (2, 3, 4)
                for sign in ("plus", "minus")]
               + ["crs:r=6,s=3", "crs:r=8,s=4", "delta:m=2"])
 
 
-def _first_levels_agree(lazy: _StabChain, eager: _StabChain):
-    first, oracle = lazy.levels[0], eager.levels[0]
-    assert first.point == oracle.point
-    assert np.array_equal(first.orbit, oracle.orbit)
-    assert np.array_equal(first.sv, oracle.sv)
-    assert len(first.orbit) == first.size == lazy.degree
+class _EagerLevel(permgrp._Level):
+    __slots__ = ()
+
+    def add_gen(self, g):
+        super().add_gen(g)
+        self.grown()
+
+
+def _eager_chain(degree, gens, base_prefix=(), bound=None) -> _StabChain:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(permgrp, "_Level", _EagerLevel)
+        chain = _StabChain(degree, gens, base_prefix, bound=bound)
+    assert all(type(lv) is _EagerLevel for lv in chain.levels)
+    return chain
+
+
+def _chains_agree(lazy: _StabChain, eager: _StabChain):
+    """Level by level, base point, orbit, Schreier vector, size and
+    generators agree, and so do order and strong generators.  The lazy
+    levels are read as they are, so each must have been grown already."""
+    assert len(lazy.levels) == len(eager.levels)
+    for lv, oracle in zip(lazy.levels, eager.levels):
+        assert lv.point == oracle.point
+        assert np.array_equal(lv.orbit, oracle.orbit)
+        assert np.array_equal(lv.sv, oracle.sv)
+        assert lv.size == oracle.size == len(oracle.orbit)
+        assert [g.tolist() for g in lv.gens] == [g.tolist() for g in oracle.gens]
     assert lazy.order() == eager.order()
     assert ([g.tolist() for g in lazy.strong_gens_fixing_prefix(0)]
             == [g.tolist() for g in eager.strong_gens_fixing_prefix(0)])
@@ -671,19 +695,20 @@ def test_coset_action_is_transitive_by_its_generators_labels(spec):
 def test_whole_first_level_equals_the_grown_one(spec):
     action = build_family(FamilySpec.parse(spec)).action
     G, n = action.group, action.graph.n
-    assert G.chain.levels[0].orbit is None  # the run never read it
-    eager = _StabChain(n, list(action.images), bound=action.order_bound)
+    eager = _eager_chain(n, list(action.images), bound=action.order_bound)
+    assert G.point_stabiliser(0).order() == eager.order() // n
+    assert G.chain.levels[0].sv is None  # order and the stabiliser never read it
     mover = next(g for g in action.images if g[0] != 0)
     assert G.contains(mover) and eager.contains(mover)
-    _first_levels_agree(G.chain, eager)
+    _chains_agree(G.chain, eager)
     # the chain that point_stabiliser(5) bases at 5 has a whole first
     # level too; forced, it equals the one grown as it went
     lazy5 = _StabChain(n, list(action.images), (5,), bound=G.order(),
                        transitive=True)
-    eager5 = _StabChain(n, list(action.images), (5,), bound=G.order())
+    eager5 = _eager_chain(n, list(action.images), (5,), bound=G.order())
     mover = next(g for g in action.images if g[5] != 5)
     assert lazy5.contains(mover) and eager5.contains(mover)
-    _first_levels_agree(lazy5, eager5)
+    _chains_agree(lazy5, eager5)
     stab = G.point_stabiliser(5)
     assert stab.order() == eager5.order() // n
     assert ([g.tolist() for g in stab.arrays()]
@@ -699,8 +724,8 @@ def test_whole_first_level_under_a_bound_never_reached(spec):
     group = PermGroup(action.images, degree=n, order_bound=2 * order)
     group._take_as_transitive()
     assert group.order() == order
-    eager = _StabChain(n, list(action.images), bound=2 * order)
-    _first_levels_agree(group.chain, eager)
+    eager = _eager_chain(n, list(action.images), bound=2 * order)
+    _chains_agree(group.chain, eager)
 
 
 @pytest.mark.parametrize("spec", ["gamma:sign=minus,t=2", "crs:r=6,s=3"])
@@ -726,7 +751,7 @@ def test_whole_first_level_safe_to_make_concurrently():
     import threading
     action = build_family(FamilySpec.parse("delta:m=2")).action
     G, n = action.group, action.graph.n
-    eager = _StabChain(n, list(action.images), bound=G.order())
+    eager = _eager_chain(n, list(action.images), bound=G.order())
     rng = random.Random(5)
     perms = [Permutation(g) for g in action.images]
     probes = ([_seeded_word(perms, rng, 30) for _ in range(8)]
@@ -749,7 +774,27 @@ def test_whole_first_level_safe_to_make_concurrently():
     assert not any(th.is_alive() for th in threads)
     assert results == [eager.contains(np.asarray(p, np.int32)) for p in probes]
     assert results[:8] == [True] * 8
-    _first_levels_agree(G.chain, eager)
+    _chains_agree(G.chain, eager)
+
+
+# -- levels grown on first read equal levels grown eagerly -------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=4)))
+def test_late_growth_equals_eager_growth(images_list):
+    gens = [np.array(images, np.int32) for images in images_list]
+    n = len(gens[0])
+    eager = _eager_chain(n, gens)
+    _chains_agree(_StabChain(n, gens), eager)
+    # bounded by the true order, and with a whole first level when the
+    # group is transitive
+    order = eager.order()
+    transitive = not orbit_labels(gens, n).any()
+    bounded = _StabChain(n, gens, bound=order, transitive=transitive)
+    for lv in bounded.levels:
+        lv.grown()
+    _chains_agree(bounded, _eager_chain(n, gens, bound=order))
 
 
 # -- the chains of the chain-checked members, pinned ---------------------------
@@ -768,7 +813,7 @@ _CHAIN_MEMBERS = (["crs:r=%d,s=%d" % (r, s) for r in range(3, 9) for s in range(
 
 
 def _is_grown(level) -> bool:
-    return level.orbit is not None
+    return level.applied == len(level.gens)
 
 
 def _sha(array, dtype) -> str:
