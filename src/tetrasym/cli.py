@@ -31,11 +31,6 @@ from tetrasym.permgrp import PermGroup, Permutation, orbit_labels
 
 SCHEMA_VERSION = 1
 
-# gamma t=7, the largest member with a live criterion-11 row.  The wreath
-# graphs bound it: their search is one level per fibre, and wreath:r=1792
-# at this cap takes about 6 s and 320 MB.
-_AUT_CAP = 3584
-_ISO_CAP = 5000  # vertex cap of the isomorphism searches (criteria 8 and 12)
 _CHAIN_CAP = 4000  # vertex cap of the chain checks on actions of no known order
 
 
@@ -149,9 +144,9 @@ def _corefree(build):
 
 def _aut(build):
     exp = build.expected.aut_order
-    if exp is None or build.graph.n > _AUT_CAP:
-        raise _Skip("no expected order or above the %d-vertex cap" % _AUT_CAP)
-    return "paper", exp, graphalg.automorphism_group_order(build.graph, cap=_AUT_CAP)
+    if exp is None or build.graph.n > graphalg.AUT_CAP:
+        raise _Skip("no expected order or above the %d-vertex cap" % graphalg.AUT_CAP)
+    return "paper", exp, graphalg.automorphism_group_order(build.graph)
 
 
 def _bound_equality(build):
@@ -164,12 +159,12 @@ def _cover(build):
     # the quotient has one vertex per <z>-orbit, each named by its least
     # point: count them before the quotient is built
     labels = orbit_labels([z], len(z))
-    if np.count_nonzero(labels == np.arange(len(labels))) > _ISO_CAP:
-        raise _Skip("z-quotient above the %d-vertex isomorphism cap" % _ISO_CAP)
+    if np.count_nonzero(labels == np.arange(len(labels))) > graphalg.ISO_CAP:
+        raise _Skip("z-quotient above the %d-vertex isomorphism cap" % graphalg.ISO_CAP)
     rep = graphalg.quotient_by_subgroup_orbits(build.graph, build.action, [z])
     t = build.spec.get("t")
     base = families.praeger_xu_direct(2 * t, t)
-    iso = graphalg.isomorphic(rep.quotient, base, cap=_ISO_CAP) is not None
+    iso = graphalg.isomorphic(rep.quotient, base) is not None
     return "paper", (2, True, True), (rep.fibre_size, rep.is_local_bijection, iso)
 
 
@@ -212,17 +207,16 @@ def _spheres(build):
 
 
 def _primitive(build):
-    perms = families.delta_permutations(build.spec.get("m"))
-    natural = PermGroup(perms["xs"] + [perms["h"], perms["a"]])
+    # the build's x_1..x_{2m-1}, h and a, which generate Sym(4m)
+    natural = PermGroup(build.coset.iface.generators + (build.coset.a_elt,))
     return "paper", True, natural.is_primitive()
 
 
 def _word_identities(build):
     m = build.spec.get("m")
-    perms = families.delta_permutations(m)
-    xs, h, a, g = perms["xs"], perms["h"], perms["a"], perms["g"]
-    ok = g == a * h
-    ok &= all(xs[i - 1].conjugate(h) == xs[2 * m - i - 1] for i in range(1, 2 * m))
+    *xs, h = build.coset.iface.generators
+    g = build.coset.a_elt * h
+    ok = all(xs[i - 1].conjugate(h) == xs[2 * m - i - 1] for i in range(1, 2 * m))
     ok &= all(xs[i - 1].conjugate(g) == xs[i] for i in range(1, 2 * m - 1))
     ok &= xs[2 * m - 2].conjugate(g) == Permutation.from_cycles(4 * m, [(0, 4 * m - 2)])
     return "paper", True, ok
@@ -428,11 +422,11 @@ def _iso_rows(builds, max_t):
     for t in range(2, max_t + 1):
         name = "gamma%d-plus-vs-minus" % t
         plus, minus = graph("gamma:sign=plus,t=%d" % t), graph("gamma:sign=minus,t=%d" % t)
-        if plus.n > _ISO_CAP:
-            yield _skip(name, "above the %d-vertex isomorphism cap" % _ISO_CAP)
+        if plus.n > graphalg.ISO_CAP:
+            yield _skip(name, "above the %d-vertex isomorphism cap" % graphalg.ISO_CAP)
             continue
         t0 = time.perf_counter()
-        iso = graphalg.isomorphic(plus, minus, cap=_ISO_CAP)
+        iso = graphalg.isomorphic(plus, minus)
         yield _check(name, "paper", False, iso is not None, t0)
     for r in range(4, 9):
         for s in range(2, r - 1):

@@ -30,6 +30,10 @@ A vertex map, whether an automorphism, a relabelling or a quotient map, is
 an int image array; a Permutation given in its place is read through
 ``np.asarray``.  ``_carries`` is the one test that a map sends each
 neighbourhood onto the neighbourhood of the image.
+
+``_levels`` is the one BFS over a graph's padded rows, one level at a time:
+``sphere`` reads a level's vertices, and girth and bipartiteness
+(``graphalg``) read the levels of each level's arcs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import index
 
 import numpy as np
 
@@ -115,12 +120,18 @@ class Graph:
             degree = np.fromiter(map(len, adj), np.int64, n)
             rows = np.full((n, int(degree.max(initial=0))), n, np.int64)
             real = np.arange(rows.shape[1]) < degree[:, None]
-            rows[real] = np.fromiter(chain.from_iterable(adj), np.int64,
-                                     int(degree.sum()))
+            try:
+                rows[real] = np.fromiter(map(index, chain.from_iterable(adj)),
+                                         np.int64, int(degree.sum()))
+            except TypeError:
+                bad = [v for v in chain.from_iterable(adj) if not hasattr(v, "__index__")]
+                raise ValueError("neighbour %s not an integer" % bad[0]) from None
         else:
             adj = rows = self.rows
             if rows.ndim != 2 or len(rows) != n:
                 raise ValueError("adjacency length != n")
+            if rows.size and rows.dtype.kind not in "iu":
+                raise ValueError("neighbour %s not an integer" % rows[0, 0])
             real = np.broadcast_to(True, rows.shape)
         for start in range(0, n, _CHUNK):
             part, entry = rows[start:start + _CHUNK], real[start:start + _CHUNK]
@@ -206,6 +217,9 @@ class Graph:
     def from_edges(cls, n: int, edges, labels=None) -> "Graph":
         nbrs = [set() for _ in range(n)]
         for u, v in edges:
+            for end in (u, v):
+                if not 0 <= end < n:
+                    raise ValueError("neighbour %d out of range" % end)
             if u == v:
                 raise ValueError("loop at vertex %d" % u)
             nbrs[u].add(v)
@@ -743,21 +757,40 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _levels(rows: np.ndarray, root: int, dist: np.ndarray):
+    """The one BFS over a graph's padded rows (``Graph.rows``), one level
+    at a time from root.  ``dist`` is the caller's int64 array of n + 1
+    entries, -1 at every vertex not yet reached; the BFS marks the pad n
+    with -2 and writes each vertex's level as it reaches it.
+
+    For each level d = 0, 1, ... yields (frontier, at, repeats): the
+    vertices of level d in increasing order, the levels of their rows'
+    entries (d for an arc inside the level, -1 for an arc to a new vertex),
+    and the number of arcs to new vertices beyond the first to each."""
+    dist[[len(rows), root]] = -2, 0
+    frontier, d = np.array([root]), 0
+    while len(frontier):
+        heads = rows[frontier]
+        at = dist[heads]
+        fresh = heads[at == -1]
+        new = _distinct(fresh)
+        yield frontier, at, len(fresh) - len(new)
+        d += 1
+        dist[new], frontier = d, new
+
+
 def sphere(g: Graph, v: int, i: int) -> set:
-    """The set of vertices at distance exactly i from v: a BFS one level at
-    a time over the graph's rows."""
+    """The set of vertices at distance exactly i from v: level i of the
+    BFS from v (_levels)."""
     if not 0 <= v < g.n:
         raise ValueError("vertex %d out of range" % v)
     if i < 0:
         raise ValueError("negative radius")
-    seen = np.zeros(g.n + 1, dtype=bool)
-    seen[[v, g.n]] = True  # index n is the rows' padding
-    frontier = np.array([v])
-    for _ in range(i):
-        frontier = _distinct(g.rows[frontier])
-        frontier = frontier[~seen[frontier]]
-        seen[frontier] = True
-    return set(frontier.tolist())
+    dist = np.full(g.n + 1, -1, dtype=np.int64)
+    for d, (frontier, _, _) in enumerate(_levels(g.rows, v, dist)):
+        if d == i:
+            return set(frontier.tolist())
+    return set()
 
 
 # ---------------------------------------------------------------------------

@@ -404,20 +404,17 @@ class ExtensionGroup:
         return out
 
     def inv_code(self, p: int) -> int:
-        # (e a^k b^beta)^-1 = b^beta * a^-k * e^-1
-        e = p & self.emask
+        # (e a^k b^beta)^-1 = b^beta * a^-k * e^-1.  e^-1 is e with z
+        # flipped by the parity of sum_j v_{j+t} v_j (as in evec_inv), and
+        # a^-k for k > 0 is a^(2t-k), times z = a^(-2t) in the minus group.
+        v = p & self.vmask
         k = (p >> self.kshift) & 63
-        beta = p >> self.bshift
-        einv = EVec(self.t, e & self.vmask, (e >> self.two_t) & 1).inverse()
-        einv_code = einv.v | (einv.z << self.two_t)
-        if k == 0:
-            a_inv = 0
-        else:
-            wrap = (1 << self.two_t) if self.minus else 0
-            a_inv = wrap | ((self.two_t - k) << self.kshift)
-        out = (beta << self.bshift) if beta else 0
-        out = self.mul_code(out, a_inv)
-        return self.mul_code(out, einv_code)
+        c = ((v >> self.t) & v & self.tmask).bit_count() & 1
+        e_inv = (p & self.emask) ^ (c << self.two_t)
+        z = 1 if self.minus and k else 0
+        a_inv = z << self.two_t | (-k % self.two_t) << self.kshift
+        out = self.mul_code((p >> self.bshift) << self.bshift, a_inv)
+        return self.mul_code(out, e_inv)
 
     # -- enumeration and subgroups -----------------------------------------
 

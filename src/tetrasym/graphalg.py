@@ -2,19 +2,20 @@
 quotients and covers, local groups, blocks of imprimitivity, isomorphism and
 automorphism-group orders at desk scale.
 
-Girth runs a BFS from one root per vertex orbit of a given action (every
-vertex without one): from vertex 0 alone for a coset graph, whose build
-has proved its action transitive.  Arc-transitivity is certified locally
-when it can be: a group that is transitive on the vertices, and whose
-generators fixing vertex 0 are transitive on its neighbours, maps every
-arc to an arc at 0 and that onto 0's first arc, so it has one orbit on the
-arcs.  The vertex-transitivity reads the group's kept orbit labels, which
-girth's roots read too; those of a coset build's action start all zero,
-so neither labels anything.  Every other case, every False answer among
-them, labels the orbits of the group on the arcs themselves
-(``permgrp.orbit_labels``), the arc u -> v numbered as the first arc of u
-plus the count of u's neighbours below v in the graph's padded rows, which
-the searches read too.
+Girth and bipartiteness read the levels of the one BFS over a graph's
+padded rows (``cosetgraph._levels``).  Girth runs it from one root per
+vertex orbit of a given action (every vertex without one): from vertex 0
+alone for a coset graph, whose build has proved its action transitive.
+Arc-transitivity is certified locally when it can be: a group that is
+transitive on the vertices, and whose generators fixing vertex 0 are
+transitive on its neighbours, maps every arc to an arc at 0 and that onto
+0's first arc, so it has one orbit on the arcs.  The vertex-transitivity
+reads the group's kept orbit labels, which girth's roots read too; those
+of a coset build's action start all zero, so neither labels anything.
+Every other case, every False answer among them, labels the orbits of the
+group on the arcs themselves (``permgrp.orbit_labels``), the arc u -> v
+numbered as the first arc of u plus the count of u's neighbours below v in
+the graph's padded rows, which the searches read too.
 The coset graphs always take the certificate (H fixes vertex 0 and is
 transitive on its neighbours Hah); the wreath actions take the arc orbit,
 since of their generators only b fixes vertex 0.
@@ -42,7 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from tetrasym.cosetgraph import Graph, VertexAction, _carries, _distinct
+from tetrasym.cosetgraph import (Graph, VertexAction, _carries, _distinct,
+                                 _levels)
 from tetrasym.permgrp import PermGroup, Permutation, orbit_labels
 
 __all__ = [
@@ -50,6 +52,13 @@ __all__ = [
     "quotient_by_subgroup_orbits", "local_group", "is_block",
     "isomorphic", "automorphism_group_order", "verify_arc_transitive",
 ]
+
+# Vertex caps of the searches.  AUT_CAP is gamma t=7, the largest member
+# with a live criterion-11 row.  The wreath graphs bound it: their search is
+# one level per fibre, and wreath:r=1792 at this cap takes about 6 s and
+# 320 MB.
+AUT_CAP = 3584
+ISO_CAP = 5000  # the isomorphism searches (criteria 8 and 12)
 
 
 def _check_on(g: Graph, action: VertexAction):
@@ -88,52 +97,35 @@ def _shortest_cycle_from(rows, root: int, best):
     parent-edge exclusion, cut off once no cycle shorter than best can be
     found; None while no cycle is known.
 
-    The BFS runs one level at a time over the graph's rows (padded with n).
-    From level d, an arc inside the level closes a cycle of length 2d+1,
-    and two arcs to one new vertex close one of 2d+2.  (An arc from a vertex
-    to level d-1 other than its parent is one of two arcs that found it.)"""
-    n = len(rows)
-    dist = np.full(n + 1, -1, dtype=np.int64)
-    dist[n] = -2  # the padding
-    dist[root] = 0
-    frontier, d = np.array([root]), 0
-    while len(frontier) and (best is None or 2 * d < best):
-        heads = rows[frontier]
-        at = dist[heads]
-        fresh, counts = np.unique(heads[at == -1], return_counts=True)
-        cycle = (2 * d + 1 if (at == d).any()
-                 else 2 * d + 2 if (counts > 1).any() else None)
+    The BFS is _levels over the graph's rows.  From level d, an arc inside
+    the level closes a cycle of length 2d+1, and two arcs to one new vertex
+    close one of 2d+2.  (An arc from a vertex to level d-1 other than its
+    parent is one of two arcs that found it.)  No level past d can close a
+    cycle shorter than 2d+2."""
+    dist = np.full(len(rows) + 1, -1, dtype=np.int64)
+    for d, (_, at, repeats) in enumerate(_levels(rows, root, dist)):
+        cycle = 2 * d + 1 if (at == d).any() else 2 * d + 2 if repeats else None
         if cycle is not None and (best is None or cycle < best):
             best = cycle
-        d += 1
-        dist[fresh] = d
-        frontier = fresh
+        if best is not None and 2 * d + 2 >= best:
+            break
     return best
 
 
 def is_bipartite(g: Graph) -> bool:
-    """True iff no BFS level holds both ends of an edge: a BFS one level at
-    a time over the rows, from the least vertex of each component not yet
-    reached, that stops at the first arc inside a level."""
-    rows, n = g.rows, g.n
-    level = np.full(n + 1, -1, dtype=np.int64)
-    level[n] = -2  # the padding
+    """True iff no BFS level holds both ends of an edge: _levels from the
+    least vertex of each component not yet reached, over one level array,
+    stopped at the first arc inside a level."""
+    dist = np.full(g.n + 1, -1, dtype=np.int64)
     start = 0
     while True:
-        unreached = level[start:n] == -1
+        unreached = dist[start:g.n] == -1
         if not unreached.any():
             return True
         start += int(unreached.argmax())
-        level[start] = 0
-        frontier, d = np.array([start]), 0
-        while len(frontier):
-            heads = rows[frontier]
-            at = level[heads]
+        for d, (_, at, _) in enumerate(_levels(g.rows, start, dist)):
             if (at == d).any():
                 return False
-            d += 1
-            frontier = _distinct(heads[at == -1])
-            level[frontier] = d
 
 
 @dataclass(frozen=True)
@@ -471,11 +463,12 @@ def _automorphisms(pad):
     return gens, order
 
 
-def isomorphic(g1: Graph, g2: Graph, cap: int = 5000):
+def isomorphic(g1: Graph, g2: Graph):
     """A vertex bijection g1 -> g2 preserving adjacency, or None if the two
-    graphs are certifiably non-isomorphic."""
-    if g1.n > cap or g2.n > cap:
-        raise ValueError("isomorphism search capped at %d vertices" % cap)
+    graphs are certifiably non-isomorphic.  Refuses graphs above ISO_CAP
+    vertices."""
+    if g1.n > ISO_CAP or g2.n > ISO_CAP:
+        raise ValueError("isomorphism search capped at %d vertices" % ISO_CAP)
     if g1.n != g2.n or g1.num_edges != g2.num_edges:
         return None
     if not np.array_equal(np.sort(g1.degrees), np.sort(g2.degrees)):
@@ -491,11 +484,12 @@ def isomorphic(g1: Graph, g2: Graph, cap: int = 5000):
     return None if found is None else Permutation._unchecked(tuple(found.tolist()))
 
 
-def automorphism_group_order(g: Graph, cap: int = 100) -> int:
+def automorphism_group_order(g: Graph) -> int:
     """Exact |Aut(g)|, by orbit-stabiliser along the first path of the
-    refinement tree (see _automorphisms)."""
-    if g.n > cap:
-        raise ValueError("automorphism search capped at %d vertices" % cap)
+    refinement tree (see _automorphisms).  Refuses graphs above AUT_CAP
+    vertices."""
+    if g.n > AUT_CAP:
+        raise ValueError("automorphism search capped at %d vertices" % AUT_CAP)
     return _automorphisms(g.rows)[1]
 
 

@@ -281,7 +281,7 @@ def test_reports_give_build_time_and_peak_rss(capsys):
 def test_verify_cover_above_iso_cap_skips(capsys, monkeypatch):
     # a valid member whose z-quotient (48 vertices here) is above the
     # isomorphism cap gets a skip row, not a usage error
-    monkeypatch.setattr(cli, "_ISO_CAP", 40)
+    monkeypatch.setattr(graphalg, "ISO_CAP", 40)
     skip = {"name": "cover", "skipped": True,
             "reason": "z-quotient above the 40-vertex isomorphism cap"}
     code, out, _ = run(capsys, "verify", "gamma:t=3,sign=minus", "--checks", "cover")
@@ -305,12 +305,12 @@ def test_cover_skip_never_builds_the_quotient(monkeypatch):
         return quotient(*args)
 
     monkeypatch.setattr(graphalg, "quotient_by_subgroup_orbits", counting)
-    monkeypatch.setattr(cli, "_ISO_CAP", 47)
+    monkeypatch.setattr(graphalg, "ISO_CAP", 47)
     assert family_checks(build, ["cover"]) == [
         {"name": "cover", "skipped": True,
          "reason": "z-quotient above the 47-vertex isomorphism cap"}]
     assert built == []
-    monkeypatch.setattr(cli, "_ISO_CAP", 48)
+    monkeypatch.setattr(graphalg, "ISO_CAP", 48)
     rows = family_checks(build, ["cover"])
     assert [(r["name"], r["actual"], r["pass"]) for r in rows] == [
         ("cover", (2, True, True), True)]

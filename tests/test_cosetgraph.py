@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import numbers
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,16 @@ def test_graph_rejects_loops():
         Graph.from_edges(2, [(0, 0)])
 
 
+@pytest.mark.parametrize("edge, message", [
+    ((0, 5), "neighbour 5 out of range"),
+    ((5, 0), "neighbour 5 out of range"),
+    ((0, -1), "neighbour -1 out of range"),
+])
+def test_graph_from_edges_names_an_end_out_of_range(edge, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        Graph.from_edges(3, [edge])
+
+
 def test_graph_rejects_asymmetric_adjacency():
     with pytest.raises(ValueError):
         Graph(2, ((1,), ()))
@@ -49,7 +60,12 @@ def test_graph_rejects_unsorted_neighbours():
 
 def _scalar_graph_error(n, adj):
     """The first error of a vertex-by-vertex validation, the oracle for the
-    array checks: None for a valid adjacency."""
+    array checks: None for a valid adjacency.  An id that is not an integer
+    is named before any other fault."""
+    for nbrs in adj:
+        for v in nbrs:
+            if not isinstance(v, numbers.Integral):
+                return "neighbour %s not an integer" % v
     for u, nbrs in enumerate(adj):
         if list(nbrs) != sorted(set(nbrs)):
             return "neighbour list of %d not sorted/duplicate-free" % u
@@ -71,6 +87,7 @@ def _scalar_graph_error(n, adj):
     (((1,), (0, 1), ()), "loop at vertex 1"),
     (((1,), (0, 2), (1,), (2,)), "edge 3-2 not symmetric"),
     (((1, 2), (0,), ()), "edge 0-2 not symmetric"),
+    (((1.5,), (0,)), "neighbour 1.5 not an integer"),
 ])
 def test_graph_names_the_first_malformed_vertex(adj, message):
     assert _scalar_graph_error(len(adj), adj) == message
@@ -697,11 +714,16 @@ def test_graph_from_rows_equals_graph_from_tuples(spec):
     ([[-1, 1], [0, 2], [0, 1]], "neighbour -1 out of range"),
     ([[1, 3], [0, 2], [1, 3], [0, 1]], "edge 2-3 not symmetric"),
     ([[1, 2], [0, 2], [0, 3], [1, 2]], "edge 1-2 not symmetric"),
+    ([[1.7], [0.2]], "neighbour 1.7 not an integer"),
 ])
 def test_graph_from_rows_names_the_first_malformed_vertex(rows, message):
     adj = tuple(map(tuple, rows))
     assert _scalar_graph_error(len(adj), adj) == message
-    for given in (adj, np.array(rows, np.int64), np.array(rows, np.int32)):
+    # np.array(rows) keeps float ids float; an int32 copy would truncate them
+    forms = [adj, np.array(rows)]
+    if forms[1].dtype == np.int64:
+        forms.append(np.array(rows, np.int32))
+    for given in forms:
         with pytest.raises(ValueError, match="^%s$" % message):
             Graph(len(rows), given)
 

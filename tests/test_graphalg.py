@@ -512,8 +512,9 @@ def test_aut_order_invariant_under_relabelling(images):
 
 
 def test_aut_cap():
-    g = Graph.from_edges(101, [(i, i + 1) for i in range(100)])
-    with pytest.raises(ValueError):
+    n = graphalg.AUT_CAP + 1
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    with pytest.raises(ValueError, match="capped at %d vertices" % graphalg.AUT_CAP):
         automorphism_group_order(g)
 
 
