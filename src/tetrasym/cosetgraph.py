@@ -32,8 +32,12 @@ an int image array; a Permutation given in its place is read through
 neighbourhood onto the neighbourhood of the image.
 
 ``_levels`` is the one BFS over a graph's padded rows, one level at a time:
-``sphere`` reads a level's vertices, and girth and bipartiteness
-(``graphalg``) read the levels of each level's arcs.
+``sphere`` reads a level's vertices, and girth (``graphalg``) reads the
+levels of each level's arcs.  The explorer's own BFS levels serve
+bipartiteness: it numbers the vertices level by level from vertex 0, so the
+sizes of its levels give every vertex's distance from vertex 0.  A build
+hands the sizes to its graph (``Graph._take_levels``), and
+``graphalg.is_bipartite`` reads them instead of running ``_levels``.
 """
 
 from __future__ import annotations
@@ -95,11 +99,17 @@ class Graph:
     builds label their vertices.  Two graphs are equal when their vertex
     counts, adjacency lists and labels are; a graph is equal to itself
     without a read of its labels.  Graphs are immutable.
+
+    ``_level_sizes`` is None, or the sizes of the BFS levels from vertex 0
+    of a graph whose vertices are numbered level by level, as a coset build
+    numbers them and hands them over (``_take_levels``).  Equality and the
+    hash ignore it.
     """
 
     def __init__(self, n: int, adj, labels=None):
         given = "rows" if isinstance(adj, np.ndarray) else "adj"
-        self.__dict__.update({"n": n, given: adj, "_labels": labels})
+        self.__dict__.update({"n": n, given: adj, "_labels": labels,
+                              "_level_sizes": None})
         # the validation keeps the name it had when Graph was a dataclass;
         # bench/spans.py times it under that name
         self.__post_init__()
@@ -123,9 +133,13 @@ class Graph:
             try:
                 rows[real] = np.fromiter(map(index, chain.from_iterable(adj)),
                                          np.int64, int(degree.sum()))
-            except TypeError:
-                bad = [v for v in chain.from_iterable(adj) if not hasattr(v, "__index__")]
-                raise ValueError("neighbour %s not an integer" % bad[0]) from None
+            except (TypeError, OverflowError):
+                ids = list(chain.from_iterable(adj))
+                bad = [v for v in ids if not hasattr(v, "__index__")]
+                if bad:
+                    raise ValueError("neighbour %s not an integer" % bad[0]) from None
+                # ids beyond int64, clipped to -1 or n, fail the range check
+                rows[real] = [min(max(index(v), -1), n) for v in ids]
         else:
             adj = rows = self.rows
             if rows.ndim != 2 or len(rows) != n:
@@ -149,6 +163,14 @@ class Graph:
         self.__dict__["rows"] = rows
         if not callable(self._labels):
             self._check_labels(self._labels)
+
+    def _take_levels(self, sizes: tuple):
+        """Take the vertices as numbered level by level in a BFS from vertex
+        0, level d holding ``sizes[d]`` of them, which the caller has proved
+        (a coset build's explorer numbers them so)."""
+        if sum(sizes) != self.n:
+            raise ValueError("level sizes sum to %d, not n = %d" % (sum(sizes), self.n))
+        self.__dict__["_level_sizes"] = tuple(sizes)
 
     def _check_labels(self, labels):
         if labels is not None and len(labels) != self.n:
@@ -218,6 +240,8 @@ class Graph:
         nbrs = [set() for _ in range(n)]
         for u, v in edges:
             for end in (u, v):
+                if not hasattr(end, "__index__"):
+                    raise ValueError("neighbour %s not an integer" % end)
                 if not 0 <= end < n:
                     raise ValueError("neighbour %d out of range" % end)
             if u == v:
@@ -485,9 +509,13 @@ class CosetGraphBuild:
     The build has reached every coset from H, which proves the action
     transitive; the action's group takes that as given
     (``PermGroup._take_as_transitive``): its orbit labels are all zero and
-    its chain's first level is the whole vertex set."""
+    its chain's first level is the whole vertex set.  The explorer numbered
+    the vertices one BFS level at a time from vertex 0, and the graph takes
+    the sizes of those levels (``Graph._take_levels``), from which
+    bipartiteness is read."""
 
-    def __init__(self, iface: GroupIface, a_elt, reps, index: tuple, adj):
+    def __init__(self, iface: GroupIface, a_elt, reps, index: tuple, adj,
+                 level_sizes: tuple):
         self.iface = iface
         self.a_elt = a_elt
         self._reps = reps  # array form, in vertex order
@@ -498,6 +526,7 @@ class CosetGraphBuild:
             def labels():
                 return tuple(map(iface.label, iface.form.unpack(reps)))
         self.graph = Graph(len(reps), adj, labels)
+        self.graph._take_levels(level_sizes)
         # build_coset_graph reached |G|/|H| cosets, so <H, a> has order
         # iface.order, and the action is a homomorphic image of <H, a>; it
         # reached them all from H by right multiplication with H's
@@ -663,8 +692,10 @@ def _explore(iface: GroupIface, a_elt):
     array, _CHUNK rows at a time, sorts each row and checks that it holds
     |HaH|/|H| distinct neighbours, so a bad triple raises at its least bad
     vertex.
-    Returns (reps, (sorted keys, their vertices), adj): the array form of
-    the representatives and an (n, valency) array of sorted neighbour ids.
+    Returns (reps, (sorted keys, their vertices), adj, level_sizes): the
+    array form of the representatives, an (n, valency) array of sorted
+    neighbour ids and the number of vertices of each BFS level, which hold
+    consecutive ids from vertex 0 on.
     It explores whatever it is given: the families decide what may be built.
     """
     form, canon = iface.form, _canon_of(iface)
@@ -699,6 +730,7 @@ def _explore(iface: GroupIface, a_elt):
         reps.append(frontier)
         n += len(order)
     adj = _drain(adj)
+    level_sizes = tuple(map(len, reps[:-1]))  # the last frontier is empty
     for start in range(0, n, _CHUNK):
         rows = adj[start:start + _CHUNK]
         rows.sort(axis=1)
@@ -708,7 +740,7 @@ def _explore(iface: GroupIface, a_elt):
             raise ValueError("neighbour count %d != %d at vertex %d: "
                              "bad (G, H, a) triple" % (
                                  valency[bad[0]], len(steps), start + bad[0]))
-    return _drain(reps), (known, vids), adj
+    return _drain(reps), (known, vids), adj, level_sizes
 
 
 # bench/spans.py wraps this name on every benchmark run; it stays an alias
@@ -723,7 +755,7 @@ def build_coset_graph(iface: GroupIface, a_elt) -> CosetGraphBuild:
     the explored vertex count differs from |G|/|H| (either one signals a bad
     triple, or an ``iface.canon`` that is not constant on cosets), or if
     a^-1 is not in HaH (the graph then has an edge that is not symmetric)."""
-    reps, index, adj = _explore(iface, a_elt)
+    reps, index, adj, level_sizes = _explore(iface, a_elt)
     if adj.shape[1] != 4:
         raise ValueError("neighbour count %d != 4 at vertex 0: bad (G, H, a) "
                          "triple" % adj.shape[1])
@@ -732,7 +764,7 @@ def build_coset_graph(iface: GroupIface, a_elt) -> CosetGraphBuild:
         raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
                          "proper subgroup, or canon is not constant on cosets"
                          % (len(reps), n_expected))
-    return CosetGraphBuild(iface, a_elt, reps, index, adj)
+    return CosetGraphBuild(iface, a_elt, reps, index, adj, level_sizes)
 
 
 def validate_corefree(build: CosetGraphBuild) -> bool:

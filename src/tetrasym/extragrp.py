@@ -63,9 +63,8 @@ import numpy as np
 
 __all__ = [
     "PLUS", "MINUS", "SIGNS", "MAX_T",
-    "EVec", "evec_mul", "evec_inv", "conj_by_a", "conj_by_b",
-    "GElt", "ExtensionGroup", "extension_group",
-    "SubgroupH", "double_coset_contains",
+    "EVec", "evec_mul", "evec_inv",
+    "GElt", "ExtensionGroup", "extension_group", "SubgroupH",
 ]
 
 PLUS = "plus"
@@ -123,28 +122,6 @@ def evec_inv(u: EVec) -> EVec:
     # u*u = z^c with c = sum_j u_{j+t} u_j, hence u^-1 = u * z^c.
     c = ((u.v >> u.t) & u.v & ((1 << u.t) - 1)).bit_count() & 1
     return EVec(u.t, u.v, u.z ^ c)
-
-
-def _remap(u: EVec, index_map) -> EVec:
-    """Apply the automorphism sending x_i to x_{index_map(i)} (and fixing z)
-    by decomposing u into its sorted generator word, mapping each letter and
-    remultiplying, so all reordering z-contributions come from evec_mul."""
-    acc = EVec(u.t, 0, u.z)
-    for i in u.support():
-        acc = evec_mul(acc, EVec(u.t, 1 << index_map(i), 0))
-    return acc
-
-
-def conj_by_a(u: EVec) -> EVec:
-    """Image of u under x_i -> x_{i+1 mod 2t}."""
-    two_t = 2 * u.t
-    return _remap(u, lambda i: (i + 1) % two_t)
-
-
-def conj_by_b(u: EVec) -> EVec:
-    """Image of u under x_i -> x_{t-1-i mod 2t}."""
-    t, two_t = u.t, 2 * u.t
-    return _remap(u, lambda i: (t - 1 - i) % two_t)
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +448,3 @@ class SubgroupH:
 
     def __len__(self):
         return len(self.elements)
-
-
-def double_coset_contains(H: SubgroupH, mid: GElt, probe: GElt) -> bool:
-    """True iff probe lies in the double coset {h1^mid * h2 : h1, h2 in H},
-    with h^mid = mid^(-1) * h * mid.  Enumerates all |H|^2 products."""
-    grp = H.group
-    if mid.group is not grp or probe.group is not grp:
-        raise ValueError("parameter mismatch")
-    mid_inv = grp.inv_code(mid.code)
-    conj = [grp.mul_code(grp.mul_code(mid_inv, h.code), mid.code) for h in H.elements]
-    target = probe.code
-    h_codes = [h.code for h in H.elements]
-    for c in conj:
-        for h2 in h_codes:
-            if grp.mul_code(c, h2) == target:
-                return True
-    return False

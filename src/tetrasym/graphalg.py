@@ -2,10 +2,14 @@
 quotients and covers, local groups, blocks of imprimitivity, isomorphism and
 automorphism-group orders at desk scale.
 
-Girth and bipartiteness read the levels of the one BFS over a graph's
-padded rows (``cosetgraph._levels``).  Girth runs it from one root per
-vertex orbit of a given action (every vertex without one): from vertex 0
-alone for a coset graph, whose build has proved its action transitive.
+Girth reads the levels of the one BFS over a graph's padded rows
+(``cosetgraph._levels``), from one root per vertex orbit of a given action
+(every vertex without one): from vertex 0 alone for a coset graph, whose
+build has proved its action transitive.  Bipartiteness compares the BFS
+level of each vertex with its neighbours' in one pass over the rows.  A
+coset graph's levels are the build's own, expanded from the sizes its
+explorer handed over, so no second BFS runs; any other graph's come from
+``_levels`` over each component.
 Arc-transitivity is certified locally when it can be: a group that is
 transitive on the vertices, and whose generators fixing vertex 0 are
 transitive on its neighbours, maps every arc to an arc at 0 and that onto
@@ -43,8 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from tetrasym.cosetgraph import (Graph, VertexAction, _carries, _distinct,
-                                 _levels)
+from tetrasym.cosetgraph import (_CHUNK, Graph, VertexAction, _carries,
+                                 _distinct, _levels)
 from tetrasym.permgrp import PermGroup, Permutation, orbit_labels
 
 __all__ = [
@@ -113,19 +117,42 @@ def _shortest_cycle_from(rows, root: int, best):
 
 
 def is_bipartite(g: Graph) -> bool:
-    """True iff no BFS level holds both ends of an edge: _levels from the
-    least vertex of each component not yet reached, over one level array,
-    stopped at the first arc inside a level."""
+    """True iff no BFS level holds both ends of an edge: one pass over the
+    rows, _CHUNK at a time, that compares each vertex's level with its
+    neighbours' (_bfs_levels) and stops at the first slice holding an arc
+    inside a level."""
+    levels, rows = _bfs_levels(g), g.rows
+    for start in range(0, g.n, _CHUNK):
+        part = rows[start:start + _CHUNK]
+        if (levels[part] == levels[start:start + len(part), None]).any():
+            return False
+    return True
+
+
+def _bfs_levels(g: Graph) -> np.ndarray:
+    """The BFS level of each vertex, from the least vertex of its
+    component, and after them a pad slot that no level equals.
+
+    A coset build's graph has the sizes of its levels from vertex 0
+    (``Graph._level_sizes``), expanded by one np.repeat into the smallest
+    signed type that holds the pad's level, one past the deepest.  Any
+    other graph's levels are those _levels writes from the least vertex of
+    each component not yet reached, the pad at -2."""
+    sizes = g._level_sizes
+    if sizes is not None:
+        # the pad's level is len(sizes), which a signed type holding
+        # -len(sizes) - 1 holds
+        dtype = np.min_scalar_type(-len(sizes) - 1)
+        return np.repeat(np.arange(len(sizes) + 1, dtype=dtype), sizes + (1,))
     dist = np.full(g.n + 1, -1, dtype=np.int64)
     start = 0
     while True:
         unreached = dist[start:g.n] == -1
         if not unreached.any():
-            return True
+            return dist
         start += int(unreached.argmax())
-        for d, (_, at, _) in enumerate(_levels(g.rows, start, dist)):
-            if (at == d).any():
-                return False
+        for _ in _levels(g.rows, start, dist):
+            pass
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ def test_graph_rejects_loops():
     ((0, 5), "neighbour 5 out of range"),
     ((5, 0), "neighbour 5 out of range"),
     ((0, -1), "neighbour -1 out of range"),
+    ((0, 1.5), "neighbour 1.5 not an integer"),
 ])
 def test_graph_from_edges_names_an_end_out_of_range(edge, message):
     with pytest.raises(ValueError, match="^%s$" % message):
@@ -88,6 +89,10 @@ def _scalar_graph_error(n, adj):
     (((1,), (0, 2), (1,), (2,)), "edge 3-2 not symmetric"),
     (((1, 2), (0,), ()), "edge 0-2 not symmetric"),
     (((1.5,), (0,)), "neighbour 1.5 not an integer"),
+    # ids beyond int64
+    (((2 ** 70,), (0,)), "neighbour 1180591620717411303424 out of range"),
+    (((1,), (2 ** 70, 0)), "neighbour list of 1 not sorted/duplicate-free"),
+    (((1,), (0, -2 ** 70)), "neighbour list of 1 not sorted/duplicate-free"),
 ])
 def test_graph_names_the_first_malformed_vertex(adj, message):
     assert _scalar_graph_error(len(adj), adj) == message

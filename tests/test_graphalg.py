@@ -354,6 +354,69 @@ def test_bipartite_matches_odd_cycle_search(g):
     assert is_bipartite(g) == (not has_odd_cycle)
 
 
+# every coset member of the default matrix, crs(9, 7), whose cosets have
+# bytewise keys, and gamma t=7 in both signs
+_COSET_MEMBERS = ([spec for spec in _MATRIX_MEMBERS if not spec.startswith("wreath")]
+                  + ["crs:r=9,s=7", "gamma:sign=plus,t=7", "gamma:sign=minus,t=7"])
+
+
+@pytest.mark.parametrize("spec", _COSET_MEMBERS)
+def test_bipartiteness_reads_the_build_levels(spec):
+    g = build_family(FamilySpec.parse(spec)).graph
+    dist = np.full(g.n + 1, -1, dtype=np.int64)
+    for _ in graphalg._levels(g.rows, 0, dist):
+        pass
+    levels = graphalg._bfs_levels(g)
+    assert levels.dtype == np.int8
+    assert np.array_equal(levels[:-1], dist[:-1])
+    # the pad slot is one level past the deepest
+    assert levels[-1] == len(g._level_sizes) == dist.max() + 1
+    copy = g.relabelled(np.random.default_rng(0).permutation(g.n))
+    assert copy._level_sizes is None
+    assert is_bipartite(g) == tuple_is_bipartite(g)
+    assert is_bipartite(copy) == tuple_is_bipartite(copy)
+
+
+def test_graph_equality_ignores_the_level_sizes():
+    g = build_family(FamilySpec.parse("gamma:t=3,sign=minus")).graph
+    plain = Graph(g.n, g.rows, g.labels)
+    assert plain._level_sizes is None and g._level_sizes is not None
+    assert plain == g and hash(plain) == hash(g)
+    with pytest.raises(ValueError, match="^level sizes sum to 3, not n = 96$"):
+        plain._take_levels((1, 2))
+
+
+def test_bipartite_runs_no_bfs_on_a_coset_graph(monkeypatch):
+    roots = []
+    levels = graphalg._levels
+
+    def counting(rows, root, dist):
+        roots.append(root)
+        return levels(rows, root, dist)
+
+    monkeypatch.setattr(graphalg, "_levels", counting)
+    assert is_bipartite(build_family(FamilySpec.parse("gamma:t=3,sign=minus")).graph)
+    assert not is_bipartite(build_family(FamilySpec.parse("delta:m=2")).graph)
+    assert roots == []
+    # a 6-cycle, a 5-cycle, an isolated vertex and an edge: one BFS each
+    g = disjoint_union(disjoint_union(cycle_graph(6), cycle_graph(5)),
+                       Graph.from_edges(3, [(1, 2)]))
+    assert not is_bipartite(g)
+    assert roots == [0, 6, 11, 12]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7])
+def test_bipartite_does_not_depend_on_the_rows_per_slice(monkeypatch, chunk):
+    monkeypatch.setattr(graphalg, "_CHUNK", chunk)
+    graphs = [build_family(FamilySpec.parse(spec)).graph
+              for spec in ("gamma:t=2,sign=minus", "crs:r=5,s=2", "crs:r=6,s=3")]
+    graphs += [g.relabelled(np.random.default_rng(1).permutation(g.n)) for g in graphs]
+    # the odd cycle lies in the last slice
+    graphs += [disjoint_union(cycle_graph(6), cycle_graph(5)), cycle_graph(11)]
+    for g in graphs:
+        assert is_bipartite(g) == tuple_is_bipartite(g)
+
+
 # -- quotients -------------------------------------------------------------------
 
 def wreath4():
