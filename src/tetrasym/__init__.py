@@ -4,8 +4,7 @@ arc-transitive graphs with large vertex-stabilisers."""
 from tetrasym.cosetgraph import (Graph, GroupIface, VertexAction,
                                  build_coset_graph, sphere,
                                  validate_corefree)
-from tetrasym.extragrp import (EVec, ExtensionGroup, GElt, SubgroupH,
-                               extension_group)
+from tetrasym.extragrp import EVec, ExtensionGroup, GElt, extension_group
 from tetrasym.families import (FamilySpec, build_family, delta, gamma,
                                praeger_xu_coset, praeger_xu_direct,
                                wreath_graph)
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Permutation", "PermGroup",
-    "EVec", "GElt", "ExtensionGroup", "SubgroupH", "extension_group",
+    "EVec", "GElt", "ExtensionGroup", "extension_group",
     "Graph", "GroupIface", "VertexAction", "build_coset_graph", "sphere",
     "validate_corefree",
     "FamilySpec", "build_family", "wreath_graph", "praeger_xu_direct",

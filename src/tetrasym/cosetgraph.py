@@ -50,8 +50,8 @@ from operator import index
 import numpy as np
 
 from tetrasym.extragrp import GElt
-from tetrasym.permgrp import (PermGroup, Permutation, min_rows, mul_rows,
-                              row_keys)
+from tetrasym.permgrp import (PermGroup, Permutation, _bijection, min_rows,
+                              mul_rows, row_keys)
 
 __all__ = [
     "Graph", "VertexAction", "GroupIface", "CosetGraphBuild",
@@ -90,8 +90,9 @@ class Graph:
     the coset builder makes it).  Either way it is validated and kept as
     ``rows``, an (n, maximum degree) int64 array: row u holds u's neighbours
     in increasing order, padded on the right with n.  ``adj``, the neighbour
-    tuples, is the given tuple, or is made from ``rows`` on its first read;
-    the checks read ``rows``, and the exports read ``edges()``.
+    tuples, is the given adjacency as tuples (not the caller's lists), or
+    is made from ``rows`` on its first read; the checks read ``rows``, and
+    the exports read ``edges()``.
 
     ``labels`` names the vertices, or is None.  It may be given as a
     function of no arguments that returns the names: the function is called
@@ -107,9 +108,9 @@ class Graph:
     """
 
     def __init__(self, n: int, adj, labels=None):
-        given = "rows" if isinstance(adj, np.ndarray) else "adj"
-        self.__dict__.update({"n": n, given: adj, "_labels": labels,
-                              "_level_sizes": None})
+        given = ({"rows": adj} if isinstance(adj, np.ndarray)
+                 else {"adj": tuple(map(tuple, adj))})
+        self.__dict__.update(given, n=n, _labels=labels, _level_sizes=None)
         # the validation keeps the name it had when Graph was a dataclass;
         # bench/spans.py times it under that name
         self.__post_init__()
@@ -270,9 +271,7 @@ class Graph:
         Permutation.  Public: callers relabel a graph with it to check that
         an isomorphism-invariant computation ignores numbering."""
         n = self.n
-        images = np.asarray(perm, dtype=np.int64)
-        if not np.array_equal(np.sort(images), np.arange(n)):
-            raise ValueError("not a permutation of the %d vertices" % n)
+        images = _bijection(perm, n)
         # row images[u] holds the images of row u, sorted; the pad n stays
         rows = np.empty_like(self.rows)
         rows[images] = np.sort(np.append(images, n)[self.rows], axis=1)
@@ -288,19 +287,18 @@ class VertexAction:
 
     The generators are given as int image arrays (or Permutation objects)
     and kept as int32 arrays, ``images``.  ``group`` is the permutation
-    group they generate, made on first use and then kept, so every check on
-    this action shares one stabiliser chain (the stabiliser of vertex 0,
-    its first base point, shares the chain's lower levels).  ``order_bound``,
-    when known, is an upper bound on that group's order; its chain stops as
-    soon as it reaches it.  The action of a coset build has its group take
-    the build's proof that it is transitive, so its orbits are never
-    labelled and its chain's first level grows its orbit only when read.
-    Actions are immutable.
+    group they generate, which checks that each is a bijection of the
+    vertices; every check on this action shares its one stabiliser chain
+    (the stabiliser of vertex 0, its first base point, shares the chain's
+    lower levels).  ``order_bound``, when known, is an upper bound on that
+    group's order; its chain stops as soon as it reaches it.  The action of
+    a coset build has its group take the build's proof that it is
+    transitive, so its orbits are never labelled and its chain's first
+    level grows its orbit only when read.  Actions are immutable.
     """
 
     def __init__(self, graph: Graph, gens, order_bound: int | None = None):
-        images = tuple(np.asarray(g, dtype=np.int32) for g in gens)
-        self.__dict__.update(graph=graph, images=images, order_bound=order_bound)
+        self.__dict__.update(graph=graph, images=tuple(gens), order_bound=order_bound)
         # named as when VertexAction was a dataclass; bench/spans.py times it
         self.__post_init__()
 
@@ -311,20 +309,12 @@ class VertexAction:
         # a map of the vertices is an automorphism exactly when it is a
         # bijection that carries each neighbourhood onto the neighbourhood
         # of the image
-        n, rows = self.graph.n, self.graph.rows
-        for images in self.images:
-            if images.shape != (n,):
-                raise ValueError("generator degree != vertex count")
-            if n and (images.min() < 0 or images.max() >= n
-                      or not (np.bincount(images, minlength=n) == 1).all()):
-                raise ValueError("generator is not a bijection of the vertices")
-            if not _carries(rows, rows, images):
+        rows = self.graph.rows
+        group = PermGroup(self.images, self.graph.n, self.order_bound)
+        for g in group.arrays():
+            if not _carries(rows, rows, g):
                 raise ValueError("generator is not a graph automorphism")
-
-    @cached_property
-    def group(self) -> PermGroup:
-        return PermGroup(self.images, degree=self.graph.n,
-                         order_bound=self.order_bound)
+        self.__dict__.update(images=tuple(group.arrays()), group=group)
 
 
 def _carries(rows1: np.ndarray, rows2: np.ndarray, mapping: np.ndarray) -> bool:
@@ -490,10 +480,6 @@ class SabidussiReport:
     connected: bool
     symmetric: bool
     valency: int
-
-    @property
-    def ok(self) -> bool:
-        return self.connected and self.symmetric and self.valency == 4
 
 
 class CosetGraphBuild:

@@ -63,8 +63,7 @@ import numpy as np
 
 __all__ = [
     "PLUS", "MINUS", "SIGNS", "MAX_T",
-    "EVec", "evec_mul", "evec_inv",
-    "GElt", "ExtensionGroup", "extension_group", "SubgroupH",
+    "EVec", "evec_mul", "GElt", "ExtensionGroup", "extension_group",
 ]
 
 PLUS = "plus"
@@ -93,14 +92,8 @@ class EVec:
     def __mul__(self, other: "EVec") -> "EVec":
         return evec_mul(self, other)
 
-    def inverse(self) -> "EVec":
-        return evec_inv(self)
-
     def is_identity(self) -> bool:
         return self.v == 0 and self.z == 0
-
-    def support(self) -> list[int]:
-        return [i for i in range(2 * self.t) if (self.v >> i) & 1]
 
 
 def evec_mul(u: EVec, w: EVec) -> EVec:
@@ -116,12 +109,6 @@ def evec_mul(u: EVec, w: EVec) -> EVec:
     t = u.t
     cross = (u.v >> t) & w.v & ((1 << t) - 1)
     return EVec(t, u.v ^ w.v, u.z ^ w.z ^ (cross.bit_count() & 1))
-
-
-def evec_inv(u: EVec) -> EVec:
-    # u*u = z^c with c = sum_j u_{j+t} u_j, hence u^-1 = u * z^c.
-    c = ((u.v >> u.t) & u.v & ((1 << u.t) - 1)).bit_count() & 1
-    return EVec(u.t, u.v, u.z ^ c)
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +134,6 @@ class GElt:
     @property
     def sign(self) -> str:
         return self.group.sign
-
-    @property
-    def evec(self) -> EVec:
-        g = self.group
-        return EVec(g.t, self.code & g.vmask, (self.code >> g.two_t) & 1)
-
-    @property
-    def a_exp(self) -> int:
-        return (self.code >> self.group.kshift) & 63
-
-    @property
-    def b_exp(self) -> int:
-        return self.code >> self.group.bshift
 
     def __mul__(self, other: "GElt") -> "GElt":
         g = self.group
@@ -320,20 +294,6 @@ class ExtensionGroup:
     def b(self) -> GElt:
         return GElt(self, 1 << self.bshift)
 
-    def from_parts(self, e: EVec, k: int, beta: int) -> GElt:
-        """The element e * a^k * b^beta, for 0 <= k < 2t and beta in {0, 1}
-        (reducing k mod 2t would drop the z of a^(2t) in the minus group)."""
-        if e.t != self.t:
-            raise ValueError("parameter mismatch")
-        if not 0 <= k < self.two_t:
-            raise ValueError("a exponent out of range: %d (need 0 <= k < %d)"
-                             % (k, self.two_t))
-        if beta not in (0, 1):
-            raise ValueError("b exponent must be 0 or 1")
-        code = (e.v | (e.z << self.two_t) | (k << self.kshift)
-                | (beta << self.bshift))
-        return GElt(self, code)
-
     # -- core arithmetic on packed codes -----------------------------------
 
     def mul_code(self, p: int, q: int) -> int:
@@ -382,8 +342,9 @@ class ExtensionGroup:
 
     def inv_code(self, p: int) -> int:
         # (e a^k b^beta)^-1 = b^beta * a^-k * e^-1.  e^-1 is e with z
-        # flipped by the parity of sum_j v_{j+t} v_j (as in evec_inv), and
-        # a^-k for k > 0 is a^(2t-k), times z = a^(-2t) in the minus group.
+        # flipped by the parity of sum_j v_{j+t} v_j, since e*e is z to
+        # that power (evec_mul's cross term), and a^-k for k > 0 is
+        # a^(2t-k), times z = a^(-2t) in the minus group.
         v = p & self.vmask
         k = (p >> self.kshift) & 63
         c = ((v >> self.t) & v & self.tmask).bit_count() & 1
@@ -393,7 +354,7 @@ class ExtensionGroup:
         out = self.mul_code((p >> self.bshift) << self.bshift, a_inv)
         return self.mul_code(out, e_inv)
 
-    # -- enumeration and subgroups -----------------------------------------
+    # -- enumeration -------------------------------------------------------
 
     def elements(self):
         """Every element exactly once, ascending by packed code."""
@@ -403,12 +364,6 @@ class ExtensionGroup:
                     for v in range(1 << self.two_t):
                         yield GElt(self, v | (z << self.two_t)
                                    | (k << self.kshift) | (beta << self.bshift))
-
-    def subgroup_h(self) -> "SubgroupH":
-        """H = <x_0, ..., x_{t-1}, b>, of order 2^(t+1)."""
-        codes = sorted((v | (beta << self.bshift))
-                       for v in range(1 << self.t) for beta in (0, 1))
-        return SubgroupH(self, tuple(GElt(self, c) for c in codes))
 
     def element_order_census(self) -> dict[int, int]:
         census: Counter = Counter()
@@ -437,14 +392,3 @@ def extension_group(t: int, sign: str) -> ExtensionGroup:
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = ExtensionGroup(t, sign)
     return _GROUP_CACHE[key]
-
-
-@dataclass(frozen=True)
-class SubgroupH:
-    """The 2^(t+1)-element subgroup <x_0, ..., x_{t-1}, b>."""
-
-    group: ExtensionGroup
-    elements: tuple
-
-    def __len__(self):
-        return len(self.elements)

@@ -175,7 +175,8 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
     for gen in action.images:
         inverse = np.argsort(gen)
         for q in N.arrays():
-            if not N.contains(gen[q[inverse]]):
+            # a conjugate of checked bijections: sifted without a new check
+            if not N.chain.contains(gen[q[inverse]]):
                 raise ValueError("subgroup is not normal under the action generators")
     # the blocks are numbered in the order of their least vertices
     _, block_of, sizes = np.unique(N.orbit_labels(), return_inverse=True,

@@ -9,7 +9,7 @@ the hooks to their ends.  A class joined to another merges within two
 rounds (if all its neighbours hook below it, it hooks to them next), so an
 orbit of n points takes O(log n) rounds of O(log n) jumps, each a few
 gathers per generator.  A group labels its points once and keeps the
-labels, which its orbits, the orbit of a point, its transitivity and the
+labels, which its transitivity and the
 graph checks (girth's roots, the arc certificate) all read; the arc orbit
 labels the arcs with the same routine.  A group whose caller has proved it
 transitive (a coset build, which reaches every coset from H) starts with
@@ -39,7 +39,7 @@ above it.  The stop is exact: each partial basic orbit lies inside the true
 one, so the product is at most |G|, which is at most the bound; when the
 product equals the bound every inclusion is an equality and the chain is a
 complete base and strong generating set, so order, membership, point
-stabilisers and enumeration are exact.  A bound that is never reached (an
+stabilisers are exact.  A bound that is never reached (an
 action that is not faithful, say) leaves the run to complete as without
 one.  A bound must be a true upper bound: one below |G| that equals some
 partial product would stop the run early.  The coset-graph builder supplies
@@ -68,14 +68,15 @@ point, so the first level of a chain of a group known to be transitive is
 Order, the stabiliser of the first base point and its local action read
 nothing else of that level; only sifting through it (``contains``, the
 first level's Schreier generators when the bound is never reached, a
-chain based at another point) and enumeration grow it, and growing it
-checks that the orbit is every point.
+chain based at another point) grows it, and growing it checks that the
+orbit is every point.
 """
 
 from __future__ import annotations
 
 import threading
 from math import lcm
+from operator import index
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(map(_point, images))
         n = len(images)
         seen = bytearray(n)
         for x in images:
@@ -118,7 +119,7 @@ class Permutation:
     def from_cycles(cls, n: int, cycles) -> "Permutation":
         images = list(range(n))
         for cyc in cycles:
-            cyc = [int(x) for x in cyc]
+            cyc = [_point(x) for x in cyc]
             for x in cyc:
                 if not 0 <= x < n:
                     raise ValueError("cycle point %d out of range 0..%d" % (x, n - 1))
@@ -224,6 +225,31 @@ class Permutation:
         return self.cycle_string()
 
 
+def _point(x) -> int:
+    """x as a point id: refused, not truncated, unless it is an integer."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError("point %r is not an integer" % (x,)) from None
+
+
+def _bijection(g, n: int) -> np.ndarray:
+    """g, an integer image array or a Permutation, as an int32 array once it
+    is checked, before the narrowing, to be a bijection of 0..n-1: integer
+    ids, n of them, each in range, and every point hit (an n-byte mask)."""
+    images = np.asarray(g)
+    if images.size and images.dtype.kind not in "iu":
+        raise ValueError("not a permutation: ids of dtype %s" % images.dtype)
+    if images.shape != (n,):
+        raise ValueError("degree mismatch: shape %s vs %d points" % (images.shape, n))
+    seen = np.zeros(n, dtype=np.bool_)
+    if n and images.min() >= 0 and images.max() < n:
+        seen[images] = True
+    if not seen.all():
+        raise ValueError("not a permutation: not a bijection of 0..%d" % (n - 1))
+    return images.astype(np.int32, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # Array form: permutations on at most 256 points as unsigned-byte image rows,
 # whose bytes compare in the order Permutation.__lt__ compares image tuples
@@ -297,6 +323,14 @@ def _invert(p: np.ndarray) -> np.ndarray:
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p), dtype=p.dtype)
     return inv
+
+
+def _least_moved(g: np.ndarray, identity: np.ndarray) -> int | None:
+    """The least point that g moves, or None when g is the identity: one
+    comparison with the identity."""
+    moved = g != identity
+    at = int(moved.argmax())
+    return at if moved[at] else None
 
 
 def _blank_sv(point: int, degree: int) -> np.ndarray:
@@ -433,31 +467,27 @@ class _StabChain:
         self.degree = degree
         self.bound = bound
         self.identity = np.arange(degree, dtype=np.int32)
-        gens = [g for g in gens if not self._is_id(g)]
-        if not base_prefix and gens:
+        moved = [(g, m) for g in gens if (m := _least_moved(g, self.identity)) is not None]
+        if not base_prefix and moved:
             # the least moved point: vertex 0 of a transitive action
-            base_prefix = (min(int(np.argmax(g != self.identity)) for g in gens),)
+            base_prefix = (min(m for _, m in moved),)
         self.levels: list[_Level] = [
             _Level(b, self.identity, whole=transitive and not k)
             for k, b in enumerate(base_prefix)]
-        for g in gens:
-            self._insert_gen(g, 0)
+        for g, m in moved:
+            self._insert_gen(g, m, 0)
         self._run()
 
-    def _is_id(self, g: np.ndarray) -> bool:
-        return bool((g == self.identity).all())
-
-    def _insert_gen(self, g: np.ndarray, lo: int) -> int:
-        """Add strong generator g to levels lo..j and return j: the first
-        level whose base point g moves, or a new last level based at g's
-        least moved point when g fixes them all.  Only here are levels
-        added below those of the base prefix."""
+    def _insert_gen(self, g: np.ndarray, moved: int, lo: int) -> int:
+        """Add strong generator g, whose least moved point is ``moved``, to
+        levels lo..j and return j: the first level whose base point g
+        moves, or a new last level based at ``moved`` when g fixes them
+        all.  Only here are levels added below those of the base prefix."""
         j = next((k for k in range(lo, len(self.levels))
                   if g[self.levels[k].point] != self.levels[k].point),
                  len(self.levels))
         if j == len(self.levels):
-            self.levels.append(_Level(int(np.argmax(g != self.identity)),
-                                      self.identity))
+            self.levels.append(_Level(moved, self.identity))
         for lv in self.levels[lo:j + 1]:
             lv.add_gen(g)
         return j
@@ -489,15 +519,16 @@ class _StabChain:
     def _run(self):
         i = len(self.levels) - 1
         while not self._complete() and i >= 0:
-            residue = self._process_level(i)
-            if residue is None:
+            found = self._process_level(i)
+            if found is None:
                 i -= 1
             else:
-                i = self._insert_gen(residue, i + 1)
+                i = self._insert_gen(*found, i + 1)
 
     def _process_level(self, i: int):
         """Sift the Schreier generators u_p * s * u_q^-1 of level i, in orbit
-        then generator order, until one leaves a non-identity residue."""
+        then generator order, until one leaves a non-identity residue;
+        returns it with its least moved point, or None."""
         lv = self.levels[i].grown()
         gens, done = lv.gens, lv.done
         while lv.cursor < len(lv.orbit):
@@ -512,8 +543,9 @@ class _StabChain:
                     continue  # u_q = u_p * s: a trivial Schreier generator
                 residue = self._strip(
                     _compose(_compose(lv.u(p), s), lv.u_inv(q)), i + 1)
-                if not self._is_id(residue):
-                    return residue
+                moved = _least_moved(residue, self.identity)
+                if moved is not None:
+                    return residue, moved
             lv.cursor += 1
         return None
 
@@ -524,7 +556,7 @@ class _StabChain:
         return n
 
     def contains(self, g: np.ndarray) -> bool:
-        return self._is_id(self._strip(g, 0))
+        return _least_moved(self._strip(g, 0), self.identity) is None
 
     def strong_gens_fixing_prefix(self, k: int) -> list[np.ndarray]:
         """Strong generators of the stabiliser of the first k base points,
@@ -542,27 +574,14 @@ class _StabChain:
         tail.bound = tail.order()
         return tail
 
-    def iter_elements(self):
-        """Every group element exactly once (products along the chain)."""
-
-        def rec(k: int):
-            if k == len(self.levels):
-                yield self.identity
-                return
-            lv = self.levels[k].grown()
-            for h in rec(k + 1):
-                for p in lv.orbit.tolist():
-                    yield _compose(h, lv.u(p))
-
-        return rec(0)
 
 
 class PermGroup:
     """Group generated by a set of permutations of {0..degree-1}.
 
     The generators may be given as int image arrays or as Permutation
-    objects (taken as bijections without a check; ``VertexAction`` checks
-    its own).  The group keeps them as int32 arrays (``arrays()``).
+    objects; each is checked to be a bijection of the points and kept as
+    an int32 array (``arrays()``).
     ``order_bound``, when given, is an upper bound on the group's order: the
     chain stops once it reaches it (see the module docstring).
     The stabiliser-chain data is built lazily, at most once, behind a lock;
@@ -571,16 +590,13 @@ class PermGroup:
 
     def __init__(self, generators, degree: int | None = None,
                  order_bound: int | None = None):
-        arrays = [np.asarray(g, dtype=np.int32) for g in generators]
+        arrays = [np.asarray(g) for g in generators]
         if degree is None:
             if not arrays:
                 raise ValueError("degree required for an empty generating set")
             degree = len(arrays[0])
-        for g in arrays:
-            if len(g) != degree:
-                raise ValueError("degree mismatch: %d vs %d" % (len(g), degree))
         self.degree = degree
-        self._arrays = arrays
+        self._arrays = [_bijection(g, degree) for g in arrays]
         self.order_bound = order_bound
         self._chain: _StabChain | None = None
         self._labels: np.ndarray | None = None
@@ -617,11 +633,9 @@ class PermGroup:
         return self.chain.order()
 
     def contains(self, p) -> bool:
-        """Membership of p, an int image array or a Permutation."""
-        g = np.asarray(p, dtype=np.int32)
-        if len(g) != self.degree:
-            raise ValueError("degree mismatch: %d vs %d" % (len(g), self.degree))
-        return self.chain.contains(g)
+        """Membership of p, an int image array or a Permutation, which must
+        be a bijection of the points."""
+        return self.chain.contains(_bijection(p, self.degree))
 
     def __contains__(self, p) -> bool:
         return self.contains(p)
@@ -629,7 +643,7 @@ class PermGroup:
     def orbit_labels(self) -> np.ndarray:
         """The least point of each point's orbit, as a read-only int64
         array, labelled on the first call and then kept: the group's
-        orbits, its transitivity and the graph checks share one labelling.
+        transitivity and the graph checks share one labelling.
         A group known to be transitive labels nothing: its labels are the
         all-zero array, one value broadcast, which takes no memory.  Two
         threads that make the first call together each label the orbits and
@@ -643,22 +657,6 @@ class PermGroup:
             self._labels = labels
         return self._labels
 
-    def orbit(self, x: int) -> set:
-        """The orbit of point x."""
-        if not 0 <= x < self.degree:
-            raise ValueError("point %d out of range" % x)
-        label = self.orbit_labels()
-        return set(np.flatnonzero(label == label[x]).tolist())
-
-    def orbits(self) -> list[set]:
-        """The orbits, ordered by their least points."""
-        if not self.degree:
-            return []
-        label = self.orbit_labels()
-        order = np.argsort(label, kind="stable")
-        cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), self.degree]
-        order = order.tolist()
-        return [set(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def is_transitive(self) -> bool:
         """True iff every point lies in the orbit of point 0."""
@@ -682,8 +680,9 @@ class PermGroup:
             chain = _StabChain(self.degree, self.arrays(), (x,), bound=chain.order(),
                                transitive=self._transitive)
         tail = chain.tail(1)
-        stab = PermGroup(tail.strong_gens_fixing_prefix(0), degree=self.degree)
-        stab._chain = tail
+        # the strong generators are chain products: taken without a check
+        stab = PermGroup((), self.degree)
+        stab._arrays, stab._chain = tail.strong_gens_fixing_prefix(0), tail
         return stab
 
     def is_primitive(self) -> bool:
@@ -737,13 +736,3 @@ class PermGroup:
                 union(g[u], g[v])
         root = find(points[0])
         return frozenset(u for u in range(self.degree) if find(u) == root)
-
-    def elements(self, cap: int = 10 ** 6) -> list[Permutation]:
-        """All group elements; refuses when the order exceeds cap."""
-        n = self.order()
-        if n > cap:
-            raise ValueError("group too large to enumerate: %d > %d" % (n, cap))
-        out = [Permutation._unchecked(tuple(arr.tolist()))
-               for arr in self.chain.iter_elements()]
-        assert len(out) == n
-        return out

@@ -1,9 +1,9 @@
 """Reference implementations over the extension groups that the tests
 compare the library with and that no part of the program calls: the
-conjugation automorphisms of the 2-group part, letter by letter, and the
-double-coset test by enumeration."""
+conjugation automorphisms of the 2-group part, letter by letter, the
+subgroup H by its closed form, and the double-coset test by enumeration."""
 
-from tetrasym.extragrp import EVec, GElt, SubgroupH, evec_mul
+from tetrasym.extragrp import EVec, ExtensionGroup, GElt, evec_mul
 
 
 def _remap(u: EVec, index_map) -> EVec:
@@ -11,8 +11,9 @@ def _remap(u: EVec, index_map) -> EVec:
     by decomposing u into its sorted generator word, mapping each letter and
     remultiplying, so all reordering z-contributions come from evec_mul."""
     acc = EVec(u.t, 0, u.z)
-    for i in u.support():
-        acc = evec_mul(acc, EVec(u.t, 1 << index_map(i), 0))
+    for i in range(2 * u.t):
+        if u.v >> i & 1:
+            acc = evec_mul(acc, EVec(u.t, 1 << index_map(i), 0))
     return acc
 
 
@@ -28,16 +29,25 @@ def conj_by_b(u: EVec) -> EVec:
     return _remap(u, lambda i: (t - 1 - i) % two_t)
 
 
-def double_coset_contains(H: SubgroupH, mid: GElt, probe: GElt) -> bool:
+def subgroup_h(grp: ExtensionGroup) -> tuple:
+    """H = <x_0, ..., x_{t-1}, b>, of order 2^(t+1), as the sorted tuple of
+    its elements: x_0..x_{t-1} commute, and b permutes them."""
+    codes = sorted((v | (beta << grp.bshift))
+                   for v in range(1 << grp.t) for beta in (0, 1))
+    return tuple(GElt(grp, c) for c in codes)
+
+
+def double_coset_contains(H: tuple, mid: GElt, probe: GElt) -> bool:
     """True iff probe lies in the double coset {h1^mid * h2 : h1, h2 in H},
-    with h^mid = mid^(-1) * h * mid.  Enumerates all |H|^2 products."""
-    grp = H.group
+    H a tuple of elements, with h^mid = mid^(-1) * h * mid.  Enumerates all
+    |H|^2 products."""
+    grp = H[0].group
     if mid.group is not grp or probe.group is not grp:
         raise ValueError("parameter mismatch")
     mid_inv = grp.inv_code(mid.code)
-    conj = [grp.mul_code(grp.mul_code(mid_inv, h.code), mid.code) for h in H.elements]
+    conj = [grp.mul_code(grp.mul_code(mid_inv, h.code), mid.code) for h in H]
     target = probe.code
-    h_codes = [h.code for h in H.elements]
+    h_codes = [h.code for h in H]
     for c in conj:
         for h2 in h_codes:
             if grp.mul_code(c, h2) == target:

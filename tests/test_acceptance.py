@@ -17,11 +17,11 @@ import time
 from tetrasym import families, graphalg
 from tetrasym.cli import (evec_exhaustive_failures, gelt_exhaustive_failures,
                           mul_codes_mismatches, relation_suite)
-from tetrasym.cosetgraph import sphere, validate_corefree
+from tetrasym.cosetgraph import SabidussiReport, sphere, validate_corefree
 from tetrasym.extragrp import MINUS, PLUS, SIGNS, extension_group
 from tetrasym.permgrp import PermGroup
 
-from extragrp_reference import double_coset_contains
+from extragrp_reference import double_coset_contains, subgroup_h
 
 
 def announce(cid, name, failures):
@@ -180,7 +180,7 @@ def test_criterion_07_double_coset(fam):
     for t in (2, 3, 4, 5, 6):
         for sign in SIGNS:
             grp = extension_group(t, sign)
-            if double_coset_contains(grp.subgroup_h(), grp.a, grp.z):
+            if double_coset_contains(subgroup_h(grp), grp.a, grp.z):
                 failures.append("z in H^aH at t=%d %s" % (t, sign))
             fb = fam.gamma(t, sign)
             if fb.coset.vertex_of(grp.a * grp.z) in fb.graph.adj[0]:
@@ -317,7 +317,7 @@ def test_criterion_13_symmetric_group_suite(fam):
     if not (xs[0].conjugate(g) == xs[1] and xs[1].conjugate(g) == xs[2]):
         failures.append("conjugation by g")
     rep = fb.coset.sabidussi()
-    if not (rep.ok and validate_corefree(fb.coset)):
+    if not (rep == SabidussiReport(True, True, 4) and validate_corefree(fb.coset)):
         failures.append("coset-graph hypotheses")
     elapsed = time.time() - t0
     if elapsed > 30:

@@ -54,6 +54,17 @@ def test_graph_rejects_asymmetric_adjacency():
         Graph(2, ((1,), ()))
 
 
+def test_graph_keeps_no_reference_to_a_list_adjacency():
+    # a list of lists given as the adjacency is kept as tuples, so the
+    # caller's later edits reach neither adj nor rows
+    adj = [[1, 3], [0, 2], [1, 3], [0, 2]]
+    g = Graph(4, adj)
+    adj[0].append(2)
+    adj.append([])
+    assert g.adj == ((1, 3), (0, 2), (1, 3), (0, 2))
+    assert g.rows[0].tolist() == [1, 3]
+
+
 def test_graph_rejects_unsorted_neighbours():
     with pytest.raises(ValueError):
         Graph(3, ((2, 1), (0,), (0,)))
@@ -338,7 +349,7 @@ def test_asymmetric_triple_reported():
 def test_gamma_triples_satisfy_hypotheses(t, sign):
     grp, iface = gamma_iface(t, sign)
     build = build_coset_graph(iface, grp.a)
-    assert build.sabidussi().ok
+    assert build.sabidussi() == SabidussiReport(True, True, 4)
     assert validate_corefree(build)
     assert build.graph.n * len(iface.subgroup) == iface.order
 
@@ -754,6 +765,23 @@ def test_graph_from_rows_matches_tuple_validation(rows):
         with pytest.raises(ValueError) as err:
             Graph(len(adj), array)
         assert str(err.value) == message
+
+
+def test_vertex_maps_are_checked_before_they_are_narrowed():
+    # ids that an int32 copy would wrap or truncate into the 4-cycle's
+    # rotation [1, 2, 3, 0]
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    wrapped = np.array([2 ** 32 + 1, 2 ** 32 + 2, 2 ** 32 + 3, 2 ** 32], np.int64)
+    floats = np.array([1.9, 2.2, 3.5, 0.1])
+    with pytest.raises(ValueError, match="not a bijection"):
+        VertexAction(c4, [wrapped])
+    with pytest.raises(ValueError, match="not a permutation"):
+        VertexAction(c4, [floats])
+    for perm in (wrapped, [0.5, 1.5, 2.5, 3.5]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            c4.relabelled(perm)
+    assert VertexAction(c4, [wrapped - 2 ** 32]).images[0].tolist() == [1, 2, 3, 0]
+    assert c4.relabelled(wrapped - 2 ** 32) == c4
 
 
 def test_vertex_action_rejects_a_fold_of_two_copies_onto_one():

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrasym import cli
-from tetrasym.extragrp import (MINUS, PLUS, SIGNS, EVec, GElt, evec_inv,
-                               evec_mul, extension_group)
+from tetrasym.extragrp import (MINUS, PLUS, SIGNS, EVec, GElt, evec_mul,
+                               extension_group)
 
-from extragrp_reference import conj_by_a, conj_by_b, double_coset_contains
+from extragrp_reference import (conj_by_a, conj_by_b, double_coset_contains,
+                                subgroup_h)
 
 
 def all_evecs(t):
@@ -19,7 +20,9 @@ def all_evecs(t):
 
 
 def commutator(p, q):
-    return p.inverse() * q.inverse() * p * q
+    """[p, q] = p^-1 q^-1 p q in the 2-group part, where u^-1 = u^3: the
+    square of u is central of order at most 2."""
+    return p * p * p * (q * q * q) * p * q
 
 
 # -- EVec --------------------------------------------------------------------
@@ -43,7 +46,6 @@ def test_squares_are_identity_or_central():
     for u in all_evecs(t):
         sq = u * u
         assert sq.v == 0
-        assert (u * evec_inv(u)).is_identity()
 
 
 def test_central_swap_costs_z():
@@ -197,6 +199,7 @@ def test_group_relations(t, sign):
 def test_minus_a_inverse_normal_form(t):
     grp = extension_group(t, MINUS)
     assert grp.a.inverse() == (grp.a ** (2 * t - 1)) * grp.z
+    assert grp.a.t == t and grp.a.sign == MINUS
 
 
 @pytest.mark.parametrize("t", (2, 3, 4))
@@ -238,15 +241,15 @@ def test_range_validation():
 @pytest.mark.parametrize("sign", SIGNS)
 def test_subgroup_h_structure(t, sign):
     grp = extension_group(t, sign)
-    H = grp.subgroup_h()
+    H = subgroup_h(grp)
     assert len(H) == 2 ** (t + 1)
-    hset = frozenset(H.elements)
-    for h1 in H.elements:
-        for h2 in H.elements:
+    hset = frozenset(H)
+    for h1 in H:
+        for h2 in H:
             assert h1 * h2 in hset
     # the index-2 part spanned by x_0..x_{t-1} is elementary abelian and
     # normalized by b
-    small = [h for h in H.elements if h.b_exp == 0]
+    small = [h for h in H if h.code >> grp.bshift == 0]
     assert len(small) == 2 ** t
     for h in small:
         assert (h * h).is_identity()
@@ -257,14 +260,14 @@ def test_subgroup_h_structure(t, sign):
 @pytest.mark.parametrize("sign", SIGNS)
 def test_corefree_witness_and_arc_condition(t, sign):
     grp = extension_group(t, sign)
-    H = grp.subgroup_h()
-    hset = frozenset(H.elements)
+    H = subgroup_h(grp)
+    hset = frozenset(H)
     a = grp.a
-    conj_t = {h.conjugate(a ** t) for h in H.elements}
-    conj_1 = {h.conjugate(a) for h in H.elements}
+    conj_t = {h.conjugate(a ** t) for h in H}
+    conj_1 = {h.conjugate(a) for h in H}
     assert hset & conj_t & conj_1 == {grp.identity}
     a_inv = a.inverse()
-    assert any(h1 * a * h2 == a_inv for h1 in H.elements for h2 in H.elements)
+    assert any(h1 * a * h2 == a_inv for h1 in H for h2 in H)
 
 
 # -- double cosets -------------------------------------------------------------
@@ -273,20 +276,19 @@ def test_corefree_witness_and_arc_condition(t, sign):
 @pytest.mark.parametrize("sign", SIGNS)
 def test_central_element_avoids_double_coset(t, sign):
     grp = extension_group(t, sign)
-    H = grp.subgroup_h()
-    assert not double_coset_contains(H, grp.a, grp.z)
+    assert not double_coset_contains(subgroup_h(grp), grp.a, grp.z)
 
 
 @pytest.mark.parametrize("sign", SIGNS)
 def test_double_coset_trivial_cases(sign):
     grp = extension_group(2, sign)
-    H = grp.subgroup_h()
+    H = subgroup_h(grp)
     assert double_coset_contains(H, grp.a, grp.identity)
     assert double_coset_contains(H, grp.identity, grp.x(0))
 
 
 def test_double_coset_group_mismatch():
-    H = extension_group(2, PLUS).subgroup_h()
+    H = subgroup_h(extension_group(2, PLUS))
     other = extension_group(2, MINUS)
     with pytest.raises(ValueError):
         double_coset_contains(H, other.a, other.z)
@@ -324,27 +326,6 @@ def test_census_differs_between_signs(t):
     cm = extension_group(t, MINUS).element_order_census()
     assert sum(cp.values()) == sum(cm.values()) == t * 2 ** (2 * t + 3)
     assert cp != cm
-
-
-def test_from_parts_and_accessors():
-    grp = extension_group(3, MINUS)
-    g = grp.from_parts(EVec(3, 0b101, 1), 4, 1)
-    assert g.evec == EVec(3, 0b101, 1)
-    assert g.a_exp == 4
-    assert g.b_exp == 1
-    assert g.t == 3 and g.sign == MINUS
-
-
-def test_from_parts_rejects_unreduced_exponents():
-    # reducing k mod 2t would lose the z of a^(2t) = z in the minus group:
-    # a^6 is z and a^-1 is z*a^5 at t=3, neither of which is e*a^(k mod 6)
-    grp = extension_group(3, MINUS)
-    e = EVec(3, 0)
-    assert grp.a ** 6 == grp.z
-    assert grp.a ** -1 == grp.from_parts(EVec(3, 0, 1), 5, 0)
-    for k, beta in ((6, 0), (-1, 0), (7, 1), (0, 2), (0, -1)):
-        with pytest.raises(ValueError):
-            grp.from_parts(e, k, beta)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -475,15 +456,17 @@ def test_mul_codes_tables_stay_small():
 
 
 def _evec_word(g):
-    """g's word spelled out through EVec, as word() did before it read the
-    packed code's bits."""
-    ev = g.evec
-    parts = ["x%d" % i for i in ev.support()] + ["z"] * ev.z
-    if g.a_exp == 1:
+    """g's word spelled out field by field from the packed code's bits: the
+    x_i of its exponent bits, z, a^k and b, one letter at a time."""
+    grp, code = g.group, g.code
+    parts = ["x%d" % i for i in range(grp.two_t) if code >> i & 1]
+    parts += ["z"] * (code >> grp.two_t & 1)
+    k = code >> grp.kshift & 63
+    if k == 1:
         parts.append("a")
-    elif g.a_exp:
-        parts.append("a^%d" % g.a_exp)
-    return "*".join(parts + ["b"] * g.b_exp) or "e"
+    elif k:
+        parts.append("a^%d" % k)
+    return "*".join(parts + ["b"] * (code >> grp.bshift)) or "e"
 
 
 @pytest.mark.parametrize("t", range(2, 11))
@@ -516,9 +499,7 @@ def test_tableless_conjugation_path_at_large_t(sign):
         else:
             assert (a ** two_t).is_identity() and a.order() == 2 * t
         rng = random.Random(t)
-        els = [grp.from_parts(EVec(t, rng.randrange(1 << two_t), rng.randrange(2)),
-                              rng.randrange(two_t), rng.randrange(2))
-               for _ in range(20)]
+        els = [GElt(grp, random_code(grp, rng)) for _ in range(20)]
         for p in els:
             assert (p * p.inverse()).is_identity()
         for _ in range(300):

@@ -4,7 +4,8 @@ import re
 import pytest
 
 from tetrasym import families, graphalg
-from tetrasym.cosetgraph import Graph, sphere, validate_corefree
+from tetrasym.cosetgraph import (Graph, SabidussiReport, sphere,
+                                 validate_corefree)
 from tetrasym.extragrp import MINUS, PLUS, SIGNS
 from tetrasym.families import (FamilySpec, build_family, central_block_words,
                                delta, delta_permutations, first_sphere_words,
@@ -12,6 +13,9 @@ from tetrasym.families import (FamilySpec, build_family, central_block_words,
                                second_sphere_words, third_sphere_words,
                                wreath_graph)
 from tetrasym.permgrp import PermGroup, Permutation
+
+from extragrp_reference import subgroup_h
+from permgrp_reference import group_elements
 
 
 # -- FamilySpec ---------------------------------------------------------------
@@ -169,8 +173,7 @@ def test_crs_r3_members_have_triangles(fam):
 def test_crs_sabidussi_and_corefree(fam):
     for r, s in ((5, 2), (6, 3), (4, 3)):
         fb = fam.crs(r, s)
-        rep = fb.coset.sabidussi()
-        assert rep.ok
+        assert fb.coset.sabidussi() == SabidussiReport(True, True, 4)
         assert validate_corefree(fb.coset)
 
 
@@ -199,8 +202,7 @@ def test_gamma_counts_and_regularity(fam, t, sign):
 @pytest.mark.parametrize("t,sign", [(2, PLUS), (2, MINUS), (3, PLUS), (3, MINUS)])
 def test_gamma_hypotheses(fam, t, sign):
     fb = fam.gamma(t, sign)
-    rep = fb.coset.sabidussi()
-    assert rep.ok
+    assert fb.coset.sabidussi() == SabidussiReport(True, True, 4)
     assert validate_corefree(fb.coset)
     assert graphalg.verify_arc_transitive(fb.graph, fb.action)
 
@@ -320,8 +322,8 @@ def test_delta2_natural_action_primitive():
     perms = delta_permutations(2)
     natural = PermGroup(perms["xs"] + [perms["h"], perms["a"]])
     assert natural.order() == 40320
-    assert natural.orbit(0) == set(range(8))
-    assert len(natural.orbit(0)) * natural.point_stabiliser(0).order() == 40320
+    assert natural.is_transitive()  # the orbit of 0 is all 8 points
+    assert 8 * natural.point_stabiliser(0).order() == 40320
     assert natural.is_primitive()
 
 
@@ -449,7 +451,8 @@ def test_canon_is_min_over_subgroup(spec):
     if fb.group is not None:
         elements = list(fb.group.elements())
     else:
-        elements = PermGroup(iface.generators + (fb.coset.a_elt,)).elements()
+        elements = group_elements(iface.generators + (fb.coset.a_elt,),
+                                  iface.identity.degree)
     assert len(elements) == iface.order
     for g, c in zip(elements, _array_canon(iface, elements), strict=True):
         assert c == _min_over_h(iface, g)
@@ -482,12 +485,14 @@ def _member_id(member):
                                     for s in range(1, r)] + [("delta", 2)],
                          ids=_member_id)
 def test_subgroup_is_closure_of_generators(fam, member):
-    # oracle: the Schreier-Sims enumeration of <H's generators>
+    # oracle: the Schreier-Sims chain of <H's generators>, which holds each
+    # element, and whose order is the number of distinct elements
     fb = getattr(fam, member[0])(*member[1:])
     iface = fb.coset.iface
-    degree = iface.identity.degree
-    assert iface.subgroup == tuple(sorted(
-        PermGroup(iface.generators, degree=degree).elements()))
+    closure = PermGroup(iface.generators, degree=iface.identity.degree)
+    assert list(iface.subgroup) == sorted(set(iface.subgroup))
+    assert len(iface.subgroup) == closure.order()
+    assert all(h in closure for h in iface.subgroup)
     assert len(iface.subgroup) == fb.expected.stabiliser_order
 
 
@@ -495,7 +500,7 @@ def test_subgroup_is_closure_of_generators(fam, member):
 @pytest.mark.parametrize("sign", SIGNS)
 def test_gamma_subgroup_is_subgroup_h(fam, t, sign):
     fb = fam.gamma(t, sign)
-    assert fb.coset.iface.subgroup == fb.group.subgroup_h().elements
+    assert fb.coset.iface.subgroup == subgroup_h(fb.group)
 
 
 def _full_generators(fb):

@@ -17,6 +17,8 @@ from tetrasym.graphalg import (automorphism_group_order, girth, is_bipartite,
                                verify_arc_transitive)
 from tetrasym.permgrp import PermGroup, Permutation
 
+from permgrp_reference import group_elements
+
 
 def cyc(n, *cycles):
     return Permutation.from_cycles(n, cycles)
@@ -255,6 +257,14 @@ def test_girth_without_action_matches_oracle_on_direct_crs(r):
         assert girth(g) == all_roots_girth(g), (r, s)
 
 
+def orbits_of(group) -> list:
+    """The group's orbits as point sets, read off its orbit labels."""
+    orbits = {}
+    for x, label in enumerate(group.orbit_labels().tolist()):
+        orbits.setdefault(label, set()).add(x)
+    return list(orbits.values())
+
+
 def c5_and_c4():
     """C5 and C4 side by side, each rotated by its own cycle: two vertex
     orbits of different girth."""
@@ -265,7 +275,7 @@ def c5_and_c4():
 
 def test_girth_takes_least_over_orbits_of_different_girth():
     g, action = c5_and_c4()
-    assert len(action.group.orbits()) == 2
+    assert orbits_of(action.group) == [set(range(5)), set(range(5, 9))]
     assert girth(g, action) == 4 == all_roots_girth(g)
     assert not verify_arc_transitive(g, action)
     assert not arc_orbit_oracle(g, action)
@@ -444,6 +454,17 @@ def test_quotient_of_wreath_by_all_fibre_swaps():
     assert not rep.is_local_bijection  # 4 neighbours fold onto 2 fibres
 
 
+def test_quotient_refuses_a_normal_generator_that_is_not_a_bijection():
+    # z's vertex map with one image repeated: its chain would never end
+    fb = build_family(FamilySpec.parse("gamma:t=3,sign=minus"))
+    z = fb.coset.images_of(fb.group.z)
+    assert quotient_by_subgroup_orbits(fb.graph, fb.action, [z]).fibre_size == 2
+    folded = z.copy()
+    folded[0] = folded[1]
+    with pytest.raises(ValueError, match="not a bijection"):
+        quotient_by_subgroup_orbits(fb.graph, fb.action, [folded])
+
+
 def test_quotient_rejects_non_normal_subgroup():
     fb = wreath4()
     x0 = fb.action.images[0]
@@ -505,18 +526,18 @@ def block_by_definition(elements, S):
 def test_is_block_matches_definition(text):
     fb = build_family(FamilySpec.parse(text))
     group, n = fb.action.group, fb.graph.n
-    elements = group.elements()
+    elements = group_elements(group.arrays(), n)
     # the orbits of a normal subgroup are blocks: here the normal closure of
     # the first action generator (the fibre swaps, or gamma's 2-group part)
     # and, for gamma, the centre <z>
     x0 = Permutation(fb.action.images[0])
     closure = PermGroup([x0.conjugate(g) for g in elements], degree=n)
-    blocks = [{0}, set(range(n))] + closure.orbits()
+    blocks = [{0}, set(range(n))] + orbits_of(closure)
     rng = random.Random(text)
     others = [set(rng.sample(range(n), rng.randint(2, n // 2))) for _ in range(40)]
     others += [group.min_block(rng.sample(range(n), 2)) for _ in range(10)]
     if fb.group is not None:
-        blocks += PermGroup([fb.coset.images_of(fb.group.z)]).orbits()
+        blocks += orbits_of(PermGroup([fb.coset.images_of(fb.group.z)]))
         others.append({fb.coset.vertex_of(w) for w in central_block_words(fb.group)})
     for S in blocks:
         assert block_by_definition(elements, frozenset(S))
@@ -724,8 +745,7 @@ def _vertex_labellings(monkeypatch, spec, girth_):
     assert girth(fb.graph, fb.action) == girth_
     assert verify_arc_transitive(fb.graph, fb.action)
     assert group.is_transitive()
-    assert len(group.orbits()) == 1
-    assert group.orbit(3) == set(range(fb.graph.n))
+    assert orbits_of(group) == [set(range(fb.graph.n))]
     with pytest.raises(ValueError):
         group.orbit_labels()[0] = 1
     return calls.count(fb.graph.n)
