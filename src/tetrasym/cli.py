@@ -169,11 +169,8 @@ def _cover(build):
 
 
 def _double_coset(build):
-    # z lies in a^-1 H a H exactly when a*z lies in HaH, that is when the
-    # coset H*a*z is a neighbour of vertex 0, the coset H.
-    grp = build.group
-    return ("paper", False,
-            build.coset.vertex_of(grp.a * grp.z) in build.graph.neighbours(0))
+    # z lies in a^-1 H a H exactly when a*z lies in HaH
+    return "paper", False, build.coset._in_hah(build.group.a * build.group.z)
 
 
 def _blocks(build):

@@ -82,6 +82,22 @@ def _in_chunks(fn, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_tuples(adj) -> tuple:
+    """The rows of an adjacency given as a sequence of sequences, as tuples;
+    ValueError names the adjacency, or its first row, that is not one."""
+    if not np.iterable(adj):
+        raise ValueError("adjacency %r is not a sequence of rows" % (adj,))
+    rows = tuple(adj)
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        for u, row in enumerate(rows):
+            if not np.iterable(row):
+                raise ValueError("row %d of the adjacency is not a sequence: %r"
+                                 % (u, row)) from None
+        raise
+
+
 class Graph:
     """Finite simple undirected graph on the vertices 0..n-1.
 
@@ -109,7 +125,7 @@ class Graph:
 
     def __init__(self, n: int, adj, labels=None):
         given = ({"rows": adj} if isinstance(adj, np.ndarray)
-                 else {"adj": tuple(map(tuple, adj))})
+                 else {"adj": _row_tuples(adj)})
         self.__dict__.update(given, n=n, _labels=labels, _level_sizes=None)
         # the validation keeps the name it had when Graph was a dataclass;
         # bench/spans.py times it under that name
@@ -501,11 +517,12 @@ class CosetGraphBuild:
     bipartiteness is read."""
 
     def __init__(self, iface: GroupIface, a_elt, reps, index: tuple, adj,
-                 level_sizes: tuple):
+                 level_sizes: tuple, hah: np.ndarray):
         self.iface = iface
         self.a_elt = a_elt
         self._reps = reps  # array form, in vertex order
         self._index = index
+        self._hah = hah  # the sorted keys of the cosets H*a*h
         self._canon = _canon_of(iface)
         labels = None
         if iface.label is not None:
@@ -527,29 +544,27 @@ class CosetGraphBuild:
         """The canonical coset representatives as elements, in vertex order."""
         return tuple(self.iface.form.unpack(self._reps))
 
-    def _vertices(self, elts: np.ndarray) -> np.ndarray:
-        """The vertices holding the cosets H*x of an array of elements."""
-        return _lookup(self._index, self.iface.form.keys(self._canon(elts)))
-
     def vertices_of(self, elts) -> list:
         """The vertices holding the cosets H*x of a sequence of elements:
-        one array canonicalisation and lookup for the whole sequence."""
-        return self._vertices(self.iface.form.pack(elts)).tolist()
+        one array canonicalisation for the whole sequence, and one binary
+        search of its keys in the sorted keys of the known cosets."""
+        form, (known, vids) = self.iface.form, self._index
+        pos, found = _find(known, form.keys(self._canon(form.pack(elts))))
+        if not found.all():
+            raise ValueError("element does not belong to any registered coset")
+        return vids[pos].tolist()
 
-    def vertex_of(self, elt) -> int:
-        """The vertex holding the coset H*elt."""
-        return self.vertices_of([elt])[0]
+    def _in_hah(self, elt) -> bool:
+        """Whether elt lies in HaH, the union of the cosets H*a*h: one
+        canonicalisation and one binary search in their sorted keys."""
+        form = self.iface.form
+        return bool(_find(self._hah, form.keys(self._canon(form.pack([elt]))))[1][0])
 
     def sabidussi(self) -> SabidussiReport:
-        """The three coset-graph hypotheses of this build's triple.  The
-        build reached all |G|/|H| cosets (it raises otherwise), so <H, a> =
-        G; a^-1 is in HaH when its coset is one of the cosets H*a*h."""
-        keys, _ = _arc_transversal(self.iface, self.a_elt)
-        form = self.iface.form
-        a_inv = form.keys(self._canon(form.pack([self.a_elt.inverse()])))
-        return SabidussiReport(connected=True,
-                               symmetric=bool(np.isin(a_inv, keys)[0]),
-                               valency=len(keys))
+        """The three coset-graph hypotheses of this build's triple: <H, a> =
+        G, as the build reached all |G|/|H| cosets (it raises otherwise);
+        a^-1 in HaH; and the valency, the number of cosets H*a*h."""
+        return SabidussiReport(True, self._in_hah(self.a_elt.inverse()), len(self._hah))
 
     def _images(self, xs: np.ndarray) -> np.ndarray:
         """The vertex images under right multiplication with each element
@@ -627,16 +642,6 @@ def _merge(known: np.ndarray, vids: np.ndarray, at: np.ndarray,
     return keys, ids
 
 
-def _lookup(index: tuple, keys: np.ndarray) -> np.ndarray:
-    """The vertices of coset keys, by binary search in ``index`` = (sorted
-    keys of the known cosets, their vertices)."""
-    known, vids = index
-    pos, found = _find(known, keys)
-    if not found.all():
-        raise ValueError("element does not belong to any registered coset")
-    return vids[pos]
-
-
 def _canon_of(iface: GroupIface):
     """X -> min(H*X) on array forms: the family's closed form, else the
     minimum over H, one product per element of H."""
@@ -678,14 +683,14 @@ def _explore(iface: GroupIface, a_elt):
     array, _CHUNK rows at a time, sorts each row and checks that it holds
     |HaH|/|H| distinct neighbours, so a bad triple raises at its least bad
     vertex.
-    Returns (reps, (sorted keys, their vertices), adj, level_sizes): the
-    array form of the representatives, an (n, valency) array of sorted
-    neighbour ids and the number of vertices of each BFS level, which hold
-    consecutive ids from vertex 0 on.
+    Returns (reps, (sorted keys, their vertices), adj, level_sizes, hah):
+    the array form of the representatives, an (n, valency) array of sorted
+    neighbour ids, the number of vertices of each BFS level, which hold
+    consecutive ids from vertex 0 on, and the sorted keys of HaH's cosets.
     It explores whatever it is given: the families decide what may be built.
     """
     form, canon = iface.form, _canon_of(iface)
-    _, hs = _arc_transversal(iface, a_elt)
+    hah, hs = _arc_transversal(iface, a_elt)
     steps = form.mul(form.pack([a_elt])[0], hs)  # a*h, one per class
     frontier = canon(form.pack([iface.identity]))
     known, vids = form.keys(frontier), np.zeros(1, dtype=np.int32)
@@ -726,7 +731,7 @@ def _explore(iface: GroupIface, a_elt):
             raise ValueError("neighbour count %d != %d at vertex %d: "
                              "bad (G, H, a) triple" % (
                                  valency[bad[0]], len(steps), start + bad[0]))
-    return _drain(reps), (known, vids), adj, level_sizes
+    return _drain(reps), (known, vids), adj, level_sizes, hah
 
 
 # bench/spans.py wraps this name on every benchmark run; it stays an alias
@@ -741,7 +746,7 @@ def build_coset_graph(iface: GroupIface, a_elt) -> CosetGraphBuild:
     the explored vertex count differs from |G|/|H| (either one signals a bad
     triple, or an ``iface.canon`` that is not constant on cosets), or if
     a^-1 is not in HaH (the graph then has an edge that is not symmetric)."""
-    reps, index, adj, level_sizes = _explore(iface, a_elt)
+    reps, index, adj, level_sizes, hah = _explore(iface, a_elt)
     if adj.shape[1] != 4:
         raise ValueError("neighbour count %d != 4 at vertex 0: bad (G, H, a) "
                          "triple" % adj.shape[1])
@@ -750,20 +755,16 @@ def build_coset_graph(iface: GroupIface, a_elt) -> CosetGraphBuild:
         raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
                          "proper subgroup, or canon is not constant on cosets"
                          % (len(reps), n_expected))
-    return CosetGraphBuild(iface, a_elt, reps, index, adj, level_sizes)
+    return CosetGraphBuild(iface, a_elt, reps, index, adj, level_sizes, hah)
 
 
 def validate_corefree(build: CosetGraphBuild) -> bool:
-    """True iff no non-identity element of H fixes every coset, i.e. the
-    action of G on the cosets of H is faithful.  One array product per
-    vertex, over the elements of H that fix every vertex seen so far."""
-    form = build.iface.form
-    live = build.iface.subgroup_array
-    for v, rep in enumerate(build._reps):
-        live = live[build._vertices(form.mul(rep, live)) == v]
-        if len(live) == 1:  # only the identity is left
-            return True
-    return False
+    """True iff H is core-free, i.e. G acts faithfully on the cosets of H.
+    The build reached all |G:H| cosets, so <H, a> = G, and the action is an
+    image of G whose kernel is core_G(H): H is core-free exactly when the
+    action's group has order |G|.  Its chain is bounded by |G| and exact
+    either way: it stops on reaching |G|, or runs to its end below it."""
+    return build.action.group.order() == build.iface.order
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

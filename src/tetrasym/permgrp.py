@@ -594,6 +594,8 @@ class PermGroup:
         if degree is None:
             if not arrays:
                 raise ValueError("degree required for an empty generating set")
+            if arrays[0].ndim != 1:
+                raise ValueError("generator 0 is not an image array: %s" % arrays[0])
             degree = len(arrays[0])
         self.degree = degree
         self._arrays = [_bijection(g, degree) for g in arrays]

@@ -15,8 +15,9 @@ Moore bound that rules it out: a 4-regular graph of girth at least 7 needs
 import time
 
 from tetrasym import families, graphalg
-from tetrasym.cli import (evec_exhaustive_failures, gelt_exhaustive_failures,
-                          mul_codes_mismatches, relation_suite)
+from tetrasym.cli import (evec_exhaustive_failures, family_checks,
+                          gelt_exhaustive_failures, mul_codes_mismatches,
+                          relation_suite)
 from tetrasym.cosetgraph import SabidussiReport, sphere, validate_corefree
 from tetrasym.extragrp import MINUS, PLUS, SIGNS, extension_group
 from tetrasym.permgrp import PermGroup
@@ -159,14 +160,14 @@ def test_criterion_06_sphere_transversals(fam):
     for t, sign in two_sphere_targets:
         fb = fam.gamma(t, sign)
         words = families.second_sphere_words(fb.group)
-        cosets = {fb.coset.vertex_of(w) for w in words}
+        cosets = {fb.coset.vertices_of([w])[0] for w in words}
         s2 = sphere(fb.graph, 0, 2)
         if not (len(words) == 12 and len(cosets) == 12 and cosets == s2):
             failures.append("gamma(%d,%s) second sphere" % (t, sign))
     for t, sign in [(3, MINUS), (4, PLUS), (4, MINUS), (5, PLUS), (5, MINUS)]:
         fb = fam.gamma(t, sign)
         words = families.third_sphere_words(fb.group)
-        cosets = {fb.coset.vertex_of(w) for w in words}
+        cosets = {fb.coset.vertices_of([w])[0] for w in words}
         if not (len(words) == 36 and len(cosets) == 36):
             failures.append("gamma(%d,%s): %d words, %d cosets"
                             % (t, sign, len(words), len(cosets)))
@@ -174,16 +175,23 @@ def test_criterion_06_sphere_transversals(fam):
 
 
 def test_criterion_07_double_coset(fam):
-    # oracle: all |H|^2 products of a^-1 H a H, next to the build's reading
-    # (z lies in a^-1 H a H exactly when the coset H*a*z is adjacent to H)
+    # oracle: all |H|^2 products of a^-1 H a H, against the matrix's
+    # double-coset row on every gamma member of the default matrix, and
+    # next to the graph's reading (z lies in a^-1 H a H exactly when the
+    # coset H*a*z is adjacent to H)
     failures = []
     for t in (2, 3, 4, 5, 6):
         for sign in SIGNS:
             grp = extension_group(t, sign)
-            if double_coset_contains(subgroup_h(grp), grp.a, grp.z):
+            contains = double_coset_contains(subgroup_h(grp), grp.a, grp.z)
+            if contains:
                 failures.append("z in H^aH at t=%d %s" % (t, sign))
             fb = fam.gamma(t, sign)
-            if fb.coset.vertex_of(grp.a * grp.z) in fb.graph.adj[0]:
+            [row] = family_checks(fb, ["double-coset"])
+            if row["actual"] != contains:
+                failures.append("double-coset row %r at t=%d %s"
+                                % (row["actual"], t, sign))
+            if fb.coset.vertices_of([grp.a * grp.z])[0] in fb.graph.adj[0]:
                 failures.append("H*a*z adjacent to H at t=%d %s" % (t, sign))
     announce(7, "double coset exclusion", failures)
 
@@ -229,7 +237,7 @@ def test_criterion_10_blocks(fam):
     for t in (4, 5):
         for sign in SIGNS:
             fb = fam.gamma(t, sign)
-            block = {fb.coset.vertex_of(w)
+            block = {fb.coset.vertices_of([w])[0]
                      for w in families.central_block_words(fb.group)}
             if len(block) != 4 or not graphalg.is_block(fb.action, block):
                 failures.append("gamma(%d,%s) block" % (t, sign))

@@ -352,6 +352,10 @@ def test_gamma_triples_satisfy_hypotheses(t, sign):
     assert build.sabidussi() == SabidussiReport(True, True, 4)
     assert validate_corefree(build)
     assert build.graph.n * len(iface.subgroup) == iface.order
+    # HaH membership from the kept keys, against HaH by its |H|^2 products
+    hah = {h * grp.a * k for h in iface.subgroup for k in iface.subgroup}
+    elements = list(grp.elements())
+    assert [build._in_hah(x) for x in elements] == [x in hah for x in elements]
 
 
 def _non_corefree_build():
@@ -363,7 +367,11 @@ def _non_corefree_build():
 
 
 def test_non_corefree_subgroup_detected():
-    assert not validate_corefree(_non_corefree_build())
+    # the kernel of the action is core_G(H) = <z>, so the action's group
+    # has order |G|/2
+    build = _non_corefree_build()
+    assert build.action.group.order() == 128 == build.iface.order // 2
+    assert not validate_corefree(build)
 
 
 def _corefree_oracle(build):
@@ -372,7 +380,7 @@ def _corefree_oracle(build):
     for h in build.iface.subgroup:
         if h == build.iface.identity:
             continue
-        if all(build.vertex_of(rep * h) == v
+        if all(build.vertices_of([rep * h])[0] == v
                for v, rep in enumerate(build.reps)):
             return False
     return True
@@ -404,7 +412,7 @@ def test_canonicalisation_is_coset_invariant(gi, hi):
     els = _cached_elements(grp)
     g = els[gi % len(els)]
     h = iface.subgroup[hi % len(iface.subgroup)]
-    assert build.vertex_of(h * g) == build.vertex_of(g)
+    assert build.vertices_of([h * g])[0] == build.vertices_of([g])[0]
 
 
 _BUILD_MEMO = {}
@@ -433,7 +441,7 @@ def test_images_of_right_multiplication():
     za = grp.z * grp.a
     images = build.images_of(za)
     for v, rep in enumerate(build.reps):
-        assert images[v] == build.vertex_of(rep * za)
+        assert images[v] == build.vertices_of([rep * za])[0]
 
 
 def test_images_of_an_element_outside_the_group_raise():
@@ -449,7 +457,7 @@ def test_neighbourhood_of_base_vertex_matches_words():
     build = build_coset_graph(iface, grp.a)
     a = grp.a
     words = [a, grp.x(5) * a, a.inverse(), grp.x(3) * a.inverse()]
-    assert {build.vertex_of(w) for w in words} == set(build.graph.adj[0])
+    assert {build.vertices_of([w])[0] for w in words} == set(build.graph.adj[0])
 
 
 def test_build_is_deterministic():
@@ -510,11 +518,11 @@ def test_family_canon_matches_minimum_over_h(spec):
     for p, q in zip(lean.action.images, full.action.images, strict=True):
         assert np.array_equal(p, q)
     n = full.graph.n
-    assert [lean.vertex_of(r) for r in full.reps] == list(range(n))
+    assert [lean.vertices_of([r])[0] for r in full.reps] == list(range(n))
     for v in (0, 1, n // 2, n - 1):
         members = [h * full.reps[v] for h in iface.subgroup]
-        assert {full.vertex_of(m) for m in members} == {v}
-        assert {lean.vertex_of(m) for m in members} == {v}
+        assert {full.vertices_of([m])[0] for m in members} == {v}
+        assert {lean.vertices_of([m])[0] for m in members} == {v}
     assert lean.sabidussi() == full.sabidussi() == SabidussiReport(True, True, 4)
 
 
@@ -555,17 +563,33 @@ def test_batched_bfs_numbers_as_sequential_bfs(spec):
     assert coset.graph.adj == adj
 
 
-@pytest.mark.parametrize("spec", ["gamma:t=2,sign=minus", "crs:r=6,s=3", "delta:m=2"])
+@pytest.mark.parametrize("spec", ["gamma:t=2,sign=plus", "gamma:t=2,sign=minus",
+                                  "crs:r=6,s=3", "delta:m=2"])
 def test_build_sabidussi_matches_validation(spec, monkeypatch):
-    # a build knows <H, a> = G from its coset count, so its report needs no
-    # second exploration: every hypothesis holds
-    coset = build_family(FamilySpec.parse(spec)).coset
+    # a build knows <H, a> = G from its coset count and keeps the keys of
+    # HaH's cosets from its one arc transversal, so its report and the
+    # double-coset row need no second exploration and no second
+    # transversal: every hypothesis holds
+    calls = []
+    transversal = cosetgraph._arc_transversal
+
+    def counted(*args):
+        calls.append(args)
+        return transversal(*args)
+
+    monkeypatch.setattr(cosetgraph, "_arc_transversal", counted)
+    fb = build_family(FamilySpec.parse(spec))
+    assert len(calls) == 1
 
     def no_exploration(*args):
         raise AssertionError("explored again")
 
     monkeypatch.setattr(cosetgraph, "_explore", no_exploration)
-    assert coset.sabidussi() == SabidussiReport(True, True, 4)
+    assert fb.coset.sabidussi() == SabidussiReport(True, True, 4)
+    if fb.spec.family == "gamma":
+        [row] = family_checks(fb, ["double-coset"])
+        assert row["pass"] and row["actual"] is False
+    assert len(calls) == 1
 
 
 # -- exports -----------------------------------------------------------------
@@ -748,6 +772,12 @@ def test_graph_from_rows_of_the_wrong_shape():
     for rows in (np.zeros((3, 2), np.int32), np.zeros(2, np.int32)):
         with pytest.raises(ValueError, match="adjacency length != n"):
             Graph(2, rows)
+    # an adjacency, or a row of it, that is not a sequence is named
+    for adj, message in (([1, 0], "row 0 of the adjacency is not a sequence: 1"),
+                         ([[1], 0], "row 1 of the adjacency is not a sequence: 0"),
+                         (None, "adjacency None is not a sequence of rows")):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            Graph(2, adj)
 
 
 @settings(max_examples=150, deadline=None)

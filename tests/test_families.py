@@ -210,7 +210,7 @@ def test_gamma_hypotheses(fam, t, sign):
 def test_gamma_first_sphere_words(fam):
     fb = fam.gamma(3, MINUS)
     words = first_sphere_words(fb.group)
-    assert {fb.coset.vertex_of(w) for w in words} == set(fb.graph.adj[0])
+    assert {fb.coset.vertices_of([w])[0] for w in words} == set(fb.graph.adj[0])
 
 
 @pytest.mark.parametrize("t,sign", [(2, MINUS), (3, PLUS), (3, MINUS), (4, PLUS)])
@@ -218,7 +218,7 @@ def test_gamma_second_sphere_words(fam, t, sign):
     fb = fam.gamma(t, sign)
     words = second_sphere_words(fb.group)
     assert len(words) == 12
-    cosets = {fb.coset.vertex_of(w) for w in words}
+    cosets = {fb.coset.vertices_of([w])[0] for w in words}
     assert len(cosets) == 12
     assert cosets == sphere(fb.graph, 0, 2)
 
@@ -229,7 +229,7 @@ def test_gamma_third_sphere_transversal(fam, t, sign):
     fb = fam.gamma(t, sign)
     words = third_sphere_words(fb.group)
     assert len(words) == 36
-    cosets = {fb.coset.vertex_of(w) for w in words}
+    cosets = {fb.coset.vertices_of([w])[0] for w in words}
     assert len(cosets) == 36
 
 
@@ -257,7 +257,7 @@ def test_gamma_third_sphere_collapses_for_3plus(fam):
 @pytest.mark.parametrize("sign", SIGNS)
 def test_gamma_block_words(fam, t, sign):
     fb = fam.gamma(t, sign)
-    vertices = {fb.coset.vertex_of(w) for w in central_block_words(fb.group)}
+    vertices = {fb.coset.vertices_of([w])[0] for w in central_block_words(fb.group)}
     assert len(vertices) == 4
     assert graphalg.is_block(fb.action, vertices)
 

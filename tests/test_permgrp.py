@@ -68,6 +68,9 @@ def test_three_cycle_inverse():
 def test_degree_mismatch_raises():
     with pytest.raises(ValueError):
         cyc(3, (0, 1)) * cyc(4, (0, 1))
+    # a generator with no length gives no degree: it is named
+    with pytest.raises(ValueError, match="^generator 0 is not an image array: 3$"):
+        PermGroup([np.int64(3)])
 
 
 def test_not_a_permutation():
