@@ -19,12 +19,11 @@ them.
 A build makes no element object, no label and no tuple per vertex.  H is
 closed, the cosets are explored, the graph is validated and the vertex
 action is formed and checked on arrays: permutations of at most 16 points
-are keyed by one int64 each (one integer product of the image row with the
-powers of 16), the graph keeps the BFS's neighbour array, and the action
-one int32 image array per generator, all made by one product, one
-canonicalisation and one key pass.  The representatives as elements
-(``CosetGraphBuild.reps``), the vertex labels (``Graph.labels``) and the
-neighbour tuples (``Graph.adj``) are made on their first read.
+are keyed by one int64 each (see ``_RowForm``), the graph keeps the BFS's
+neighbour array, and the action one int32 image array per generator, all
+made by one product, one canonicalisation and one key pass.  The vertex
+labels (``Graph.labels``) and neighbour tuples (``Graph.adj``) are made on
+their first read.
 
 A vertex map, whether an automorphism, a relabelling or a quotient map, is
 an int image array; a Permutation given in its place is read through
@@ -382,32 +381,50 @@ _NIBBLES = 16 ** np.arange(15, -1, -1, dtype=np.uint64)
 _SIGN = np.int64(-1 << 63)
 
 
+def _word_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of at most 8 points, sorting as the rows do:
+    its bytes as one big-endian word (a view of an 8-point row, a shorter
+    one right-aligned in 8 zero bytes), non-negative as images are below 8."""
+    if rows.shape[1] < 8:
+        rows = np.pad(rows, ((0, 0), (8 - rows.shape[1], 0)))
+    return np.ascontiguousarray(rows).view(">i8").ravel()
+
+
+def _word_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``min_rows`` of rows of at most 8 points: the smaller word key of
+    each pair, read back as its row."""
+    least = np.minimum(_word_keys(a), _word_keys(b)).astype(">i8")
+    return least.view(np.uint8).reshape(-1, 8)[:, 8 - a.shape[1]:]
+
+
 def _nibble_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 key per row of at most 16 points, so that the keys sort and
-    compare as the rows do (as ``row_keys`` does, bytewise): the row as a
-    base-16 number, first image most significant, made by one integer
-    product, ``rows @ 16**(d-1..0)``.  A 16-point row fills all 64 bits, so
-    the product is unsigned and read as int64 with its sign bit flipped,
-    which orders the signed words as the unsigned ones.  (Keys of the same
-    dtype as the packed GElt codes share numpy's sorting code with them,
-    whose first use costs resident memory.)"""
+    """One int64 key per row of 9 to 16 points, sorting as the rows do: the
+    row as a base-16 number, first image most significant, made by one
+    integer product, ``rows @ 16**(d-1..0)``, which widens each image to 8
+    bytes.  A 16-point row fills all 64 bits, so the product is unsigned and
+    read as int64 with its sign bit flipped.  (Keys of the same dtype as the
+    packed GElt codes share numpy's sorting code with them, whose first use
+    costs resident memory.)"""
     return (rows @ _NIBBLES[16 - rows.shape[1]:]).view(np.int64) ^ _SIGN
 
 
 class _RowForm:
     """Permutations as unsigned-byte image rows, ordered as Permutation
-    orders them.  Rows of at most 16 points are keyed by one int64 each
-    (``_nibble_keys``), which numpy sorts and searches far faster than the
-    bytewise void keys (``row_keys``) that longer rows keep."""
+    orders them; the degree picks the int64 keys and the ``minimum`` of
+    every canon.  Up to 8 points the row's bytes are its key and pick the
+    smaller row; from 9 to 16 points ``_nibble_keys``, with ``min_rows``, as
+    choosing by those keys slowed ``delta:m=3`` (31.0 and 32.0 s against
+    30.0 and 29.4 s); longer rows, the bytewise void keys of ``row_keys``."""
 
     mul = staticmethod(mul_rows)
-    minimum = staticmethod(min_rows)
 
     def __init__(self, degree: int):
         if degree > 256:
             raise ValueError("coset graphs over permutations of %d points: "
                              "image rows hold at most 256" % degree)
-        self.keys = _nibble_keys if degree <= 16 else row_keys
+        self.keys = (_word_keys if degree <= 8 else
+                     _nibble_keys if degree <= 16 else row_keys)
+        self.minimum = _word_min if degree <= 8 else min_rows
 
     @staticmethod
     def pack(perms) -> np.ndarray:
@@ -500,13 +517,9 @@ class SabidussiReport:
 
 class CosetGraphBuild:
     """Result of build_coset_graph: the graph, the vertex action of H's
-    generators and a, canonical coset representatives and coset-lookup
-    helpers.
-
-    The representatives are kept in array form (``_reps``, in vertex order).
-    ``reps``, the same representatives as GElt or Permutation objects, and
-    the graph's labels, ``iface.label`` of each representative, are made on
-    their first read; the build and the checks read neither.
+    generators and a, the canonical coset representatives in array form
+    only (``_reps``, in vertex order) and coset-lookup helpers.  The graph's
+    labels, ``iface.label`` of each representative, are made on first read.
 
     The build has reached every coset from H, which proves the action
     transitive; the action's group takes that as given
@@ -538,11 +551,6 @@ class CosetGraphBuild:
             self.graph, self._images(iface.form.pack(iface.generators + (a_elt,))),
             order_bound=iface.order)
         self.action.group._take_as_transitive()
-
-    @cached_property
-    def reps(self) -> tuple:
-        """The canonical coset representatives as elements, in vertex order."""
-        return tuple(self.iface.form.unpack(self._reps))
 
     def vertices_of(self, elts) -> list:
         """The vertices holding the cosets H*x of a sequence of elements:

@@ -17,15 +17,14 @@ import numpy as np
 
 from tetrasym import extragrp
 from tetrasym.cosetgraph import (CosetGraphBuild, Graph, GroupIface,
-                                 VertexAction, build_coset_graph)
-from tetrasym.permgrp import Permutation, min_rows
+                                 VertexAction, _RowForm, build_coset_graph)
+from tetrasym.permgrp import Permutation
 
 __all__ = [
     "FamilySpec", "ExpectedProperties", "FamilyBuild",
     "wreath_graph", "praeger_xu_direct", "praeger_xu_coset",
     "gamma", "delta", "build_family",
-    "first_sphere_words", "second_sphere_words", "third_sphere_words",
-    "central_block_words",
+    "second_sphere_words", "third_sphere_words", "central_block_words",
 ]
 
 # Each family's parameters and their types.
@@ -217,9 +216,10 @@ def _pair_canon(pairs, beta: Permutation):
     transpositions of ``pairs`` and the involution beta normalises E, over
     image rows.  Since (h*x)(i) = x(h(i)), E*x runs through every way of
     swapping the images of each pair, so its minimum sorts each pair; H*x
-    is E*x together with E*(beta*x)."""
+    is E*x together with E*(beta*x), the smaller by ``_RowForm.minimum``."""
     lo, hi = np.array(pairs).T
     beta_images = np.array(beta.images)
+    minimum = _RowForm(beta.degree).minimum
 
     def normal(rows: np.ndarray) -> np.ndarray:
         out = rows.copy()
@@ -228,7 +228,7 @@ def _pair_canon(pairs, beta: Permutation):
         return out
 
     def canon(rows: np.ndarray) -> np.ndarray:
-        return min_rows(normal(rows), normal(rows[:, beta_images]))
+        return minimum(normal(rows), normal(rows[:, beta_images]))
     return canon
 
 
@@ -321,13 +321,6 @@ def gamma(t: int, sign: str, allow_large: bool = False) -> FamilyBuild:
                        coset.action, expected, coset=coset, group=grp)
 
 
-def first_sphere_words(grp: extragrp.ExtensionGroup) -> list:
-    """The four coset representatives of the base vertex's neighbours."""
-    t, a = grp.t, grp.a
-    ai = a.inverse()
-    return [a, grp.x(2 * t - 1) * a, ai, grp.x(t) * ai]
-
-
 def second_sphere_words(grp: extragrp.ExtensionGroup) -> list:
     """Distance-two transversal words (12 distinct elements for t >= 3 and
     for the t=2 minus group)."""
@@ -399,8 +392,7 @@ def delta(m: int, allow_large: bool = False) -> FamilyBuild:
     """The coset graph of (Sym(4m), H, a) with H = <x_1..x_{2m-1}, h> of
     order 2^(2m); (4m)!/2^(2m) vertices.  m=3 (7484400 vertices) is above
     the size guard, so it needs allow_large=True; it is built like m=2,
-    vertex action included.  On a 2-core host m=2 builds in about 0.012 s,
-    and m=3 in about 40 s at under 0.9 GB peak RSS."""
+    vertex action included.  README gives the build times of both."""
     if m < 2:
         raise ValueError("delta needs m >= 2")
     if m > _DELTA_MAX_M:

@@ -1,7 +1,8 @@
 """Reference implementations over the extension groups that the tests
 compare the library with and that no part of the program calls: the
 conjugation automorphisms of the 2-group part, letter by letter, the
-subgroup H by its closed form, and the double-coset test by enumeration."""
+subgroup H by its closed form, the words of the base vertex's neighbours,
+and the double-coset test by enumeration."""
 
 from tetrasym.extragrp import EVec, ExtensionGroup, GElt, evec_mul
 
@@ -35,6 +36,13 @@ def subgroup_h(grp: ExtensionGroup) -> tuple:
     codes = sorted((v | (beta << grp.bshift))
                    for v in range(1 << grp.t) for beta in (0, 1))
     return tuple(GElt(grp, c) for c in codes)
+
+
+def first_sphere_words(grp: ExtensionGroup) -> list:
+    """The four coset representatives of the base vertex's neighbours."""
+    t, a = grp.t, grp.a
+    ai = a.inverse()
+    return [a, grp.x(2 * t - 1) * a, ai, grp.x(t) * ai]
 
 
 def double_coset_contains(H: tuple, mid: GElt, probe: GElt) -> bool:

@@ -17,7 +17,9 @@ from tetrasym.cosetgraph import (Graph, GroupIface, SabidussiReport,
                                  validate_corefree)
 from tetrasym.extragrp import PLUS, SIGNS, GElt, extension_group
 from tetrasym.families import FamilySpec, build_family
-from tetrasym.permgrp import Permutation, orbit_labels, row_keys
+from tetrasym.permgrp import Permutation, min_rows, orbit_labels, row_keys
+
+from coset_reference import coset_reps
 
 
 def cyc(n, *cycles):
@@ -377,11 +379,12 @@ def test_non_corefree_subgroup_detected():
 def _corefree_oracle(build):
     """Reference: one coset lookup per pair (h, vertex), stopping at the
     first h that fixes every coset."""
+    reps = coset_reps(build)
     for h in build.iface.subgroup:
         if h == build.iface.identity:
             continue
         if all(build.vertices_of([rep * h])[0] == v
-               for v, rep in enumerate(build.reps)):
+               for v, rep in enumerate(reps)):
             return False
     return True
 
@@ -440,7 +443,7 @@ def test_images_of_right_multiplication():
     build = build_coset_graph(iface, grp.a)
     za = grp.z * grp.a
     images = build.images_of(za)
-    for v, rep in enumerate(build.reps):
+    for v, rep in enumerate(coset_reps(build)):
         assert images[v] == build.vertices_of([rep * za])[0]
 
 
@@ -511,16 +514,16 @@ def test_family_canon_matches_minimum_over_h(spec):
     # the family canon and the generic minimum over H must give the same
     # graph, numbering, coset lookups and vertex action
     full, lean = _family_and_generic(spec)
-    iface = full.iface
-    assert lean.reps == full.reps
+    iface, reps = full.iface, coset_reps(full)
+    assert coset_reps(lean) == reps
     assert lean.graph.adj == full.graph.adj
     assert lean.graph.labels == full.graph.labels
     for p, q in zip(lean.action.images, full.action.images, strict=True):
         assert np.array_equal(p, q)
     n = full.graph.n
-    assert [lean.vertices_of([r])[0] for r in full.reps] == list(range(n))
+    assert [lean.vertices_of([r])[0] for r in reps] == list(range(n))
     for v in (0, 1, n // 2, n - 1):
-        members = [h * full.reps[v] for h in iface.subgroup]
+        members = [h * reps[v] for h in iface.subgroup]
         assert {full.vertices_of([m])[0] for m in members} == {v}
         assert {lean.vertices_of([m])[0] for m in members} == {v}
     assert lean.sabidussi() == full.sabidussi() == SabidussiReport(True, True, 4)
@@ -559,7 +562,7 @@ def _sequential_bfs(iface, a):
 def test_batched_bfs_numbers_as_sequential_bfs(spec):
     coset = build_family(FamilySpec.parse(spec)).coset
     reps, adj = _sequential_bfs(coset.iface, coset.a_elt)
-    assert coset.reps == tuple(reps)
+    assert coset_reps(coset) == tuple(reps)
     assert coset.graph.adj == adj
 
 
@@ -695,8 +698,14 @@ def test_golden_exports(spec):
 
 # -- array form: integer keys, graphs from rows, actions from arrays ------------
 
-@pytest.mark.parametrize("degree", range(1, 17))
-def test_nibble_keys_sort_and_compare_as_row_keys(degree):
+# the integer keys of rows of up to 16 points, and the word keys of rows of
+# up to 8 (the ids of the nibble cases are their degrees)
+@pytest.mark.parametrize("keys, dtype, degree", [
+    *[pytest.param(cosetgraph._nibble_keys, np.int64, d, id=str(d))
+      for d in range(1, 17)],
+    *[pytest.param(cosetgraph._word_keys, ">i8", d, id="word-%d" % d)
+      for d in range(1, 9)]])
+def test_nibble_keys_sort_and_compare_as_row_keys(keys, dtype, degree):
     rng = np.random.default_rng(degree)
     rows = np.concatenate([
         rng.integers(0, 16, size=(400, degree), dtype=np.uint8),
@@ -707,8 +716,7 @@ def test_nibble_keys_sort_and_compare_as_row_keys(degree):
         # the first image at 8 or above: the top bit of a 16-point key
         np.full((20, degree), 15, dtype=np.uint8)])
     rows[-10:, 0] = rng.integers(8, 16, size=10)
-    ints, voids = cosetgraph._nibble_keys(rows), row_keys(rows)
-    assert ints.dtype == np.int64
+    ints, voids = keys(rows), row_keys(rows)
     assert np.array_equal(np.argsort(ints, kind="stable"),
                           np.argsort(voids, kind="stable"))
     _, int_classes = np.unique(ints, return_inverse=True)
@@ -717,15 +725,48 @@ def test_nibble_keys_sort_and_compare_as_row_keys(degree):
     known = np.unique(ints[::2])
     assert np.array_equal(np.searchsorted(known, ints),
                           np.searchsorted(np.unique(voids[::2]), voids))
+    assert ints.dtype == np.dtype(dtype)
 
 
 def test_row_forms_key_by_integers_up_to_16_points():
-    for degree, kind in ((12, "i"), (16, "i"), (17, "V"), (40, "V")):
+    for degree, kind in ((8, "i"), (12, "i"), (16, "i"), (17, "V"), (40, "V")):
         iface = GroupIface(generators=(), identity=Permutation.identity(degree),
                            order=1)
         assert iface.form.keys(iface.subgroup_array).dtype.kind == kind, degree
-    assert (build_family(FamilySpec.parse("crs:r=8,s=4")).coset
-            .iface.form.keys is cosetgraph._nibble_keys)
+    # delta:m=2 acts on 8 points, crs(8, 4) on 16
+    delta_form = build_family(FamilySpec.parse("delta:m=2")).coset.iface.form
+    assert delta_form.keys is cosetgraph._word_keys
+    assert delta_form.minimum is cosetgraph._word_min
+    crs_form = build_family(FamilySpec.parse("crs:r=8,s=4")).coset.iface.form
+    assert crs_form.keys is cosetgraph._nibble_keys
+    assert crs_form.minimum is min_rows
+
+
+def test_row_form_minimum_is_min_rows():
+    # the smaller row of each pair, by word keys up to 8 points and by
+    # first difference above, on random permutation rows with equal pairs
+    # and pairs that differ only in their last two points ...
+    rng = np.random.default_rng(0)
+    for degree in range(1, 17):
+        form = cosetgraph._RowForm(degree)
+        a, b = np.argsort(rng.random((2, 600, degree)), axis=2).astype(np.uint8)
+        b[::3], b[1::3] = a[::3], a[1::3]
+        b[1::3, -2:] = a[1::3, :-3:-1]
+        assert np.array_equal(form.minimum(a, b), min_rows(a, b)), degree
+        assert np.array_equal(form.minimum(b, a), min_rows(a, b)), degree
+    # ... and on the probes a*h*r of every h in H and every representative
+    # r of delta:m=2 and crs(4, 2), 8-point rows, against their images
+    # under H's last generator and a shuffle of themselves
+    for spec in ("delta:m=2", "crs:r=4,s=2"):
+        coset = build_family(FamilySpec.parse(spec)).coset
+        iface = coset.iface
+        form, beta = iface.form, np.array(iface.generators[-1].images)
+        a_hs = form.mul(form.pack([coset.a_elt])[0], iface.subgroup_array)
+        probes = form.outer(a_hs, coset._reps)
+        shuffled = probes[rng.permutation(len(probes))]
+        for other in (probes[:, beta], shuffled, probes):
+            assert np.array_equal(form.minimum(probes, other),
+                                  min_rows(probes, other)), spec
 
 
 _BUILT = ["delta:m=2", "gamma:t=3,sign=minus", "crs:r=6,s=3"]
@@ -841,10 +882,11 @@ def test_vertex_action_from_arrays_equals_from_permutations():
         VertexAction(fb.graph, (np.roll(np.arange(fb.graph.n), 1),))
 
 
-def _per_vertex_images(build, elt):
+def _per_vertex_images(build, reps, elt):
     """Oracle: the image of each vertex under elt, one element product per
-    representative and one coset lookup for them all."""
-    return build.vertices_of([rep * elt for rep in build.reps])
+    representative (``reps``, the build's as elements) and one coset
+    lookup for them all."""
+    return build.vertices_of([rep * elt for rep in reps])
 
 
 # crs(9, 7) acts on 18 points, so its cosets have bytewise keys
@@ -859,11 +901,11 @@ def test_batched_action_equals_per_element_images(spec):
     for build in builds:
         gens = build.iface.generators + (build.a_elt,)
         elts = gens + (build.a_elt * build.a_elt, gens[0] * build.a_elt)
-        batched = build._images(build.iface.form.pack(elts))
+        batched, reps = build._images(build.iface.form.pack(elts)), coset_reps(build)
         assert batched.dtype == np.int32 and batched.shape == (len(elts), build.graph.n)
         for images, elt in zip(batched, elts):
             assert np.array_equal(images, build.images_of(elt))
-            assert images.tolist() == _per_vertex_images(build, elt)
+            assert images.tolist() == _per_vertex_images(build, reps, elt)
         assert len(build.action.images) == len(gens)
         for images, batch in zip(build.action.images, batched):
             assert np.array_equal(images, batch)

@@ -8,13 +8,14 @@ from tetrasym.cosetgraph import (Graph, SabidussiReport, sphere,
                                  validate_corefree)
 from tetrasym.extragrp import MINUS, PLUS, SIGNS
 from tetrasym.families import (FamilySpec, build_family, central_block_words,
-                               delta, delta_permutations, first_sphere_words,
-                               gamma, praeger_xu_coset, praeger_xu_direct,
+                               delta, delta_permutations, gamma,
+                               praeger_xu_coset, praeger_xu_direct,
                                second_sphere_words, third_sphere_words,
                                wreath_graph)
 from tetrasym.permgrp import PermGroup, Permutation
 
-from extragrp_reference import subgroup_h
+from coset_reference import coset_reps
+from extragrp_reference import first_sphere_words, subgroup_h
 from permgrp_reference import group_elements
 
 
@@ -239,7 +240,7 @@ def test_gamma_word_sets_batched(fam, t, sign):
     # coset H*r of vertex v exactly when w * r^-1 lies in H
     fb = fam.gamma(t, sign)
     subgroup = set(fb.coset.iface.subgroup)
-    inverses = [r.inverse() for r in fb.coset.reps]
+    inverses = [r.inverse() for r in coset_reps(fb.coset)]
     for words in (second_sphere_words(fb.group), third_sphere_words(fb.group),
                   central_block_words(fb.group)):
         assert fb.coset.vertices_of(words) == [
