@@ -5,7 +5,9 @@ representative (the minimum of {h*g} under the element type's total order);
 Hg and Hag are adjacent.  The builder works on the array form of the
 elements (GElt as int64 packed codes, Permutation as image rows) and
 explores one BFS level at a time, in the manner of coset enumeration
-(Butler, Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
+(Butler, Fundamental Algorithms for Permutation Groups, LNCS 559, 1991): it
+writes each level into a table of |G|/|H| rows and checks that it reaches
+exactly that many cosets.
 
 The numbering is deterministic and equals that of a BFS that probes one
 vertex at a time and gives the new cosets of each probed vertex the next
@@ -383,11 +385,12 @@ _SIGN = np.int64(-1 << 63)
 
 def _word_keys(rows: np.ndarray) -> np.ndarray:
     """One int64 key per row of at most 8 points, sorting as the rows do:
-    its bytes as one big-endian word (a view of an 8-point row, a shorter
-    one right-aligned in 8 zero bytes), non-negative as images are below 8."""
+    its bytes read as one big-endian word (a shorter row right-aligned in 8
+    zero bytes), non-negative as images are below 8, in native byte order,
+    so that sorts and searches over the keys copy nothing."""
     if rows.shape[1] < 8:
         rows = np.pad(rows, ((0, 0), (8 - rows.shape[1], 0)))
-    return np.ascontiguousarray(rows).view(">i8").ravel()
+    return np.ascontiguousarray(rows).view(">i8").ravel().astype(np.int64)
 
 
 def _word_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,8 +463,8 @@ class GroupIface:
     for h in H)``, in closed form; None takes that minimum over H.
 
     G itself needs no generators: the builder acts with H's generators and
-    a, and its check that all |G|/|H| cosets are reached proves that they
-    generate G.
+    a, and the explorer's check that it reaches all |G|/|H| cosets proves
+    that they generate G.
     """
 
     generators: tuple
@@ -543,7 +546,7 @@ class CosetGraphBuild:
                 return tuple(map(iface.label, iface.form.unpack(reps)))
         self.graph = Graph(len(reps), adj, labels)
         self.graph._take_levels(level_sizes)
-        # build_coset_graph reached |G|/|H| cosets, so <H, a> has order
+        # the explorer reached |G|/|H| cosets, so <H, a> has order
         # iface.order, and the action is a homomorphic image of <H, a>; it
         # reached them all from H by right multiplication with H's
         # generators and a, so the action is transitive
@@ -620,19 +623,6 @@ def _find(known: np.ndarray, keys: np.ndarray) -> tuple:
     return pos, known[pos] == keys
 
 
-def _drain(parts: list) -> np.ndarray:
-    """np.concatenate(parts), emptying the list part by part as it copies,
-    so that a part's memory is freed once copied: the levels of a large
-    exploration are not held twice."""
-    out = np.empty((sum(map(len, parts)),) + parts[0].shape[1:], dtype=parts[0].dtype)
-    end = len(out)
-    while parts:
-        part = parts.pop()
-        out[end - len(part):end] = part
-        end -= len(part)
-    return out
-
-
 def _merge(known: np.ndarray, vids: np.ndarray, at: np.ndarray,
            new_keys: np.ndarray, new_vids: np.ndarray) -> tuple:
     """The sorted keys ``known`` and their vertices ``vids`` with the sorted
@@ -679,7 +669,9 @@ def _arc_transversal(iface: GroupIface, a_elt) -> tuple:
 
 
 def _explore(iface: GroupIface, a_elt):
-    """Deterministic coset BFS of the coset graph builder.
+    """Deterministic coset BFS of the coset graph builder, in a coset table
+    of |G|/|H| rows (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005, ch. 5).
 
     One BFS level at a time: each frontier vertex Hr is probed once per
     arc-stabiliser class, at a*h*r, all probes of the level as one array
@@ -687,25 +679,37 @@ def _explore(iface: GroupIface, a_elt):
     distinct key is looked up by binary search in the sorted keys of the
     known cosets; a new key's first probe is the least probe index of its
     run.  New vertices get ids in (least parent id, key) order (see the
-    module docstring).  Once the BFS ends, one pass over the neighbour
-    array, _CHUNK rows at a time, sorts each row and checks that it holds
+    module docstring).  Each level is written in place, its representatives
+    into ``reps`` and its neighbour rows into ``adj``.  A level that would
+    pass |G|/|H| cosets raises at once.  Once the BFS ends, one pass over
+    ``adj``, _CHUNK rows at a time, sorts each row and checks that it holds
     |HaH|/|H| distinct neighbours, so a bad triple raises at its least bad
-    vertex.
+    vertex; then a BFS that ended below |G|/|H| cosets raises.
     Returns (reps, (sorted keys, their vertices), adj, level_sizes, hah):
     the array form of the representatives, an (n, valency) array of sorted
     neighbour ids, the number of vertices of each BFS level, which hold
     consecutive ids from vertex 0 on, and the sorted keys of HaH's cosets.
-    It explores whatever it is given: the families decide what may be built.
     """
     form, canon = iface.form, _canon_of(iface)
     hah, hs = _arc_transversal(iface, a_elt)
     steps = form.mul(form.pack([a_elt])[0], hs)  # a*h, one per class
-    frontier = canon(form.pack([iface.identity]))
-    known, vids = form.keys(frontier), np.zeros(1, dtype=np.int32)
-    reps, adj = [frontier], []
-    n = 1
-    while len(frontier):
-        probes = _in_chunks(lambda rows: canon(form.outer(steps, rows)), frontier)
+    most = iface.order // len(iface.subgroup_array)
+    new_reps = canon(form.pack([iface.identity]))
+    reps = np.empty((most,) + new_reps.shape[1:], dtype=new_reps.dtype)
+    adj = np.empty((most, len(steps)), dtype=np.int64)
+    known, vids = form.keys(new_reps), np.zeros(1, dtype=np.int32)
+    sizes = []  # of the levels, whose vertices hold consecutive ids
+    n = 0
+    while len(new_reps):
+        if n + len(new_reps) > most:
+            raise ValueError("level %d takes the count to %d cosets, past |G|/|H| "
+                             "= %d: <H, a> has more than |G| elements, or canon "
+                             "is not constant on cosets"
+                             % (len(sizes), n + len(new_reps), most))
+        start, n = n, n + len(new_reps)
+        reps[start:n] = new_reps
+        sizes.append(n - start)
+        probes = _in_chunks(lambda rows: canon(form.outer(steps, rows)), reps[start:n])
         keys = _in_chunks(form.keys, probes)
         by_key = keys.argsort()  # sorted keys make the binary search cache-friendly
         keys = keys[by_key]
@@ -721,17 +725,13 @@ def _explore(iface: GroupIface, a_elt):
         new_vids[order] = np.arange(n, n + len(order))
         run_vids = vids[pos]
         run_vids[new] = new_vids
-        nbrs = np.empty(len(keys), dtype=np.int64)
-        nbrs[by_key] = np.repeat(run_vids, np.diff(runs, append=len(keys)))
-        adj.append(nbrs.reshape(len(frontier), len(steps)))
+        # the level's rows are contiguous, so the flat view writes into adj
+        adj[start:n].reshape(-1)[by_key] = np.repeat(
+            run_vids, np.diff(runs, append=len(keys)))
         known, vids = _merge(known, vids, at[new], distinct[new], new_vids)
-        frontier = probes[first[order]]
-        reps.append(frontier)
-        n += len(order)
-    adj = _drain(adj)
-    level_sizes = tuple(map(len, reps[:-1]))  # the last frontier is empty
+        new_reps = probes[first[order]]
     for start in range(0, n, _CHUNK):
-        rows = adj[start:start + _CHUNK]
+        rows = adj[start:min(start + _CHUNK, n)]  # rows past n are unwritten
         rows.sort(axis=1)
         valency = 1 + (rows[:, 1:] != rows[:, :-1]).sum(axis=1)
         bad = np.flatnonzero(valency != len(steps))
@@ -739,7 +739,11 @@ def _explore(iface: GroupIface, a_elt):
             raise ValueError("neighbour count %d != %d at vertex %d: "
                              "bad (G, H, a) triple" % (
                                  valency[bad[0]], len(steps), start + bad[0]))
-    return _drain(reps), (known, vids), adj, level_sizes, hah
+    if n < most:
+        raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
+                         "proper subgroup, or canon is not constant on cosets"
+                         % (n, most))
+    return reps, (known, vids), adj, tuple(sizes), hah
 
 
 # bench/spans.py wraps this name on every benchmark run; it stays an alias
@@ -750,19 +754,15 @@ _explore_compact = _explore
 def build_coset_graph(iface: GroupIface, a_elt) -> CosetGraphBuild:
     """Construct the coset graph of (G, H, a) and the generators' action.
 
-    Raises if any vertex ends up with a neighbour count other than 4 or if
-    the explored vertex count differs from |G|/|H| (either one signals a bad
-    triple, or an ``iface.canon`` that is not constant on cosets), or if
-    a^-1 is not in HaH (the graph then has an edge that is not symmetric)."""
+    Raises if the explorer does (a coset count other than |G|/|H|, or a
+    vertex with fewer distinct neighbours than the valency: a bad triple, or
+    an ``iface.canon`` that is not constant on cosets), if the valency is
+    not 4, or if a^-1 is not in HaH (the graph then has an edge that is not
+    symmetric)."""
     reps, index, adj, level_sizes, hah = _explore(iface, a_elt)
     if adj.shape[1] != 4:
         raise ValueError("neighbour count %d != 4 at vertex 0: bad (G, H, a) "
                          "triple" % adj.shape[1])
-    n_expected = iface.order // len(iface.subgroup_array)
-    if len(reps) != n_expected:
-        raise ValueError("reached %d cosets but |G|/|H| = %d: <H, a> is a "
-                         "proper subgroup, or canon is not constant on cosets"
-                         % (len(reps), n_expected))
     return CosetGraphBuild(iface, a_elt, reps, index, adj, level_sizes, hah)
 
 

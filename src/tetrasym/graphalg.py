@@ -171,6 +171,7 @@ def quotient_by_subgroup_orbits(g: Graph, action: VertexAction, normal_gens):
     action generator s, s^-1 q s = s[q[s^-1]], and testing membership in
     N's stabiliser chain).  Returns the CoverReport.
     """
+    _check_on(g, action)
     N = PermGroup(normal_gens, degree=g.n)
     for gen in action.images:
         inverse = np.argsort(gen)

@@ -97,12 +97,8 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(map(_point, images))
-        n = len(images)
-        seen = bytearray(n)
-        for x in images:
-            if not 0 <= x < n or seen[x]:
-                raise ValueError("not a permutation of 0..%d: %r" % (n - 1, images))
-            seen[x] = 1
+        # no dtype: an id beyond int64 makes an object array, which is refused
+        _bijection(np.asarray(images), len(images))
         object.__setattr__(self, "images", images)
 
     @classmethod

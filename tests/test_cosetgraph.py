@@ -306,13 +306,10 @@ def test_degenerate_cyclic_triple_fails_valency():
     assert str(err.value) == "neighbour count 1 != 4 at vertex 0: bad (G, H, a) triple"
 
 
-@pytest.mark.parametrize("chunk", [1 << 14, 4])
-def test_valency_check_names_the_least_bad_vertex(monkeypatch, chunk):
-    # <a, h> = C8 x C2 with H = <h> and a canon that is not constant on
-    # cosets: it sends a^5*h to a^5, so the two probes of vertices 7 and 8,
-    # two BFS levels down, fall on one vertex.  Four rows a chunk put
-    # vertex 7 in the second one.
-    monkeypatch.setattr(cosetgraph, "_CHUNK", chunk)
+def _merging_triple(order):
+    """<a, h> = C8 x C2 with H = <h>, ``order`` given as |G|, and a canon
+    that is not constant on cosets: it sends a^5*h to a^5, so an explorer
+    with room for them meets 15 cosets where there are 8."""
     a = Permutation((1, 2, 3, 4, 5, 6, 7, 0, 8, 9))
     h = Permutation((0, 1, 2, 3, 4, 5, 6, 7, 9, 8))
     merged, into = (a ** 5 * h).images, (a ** 5).images
@@ -321,11 +318,43 @@ def test_valency_check_names_the_least_bad_vertex(monkeypatch, chunk):
         rows = rows.copy()
         rows[(rows == merged).all(axis=1)] = into
         return rows
-    iface = GroupIface(generators=(h,), identity=Permutation.identity(10),
-                       order=16, canon=canon)
+    return GroupIface(generators=(h,), identity=Permutation.identity(10),
+                      order=order, canon=canon), a
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 4])
+def test_valency_check_names_the_least_bad_vertex(monkeypatch, chunk):
+    # with |G| given as 32 the 15 cosets fit the table, and the two probes
+    # of vertices 7 and 8, two BFS levels down, fall on one vertex.  Four
+    # rows a chunk put vertex 7 in the second one.
+    monkeypatch.setattr(cosetgraph, "_CHUNK", chunk)
+    iface, a = _merging_triple(32)
     with pytest.raises(ValueError) as err:
         cosetgraph._explore(iface, a)
     assert str(err.value) == "neighbour count 1 != 2 at vertex 7: bad (G, H, a) triple"
+
+
+def test_explorer_stops_at_the_first_level_past_the_coset_count():
+    # with the true |G| = 16 the table has 8 rows, and level 4 would take
+    # the count to 9: the explorer stops there, before the valency pass
+    iface, a = _merging_triple(16)
+    with pytest.raises(ValueError) as err:
+        cosetgraph._explore(iface, a)
+    assert str(err.value) == (
+        "level 4 takes the count to 9 cosets, past |G|/|H| = 8: <H, a> has more "
+        "than |G| elements, or canon is not constant on cosets")
+
+
+def test_explorer_refuses_too_few_cosets():
+    # Sym(5) inside Sym(6): H = <(0 1), (2 3)> and a = (1 2 3 4) generate
+    # Sym(5), whose 30 cosets of H fall short of |Sym(6)|/|H| = 180
+    iface = GroupIface(generators=(cyc(6, (0, 1)), cyc(6, (2, 3))),
+                       identity=Permutation.identity(6), order=720)
+    with pytest.raises(ValueError) as err:
+        build_coset_graph(iface, cyc(6, (1, 2, 3, 4)))
+    assert str(err.value) == (
+        "reached 30 cosets but |G|/|H| = 180: <H, a> is a proper subgroup, "
+        "or canon is not constant on cosets")
 
 
 def test_asymmetric_triple_reported():
@@ -703,7 +732,7 @@ def test_golden_exports(spec):
 @pytest.mark.parametrize("keys, dtype, degree", [
     *[pytest.param(cosetgraph._nibble_keys, np.int64, d, id=str(d))
       for d in range(1, 17)],
-    *[pytest.param(cosetgraph._word_keys, ">i8", d, id="word-%d" % d)
+    *[pytest.param(cosetgraph._word_keys, np.int64, d, id="word-%d" % d)
       for d in range(1, 9)]])
 def test_nibble_keys_sort_and_compare_as_row_keys(keys, dtype, degree):
     rng = np.random.default_rng(degree)

@@ -808,3 +808,16 @@ def test_cover_arithmetic_and_quotient_regularity():
     assert rep.fibre_size * rep.quotient.n == fb.graph.n
     assert rep.is_local_bijection
     assert rep.quotient.is_regular(4)
+
+
+def test_checks_refuse_an_action_on_another_graph():
+    # gamma t=3's two signs have 96 vertices each, so the minus action's
+    # generators are vertex maps of the plus graph too
+    from tetrasym.families import gamma
+    plus, minus = gamma(3, "plus"), gamma(3, "minus")
+    z = minus.coset.images_of(minus.group.z)
+    for check in (lambda: quotient_by_subgroup_orbits(plus.graph, minus.action, [z]),
+                  lambda: girth(plus.graph, minus.action),
+                  lambda: verify_arc_transitive(plus.graph, minus.action)):
+        with pytest.raises(ValueError, match="^the action is not on this graph$"):
+            check()

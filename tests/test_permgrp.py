@@ -74,10 +74,15 @@ def test_degree_mismatch_raises():
 
 
 def test_not_a_permutation():
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
-    with pytest.raises(ValueError):
-        Permutation([0, 5, 1])
+    # one check, _bijection, refuses malformed images for Permutation and
+    # for vertex maps alike, with one message
+    for images in ([0, 0, 1], [0, 5, 1], [-1, 0]):
+        with pytest.raises(ValueError, match="^not a permutation: not a bijection of 0..%d$"
+                           % (len(images) - 1)):
+            Permutation(images)
+    # an id beyond int64 is refused, not overflowed
+    with pytest.raises(ValueError, match="^not a permutation: ids of dtype object$"):
+        Permutation([2**70, 0])
 
 
 @pytest.mark.parametrize("make, value", [
