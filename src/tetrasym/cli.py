@@ -80,7 +80,7 @@ def _with_chain(build):
     # coset build proved the action transitive, so that first level is all
     # the vertices, and no check here runs its BFS.  An unbounded chain
     # keeps a transversal element per point of its first basic orbit.
-    if build.action.order_bound is None and build.graph.n > _CHAIN_CAP:
+    if build.coset is None and build.graph.n > _CHAIN_CAP:
         raise _Skip("above stabiliser-chain cap")
     return build.action.group
 
@@ -643,8 +643,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a MemoryError (a member too large for the memory there is) may
+        # come with no message
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

@@ -51,8 +51,7 @@ from operator import index
 import numpy as np
 
 from tetrasym.extragrp import GElt
-from tetrasym.permgrp import (PermGroup, Permutation, _bijection, min_rows,
-                              mul_rows, row_keys)
+from tetrasym.permgrp import PermGroup, Permutation, _bijection
 
 __all__ = [
     "Graph", "VertexAction", "GroupIface", "CosetGraphBuild",
@@ -307,15 +306,15 @@ class VertexAction:
     group they generate, which checks that each is a bijection of the
     vertices; every check on this action shares its one stabiliser chain
     (the stabiliser of vertex 0, its first base point, shares the chain's
-    lower levels).  ``order_bound``, when known, is an upper bound on that
-    group's order; its chain stops as soon as it reaches it.  The action of
-    a coset build has its group take the build's proof that it is
-    transitive, so its orbits are never labelled and its chain's first
-    level grows its orbit only when read.  Actions are immutable.
+    lower levels).  The action of a coset build has its group take the
+    build's proof that it is transitive and an image of a group of order
+    |G| (see ``CosetGraphBuild``), so its orbits are never labelled, its
+    chain's first level grows its orbit only when read, and its chain stops
+    at |G|.  Actions are immutable.
     """
 
-    def __init__(self, graph: Graph, gens, order_bound: int | None = None):
-        self.__dict__.update(graph=graph, images=tuple(gens), order_bound=order_bound)
+    def __init__(self, graph: Graph, gens):
+        self.__dict__.update(graph=graph, images=tuple(gens))
         # named as when VertexAction was a dataclass; bench/spans.py times it
         self.__post_init__()
 
@@ -327,7 +326,7 @@ class VertexAction:
         # bijection that carries each neighbourhood onto the neighbourhood
         # of the image
         rows = self.graph.rows
-        group = PermGroup(self.images, self.graph.n, self.order_bound)
+        group = PermGroup(self.images, self.graph.n)
         for g in group.arrays():
             if not _carries(rows, rows, g):
                 raise ValueError("generator is not a graph automorphism")
@@ -357,7 +356,6 @@ class _CodeForm:
 
     def __init__(self, grp):
         self.grp = grp
-        self.mul = grp.mul_codes
 
     @staticmethod
     def pack(elts) -> np.ndarray:
@@ -369,7 +367,7 @@ class _CodeForm:
 
     def outer(self, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """The products p*q for each q of qs and, within it, each p of ps."""
-        return self.mul(ps[None, :], qs[:, None]).ravel()
+        return self.grp.mul_codes(ps[None, :], qs[:, None]).ravel()
 
     @staticmethod
     def keys(codes: np.ndarray) -> np.ndarray:
@@ -400,6 +398,20 @@ def _word_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return least.view(np.uint8).reshape(-1, 8)[:, 8 - a.shape[1]:]
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, ordered and compared as the rows: numpy sorts,
+    searches and compares them bytewise."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def min_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lexicographically smaller row of each pair a[i], b[i]."""
+    first = (a != b).argmax(axis=1)
+    at = np.arange(len(a))
+    return np.where((a[at, first] < b[at, first])[:, None], a, b)
+
+
 def _nibble_keys(rows: np.ndarray) -> np.ndarray:
     """One int64 key per row of 9 to 16 points, sorting as the rows do: the
     row as a base-16 number, first image most significant, made by one
@@ -418,8 +430,6 @@ class _RowForm:
     smaller row; from 9 to 16 points ``_nibble_keys``, with ``min_rows``, as
     choosing by those keys slowed ``delta:m=3`` (31.0 and 32.0 s against
     30.0 and 29.4 s); longer rows, the bytewise void keys of ``row_keys``."""
-
-    mul = staticmethod(mul_rows)
 
     def __init__(self, degree: int):
         if degree > 256:
@@ -470,7 +480,6 @@ class GroupIface:
     generators: tuple
     identity: object
     order: int
-    label: object = None  # element -> str, used for vertex labels
     canon: object = None  # array form -> array form of min(H*element)
     form: object = field(init=False, repr=False, compare=False)
     subgroup_array: object = field(init=False, repr=False, compare=False)
@@ -522,15 +531,16 @@ class CosetGraphBuild:
     """Result of build_coset_graph: the graph, the vertex action of H's
     generators and a, the canonical coset representatives in array form
     only (``_reps``, in vertex order) and coset-lookup helpers.  The graph's
-    labels, ``iface.label`` of each representative, are made on first read.
+    labels, ``str`` of each representative, are made on first read.
 
     The build has reached every coset from H, which proves the action
-    transitive; the action's group takes that as given
-    (``PermGroup._take_as_transitive``): its orbit labels are all zero and
-    its chain's first level is the whole vertex set.  The explorer numbered
-    the vertices one BFS level at a time from vertex 0, and the graph takes
-    the sizes of those levels (``Graph._take_levels``), from which
-    bipartiteness is read."""
+    transitive and an image of a group of order |G|; the action's group
+    takes that certificate as given (``PermGroup._take_certificate``): its
+    orbit labels are all zero, its chain's first level is the whole vertex
+    set, and the chain stops once its order reaches |G|.  The explorer
+    numbered the vertices one BFS level at a time from vertex 0, and the
+    graph takes the sizes of those levels (``Graph._take_levels``), from
+    which bipartiteness is read."""
 
     def __init__(self, iface: GroupIface, a_elt, reps, index: tuple, adj,
                  level_sizes: tuple, hah: np.ndarray):
@@ -540,20 +550,16 @@ class CosetGraphBuild:
         self._index = index
         self._hah = hah  # the sorted keys of the cosets H*a*h
         self._canon = _canon_of(iface)
-        labels = None
-        if iface.label is not None:
-            def labels():
-                return tuple(map(iface.label, iface.form.unpack(reps)))
-        self.graph = Graph(len(reps), adj, labels)
+        self.graph = Graph(len(reps), adj,
+                           lambda: tuple(map(str, iface.form.unpack(reps))))
         self.graph._take_levels(level_sizes)
+        self.action = VertexAction(
+            self.graph, self._images(iface.form.pack(iface.generators + (a_elt,))))
         # the explorer reached |G|/|H| cosets, so <H, a> has order
         # iface.order, and the action is a homomorphic image of <H, a>; it
         # reached them all from H by right multiplication with H's
         # generators and a, so the action is transitive
-        self.action = VertexAction(
-            self.graph, self._images(iface.form.pack(iface.generators + (a_elt,))),
-            order_bound=iface.order)
-        self.action.group._take_as_transitive()
+        self.action.group._take_certificate(iface.order)
 
     def vertices_of(self, elts) -> list:
         """The vertices holding the cosets H*x of a sequence of elements:
@@ -648,9 +654,9 @@ def _canon_of(iface: GroupIface):
     form, subgroup = iface.form, iface.subgroup_array
 
     def canon(xs: np.ndarray) -> np.ndarray:
-        best = form.mul(subgroup[0], xs)
-        for h in subgroup[1:]:
-            best = form.minimum(best, form.mul(h, xs))
+        best = form.outer(subgroup[:1], xs)
+        for h in subgroup[1:, None]:  # h*xs, one element h of H at a time
+            best = form.minimum(best, form.outer(h, xs))
         return best
     return canon
 
@@ -663,7 +669,7 @@ def _arc_transversal(iface: GroupIface, a_elt) -> tuple:
     the valency |HaH|/|H|.  The union of these cosets is HaH: x lies in HaH
     exactly when the key of canon(x) is one of the keys."""
     form, subgroup = iface.form, iface.subgroup_array
-    a_hs = _canon_of(iface)(form.mul(form.pack([a_elt])[0], subgroup))
+    a_hs = _canon_of(iface)(form.outer(form.pack([a_elt]), subgroup))
     keys, first = np.unique(form.keys(a_hs), return_index=True)
     return keys, subgroup[first]
 
@@ -692,7 +698,7 @@ def _explore(iface: GroupIface, a_elt):
     """
     form, canon = iface.form, _canon_of(iface)
     hah, hs = _arc_transversal(iface, a_elt)
-    steps = form.mul(form.pack([a_elt])[0], hs)  # a*h, one per class
+    steps = form.outer(form.pack([a_elt]), hs)  # a*h, one per class
     most = iface.order // len(iface.subgroup_array)
     new_reps = canon(form.pack([iface.identity]))
     reps = np.empty((most,) + new_reps.shape[1:], dtype=new_reps.dtype)

@@ -191,6 +191,9 @@ class GElt:
     def __repr__(self):
         return "GElt(t=%d, %s, %s)" % (self.t, self.sign, self.word())
 
+    def __str__(self):
+        return self.word()
+
 
 class ExtensionGroup:
     """Multiplication context for one (t, sign) pair.  Obtain instances via

@@ -251,7 +251,6 @@ def praeger_xu_coset(r: int, s: int, allow_large: bool = False) -> FamilyBuild:
         generators=tuple(xs) + (b_s,),
         identity=Permutation.identity(2 * r),
         order=2 ** r * 2 * r,
-        label=lambda p: p.cycle_string(),
         canon=_pair_canon([(2 * k, 2 * k + 1) for k in range(r - s)], b_s),
     )
     coset = build_coset_graph(iface, a)
@@ -304,7 +303,6 @@ def gamma(t: int, sign: str, allow_large: bool = False) -> FamilyBuild:
         generators=tuple(grp.x(i) for i in range(t)) + (grp.b,),
         identity=grp.identity,
         order=grp.order,
-        label=lambda g: g.word(),
         canon=_gamma_canon(grp),
     )
     coset = build_coset_graph(iface, grp.a)
@@ -404,7 +402,6 @@ def delta(m: int, allow_large: bool = False) -> FamilyBuild:
         generators=tuple(perms["xs"]) + (perms["h"],),
         identity=Permutation.identity(n),
         order=math.factorial(n),
-        label=lambda p: p.cycle_string(),
         canon=_pair_canon([(2 * i, 2 * i + 1) for i in range(2 * m - 1)],
                           perms["h"]),
     )

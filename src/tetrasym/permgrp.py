@@ -12,11 +12,11 @@ gathers per generator.  A group labels its points once and keeps the
 labels, which its transitivity and the
 graph checks (girth's roots, the arc certificate) all read; the arc orbit
 labels the arcs with the same routine.  A group whose caller has proved it
-transitive (a coset build, which reaches every coset from H) starts with
-the labels all zero and labels nothing.  The chain grows its basic orbits
-by a BFS instead, because its Schreier vectors need the BFS tree; the first
-level of a group known to be transitive runs that BFS only when something
-reads the tree (see below).
+transitive (a coset build, which reaches every coset from H; see
+``PermGroup._take_certificate``) starts with the labels all zero and labels
+nothing.  The chain grows its basic orbits by a BFS instead, because its
+Schreier vectors need the BFS tree; the first level of a group known to be
+transitive runs that BFS only when something reads the tree (see below).
 ``PermGroup.min_block`` keeps Atkinson's union-find: its merges cascade one
 pair at a time, which array rounds do slowly.
 
@@ -32,19 +32,21 @@ costs O(degree) memory plus the elements the run has used, not O(degree)
 per orbit point (Seress, *Permutation Group Algorithms*, CUP 2003, §4.1).
 
 Known-order stop (Seress §4.5; Holt, Eick & O'Brien, *Handbook of
-Computational Group Theory*, 2005, §4.4).  A group may be given an upper
-bound on its order; its chain then stops as soon as the product of the basic
-orbit lengths equals the bound, and raises ValueError if the product goes
-above it.  The stop is exact: each partial basic orbit lies inside the true
-one, so the product is at most |G|, which is at most the bound; when the
+Computational Group Theory*, 2005, §4.4).  A chain may be given an upper
+bound on its group's order; it then stops as soon as the product of the
+basic orbit lengths equals the bound, and raises ValueError if the product
+goes above it.  The stop is exact: each partial basic orbit lies inside the
+true one, so the product is at most |G|, which is at most the bound; when the
 product equals the bound every inclusion is an equality and the chain is a
 complete base and strong generating set, so order, membership, point
 stabilisers are exact.  A bound that is never reached (an
 action that is not faithful, say) leaves the run to complete as without
 one.  A bound must be a true upper bound: one below |G| that equals some
-partial product would stop the run early.  The coset-graph builder supplies
-the bound for its vertex actions: it certifies |<H, a>| = |G| by reaching
-all |G|/|H| cosets, and the action is a homomorphic image of <H, a>.
+partial product would stop the run early.  A group takes its bound only
+from the coset-graph builder, with the proof that it is transitive
+(``PermGroup._take_certificate``): the builder certifies |<H, a>| = |G| by
+reaching all |G|/|H| cosets, and its vertex action is a homomorphic image
+of <H, a>.
 
 Base at the least moved point.  A chain given no base starts it at the
 least point that some generator moves, which is vertex 0 of a transitive
@@ -80,8 +82,7 @@ from operator import index
 
 import numpy as np
 
-__all__ = ["Permutation", "PermGroup", "orbit_labels", "mul_rows", "row_keys",
-           "min_rows"]
+__all__ = ["Permutation", "PermGroup", "orbit_labels"]
 
 
 class Permutation:
@@ -97,8 +98,7 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(map(_point, images))
-        # no dtype: an id beyond int64 makes an object array, which is refused
-        _bijection(np.asarray(images), len(images))
+        _bijection(images, len(images))
         object.__setattr__(self, "images", images)
 
     @classmethod
@@ -235,6 +235,10 @@ def _bijection(g, n: int) -> np.ndarray:
     ids, n of them, each in range, and every point hit (an n-byte mask)."""
     images = np.asarray(g)
     if images.size and images.dtype.kind not in "iu":
+        # integers beyond int64 make a float64 or an object array
+        if images.dtype.kind in "fO" and all(
+                isinstance(x, int) for x in np.asarray(g, dtype=object).flat):
+            raise ValueError("not a permutation: ids out of range 0..%d" % (n - 1))
         raise ValueError("not a permutation: ids of dtype %s" % images.dtype)
     if images.shape != (n,):
         raise ValueError("degree mismatch: shape %s vs %d points" % (images.shape, n))
@@ -244,35 +248,6 @@ def _bijection(g, n: int) -> np.ndarray:
     if not seen.all():
         raise ValueError("not a permutation: not a bijection of 0..%d" % (n - 1))
     return images.astype(np.int32, copy=False)
-
-
-# ---------------------------------------------------------------------------
-# Array form: permutations on at most 256 points as unsigned-byte image rows,
-# whose bytes compare in the order Permutation.__lt__ compares image tuples
-# ---------------------------------------------------------------------------
-
-def mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise products p*q, (p*q)(x) == q(p(x)), as gathers; either factor
-    may be a single row."""
-    if q.ndim == 1:
-        return q[p]
-    if p.ndim == 1:
-        return q[:, p]
-    return np.take_along_axis(q, p, axis=1)
-
-
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row, ordered and compared as the rows: numpy sorts,
-    searches and compares them bytewise."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-
-def min_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The lexicographically smaller row of each pair a[i], b[i]."""
-    first = (a != b).argmax(axis=1)
-    at = np.arange(len(a))
-    return np.where((a[at, first] < b[at, first])[:, None], a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -578,27 +553,25 @@ class PermGroup:
     The generators may be given as int image arrays or as Permutation
     objects; each is checked to be a bijection of the points and kept as
     an int32 array (``arrays()``).
-    ``order_bound``, when given, is an upper bound on the group's order: the
-    chain stops once it reaches it (see the module docstring).
     The stabiliser-chain data is built lazily, at most once, behind a lock;
     after that the group is safe to share between threads.
     """
 
-    def __init__(self, generators, degree: int | None = None,
-                 order_bound: int | None = None):
-        arrays = [np.asarray(g) for g in generators]
+    def __init__(self, generators, degree: int | None = None):
+        generators = list(generators)
         if degree is None:
-            if not arrays:
+            if not generators:
                 raise ValueError("degree required for an empty generating set")
-            if arrays[0].ndim != 1:
-                raise ValueError("generator 0 is not an image array: %s" % arrays[0])
-            degree = len(arrays[0])
+            first = np.asarray(generators[0])
+            if first.ndim != 1:
+                raise ValueError("generator 0 is not an image array: %s" % first)
+            degree = len(first)
         self.degree = degree
-        self._arrays = [_bijection(g, degree) for g in arrays]
-        self.order_bound = order_bound
+        # each as given: an id beyond int64 is told from a float by its type
+        self._arrays = [_bijection(g, degree) for g in generators]
         self._chain: _StabChain | None = None
         self._labels: np.ndarray | None = None
-        self._transitive = False
+        self._certified: int | None = None  # see _take_certificate
         self._lock = threading.Lock()
 
     def __repr__(self):
@@ -614,18 +587,19 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = _StabChain(self.degree, self.arrays(),
-                                             bound=self.order_bound,
-                                             transitive=self._transitive)
+                    self._chain = _StabChain(
+                        self.degree, self.arrays(), bound=self._certified,
+                        transitive=self._certified is not None)
         return self._chain
 
-    def _take_as_transitive(self):
-        """Take the group as transitive, which the caller has proved (a
-        coset build reaches every coset from H), before the orbit labels
-        or the chain are made: the labels are then the read-only all-zero
-        array, and the chain's first level is whole (see the module
-        docstring)."""
-        self._transitive = True
+    def _take_certificate(self, order: int):
+        """Take the group as transitive and of order at most ``order``, which
+        the caller has proved (a coset build reaches every coset from H, and
+        its action is an image of a group of that order), before the orbit
+        labels or the chain are made: the labels are then the read-only
+        all-zero array, and the chain's first level is whole and its run
+        stops at ``order`` (see the module docstring)."""
+        self._certified = order
 
     def order(self) -> int:
         return self.chain.order()
@@ -647,7 +621,7 @@ class PermGroup:
         threads that make the first call together each label the orbits and
         keep the same array."""
         if self._labels is None:
-            if self._transitive:
+            if self._certified is not None:
                 labels = np.broadcast_to(np.int64(0), (self.degree,))
             else:
                 labels = orbit_labels(self.arrays(), self.degree)
@@ -676,7 +650,7 @@ class PermGroup:
         chain = self.chain
         if chain.levels[0].point != x:
             chain = _StabChain(self.degree, self.arrays(), (x,), bound=chain.order(),
-                               transitive=self._transitive)
+                               transitive=self._certified is not None)
         tail = chain.tail(1)
         # the strong generators are chain products: taken without a check
         stab = PermGroup((), self.degree)

@@ -192,6 +192,36 @@ def test_generate_vertex_guard_every_family(capsys, monkeypatch, spec, n):
         assert "--allow-large" in err
 
 
+def test_a_coset_table_too_large_for_memory_exits_2(capsys, monkeypatch):
+    # crs(30, 24) under --allow-large asks for a coset table of 503,316,480
+    # rows of 60 points (28.1 GiB).  Where it cannot be allocated, the run
+    # ends as an unbuildable input does: exit 2 and an error line.  A
+    # stand-in refuses every array above 1 GiB, so no large request is made.
+    empty = cosetgraph.np.empty
+    message = ("Unable to allocate 28.1 GiB for an array with shape "
+               "(503316480, 60) and data type uint8")
+
+    def refused(shape, *args, **kwargs):
+        if cosetgraph.np.prod(shape) > 1 << 30:
+            raise MemoryError(message)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(cosetgraph.np, "empty", refused)
+    for command in ("generate", "verify"):
+        code, out, err = run(capsys, command, "crs:r=30,s=24", "--allow-large")
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s\n" % message
+
+    def no_room(*args, **kwargs):
+        raise MemoryError()
+
+    # a MemoryError with no message is named by its type
+    monkeypatch.setattr(cosetgraph.np, "empty", no_room)
+    assert run(capsys, "verify", "crs:r=30,s=24", "--allow-large") == (
+        2, "", "error: MemoryError\n")
+
+
 # -- verify ---------------------------------------------------------------------
 
 def test_verify_passing_family(capsys):

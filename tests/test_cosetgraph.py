@@ -13,11 +13,11 @@ from tetrasym import cosetgraph
 from tetrasym.cli import CHECK_NAMES, family_checks
 from tetrasym.cosetgraph import (Graph, GroupIface, SabidussiReport,
                                  VertexAction, build_coset_graph,
-                                 edge_list_text, sphere, to_dot, to_json_obj,
-                                 validate_corefree)
+                                 edge_list_text, min_rows, row_keys, sphere,
+                                 to_dot, to_json_obj, validate_corefree)
 from tetrasym.extragrp import PLUS, SIGNS, GElt, extension_group
 from tetrasym.families import FamilySpec, build_family
-from tetrasym.permgrp import Permutation, min_rows, orbit_labels, row_keys
+from tetrasym.permgrp import Permutation, orbit_labels
 
 from coset_reference import coset_reps
 
@@ -30,7 +30,7 @@ def gamma_iface(t, sign):
     grp = extension_group(t, sign)
     gens = tuple(grp.x(i) for i in range(t)) + (grp.b,)
     return grp, GroupIface(generators=gens, identity=grp.identity,
-                           order=grp.order, label=lambda g: g.word())
+                           order=grp.order)
 
 
 # -- Graph type ---------------------------------------------------------------
@@ -502,18 +502,22 @@ def test_build_is_deterministic():
 
 @pytest.mark.parametrize("spec", ["delta:m=2", "gamma:t=3,sign=minus",
                                   "crs:r=6,s=3"])
-def test_build_and_checks_never_call_the_labeller(spec):
-    # the labels are made on the first read of graph.labels, and kept; no
-    # step of the build and no check reads them or the representatives
+def test_build_and_checks_never_call_the_labeller(spec, monkeypatch):
+    # the labels, str of each representative, are made on the first read
+    # of graph.labels, and kept; no step of the build and no check reads
+    # them or the representatives.  The reference labels are read before
+    # the elements' naming is counted.
     fb = build_family(FamilySpec.parse(spec))
-    calls = []
+    reference = fb.graph.labels
+    element, calls = type(fb.coset.a_elt), []
+    name = element.__str__
 
-    def label(elt):
+    def counted(elt):
         calls.append(elt)
-        return fb.coset.iface.label(elt)
+        return name(elt)
 
-    iface = dataclasses.replace(fb.coset.iface, label=label)
-    coset = build_coset_graph(iface, fb.coset.a_elt)
+    monkeypatch.setattr(element, "__str__", counted)
+    coset = build_coset_graph(fb.coset.iface, fb.coset.a_elt)
     member = dataclasses.replace(fb, graph=coset.graph, action=coset.action,
                                  coset=coset)
     rows = family_checks(member, list(CHECK_NAMES))
@@ -523,7 +527,7 @@ def test_build_and_checks_never_call_the_labeller(spec):
     assert "reps" not in vars(coset)
     labels = coset.graph.labels
     assert len(calls) == coset.graph.n
-    assert labels == fb.graph.labels
+    assert labels == reference
     assert coset.graph.labels is labels
     assert len(calls) == coset.graph.n
 
@@ -584,6 +588,21 @@ def _sequential_bfs(iface, a):
             reps.append(c)
         adj.append(tuple(sorted(set(hits))))
     return reps, tuple(adj)
+
+
+@pytest.mark.parametrize("spec", ["gamma:t=2,sign=minus", "crs:r=6,s=3"])
+def test_a_hand_made_triple_is_labelled_by_its_representatives(spec):
+    # a triple given with no canon: its vertices are named by str of their
+    # representatives, in the oracle BFS's vertex order, which is the word
+    # of a GElt and the cycles of a Permutation
+    family = build_family(FamilySpec.parse(spec)).coset
+    iface = GroupIface(generators=family.iface.generators,
+                       identity=family.iface.identity, order=family.iface.order)
+    labels = build_coset_graph(iface, family.a_elt).graph.labels
+    reps, _ = _sequential_bfs(iface, family.a_elt)
+    assert labels == tuple(map(str, reps))
+    assert labels == tuple(r.word() if isinstance(r, GElt) else r.cycle_string()
+                           for r in reps)
 
 
 @pytest.mark.parametrize("spec", ["gamma:t=3,sign=plus", "gamma:t=4,sign=minus",
@@ -790,7 +809,7 @@ def test_row_form_minimum_is_min_rows():
         coset = build_family(FamilySpec.parse(spec)).coset
         iface = coset.iface
         form, beta = iface.form, np.array(iface.generators[-1].images)
-        a_hs = form.mul(form.pack([coset.a_elt])[0], iface.subgroup_array)
+        a_hs = form.outer(form.pack([coset.a_elt]), iface.subgroup_array)
         probes = form.outer(a_hs, coset._reps)
         shuffled = probes[rng.permutation(len(probes))]
         for other in (probes[:, beta], shuffled, probes):

@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrasym import permgrp
-from tetrasym.cosetgraph import VertexAction
+from tetrasym.cosetgraph import VertexAction, _RowForm, min_rows, row_keys
 from tetrasym.families import FamilySpec, build_family
 from tetrasym.graphalg import verify_arc_transitive
-from tetrasym.permgrp import (PermGroup, Permutation, _StabChain, min_rows,
-                              mul_rows, orbit_labels, row_keys)
+from tetrasym.permgrp import PermGroup, Permutation, _StabChain, orbit_labels
 
 from permgrp_reference import group_elements
 
@@ -80,9 +79,17 @@ def test_not_a_permutation():
         with pytest.raises(ValueError, match="^not a permutation: not a bijection of 0..%d$"
                            % (len(images) - 1)):
             Permutation(images)
-    # an id beyond int64 is refused, not overflowed
-    with pytest.raises(ValueError, match="^not a permutation: ids of dtype object$"):
-        Permutation([2**70, 0])
+    # an id beyond int64 is refused as out of range, not overflowed, and
+    # not named by the float64 or object dtype numpy gives such a list
+    for images in ([2**70, 0], [2**64 - 1, 0]):
+        for make in (Permutation, lambda im: PermGroup([im])):
+            with pytest.raises(ValueError,
+                               match="^not a permutation: ids out of range 0..1$"):
+                make(images)
+    # ids that are floats are named by their dtype
+    with pytest.raises(ValueError,
+                       match="^not a permutation: ids of dtype float64$"):
+        PermGroup([np.array([1.0, 0.0])])
 
 
 @pytest.mark.parametrize("make, value", [
@@ -540,8 +547,8 @@ def test_point_stabiliser_matches_oracle_at_every_point(images_list):
 
 @pytest.mark.parametrize("spec", ["delta:m=2", "crs:r=8,s=4"])
 def test_row_products_match_permutation_products(spec):
-    # seeded elements of G = <H, a>, multiplied as rows and as Permutations,
-    # as array*array, scalar*array and array*scalar
+    # seeded elements of G = <H, a>, multiplied as rows and as Permutations:
+    # every pair of two arrays, one row by an array and an array by one row
     coset = build_family(FamilySpec.parse(spec)).coset
     form, gens = coset.iface.form, coset.iface.generators + (coset.a_elt,)
     rng = random.Random(spec)
@@ -554,9 +561,11 @@ def test_row_products_match_permutation_products(spec):
     ps = [element() for _ in range(500)]
     qs = [element() for _ in range(500)]
     P, Q = form.pack(ps), form.pack(qs)
-    assert form.unpack(mul_rows(P, Q)) == [p * q for p, q in zip(ps, qs)]
-    assert form.unpack(mul_rows(P[0], Q)) == [ps[0] * q for q in qs]
-    assert form.unpack(mul_rows(P, Q[0])) == [p * qs[0] for p in ps]
+    assert type(form) is _RowForm
+    assert (form.unpack(form.outer(P[:40], Q[:40]))
+            == [p * q for q in qs[:40] for p in ps[:40]])
+    assert form.unpack(form.outer(P[:1], Q)) == [ps[0] * q for q in qs]
+    assert form.unpack(form.outer(P, Q[:1])) == [p * qs[0] for p in ps]
     assert form.unpack(min_rows(P, Q)) == [min(p, q) for p, q in zip(ps, qs)]
     order = np.argsort(row_keys(P), kind="stable")
     assert [ps[i] for i in order] == sorted(ps)
@@ -564,9 +573,10 @@ def test_row_products_match_permutation_products(spec):
 
 # -- chains bounded by a known order ------------------------------------------
 # A coset build certifies |<H, a>| = iface.order and hands it to its vertex
-# action as an upper bound on the action's order; the chain stops once the
-# product of its basic orbit lengths reaches it.  The oracle is the chain of
-# the same generators with no bound, run to completion.
+# action's group as an upper bound on its order (``_take_certificate``); the
+# chain stops once the product of its basic orbit lengths reaches it.  The
+# oracle is the chain of the same generators with no bound, run to
+# completion.
 
 def _matrix_members():
     """Every family member that `tetrasym matrix` builds by default."""
@@ -585,12 +595,15 @@ def _seeded_word(gens, rng, length):
 
 @pytest.mark.parametrize("spec", _matrix_members())
 def test_bounded_chain_matches_unbounded(spec):
-    action = build_family(FamilySpec.parse(spec)).action
+    fb = build_family(FamilySpec.parse(spec))
+    action = fb.action
     gens, n = action.images, action.graph.n
     full = PermGroup(gens, degree=n)
     # the wreath action has no certified bound; its true order is one
-    bound = action.order_bound or full.order()
-    bounded = PermGroup(gens, degree=n, order_bound=bound)
+    bound = fb.coset.iface.order if fb.coset else full.order()
+    assert full.is_transitive()
+    bounded = PermGroup(gens, degree=n)
+    bounded._take_certificate(bound)
     assert bounded.order() == full.order() == bound
     rng = random.Random(spec)
     perms = [Permutation(g) for g in gens]
@@ -609,7 +622,8 @@ def test_bounded_chain_sifts_no_first_level_schreier_generator(spec, monkeypatch
     # levels 1.. on their own, and the run, deepest level first, reaches
     # n|H| = |G| before it sifts a Schreier generator of level 0.  The
     # wreath action has no bound and must finish level 0.
-    action = build_family(FamilySpec.parse(spec)).action
+    fb = build_family(FamilySpec.parse(spec))
+    action, bound = fb.action, fb.coset.iface.order if fb.coset else None
     processed = []
     process = _StabChain._process_level
 
@@ -617,11 +631,10 @@ def test_bounded_chain_sifts_no_first_level_schreier_generator(spec, monkeypatch
         processed.append(i)
         return process(chain, i)
     monkeypatch.setattr(_StabChain, "_process_level", counted)
-    chain = PermGroup(action.images, degree=action.graph.n,
-                      order_bound=action.order_bound).chain
+    chain = _StabChain(action.graph.n, list(action.images), bound=bound)
     assert chain.levels[0].point == 0
     assert len(chain.levels[0].orbit) == action.graph.n
-    assert (0 in processed) == (action.order_bound is None)
+    assert (0 in processed) == (bound is None)
 
 
 def test_bound_above_the_order_gives_the_true_order():
@@ -634,26 +647,28 @@ def test_bound_above_the_order_gives_the_true_order():
                        identity=grp.identity, order=grp.order)
     action = build_coset_graph(iface, grp.a).action
     full = PermGroup(action.images)
-    assert action.order_bound == grp.order
+    assert action.group.chain.bound == grp.order
     assert action.group.order() == full.order() == grp.order // 2
     for G in (sym(5), PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4))])):
-        assert PermGroup(G.arrays(), order_bound=2 * G.order()).order() == G.order()
+        bounded = _StabChain(G.degree, G.arrays(), bound=2 * G.order())
+        assert bounded.order() == G.order()
 
 
 def test_bound_below_the_orbit_product_raises():
     # 7 is no product of orbit lengths of at most 5 points, so the chain of
     # Sym(5) passes it without stopping and meets a product above it
     with pytest.raises(ValueError, match="above the bound 7"):
-        PermGroup(sym(5).arrays(), order_bound=7).order()
+        _StabChain(5, sym(5).arrays(), bound=7)
     with pytest.raises(ValueError, match="above the bound 1"):
-        PermGroup([cyc(3, (0, 1))], order_bound=1).order()
+        _StabChain(3, PermGroup([cyc(3, (0, 1))]).arrays(), bound=1)
 
 
 def test_bounded_chain_is_deterministic():
     def strong_gens(spec):
-        action = build_family(FamilySpec.parse(spec)).action
-        group = PermGroup(action.images, order_bound=action.order_bound)
-        return [g.tolist() for g in group.chain.strong_gens_fixing_prefix(0)]
+        fb = build_family(FamilySpec.parse(spec))
+        chain = _StabChain(fb.graph.n, list(fb.action.images),
+                           bound=fb.coset.iface.order)
+        return [g.tolist() for g in chain.strong_gens_fixing_prefix(0)]
     for spec in ("delta:m=2", "gamma:sign=minus,t=5"):
         assert strong_gens(spec) == strong_gens(spec)
 
@@ -661,8 +676,9 @@ def test_bounded_chain_is_deterministic():
 @pytest.mark.parametrize("spec", ["delta:m=2", "gamma:sign=minus,t=5"])
 def test_strong_gens_deduplicate_as_their_bytes(spec):
     # the oracle: the first array of each distinct image, by byte hashing
-    action = build_family(FamilySpec.parse(spec)).action
-    chain = PermGroup(action.images, order_bound=action.order_bound).chain
+    fb = build_family(FamilySpec.parse(spec))
+    chain = _StabChain(fb.graph.n, list(fb.action.images),
+                       bound=fb.coset.iface.order)
     for k in range(len(chain.levels) + 1):
         oracle, seen = [], set()
         for lv in chain.levels[k:]:
@@ -730,9 +746,10 @@ def test_coset_action_is_transitive_by_its_generators_labels(spec):
 
 @pytest.mark.parametrize("spec", _CERTIFIED)
 def test_whole_first_level_equals_the_grown_one(spec):
-    action = build_family(FamilySpec.parse(spec)).action
+    fb = build_family(FamilySpec.parse(spec))
+    action = fb.action
     G, n = action.group, action.graph.n
-    eager = _eager_chain(n, list(action.images), bound=action.order_bound)
+    eager = _eager_chain(n, list(action.images), bound=fb.coset.iface.order)
     assert G.point_stabiliser(0).order() == eager.order() // n
     assert G.chain.levels[0].sv is None  # order and the stabiliser never read it
     mover = next(g for g in action.images if g[0] != 0)
@@ -758,8 +775,8 @@ def test_whole_first_level_under_a_bound_never_reached(spec):
     # must sift level 0's Schreier generators and make its orbit
     action = build_family(FamilySpec.parse(spec)).action
     n, order = action.graph.n, action.group.order()
-    group = PermGroup(action.images, degree=n, order_bound=2 * order)
-    group._take_as_transitive()
+    group = PermGroup(action.images, degree=n)
+    group._take_certificate(2 * order)
     assert group.order() == order
     eager = _eager_chain(n, list(action.images), bound=2 * order)
     _chains_agree(group.chain, eager)
@@ -778,8 +795,8 @@ def test_whole_first_level_enumerates_the_group(spec):
 def test_a_wrong_transitivity_certificate_is_caught_when_level_0_is_made():
     # orbits {0, 1, 2}, {3, 4} and {5}: the run cannot reach the bound, so
     # it makes level 0's orbit and finds 3 points, not 6
-    group = PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4))], order_bound=24)
-    group._take_as_transitive()
+    group = PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4))])
+    group._take_certificate(24)
     with pytest.raises(ValueError, match="taken as transitive"):
         group.order()
 
